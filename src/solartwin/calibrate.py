@@ -8,7 +8,6 @@ runs out.  Training depends on beta only, so models and predicted
 probabilities are memoized per beta column of the grid.
 """
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -18,7 +17,7 @@ from scipy.special import ndtr
 
 from .boosting import GbtParams, LossParams, predict_proba, train_gbt
 from .preprocess import LabeledDataset
-from .records import AdopterTarget, HouseholdTable
+from .records import AdopterTarget, HouseholdTable, write_csv
 from .seeds import rng_for
 
 BETA_STEP = 0.01
@@ -278,11 +277,12 @@ def calibrate(
 
 def save_trace(result: CalibrationResult, path):
     """Write the audit trace: round,beta,tau,predicted,target,diff."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["round", "beta", "tau", "predicted", "target", "diff"])
-        for e in result.trace:
-            writer.writerow(
-                [e.round, f"{e.beta:.2f}", f"{e.tau:.2f}", e.predicted,
-                 result.target_count, e.discrepancy]
-            )
+    write_csv(
+        path,
+        ["round", "beta", "tau", "predicted", "target", "diff"],
+        (
+            [e.round, f"{e.beta:.2f}", f"{e.tau:.2f}", e.predicted,
+             result.target_count, e.discrepancy]
+            for e in result.trace
+        ),
+    )

@@ -14,7 +14,6 @@ SOLARTWIN_LOG=info (or debug) for progress on stderr.
 
 import argparse
 import calendar
-import csv
 import logging
 import os
 import sys
@@ -59,11 +58,13 @@ from .records import (
     load_irradiance,
     load_network,
     load_targets,
+    read_csv,
     save_households,
     save_irradiance,
     save_network,
     save_targets,
     sqft_class_range,
+    write_csv,
 )
 from .seeds import rng_for
 from .sqft import estimate_sqft, subclass_weights
@@ -123,54 +124,34 @@ def _require(path: str, hint: str) -> str:
 
 
 def _save_survey(values, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sqft"])
-        for v in values:
-            writer.writerow([repr(float(v))])
+    write_csv(path, ["sqft"], ([repr(float(v))] for v in values))
 
 
 def _load_survey(path) -> list:
-    values = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if "sqft" not in (reader.fieldnames or []):
-            raise ValueError(f"{path} is missing the sqft column")
-        for row in reader:
-            values.append(float(row["sqft"]))
-    return values
+    return read_csv(path, {"sqft": float})["sqft"]
 
 
 def _save_dataset(data: LabeledDataset, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(FEATURE_NAMES) + ["label"])
-        for row, label in zip(data.X, data.y):
-            writer.writerow([int(c) for c in row] + [int(label)])
+    write_csv(
+        path,
+        list(FEATURE_NAMES) + ["label"],
+        ([int(c) for c in row] + [int(label)] for row, label in zip(data.X, data.y)),
+    )
 
 
 def _load_dataset(path) -> LabeledDataset:
-    X = []
-    y = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        for column in list(FEATURE_NAMES) + ["label"]:
-            if column not in header:
-                raise ValueError(f"{path} is missing column {column}")
-        for row in reader:
-            X.append([int(row[f]) for f in FEATURE_NAMES])
-            y.append(int(row["label"]))
+    columns = read_csv(path, dict.fromkeys(list(FEATURE_NAMES) + ["label"], int))
+    X = np.array([columns[f] for f in FEATURE_NAMES], dtype=np.int64).T.copy()
     domains = tuple(tuple(FEATURE_DOMAINS[name]) for name in FEATURE_NAMES)
-    return LabeledDataset(np.array(X, dtype=np.int64), np.array(y, dtype=np.int64), domains)
+    return LabeledDataset(X, np.array(columns["label"], dtype=np.int64), domains)
 
 
 def _save_matrix(matrix: np.ndarray, names, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["feature"] + list(names))
-        for name, row in zip(names, matrix):
-            writer.writerow([name] + [repr(float(v)) for v in row])
+    write_csv(
+        path,
+        ["feature"] + list(names),
+        ([name] + [repr(float(v)) for v in row] for name, row in zip(names, matrix)),
+    )
 
 
 def _load_irradiance_map(cfg: RunConfig, tracts) -> dict:
@@ -350,18 +331,18 @@ def cmd_validate(cfg: RunConfig, args):
     for side, sink in (("real", real_hourly), ("twin", twin_hourly)):
         for d in dates:
             path = _require(_path(cfg, side, f"profiles_{d.isoformat()}.csv"), "generate")
-            for hid, day, hour, mean, _ in load_profile_rows(path):
-                sink.append((day.isoformat()[:7], hour, mean))
+            month = d.isoformat()[:7]  # load_profile_rows checks each row is dated d
+            sink.extend((month, hour, mean) for _, _, hour, mean, _ in load_profile_rows(path))
     for month, r in pearson_monthly(real_hourly, twin_hourly).items():
         rows.append(("pearson", month, r))
     n_real = len({r[0] for r in real_rows})
     n_twin = len({r[0] for r in twin_rows})
     rows.append(("adopter_pct_diff", "count", relative_pct_diff(n_real, n_twin)))
-    with open(_path(cfg, "metrics_report.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "scope", "value"])
-        for metric, scope, value in rows:
-            writer.writerow([metric, scope, "" if value is None else repr(float(value))])
+    write_csv(
+        _path(cfg, "metrics_report.csv"),
+        ["metric", "scope", "value"],
+        ([m, scope, "" if v is None else repr(float(v))] for m, scope, v in rows),
+    )
     log.info("validate: wrote %d metric rows", len(rows))
 
 

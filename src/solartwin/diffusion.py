@@ -9,17 +9,28 @@ per-step vector of uniforms indexed by node id, so results are independent
 of evaluation order.
 """
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .records import Graph, HouseholdTable
+from .records import Graph, HouseholdTable, write_csv
 from .seeds import rng_for
 
-CASES = ("1a", "1b", "2a", "2b", "3", "4", "5")
 BASE_PROB = 0.1
 CASE3_LMI_SEQUENCE = (0.30, 0.10, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40, 0.45, 0.50)
+# The Bernoulli gate of each policy case: (probability for LMI nodes, for
+# the rest).  "step" takes the LMI probability from CASE3_LMI_SEQUENCE by
+# step number; "rebate" scales BASE_PROB by the node's rebate bin.
+CASE_GATES = {
+    "1a": (BASE_PROB, BASE_PROB),
+    "1b": (0.2, 0.2),
+    "2a": (0.2, BASE_PROB),
+    "2b": (0.5, BASE_PROB),
+    "3": ("step", BASE_PROB),
+    "4": ("rebate", "rebate"),
+    "5": ("rebate", "rebate"),
+}
+CASES = tuple(CASE_GATES)
 THRESHOLD_MIN = 0.10
 THRESHOLD_MAX = 0.95
 N_BARRIERS = 8
@@ -90,6 +101,10 @@ def utility(p: float, c: float, n: float, w) -> float:
             raise ValueError(f"{name} must be in [0, 1], got {value}")
     if len(w) != 3 or abs(sum(w) - 1.0) > 1e-9:
         raise ValueError("weights must be three values summing to 1")
+    return _utility(p, c, n, w)
+
+
+def _utility(p, c, n, w):
     return w[0] * p + w[1] * c + w[2] * n
 
 
@@ -102,41 +117,46 @@ def node_probability(case: str, lmi: bool, step: int, rebate_bin: int | None = N
     """
     if case not in CASES:
         raise ValueError(f"unknown case {case!r}")
-    if case == "1a":
-        return BASE_PROB
-    if case == "1b":
-        return 0.2
-    if case == "2a":
-        return 0.2 if lmi else BASE_PROB
-    if case == "2b":
-        return 0.5 if lmi else BASE_PROB
-    if case == "3":
-        if not lmi:
-            return BASE_PROB
-        if step < 1:
-            raise ValueError(f"step must be >= 1, got {step}")
-        return CASE3_LMI_SEQUENCE[min(step, len(CASE3_LMI_SEQUENCE)) - 1]
-    if rebate_bin is None:
-        raise ValueError(f"case {case} needs a rebate bin")
-    if not 1 <= rebate_bin <= N_REBATE_BINS:
-        raise ValueError(f"rebate bin must be in [1, {N_REBATE_BINS}]")
-    return rebate_bin / N_REBATE_BINS * BASE_PROB
+    kind = CASE_GATES[case][0]
+    if kind == "step" and step < 1:
+        raise ValueError(f"step must be >= 1, got {step}")
+    if kind == "rebate":
+        if rebate_bin is None:
+            raise ValueError(f"case {case} needs a rebate bin")
+        if not 1 <= rebate_bin <= N_REBATE_BINS:
+            raise ValueError(f"rebate bin must be in [1, {N_REBATE_BINS}]")
+    return float(_gate(case, lmi, step, rebate_bin))
+
+
+def _gate(case: str, lmi, step: int, rebate_bin):
+    """Gate probabilities; lmi and rebate_bin are per node, as scalars or arrays."""
+    lmi_prob, other_prob = CASE_GATES[case]
+    if lmi_prob == "rebate":
+        return rebate_bin / N_REBATE_BINS * BASE_PROB
+    if lmi_prob == "step":
+        lmi_prob = CASE3_LMI_SEQUENCE[min(step, len(CASE3_LMI_SEQUENCE)) - 1]
+    return np.where(lmi, lmi_prob, other_prob)
 
 
 def rebate_value(
-    annual_kwh: float,
+    annual_kwh,
     cost_per_watt: float,
-    credit_rate: float,
+    credit_rate,
     capacity_factor: float = 0.15,
-) -> float:
+):
     """Dollar rebate: credit on the install cost of a system sized to the
-    household's annual generation at the given capacity factor."""
-    if annual_kwh <= 0 or cost_per_watt <= 0 or capacity_factor <= 0:
+    household's annual generation at the given capacity factor.
+
+    annual_kwh and credit_rate may be per-household arrays.
+    """
+    kwh = np.asarray(annual_kwh, dtype=float)
+    rate = np.asarray(credit_rate, dtype=float)
+    if np.any(kwh <= 0) or cost_per_watt <= 0 or capacity_factor <= 0:
         raise ValueError("annual_kwh, cost_per_watt, capacity_factor must be > 0")
-    if credit_rate < 0:
+    if np.any(rate < 0):
         raise ValueError("credit_rate must be >= 0")
-    watts = annual_kwh * 1000.0 / (capacity_factor * HOURS_PER_YEAR)
-    return credit_rate * cost_per_watt * watts
+    watts = kwh * 1000.0 / (capacity_factor * HOURS_PER_YEAR)
+    return rate * cost_per_watt * watts
 
 
 def rebate_bins(rebates) -> np.ndarray:
@@ -254,17 +274,7 @@ def build_nodes(
         rates = np.full(n, config.credit_rate)
         if config.case == "5":
             rates[lmi] = config.credit_rate + config.lmi_extra_credit
-        rebates = np.array(
-            [
-                rebate_value(
-                    float(kwh[i]),
-                    config.cost_per_watt,
-                    float(rates[i]),
-                    config.capacity_factor,
-                )
-                for i in range(n)
-            ]
-        )
+        rebates = rebate_value(kwh, config.cost_per_watt, rates, config.capacity_factor)
         bins = rebate_bins(rebates)
     return NodeData(
         thresholds=thresholds,
@@ -278,22 +288,6 @@ def build_nodes(
         degree=degree,
         rebate_bin=bins,
     )
-
-
-def _prob_vector(config: DiffusionConfig, nodes: NodeData, step_number: int) -> np.ndarray:
-    case = config.case
-    if case == "1a":
-        return np.full(nodes.n, BASE_PROB)
-    if case == "1b":
-        return np.full(nodes.n, 0.2)
-    if case == "2a":
-        return np.where(nodes.lmi, 0.2, BASE_PROB)
-    if case == "2b":
-        return np.where(nodes.lmi, 0.5, BASE_PROB)
-    if case == "3":
-        lmi_prob = CASE3_LMI_SEQUENCE[min(step_number, len(CASE3_LMI_SEQUENCE)) - 1]
-        return np.where(nodes.lmi, lmi_prob, BASE_PROB)
-    return nodes.rebate_bin / N_REBATE_BINS * BASE_PROB
 
 
 def step(state: DiffusionState, graph: Graph, config: DiffusionConfig, rng) -> DiffusionState:
@@ -318,10 +312,9 @@ def step(state: DiffusionState, graph: Graph, config: DiffusionConfig, rng) -> D
         neighbor_adopters = np.zeros(nodes.n)
     neighbor_rate = neighbor_adopters / np.maximum(nodes.degree, 1.0)
     step_number = state.step + 1
-    probs = _prob_vector(config, nodes, step_number)
+    probs = _gate(config.case, nodes.lmi, step_number, nodes.rebate_bin)
     draws = rng.random(nodes.n)
-    w1, w2, w3 = config.weights
-    u = w1 * nodes.benefit + w2 * county_rate + w3 * neighbor_rate
+    u = _utility(nodes.benefit, county_rate, neighbor_rate, config.weights)
     newly = (~adopted) & (draws < probs) & (u > nodes.thresholds)
     return DiffusionState(step=step_number, adopted=adopted | newly, nodes=nodes)
 
@@ -392,22 +385,13 @@ def save_timeline(results, path):
     """Write adoption_timeline.csv for one or more simulation results."""
     if isinstance(results, SimulationResult):
         results = [results]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["case", "step", "total_adopters", "lmi_rural", "lmi_urban",
-             "nonlmi_rural", "nonlmi_urban"]
-        )
-        for result in results:
-            for row in result.rows:
-                writer.writerow(
-                    [
-                        row["case"],
-                        row["step"],
-                        _format_count(row["total_adopters"]),
-                        _format_count(row["lmi_rural"]),
-                        _format_count(row["lmi_urban"]),
-                        _format_count(row["nonlmi_rural"]),
-                        _format_count(row["nonlmi_urban"]),
-                    ]
-                )
+    counts = ("total_adopters", "lmi_rural", "lmi_urban", "nonlmi_rural", "nonlmi_urban")
+    write_csv(
+        path,
+        ["case", "step", *counts],
+        (
+            [row["case"], row["step"], *(_format_count(row[c]) for c in counts)]
+            for result in results
+            for row in result.rows
+        ),
+    )

@@ -130,30 +130,6 @@ def smoten_oversample(data: LabeledDataset, k: int = 5, seed: int = 0) -> Labele
     return LabeledDataset(X, y, data.domains)
 
 
-def random_oversample(data: LabeledDataset, seed: int = 0) -> LabeledDataset:
-    """Duplicate-with-replacement fallback balancing."""
-    counts = data.class_counts()
-    if len(counts) < 2:
-        raise ValueError("need at least two classes to oversample")
-    majority = max(counts.values())
-    rng = rng_for(seed, "random-oversample")
-    synth_rows = []
-    synth_labels = []
-    for cls in sorted(counts):
-        deficit = majority - counts[cls]
-        if deficit == 0:
-            continue
-        rows = data.X[data.y == cls]
-        picks = rng.integers(0, rows.shape[0], size=deficit)
-        synth_rows.append(rows[picks])
-        synth_labels.append(np.full(deficit, cls, dtype=np.int64))
-    if not synth_rows:
-        return LabeledDataset(data.X.copy(), data.y.copy(), data.domains)
-    X = np.vstack([data.X] + synth_rows)
-    y = np.concatenate([data.y] + synth_labels)
-    return LabeledDataset(X, y, data.domains)
-
-
 def cramers_v(col_a, col_b) -> float:
     """Cramér's V association between two code vectors, in [0, 1].
 

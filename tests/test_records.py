@@ -1,9 +1,14 @@
 """Record validation and CSV round-trips."""
 
+import re
+
 import numpy as np
 import pytest
 
+from solartwin.cli import _load_dataset, _load_survey
+from solartwin.pv import load_daily, load_profile_rows
 from solartwin.records import (
+    FEATURE_NAMES,
     AdopterTarget,
     Graph,
     HouseholdRecord,
@@ -118,6 +123,70 @@ def test_households_missing_column(tmp_path):
     path.write_text("id,state\n0,VA\n")
     with pytest.raises(IngestError, match="missing column county"):
         load_households(path)
+    path.write_text("state,count\nVA,5\nMD\n")
+    with pytest.raises(IngestError, match="row 3: expected 2 fields, got 1"):
+        load_targets(path)
+
+
+_HOUSEHOLD = ["0", "VA", "51001", "t1", "37.5", "-78.0"] + [str(v) for v in FEATURES.values()]
+# loader, file name, header, two valid data rows (rows 2 and 3)
+TABLES = {
+    "households": (
+        load_households, "households.csv",
+        ["id", "state", "county", "tract", "lat", "lon", *FEATURES, "sqft_value"],
+        [_HOUSEHOLD + ["1500.0"], ["1"] + _HOUSEHOLD[1:] + [""]],
+    ),
+    "irradiance": (
+        load_irradiance, "irradiance_t1.csv", ["date", "hour", "ghi_wm2"],
+        [["2018-01-01", str(h), "10.5"] for h in range(24)],
+    ),
+    "targets": (load_targets, "targets.csv", ["state", "count"], [["VA", "5"], ["MD", "7"]]),
+    "survey": (_load_survey, "survey.csv", ["sqft"], [["1200.0"], ["2400.5"]]),
+    "dataset": (
+        _load_dataset, "train_solar.csv", [*FEATURE_NAMES, "label"],
+        [[str(v) for v in FEATURES.values()] + [label] for label in ("0", "1")],
+    ),
+    "daily": (
+        load_daily, "daily_x.csv",
+        ["household_id", "date", "daily_mean_kwh", "daily_std_kwh"],
+        [["0", "2018-01-01", "3.5", "0.25"], ["1", "2018-01-01", "4.0", "0.5"]],
+    ),
+    "profiles": (
+        load_profile_rows, "profiles_2018-01-01.csv",
+        ["household_id", "date", "hour", "mean_kwh", "std_kwh"],
+        [["0", "2018-01-01", "0", "0.0", "0.0"], ["0", "2018-01-01", "1", "0.5", "0.1"]],
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "table, row, column, cell",
+    [
+        ("households", 3, "lat", "north"),
+        ("households", 2, "sqft_value", "nan"),
+        ("households", 2, "sqft_value", "inf"),
+        ("households", 3, "MONEYPY", "eight"),
+        ("irradiance", 5, "ghi_wm2", "inf"),
+        ("irradiance", 3, "hour", "1.0"),
+        ("targets", 3, "count", "seven"),
+        ("survey", 3, "sqft", "nan"),
+        ("dataset", 3, "label", "x"),
+        ("daily", 2, "daily_mean_kwh", "-inf"),
+        ("daily", 3, "date", "2018-13-01"),
+        ("profiles", 3, "date", "2018-01-02"),
+        ("profiles", 2, "mean_kwh", "NaN"),
+    ],
+)
+def test_loaders_name_bad_cell(tmp_path, table, row, column, cell):
+    loader, name, header, rows = TABLES[table]
+    path = tmp_path / name
+    path.write_text("\n".join(",".join(r) for r in [header] + rows) + "\n")
+    loader(path)  # the untouched table loads
+    rows = [list(r) for r in rows]
+    rows[row - 2][header.index(column)] = cell
+    path.write_text("\n".join(",".join(r) for r in [header] + rows) + "\n")
+    with pytest.raises(IngestError, match=re.escape(f"{name}: row {row}, column {column}: ")):
+        loader(path)
 
 
 def test_copy_record_does_not_share_features():
@@ -181,16 +250,6 @@ def test_graph_dedup_and_validation():
         Graph(4, [(2, 2)])
     with pytest.raises(IngestError, match="outside node range"):
         Graph(2, [(0, 5)])
-
-
-def test_graph_adjacency_csr():
-    g = Graph(4, [(0, 1), (0, 2), (2, 3)])
-    offsets, neighbors = g.adjacency()
-    assert list(offsets) == [0, 2, 3, 5, 6]
-    assert sorted(neighbors[0:2]) == [1, 2]
-    assert list(neighbors[2:3]) == [0]
-    assert sorted(neighbors[3:5]) == [0, 3]
-    assert list(neighbors[5:6]) == [2]
 
 
 def test_network_roundtrip(tmp_path):
