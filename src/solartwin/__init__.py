@@ -22,7 +22,6 @@ from solartwin.records import (
     save_irradiance,
     save_network,
     save_targets,
-    sqft_class_of,
     sqft_class_range,
 )
 from solartwin.toygen import (

@@ -205,7 +205,7 @@ def calibrate(
     grid = parameter_grid()
     n_grid = grid.shape[0]
     stop_at = STOP_BAND * target.count
-    apply_X = apply.feature_matrix()
+    apply_X = apply.features
     gbt_params = gbt_params or GbtParams()
 
     prob_cache = {}

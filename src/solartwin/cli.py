@@ -53,7 +53,6 @@ from .records import (
     FEATURE_DOMAINS,
     FEATURE_NAMES,
     AdopterTarget,
-    copy_record,
     load_households,
     load_irradiance,
     load_network,
@@ -188,7 +187,7 @@ def cmd_toygen(cfg: RunConfig, args):
     save_households(pop, _path(cfg, "households.csv"))
     for tract in tract_ids(toy):
         save_irradiance(gen_irradiance(toy, tract), _path(cfg, f"irradiance_{tract}.csv"))
-    n_adopters = len(pop.adopters())
+    n_adopters = int(np.count_nonzero(pop.solar.filled(False)))
     save_targets([AdopterTarget(toy.state, n_adopters)], _path(cfg, "targets.csv"))
     save_network(
         gen_network(len(pop), cfg.edge_prob, cfg.network_groups, cfg.seed),
@@ -224,37 +223,29 @@ def cmd_classify_sqft(cfg: RunConfig, args):
     ovr_class = ovr.predict_class(data.X)
     base_probs = majority.predict_probs()
     base_class = majority.predict_class()
-    records = []
-    agree = 0
-    for i, rec in enumerate(pop):
-        vote = ensemble_vote(
-            [position[int(ovr_class[i])], base_class],
-            [ovr_probs[i], base_probs],
-        )
-        predicted = int(ovr.classes[vote])
-        agree += predicted == rec.sqft_class
-        records.append(copy_record(rec, sqft_class=predicted))
-    save_households(pop.with_records(records), _path(cfg, "households_classified.csv"))
+    predicted = np.array([
+        ovr.classes[ensemble_vote([position[int(cls)], base_class], [probs, base_probs])]
+        for cls, probs in zip(ovr_class, ovr_probs)
+    ], dtype=np.int64)
+    agree = int(np.count_nonzero(predicted == pop.sqft_class.filled(-1)))
+    save_households(pop.replace(sqft_class=predicted), _path(cfg, "households_classified.csv"))
     log.info("classify-sqft: %d/%d match the planted class", agree, len(pop))
 
 
 def cmd_estimate_sqft(cfg: RunConfig, args):
     pop = load_households(_require(_path(cfg, "households_classified.csv"), "classify-sqft"))
     survey = _load_survey(_require(_path(cfg, "survey.csv"), "toygen"))
-    weights = {}
-    records = []
-    for rec in pop:
-        k = rec.sqft_class
-        if k not in weights:
-            weights[k] = subclass_weights(
-                survey, sqft_class_range(k), cfg.sqft_k, uniform_fallback=True
-            )
-        value = estimate_sqft(
-            weights[k], cfg.sqft_m, cfg.sqft_l, rng_for(cfg.seed, "sqft", rec.id)
-        )
-        records.append(copy_record(rec, sqft_value=value))
-    save_households(pop.with_records(records), _path(cfg, "households_sqft.csv"))
-    log.info("estimate-sqft: filled sqft_value for %d households", len(records))
+    classes = pop.labels("sqft_class").tolist()
+    weights = {
+        k: subclass_weights(survey, sqft_class_range(k), cfg.sqft_k, uniform_fallback=True)
+        for k in sorted(set(classes))
+    }
+    values = [
+        estimate_sqft(weights[k], cfg.sqft_m, cfg.sqft_l, rng_for(cfg.seed, "sqft", i))
+        for k, i in zip(classes, pop.id.tolist())
+    ]
+    save_households(pop.replace(sqft_value=values), _path(cfg, "households_sqft.csv"))
+    log.info("estimate-sqft: filled sqft_value for %d households", len(values))
 
 
 def cmd_calibrate(cfg: RunConfig, args):
@@ -271,10 +262,9 @@ def cmd_calibrate(cfg: RunConfig, args):
     )
     save_trace(result, _path(cfg, "calibration_trace.csv"))
     save_model(result.model, _path(cfg, "model.txt"))
-    probs = predict_proba(result.model, pop.feature_matrix())
+    probs = predict_proba(result.model, pop.features)
     decisions = apply_threshold(probs, result.tau_star)
-    records = [copy_record(rec, solar=bool(d)) for rec, d in zip(pop, decisions)]
-    save_households(pop.with_records(records), _path(cfg, "households_twin.csv"))
+    save_households(pop.replace(solar=decisions), _path(cfg, "households_twin.csv"))
     log.info(
         "calibrate: beta=%.2f tau=%.2f predicted=%d target=%d diff=%d rounds=%d%s",
         result.beta_star, result.tau_star, int(np.count_nonzero(decisions)),
@@ -289,7 +279,7 @@ def _generate_variant(cfg: RunConfig, variant: str, label: str, dates):
         "twin": ("households_twin.csv", "calibrate"),
     }[variant]
     pop = load_households(_require(_path(cfg, source[0]), source[1]))
-    irradiance = _load_irradiance_map(cfg, [rec.tract for rec in pop if rec.solar])
+    irradiance = _load_irradiance_map(cfg, pop.tract[pop.solar.filled(False)])
     profiles = generate_profiles(
         pop, irradiance, dates,
         workers=cfg.workers, seed=cfg.seed, n_samples=cfg.pv_samples,
@@ -350,9 +340,9 @@ def cmd_simulate(cfg: RunConfig, args):
     label, dates = resolve_period(cfg, args)
     pop = load_households(_require(_path(cfg, "households_twin.csv"), "calibrate"))
     graph = load_network(_require(_path(cfg, "network.edges"), "toygen"), len(pop))
-    irradiance = _load_irradiance_map(cfg, [rec.tract for rec in pop])
+    irradiance = _load_irradiance_map(cfg, pop.tract)
     # personal benefit needs generation for every household, adopter or not
-    everyone = pop.with_records([copy_record(rec, solar=True) for rec in pop])
+    everyone = pop.replace(solar=np.ones(len(pop), dtype=bool))
     profiles = generate_profiles(
         everyone, irradiance, dates,
         workers=cfg.workers, seed=cfg.seed, n_samples=cfg.pv_samples,
@@ -360,9 +350,9 @@ def cmd_simulate(cfg: RunConfig, args):
     daily_by_household = {}
     for prof in profiles:
         daily_by_household.setdefault(prof.household, []).append(prof.daily_mean)
-    mean_daily = np.array([float(np.mean(daily_by_household[rec.id])) for rec in pop])
+    mean_daily = np.array([float(np.mean(daily_by_household[i])) for i in pop.id.tolist()])
     annual_kwh = mean_daily * 365.0
-    initial = [i for i, rec in enumerate(pop) if rec.solar]
+    initial = np.flatnonzero(pop.solar.filled(False))
     cases = tuple(args.cases.split(",")) if args.cases else cfg.cases
     results = []
     for case in cases:

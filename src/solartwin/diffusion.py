@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .records import Graph, HouseholdTable, write_csv
+from .records import FEATURE_NAMES, Graph, HouseholdTable, write_csv
 from .seeds import rng_for
 
 BASE_PROB = 0.1
@@ -67,31 +67,33 @@ class DiffusionConfig:
             raise ValueError("credit rates must be >= 0")
 
 
-def threshold_from_barriers(barriers) -> float:
-    """Linear step function: 0.1 with no barriers up to 0.95 with all 8."""
-    flags = [bool(b) for b in barriers]
-    if len(flags) != N_BARRIERS:
-        raise ValueError(f"need exactly {N_BARRIERS} barrier flags, got {len(flags)}")
-    return THRESHOLD_MIN + (THRESHOLD_MAX - THRESHOLD_MIN) * sum(flags) / N_BARRIERS
+def threshold_from_barriers(barriers):
+    """Linear step function: 0.1 with no barriers up to 0.95 with all 8;
+    barriers is 8 flags or an (n, 8) matrix of them, one row per node."""
+    flags = np.asarray(barriers, dtype=bool)
+    if flags.shape[-1:] != (N_BARRIERS,):
+        raise ValueError(f"need exactly {N_BARRIERS} barrier flags, got shape {flags.shape}")
+    return THRESHOLD_MIN + (THRESHOLD_MAX - THRESHOLD_MIN) * flags.sum(axis=-1) / N_BARRIERS
 
 
-def barriers_from_record(rec) -> tuple:
-    """Toy mapping of the eight adoption barriers onto household fields.
+def barrier_flags(features, lmi) -> np.ndarray:
+    """Toy mapping of the eight adoption barriers onto household columns:
+    an (n, 8) bool matrix from the (n, 8) feature codes and the LMI flags.
 
     In order: internet access, language, race/socioeconomic, rental,
     education, income, house age, member age.
     """
-    f = rec.features
-    return (
-        f["BA_climate"] in (7, 8),
+    f = dict(zip(FEATURE_NAMES, np.asarray(features).T))
+    return np.column_stack((
+        np.isin(f["BA_climate"], (7, 8)),
         f["NHSLDMEM"] >= 6,
         f["MONEYPY"] <= 2,
         f["KOWNRENT"] == 2,
-        f["TYPEHUQ"] in (4, 5),
-        bool(rec.lmi),
+        np.isin(f["TYPEHUQ"], (4, 5)),
+        np.asarray(lmi, dtype=bool),
         f["YEARMADERANGE"] <= 2,
-        f["FUELHEAT"] in (5, 7),
-    )
+        np.isin(f["FUELHEAT"], (5, 7)),
+    ))
 
 
 def utility(p: float, c: float, n: float, w) -> float:
@@ -181,8 +183,6 @@ class NodeData:
     county_size: np.ndarray
     lmi: np.ndarray
     rural: np.ndarray
-    edge_u: np.ndarray
-    edge_v: np.ndarray
     degree: np.ndarray
     rebate_bin: np.ndarray | None = None
 
@@ -243,26 +243,16 @@ def build_nodes(
         raise ValueError(
             f"graph has {graph.node_count} nodes but population has {n}"
         )
-    thresholds = np.array(
-        [threshold_from_barriers(barriers_from_record(rec)) for rec in pop]
-    )
+    lmi = pop.lmi.filled(False)
+    rural = pop.rural.filled(False)
+    thresholds = threshold_from_barriers(barrier_flags(pop.features, lmi))
     benefit = normalize_benefit(benefit_values)
     if benefit.size != n:
         raise ValueError("need one benefit value per household")
-    counties = sorted({rec.county for rec in pop})
-    county_lookup = {c: i for i, c in enumerate(counties)}
-    county_index = np.array([county_lookup[rec.county] for rec in pop], dtype=np.int64)
-    county_size = np.bincount(county_index, minlength=len(counties)).astype(float)
-    lmi = np.array([bool(rec.lmi) for rec in pop])
-    rural = np.array([bool(rec.rural) for rec in pop])
-    if graph.edges:
-        edge_u = np.array([u for u, _ in graph.edges], dtype=np.int64)
-        edge_v = np.array([v for _, v in graph.edges], dtype=np.int64)
-    else:
-        edge_u = np.zeros(0, dtype=np.int64)
-        edge_v = np.zeros(0, dtype=np.int64)
+    counties, county_index = np.unique(pop.county, return_inverse=True)
+    county_size = np.bincount(county_index, minlength=counties.size).astype(float)
     degree = (
-        np.bincount(edge_u, minlength=n) + np.bincount(edge_v, minlength=n)
+        np.bincount(graph.edge_u, minlength=n) + np.bincount(graph.edge_v, minlength=n)
     ).astype(float)
     bins = None
     if config.case in ("4", "5"):
@@ -283,8 +273,6 @@ def build_nodes(
         county_size=county_size,
         lmi=lmi,
         rural=rural,
-        edge_u=edge_u,
-        edge_v=edge_v,
         degree=degree,
         rebate_bin=bins,
     )
@@ -301,15 +289,10 @@ def step(state: DiffusionState, graph: Graph, config: DiffusionConfig, rng) -> D
         raise ValueError("graph does not match the simulation's node data")
     adopted = state.adopted
     county_rate = state.county_rates()[nodes.county_index]
-    if nodes.edge_u.size:
-        adopted_f = adopted.astype(float)
-        neighbor_adopters = np.bincount(
-            nodes.edge_u, weights=adopted_f[nodes.edge_v], minlength=nodes.n
-        ) + np.bincount(
-            nodes.edge_v, weights=adopted_f[nodes.edge_u], minlength=nodes.n
-        )
-    else:
-        neighbor_adopters = np.zeros(nodes.n)
+    adopted_f = adopted.astype(float)
+    neighbor_adopters = np.bincount(
+        graph.edge_u, weights=adopted_f[graph.edge_v], minlength=nodes.n
+    ) + np.bincount(graph.edge_v, weights=adopted_f[graph.edge_u], minlength=nodes.n)
     neighbor_rate = neighbor_adopters / np.maximum(nodes.degree, 1.0)
     step_number = state.step + 1
     probs = _gate(config.case, nodes.lmi, step_number, nodes.rebate_bin)
@@ -324,9 +307,6 @@ class SimulationResult:
     config: DiffusionConfig
     timelines: list
     rows: list
-
-    def final_totals(self) -> list:
-        return [timeline[-1].total for timeline in self.timelines]
 
 
 def simulate(

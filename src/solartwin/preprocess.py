@@ -65,21 +65,10 @@ def dataset_from_households(table: HouseholdTable, label: str) -> LabeledDataset
 
     label selects the target: "solar" (0/1) or "sqft_class".
     """
-    X = table.feature_matrix()
-    if label == "solar":
-        missing = [rec.id for rec in table if rec.solar is None]
-        if missing:
-            raise ValueError(f"household {missing[0]} has no solar label")
-        y = np.array([1 if rec.solar else 0 for rec in table], dtype=np.int64)
-    elif label == "sqft_class":
-        missing = [rec.id for rec in table if rec.sqft_class is None]
-        if missing:
-            raise ValueError(f"household {missing[0]} has no sqft_class label")
-        y = np.array([rec.sqft_class for rec in table], dtype=np.int64)
-    else:
+    if label not in ("solar", "sqft_class"):
         raise ValueError(f"unknown label {label!r}")
     domains = tuple(tuple(FEATURE_DOMAINS[name]) for name in FEATURE_NAMES)
-    return LabeledDataset(X, y, domains)
+    return LabeledDataset(table.features, table.labels(label).astype(np.int64), domains)
 
 
 def smoten_oversample(data: LabeledDataset, k: int = 5, seed: int = 0) -> LabeledDataset:

@@ -12,6 +12,14 @@ on them.  The four input formats are:
 * ``targets.csv`` -- ground-truth adopter count per state
 * ``network.edges`` -- undirected edge list, one ``u v`` pair per line
 
+A :class:`HouseholdTable` holds households as numpy columns: int64 ``id``,
+object arrays of ``state``/``county``/``tract`` text, float64 ``lat`` and
+``lon``, an (n, 8) int64 ``features`` matrix in ``FEATURE_NAMES`` order,
+and one masked array per optional column (``sqft_class``, ``sqft_value``,
+``solar``, ``lmi``, ``rural``) whose masked cells are missing values.
+``table[i]`` and iteration build :class:`HouseholdRecord` copies on
+demand.  :class:`Graph` holds its edges as two int64 endpoint arrays.
+
 Loaders validate on ingestion and raise :class:`IngestError` naming the
 offending file, row and column; loading identical bytes always yields
 identical tables.
@@ -25,8 +33,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-# Categorical feature codes follow the public RECS 2020 codebook; domains
-# are configurable per table via `feature_domains`.
+# Categorical feature codes follow the public RECS 2020 codebook.
 FEATURE_DOMAINS = {
     "NHSLDMEM": tuple(range(1, 8)),
     "BEDROOMS": tuple(range(0, 6)),
@@ -44,21 +51,18 @@ SQFT_CLASS_EDGES = (0.0, 600.0, 1000.0, 1500.0, 2000.0, 2500.0, 3000.0, 4000.0)
 N_SQFT_CLASSES = 8
 
 _BASE_COLUMNS = ("id", "state", "county", "tract", "lat", "lon") + FEATURE_NAMES
-_OPTIONAL_COLUMNS = ("sqft_class", "sqft_value", "solar", "lmi", "rural")
+# HouseholdTable columns and their dtypes; the last five are optional
+_DTYPES = {
+    "id": np.int64, "state": object, "county": object, "tract": object,
+    "lat": np.float64, "lon": np.float64, "features": np.int64,
+    "sqft_class": np.int64, "sqft_value": np.float64, "solar": bool, "lmi": bool, "rural": bool,
+}
+_OPTIONAL_COLUMNS = tuple(_DTYPES)[7:]
+_INT64 = (-(2**63), 2**63 - 1)
 
 
 class IngestError(ValueError):
     """A CSV row or column failed validation on load."""
-
-
-def sqft_class_of(sqft: float, edges=SQFT_CLASS_EDGES) -> int:
-    """Class index of a square-footage value under the given edges."""
-    if sqft <= 0:
-        raise ValueError(f"square footage must be positive, got {sqft}")
-    for k in range(len(edges) - 1, -1, -1):
-        if sqft >= edges[k]:
-            return k
-    return 0
 
 
 def sqft_class_range(k: int, edges=SQFT_CLASS_EDGES, top_cap: float = 8000.0):
@@ -87,68 +91,112 @@ class HouseholdRecord:
     lmi: bool | None = None
     rural: bool | None = None
 
-    def validate(self, feature_domains=FEATURE_DOMAINS):
-        if not -90.0 <= self.lat <= 90.0:
-            raise IngestError(f"household {self.id}: lat {self.lat} out of [-90, 90]")
-        if not -180.0 <= self.lon <= 180.0:
-            raise IngestError(f"household {self.id}: lon {self.lon} out of [-180, 180]")
-        for name in feature_domains:
-            if name not in self.features:
-                raise IngestError(f"household {self.id}: missing feature {name}")
-            code = self.features[name]
-            if code not in feature_domains[name]:
-                raise IngestError(
-                    f"household {self.id}: {name} code {code} outside domain"
-                )
-        if self.sqft_class is not None and not 0 <= self.sqft_class < N_SQFT_CLASSES:
-            raise IngestError(
-                f"household {self.id}: sqft_class {self.sqft_class} out of [0, 7]"
-            )
-        if self.sqft_value is not None and self.sqft_value <= 0:
-            raise IngestError(f"household {self.id}: sqft_value must be > 0")
+
+def _optional_column(values, dtype) -> np.ma.MaskedArray:
+    """A masked array of ``dtype`` whose masked cells are the None ones."""
+    if isinstance(values, np.ndarray):
+        return np.ma.asarray(values).astype(dtype)
+    missing = [value is None for value in values]
+    return np.ma.array([0 if gap else v for gap, v in zip(missing, values)], dtype, mask=missing)
 
 
 class HouseholdTable:
-    """Ordered, id-unique collection of households.
+    """Ordered, id-unique collection of households in the column layout
+    the module docstring gives.
 
-    Immutable by convention: loaders and stages never mutate a table they
-    were given, they build a new one.
+    ``HouseholdTable(records)`` builds one from HouseholdRecords, and
+    ``HouseholdTable(id=..., features=..., solar=..., ...)`` from whole
+    columns, one value per row; an optional column left out is missing in
+    every row, and a list may hold None cells.  Immutable by convention:
+    ``table[i]`` and iteration return HouseholdRecord copies, so a change
+    goes into a new table through :meth:`replace` or :meth:`with_records`.
     """
 
-    def __init__(self, records, feature_domains=FEATURE_DOMAINS):
-        self.records = list(records)
-        self.feature_domains = dict(feature_domains)
-        seen = set()
-        for rec in self.records:
-            if rec.id in seen:
-                raise IngestError(f"duplicate household id {rec.id}")
-            seen.add(rec.id)
-            rec.validate(self.feature_domains)
+    def __init__(self, records=None, **columns):
+        if records is not None:
+            records = list(records)
+            try:
+                features = [[r.features[f] for f in FEATURE_NAMES] for r in records]
+            except KeyError as exc:
+                raise IngestError(f"missing feature {exc.args[0]}") from None
+            columns = {c: [getattr(r, c) for r in records] for c in _DTYPES if c != "features"}
+            columns["features"] = np.array(features, np.int64).reshape(-1, len(FEATURE_NAMES))
+        n = len(columns["id"])
+        for name, dtype in _DTYPES.items():
+            if name in _OPTIONAL_COLUMNS:
+                values = _optional_column(columns.get(name, [None] * n), dtype)
+            else:
+                values = np.asarray(columns[name], dtype=dtype)
+            setattr(self, name, values)
+        shapes = {c: getattr(self, c).shape for c in _DTYPES}
+        if shapes.pop("features") != (n, len(FEATURE_NAMES)) or set(shapes.values()) != {(n,)}:
+            raise ValueError(f"need {n} values per column and an ({n}, 8) features matrix")
+        self._validate()
+
+    def _validate(self):
+        """Check ranges, domains and unique ids on whole columns.
+
+        An error names the first bad row of the first bad column, rows
+        numbered as in households.csv (the header is row 1).
+        """
+        sqft_class, sqft_value = self.sqft_class, self.sqft_value
+        repeat = np.ones(len(self), dtype=bool)
+        repeat[np.unique(self.id, return_index=True)[1]] = False
+        checks = [
+            ("id", self.id, repeat, "duplicate household id {}"),
+            ("lat", self.lat, ~(np.abs(self.lat) <= 90.0), "{} out of [-90, 90]"),
+            ("lon", self.lon, ~(np.abs(self.lon) <= 180.0), "{} out of [-180, 180]"),
+        ] + [
+            (name, codes, ~np.isin(codes, FEATURE_DOMAINS[name]), "code {} outside domain")
+            for name, codes in zip(FEATURE_NAMES, self.features.T)
+        ] + [
+            ("sqft_class", sqft_class, ((sqft_class < 0) | (sqft_class >= N_SQFT_CLASSES)),
+             f"{{}} out of [0, {N_SQFT_CLASSES - 1}]"),
+            ("sqft_value", sqft_value, ~(sqft_value > 0), "{} must be > 0"),
+        ]
+        for column, values, bad, problem in checks:
+            bad = np.ma.filled(bad, False)
+            if bad.any():
+                row = int(np.argmax(bad))
+                raise IngestError(f"row {row + 2}, column {column}: " + problem.format(values[row]))
 
     def __len__(self):
-        return len(self.records)
+        return self.id.size
+
+    def _records(self, rows) -> list:
+        """HouseholdRecord copies of the rows selected by ``rows``."""
+        cells = [getattr(self, c)[rows].tolist() for c in _DTYPES]
+        return [
+            HouseholdRecord(*row[:6], dict(zip(FEATURE_NAMES, row[6])), *row[7:])
+            for row in zip(*cells)
+        ]
 
     def __iter__(self):
-        return iter(self.records)
+        return iter(self._records(slice(None)))
 
     def __getitem__(self, i):
-        return self.records[i]
+        return self._records([i])[0]
 
     def __eq__(self, other):
-        return isinstance(other, HouseholdTable) and self.records == other.records
+        return isinstance(other, HouseholdTable) and list(self) == list(other)
 
     def feature_matrix(self) -> np.ndarray:
         """(n, 8) int matrix of feature codes in FEATURE_NAMES order."""
-        return np.array(
-            [[rec.features[f] for f in FEATURE_NAMES] for rec in self.records],
-            dtype=np.int64,
-        )
+        return self.features
+
+    def labels(self, name: str) -> np.ndarray:
+        """Optional column ``name`` as a plain array; every row must hold a value."""
+        missing = np.ma.getmaskarray(getattr(self, name))
+        if missing.any():
+            raise ValueError(f"household {self.id[missing.argmax()]} has no {name} label")
+        return getattr(self, name).data
+
+    def replace(self, **columns) -> "HouseholdTable":
+        """A new table with the named columns swapped for ``columns``."""
+        return HouseholdTable(**{c: getattr(self, c) for c in _DTYPES} | columns)
 
     def with_records(self, records) -> "HouseholdTable":
-        return HouseholdTable(records, self.feature_domains)
-
-    def adopters(self):
-        return [rec for rec in self.records if rec.solar]
+        return HouseholdTable(records)
 
 
 def write_csv(path, header, rows):
@@ -207,22 +255,28 @@ def _parse_column(name, column, cells, numbers, parse) -> list:
     """
     try:
         values = list(map(parse, cells))
-        if parse is not float or all(map(math.isfinite, values)):
+        if not _out_of_bounds(parse, values):
             return values
     except ValueError:
         pass
     for number, cell in zip(numbers, cells):
         try:
-            value = parse(cell)
+            problem = _out_of_bounds(parse, [parse(cell)])
         except ValueError:
-            raise IngestError(
-                f"{name}: row {number}, column {column}: bad value {cell!r}"
-            ) from None
-        if parse is float and not math.isfinite(value):
-            raise IngestError(
-                f"{name}: row {number}, column {column}: non-finite value {cell!r}"
-            )
+            problem = "bad value"
+        if problem:
+            raise IngestError(f"{name}: row {number}, column {column}: {problem} {cell!r}")
     raise AssertionError("a column that failed to parse has no bad cell")
+
+
+def _out_of_bounds(parse, values) -> str:
+    """What is wrong with parsed cells, if anything: floats must be finite
+    and ints must fit in int64."""
+    if parse is float and not all(map(math.isfinite, values)):
+        return "non-finite value"
+    if parse is int and values and not _INT64[0] <= min(values) <= max(values) <= _INT64[1]:
+        return "int64 overflow in value"
+    return ""
 
 
 def _parse_bool(value):
@@ -233,27 +287,18 @@ def _parse_bool(value):
     raise IngestError(f"cannot parse boolean value {value!r}")
 
 
-def load_households(path, feature_domains=FEATURE_DOMAINS) -> HouseholdTable:
+def load_households(path) -> HouseholdTable:
     """Load households.csv, validating schema, domains, and id uniqueness."""
     parsers = {"id": int, "state": str, "county": str, "tract": str, "lat": float, "lon": float}
     parsers.update(dict.fromkeys(FEATURE_NAMES, int))
     optional = {"sqft_class": int, "sqft_value": float}
     optional.update(dict.fromkeys(("solar", "lmi", "rural"), _parse_bool))
     columns = read_csv(path, parsers, optional)
-    records = [
-        HouseholdRecord(
-            id=row["id"],
-            state=row["state"],
-            county=row["county"],
-            tract=row["tract"],
-            lat=row["lat"],
-            lon=row["lon"],
-            features={f: row[f] for f in FEATURE_NAMES},
-            **{c: row[c] for c in _OPTIONAL_COLUMNS},
-        )
-        for row in (dict(zip(columns, cells)) for cells in zip(*columns.values()))
-    ]
-    return HouseholdTable(records, feature_domains)
+    features = np.array([columns.pop(f) for f in FEATURE_NAMES], dtype=np.int64).T
+    try:
+        return HouseholdTable(features=features, **columns)
+    except IngestError as exc:
+        raise IngestError(f"{os.path.basename(path)}: {exc}") from None
 
 
 def _format_optional(value):
@@ -267,18 +312,13 @@ def _format_optional(value):
 def save_households(table: HouseholdTable, path):
     """Write households.csv; optional columns are emitted when any row has them."""
     optional = [
-        c for c in _OPTIONAL_COLUMNS if any(getattr(r, c) is not None for r in table)
+        c for c in _OPTIONAL_COLUMNS if not np.ma.getmaskarray(getattr(table, c)).all()
     ]
-    write_csv(
-        path,
-        list(_BASE_COLUMNS) + optional,
-        (
-            [rec.id, rec.state, rec.county, rec.tract, rec.lat, rec.lon]
-            + [rec.features[f] for f in FEATURE_NAMES]
-            + [_format_optional(getattr(rec, c)) for c in optional]
-            for rec in table
-        ),
-    )
+    base = [table.id, table.state, table.county, table.tract, table.lat, table.lon]
+    # tolist() gives Python scalars: an np.bool_ would print as True, not 1
+    cells = [column.tolist() for column in base + list(table.features.T)]
+    cells += [map(_format_optional, getattr(table, c).tolist()) for c in optional]
+    write_csv(path, list(_BASE_COLUMNS) + optional, zip(*cells))
 
 
 @dataclass
@@ -387,34 +427,43 @@ def save_targets(targets, path):
 
 
 class Graph:
-    """Undirected simple graph on nodes 0..node_count-1."""
+    """Undirected simple graph on nodes 0..node_count-1.
+
+    ``edges`` is a sequence of (u, v) pairs or an (m, 2) array.  Each edge
+    is stored once, as ``edge_u[k] < edge_v[k]`` in two int64 arrays, in
+    the order of its first occurrence.
+    """
 
     def __init__(self, node_count: int, edges):
         self.node_count = int(node_count)
-        seen = set()
-        self.edges = []
-        for u, v in edges:
-            u, v = int(u), int(v)
-            if u == v:
-                raise IngestError(f"self-loop at node {u}")
-            if not (0 <= u < self.node_count and 0 <= v < self.node_count):
-                raise IngestError(f"edge ({u}, {v}) outside node range")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                continue
-            seen.add(key)
-            self.edges.append(key)
+        pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        u, v = pairs[:, 0], pairs[:, 1]
+        loops = u == v
+        if loops.any():
+            raise IngestError(f"self-loop at node {u[loops.argmax()]}")
+        outside = ((pairs < 0) | (pairs >= self.node_count)).any(axis=1)
+        if outside.any():
+            raise IngestError(f"edge {tuple(pairs[outside.argmax()].tolist())} outside node range")
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        first = np.sort(np.unique(lo * self.node_count + hi, return_index=True)[1])
+        self.edge_u, self.edge_v = lo[first], hi[first]
+
+    @property
+    def edges(self) -> np.ndarray:
+        """(m, 2) array of the stored (u, v) pairs."""
+        return np.column_stack((self.edge_u, self.edge_v))
 
     def __eq__(self, other):
         return (
             isinstance(other, Graph)
             and self.node_count == other.node_count
-            and sorted(self.edges) == sorted(other.edges)
+            and set(zip(self.edge_u.tolist(), self.edge_v.tolist()))
+            == set(zip(other.edge_u.tolist(), other.edge_v.tolist()))
         )
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return self.edge_u.size
 
 
 def load_network(path, node_count: int | None = None) -> Graph:
@@ -435,6 +484,8 @@ def load_network(path, node_count: int | None = None) -> Graph:
                 raise IngestError(f"line {lineno}: non-integer endpoint in {line!r}") from None
             if u == v:
                 raise IngestError(f"line {lineno}: self-loop at node {u}")
+            if min(u, v) < 0 or node_count is not None and max(u, v) >= node_count:
+                raise IngestError(f"line {lineno}: edge ({u}, {v}) outside node range")
             edges.append((u, v))
             max_node = max(max_node, u, v)
     if node_count is None:
@@ -444,8 +495,9 @@ def load_network(path, node_count: int | None = None) -> Graph:
 
 def save_network(graph: Graph, path):
     with open(path, "w") as fh:
-        for u, v in graph.edges:
-            fh.write(f"{u} {v}\n")
+        fh.writelines(
+            f"{u} {v}\n" for u, v in zip(graph.edge_u.tolist(), graph.edge_v.tolist())
+        )
 
 
 def copy_record(rec: HouseholdRecord, **changes) -> HouseholdRecord:

@@ -18,7 +18,6 @@ from .records import (
     FEATURE_DOMAINS,
     FEATURE_NAMES,
     Graph,
-    HouseholdRecord,
     HouseholdTable,
     IrradianceSeries,
     N_SQFT_CLASSES,
@@ -161,25 +160,14 @@ def gen_population(cfg: ToyConfig) -> HouseholdTable:
     lmi = np.zeros(n, dtype=bool)
     lmi[np.argsort(codes["MONEYPY"], kind="stable")[:n_lmi]] = True
 
-    records = []
-    for i in range(n):
-        t = i % cfg.n_tracts
-        records.append(
-            HouseholdRecord(
-                id=i,
-                state=cfg.state,
-                county=county_id(cfg, t),
-                tract=tract_id(cfg, t),
-                lat=float(lats[i]),
-                lon=float(lons[i]),
-                features={name: int(codes[name][i]) for name in FEATURE_NAMES},
-                sqft_class=int(sqft_class[i]),
-                solar=bool(adopters[i]),
-                lmi=bool(lmi[i]),
-                rural=bool(t % 2 == 1),
-            )
-        )
-    return HouseholdTable(records)
+    t = np.arange(n) % cfg.n_tracts
+    return HouseholdTable(
+        id=np.arange(n), state=np.full(n, cfg.state, dtype=object),
+        county=np.array([county_id(cfg, k) for k in range(cfg.n_tracts)], dtype=object)[t],
+        tract=np.array(tract_ids(cfg), dtype=object)[t], lat=lats, lon=lons,
+        features=np.column_stack([codes[name] for name in FEATURE_NAMES]),
+        sqft_class=sqft_class, solar=adopters, lmi=lmi, rural=t % 2 == 1,
+    )
 
 
 def peak_ghi(date: datetime.date, tract: str) -> float:
@@ -242,7 +230,7 @@ def gen_network(n: int, edge_prob: float, groups: int = 1, seed: int = 0) -> Gra
         raise ValueError(f"edge_prob must be in [0, 1], got {edge_prob}")
     rng = rng_for(seed, "network")
     bounds = np.linspace(0, n, groups + 1).astype(int)
-    edges = []
+    edges = [np.zeros((0, 2), dtype=np.int64)]
     for g in range(groups):
         lo, hi = int(bounds[g]), int(bounds[g + 1])
         m = hi - lo
@@ -250,6 +238,5 @@ def gen_network(n: int, edge_prob: float, groups: int = 1, seed: int = 0) -> Gra
             continue
         iu, iv = np.triu_indices(m, k=1)
         mask = rng.random(iu.size) < edge_prob
-        for u, v in zip(iu[mask] + lo, iv[mask] + lo):
-            edges.append((int(u), int(v)))
-    return Graph(n, edges)
+        edges.append(np.column_stack((iu[mask], iv[mask])) + lo)
+    return Graph(n, np.concatenate(edges))

@@ -7,7 +7,7 @@ from solartwin.diffusion import (
     CASE3_LMI_SEQUENCE,
     DiffusionConfig,
     DiffusionState,
-    barriers_from_record,
+    barrier_flags,
     build_nodes,
     node_probability,
     normalize_benefit,
@@ -53,14 +53,20 @@ def test_threshold_from_barriers():
 
 
 def test_barriers_from_record_mapping():
-    clean = make_household(0)
-    assert sum(barriers_from_record(clean)) == 0
-    assert barriers_from_record(make_household(1, lmi=True))[5] is True
-    assert barriers_from_record(make_household(2, KOWNRENT=2))[3] is True
-    assert barriers_from_record(make_household(3, MONEYPY=1))[2] is True
-    assert barriers_from_record(make_household(4, BA_climate=8))[0] is True
-    loaded = make_household(5, lmi=True, KOWNRENT=2, MONEYPY=2)
-    assert sum(barriers_from_record(loaded)) == 3
+    pop = HouseholdTable([
+        make_household(0),
+        make_household(1, lmi=True),
+        make_household(2, KOWNRENT=2),
+        make_household(3, MONEYPY=1),
+        make_household(4, BA_climate=8),
+        make_household(5, lmi=True, KOWNRENT=2, MONEYPY=2),
+    ])
+    flags = barrier_flags(pop.features, pop.lmi.filled(False))
+    assert flags.shape == (6, 8) and flags.dtype == bool
+    assert flags[0].sum() == 0
+    assert flags[1, 5] and flags[2, 3] and flags[3, 2] and flags[4, 0]
+    assert [int(row.sum()) for row in flags[1:5]] == [1, 1, 1, 1]
+    assert flags[5].sum() == 3
 
 
 def test_utility_oracle():
@@ -255,7 +261,7 @@ def test_simulate_rows_schema_and_quadrants():
         )
         assert quadrant_sum == pytest.approx(row["total_adopters"])
     assert result.rows[0]["total_adopters"] == 2.0
-    assert len(result.final_totals()) == 3
+    assert len(result.timelines) == 3
 
 
 def test_simulate_initial_index_guard():

@@ -41,7 +41,9 @@ def test_dataset_from_households_labels():
 
 def test_dataset_from_households_missing_label():
     pop = gen_population(ToyConfig(n_households=10, seed=1))
-    pop[3].solar = None
+    solar = pop.solar.copy()
+    solar[3] = np.ma.masked
+    pop = pop.replace(solar=solar)
     with pytest.raises(ValueError, match="household 3 has no solar label"):
         dataset_from_households(pop, "solar")
 

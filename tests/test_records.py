@@ -1,14 +1,20 @@
 """Record validation and CSV round-trips."""
 
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from solartwin.cli import _load_dataset, _load_survey
 from solartwin.pv import load_daily, load_profile_rows
 from solartwin.records import (
+    FEATURE_DOMAINS,
     FEATURE_NAMES,
+    N_SQFT_CLASSES,
     AdopterTarget,
     Graph,
     HouseholdRecord,
@@ -24,7 +30,6 @@ from solartwin.records import (
     save_irradiance,
     save_network,
     save_targets,
-    sqft_class_of,
     sqft_class_range,
 )
 
@@ -54,17 +59,6 @@ def make_record(i=0, **kw):
     return HouseholdRecord(**base)
 
 
-def test_sqft_class_of_edges():
-    assert sqft_class_of(1.0) == 0
-    assert sqft_class_of(599.9) == 0
-    assert sqft_class_of(600.0) == 1
-    assert sqft_class_of(3999.0) == 6
-    assert sqft_class_of(4000.0) == 7
-    assert sqft_class_of(25000.0) == 7
-    with pytest.raises(ValueError):
-        sqft_class_of(0.0)
-
-
 def test_sqft_class_range():
     assert sqft_class_range(0) == (0.0, 600.0)
     assert sqft_class_range(6) == (3000.0, 4000.0)
@@ -75,20 +69,20 @@ def test_sqft_class_range():
 
 
 def test_record_validation_errors():
-    with pytest.raises(IngestError, match="lat"):
-        make_record(lat=123.0).validate()
+    with pytest.raises(IngestError, match=r"row 3, column lat: 123.0 out of \[-90, 90\]"):
+        HouseholdTable([make_record(0), make_record(1, lat=123.0)])
     bad = make_record()
     bad.features["MONEYPY"] = 42
-    with pytest.raises(IngestError, match="MONEYPY code 42"):
-        bad.validate()
+    with pytest.raises(IngestError, match="column MONEYPY: code 42 outside domain"):
+        HouseholdTable([bad])
     missing = make_record()
     del missing.features["FUELHEAT"]
     with pytest.raises(IngestError, match="missing feature FUELHEAT"):
-        missing.validate()
-    with pytest.raises(IngestError, match="sqft_class"):
-        make_record(sqft_class=8).validate()
-    with pytest.raises(IngestError, match="sqft_value"):
-        make_record(sqft_value=-10.0).validate()
+        HouseholdTable([missing])
+    with pytest.raises(IngestError, match="column sqft_class: 8 out of"):
+        HouseholdTable([make_record(sqft_class=8)])
+    with pytest.raises(IngestError, match="column sqft_value: -10.0 must be > 0"):
+        HouseholdTable([make_record(sqft_value=-10.0)])
 
 
 def test_duplicate_ids_rejected():
@@ -118,6 +112,55 @@ def test_households_roundtrip(tmp_path):
     assert again[1].sqft_value == 1234.5
 
 
+_OPTIONAL_VALUES = {
+    "sqft_class": st.integers(0, N_SQFT_CLASSES - 1),
+    "sqft_value": st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    "solar": st.booleans(),
+    "lmi": st.booleans(),
+    "rural": st.booleans(),
+}
+
+
+@st.composite
+def household_tables(draw):
+    """Tables with unique ids, in-range lat/lon and in-domain codes; each
+    optional column is absent, fully filled or partly empty."""
+    n = draw(st.integers(0, 6))
+
+    def column(values):
+        return draw(st.lists(values, min_size=n, max_size=n))
+
+    columns = {
+        "id": draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n,
+                            unique=True)),
+        "state": column(st.text()),
+        "county": column(st.text()),
+        "tract": column(st.text()),
+        "lat": column(st.floats(-90.0, 90.0)),
+        "lon": column(st.floats(-180.0, 180.0)),
+        "features": np.array(
+            [column(st.sampled_from(FEATURE_DOMAINS[f])) for f in FEATURE_NAMES], dtype=np.int64
+        ).T,
+    }
+    for name, values in _OPTIONAL_VALUES.items():
+        fill = draw(st.sampled_from(("absent", "full", "partial")))
+        if fill != "absent":
+            columns[name] = column(values if fill == "full" else st.none() | values)
+    return HouseholdTable(**columns)
+
+
+@settings(max_examples=50, deadline=None)
+@given(household_tables())
+def test_households_roundtrip_property(table):
+    with tempfile.TemporaryDirectory() as scratch:
+        first, second = Path(scratch, "a.csv"), Path(scratch, "b.csv")
+        save_households(table, first)
+        again = load_households(first)
+        assert again == table
+        save_households(again, second)
+        assert second.read_bytes() == first.read_bytes()
+
+
 def test_households_missing_column(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("id,state\n0,VA\n")
@@ -133,8 +176,8 @@ _HOUSEHOLD = ["0", "VA", "51001", "t1", "37.5", "-78.0"] + [str(v) for v in FEAT
 TABLES = {
     "households": (
         load_households, "households.csv",
-        ["id", "state", "county", "tract", "lat", "lon", *FEATURES, "sqft_value"],
-        [_HOUSEHOLD + ["1500.0"], ["1"] + _HOUSEHOLD[1:] + [""]],
+        ["id", "state", "county", "tract", "lat", "lon", *FEATURES, "sqft_class", "sqft_value"],
+        [_HOUSEHOLD + ["3", "1500.0"], ["1"] + _HOUSEHOLD[1:] + ["", ""]],
     ),
     "irradiance": (
         load_irradiance, "irradiance_t1.csv", ["date", "hour", "ghi_wm2"],
@@ -166,6 +209,12 @@ TABLES = {
         ("households", 2, "sqft_value", "nan"),
         ("households", 2, "sqft_value", "inf"),
         ("households", 3, "MONEYPY", "eight"),
+        ("households", 3, "lat", "123.0"),
+        ("households", 2, "MONEYPY", "42"),
+        ("households", 2, "sqft_class", "8"),
+        ("households", 2, "sqft_value", "-10"),
+        ("households", 3, "id", "0"),
+        ("households", 2, "id", "99999999999999999999"),
         ("irradiance", 5, "ghi_wm2", "inf"),
         ("irradiance", 3, "hour", "1.0"),
         ("targets", 3, "count", "seven"),
@@ -245,7 +294,8 @@ def test_targets_roundtrip(tmp_path):
 def test_graph_dedup_and_validation():
     g = Graph(4, [(0, 1), (1, 0), (2, 3)])
     assert g.edge_count == 2
-    assert g.edges == [(0, 1), (2, 3)]
+    assert g.edge_u.tolist() == [0, 2] and g.edge_v.tolist() == [1, 3]
+    assert g.edge_u.dtype == g.edge_v.dtype == np.int64
     with pytest.raises(IngestError, match="self-loop at node 2"):
         Graph(4, [(2, 2)])
     with pytest.raises(IngestError, match="outside node range"):
@@ -272,3 +322,8 @@ def test_network_parsing(tmp_path):
     trio.write_text("0 1 2\n")
     with pytest.raises(IngestError, match="expected two endpoints"):
         load_network(trio)
+    for edge in ("1 7", "-1 2"):
+        outside = tmp_path / "outside.edges"
+        outside.write_text(f"# three nodes\n0 1\n{edge}\n")
+        with pytest.raises(IngestError, match=rf"line 3: edge \({edge.replace(' ', ', ')}\) outside"):
+            load_network(outside, 3)
