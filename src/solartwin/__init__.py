@@ -46,6 +46,7 @@ from solartwin.boosting import (
     OvrModel,
     apply_threshold,
     ensemble_vote,
+    ensemble_votes,
     load_model,
     loss_grad_hess,
     predict_proba,

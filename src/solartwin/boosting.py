@@ -2,14 +2,17 @@
 
 The binary objective is -(1/T) * sum(y*ln(p) + beta*(1-y)*ln(1-p)): beta
 scales the penalty on negatives, so beta > 1 suppresses false positives and
-beta < 1 tolerates them.  Trees are grown by exact greedy search over
-integer feature codes treated as ordinal; leaf values are second-order
-(Newton) steps.  A plurality/soft voting combinator and a majority-class
-baseline member round out the classifier stack.
+beta < 1 tolerates them.  Trees are grown depth-first; each node's split
+is found from exact gradient/hessian histograms over the integer feature
+codes, treated as ordinal (split "code <= c"): the highest gain wins, ties
+go to the first feature and then the lowest code, and a split must gain
+more than 1e-12.  Leaf values are second-order (Newton) steps; training
+updates its margins from the leaf values as each tree is built.  A
+plurality/soft voting combinator and a majority-class baseline member
+round out the classifier stack.
 """
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,47 +132,76 @@ def _apply_node(nodes, nid, X, rows, out):
     _apply_node(nodes, node.right, X, rows[~mask], out)
 
 
-def _build_tree(X, g, h, max_depth, lam, min_child_hess):
+def _histogram_keys(X: np.ndarray):
+    """Histogram bin of every (row, feature) cell, and the code of each rank.
+
+    Codes are ranked among the distinct values of X, so bin j * C + r holds
+    rank r of feature j (C = number of distinct codes): one bincount of a
+    node's keys reshapes to the (F, C) histograms of all features.  Ranking
+    drops empty codes only, which leaves every prefix sum unchanged.
+    """
+    codes = np.unique(X)
+    ranks = np.searchsorted(codes, X)
+    return ranks + np.arange(X.shape[1]) * codes.size, codes
+
+
+def _best_split(node_keys, g_rows, h_rows, g_sum, h_sum, codes, lam, min_child_hess):
+    """Best (feature, code) split of one node, or None.
+
+    One weighted bincount each for g and h, and one for the count, over the
+    node's keys; g and h are repeated per feature in row-major order, so
+    each bin sums its rows in row order.  The row-major argmax over the
+    (F, C) gains breaks ties to the first feature, then the lowest code;
+    the gain must exceed 1e-12.
+    """
+    n_rows, n_features = node_keys.shape
+    keys = node_keys.ravel()
+    shape = (n_features, codes.size)
+    size = n_features * codes.size
+    gl = np.bincount(keys, np.repeat(g_rows, n_features), size).reshape(shape).cumsum(axis=1)
+    hl = np.bincount(keys, np.repeat(h_rows, n_features), size).reshape(shape).cumsum(axis=1)
+    cl = np.bincount(keys, minlength=size).reshape(shape).cumsum(axis=1)
+    gr = g_sum - gl
+    hr = h_sum - hl
+    valid = (cl > 0) & (cl < n_rows) & (hl >= min_child_hess) & (hr >= min_child_hess)
+    gains = np.where(
+        valid,
+        gl * gl / (hl + lam) + gr * gr / (hr + lam) - g_sum * g_sum / (h_sum + lam),
+        -np.inf,
+    )
+    k = int(np.argmax(gains))
+    if math.isnan(gains.flat[k]):
+        # a NaN gain (0/0 at lambda = 0) voids every split of its feature
+        gains[np.isnan(gains).any(axis=1)] = -np.inf
+        k = int(np.argmax(gains))
+    if not gains.flat[k] > 1e-12:
+        return None
+    f, r = divmod(k, codes.size)
+    return f, int(codes[r])
+
+
+def _build_tree(X, keys, codes, g, h, max_depth, lam, min_child_hess, leaf):
+    """Grow one tree in preorder; write each row's leaf value into leaf."""
     nodes = []
 
     def grow(rows, depth):
         nid = len(nodes)
-        nodes.append(TreeNode())
-        g_sum = float(g[rows].sum())
-        h_sum = float(h[rows].sum())
-        best = None
-        if depth < max_depth and rows.size >= 2:
-            parent_score = g_sum * g_sum / (h_sum + lam)
-            for f in range(X.shape[1]):
-                codes = X[rows, f]
-                if codes.min() == codes.max():
-                    continue
-                length = int(codes.max()) + 1
-                gl = np.cumsum(np.bincount(codes, weights=g[rows], minlength=length))[:-1]
-                hl = np.cumsum(np.bincount(codes, weights=h[rows], minlength=length))[:-1]
-                cl = np.cumsum(np.bincount(codes, minlength=length))[:-1]
-                gr = g_sum - gl
-                hr = h_sum - hl
-                valid = (
-                    (cl > 0)
-                    & (cl < rows.size)
-                    & (hl >= min_child_hess)
-                    & (hr >= min_child_hess)
-                )
-                if not valid.any():
-                    continue
-                gains = np.where(
-                    valid,
-                    gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent_score,
-                    -np.inf,
-                )
-                c = int(np.argmax(gains))  # first max ties to the lowest code
-                if gains[c] > 1e-12 and (best is None or gains[c] > best[0]):
-                    best = (float(gains[c]), f, c)
-        if best is None:
-            nodes[nid] = TreeNode(value=-g_sum / (h_sum + lam))
+        nodes.append(None)
+        g_rows = g[rows]
+        h_rows = h[rows]
+        g_sum = float(g_rows.sum())
+        h_sum = float(h_rows.sum())
+        split = None
+        if depth < max_depth and rows.size >= 2 and X.shape[1]:
+            split = _best_split(
+                keys[rows], g_rows, h_rows, g_sum, h_sum, codes, lam, min_child_hess
+            )
+        if split is None:
+            value = -g_sum / (h_sum + lam)
+            nodes[nid] = TreeNode(value=value)
+            leaf[rows] = value
             return nid
-        _, f, c = best
+        f, c = split
         mask = X[rows, f] <= c
         left = grow(rows[mask], depth + 1)
         right = grow(rows[~mask], depth + 1)
@@ -216,15 +248,19 @@ def train_gbt(
     base_score = 0.0
     margins = np.full(X.shape[0], base_score)
     y_f = y.astype(float)
+    keys, codes = _histogram_keys(X)
+    leaf = np.empty(X.shape[0])
     trees = []
     for _ in range(params.rounds):
         p = expit(margins)
         grad, hess = loss_grad_hess(y_f, p, loss.beta)
-        nodes = _build_tree(
-            X, grad, hess, params.depth, params.reg_lambda, params.min_child_hess
+        trees.append(
+            _build_tree(
+                X, keys, codes, grad, hess, params.depth, params.reg_lambda,
+                params.min_child_hess, leaf,
+            )
         )
-        trees.append(nodes)
-        margins += params.learning_rate * _tree_apply(nodes, X)
+        margins += params.learning_rate * leaf
     return GbtModel(
         trees=trees,
         learning_rate=params.learning_rate,
@@ -265,35 +301,35 @@ def apply_threshold(p, tau: float):
     return decisions
 
 
-def ensemble_vote(class_preds, class_probs) -> int:
-    """Combine members: plurality when >= 2 agree, else summed-probability.
+def ensemble_votes(class_preds, class_probs) -> np.ndarray:
+    """Combine members row by row: plurality when >= 2 agree, else soft vote.
 
-    class_preds holds each member's predicted class index; class_probs the
-    matching probability vectors over a shared class list.  A plurality tie
-    between classes that each got >= 2 votes falls back to the summed
-    probabilities of the tied classes; pure soft-vote ties go to the lowest
-    class index.
+    class_preds is (n, m): each of m members' predicted class index per row;
+    class_probs is (n, m, k): the matching probability vectors over a shared
+    list of k classes.  A plurality tie between classes that each got >= 2
+    votes goes to the tied class with the highest summed probability; pure
+    soft-vote ties go to the lowest class index.  Returns n class indices.
     """
-    preds = [int(c) for c in class_preds]
-    if len(preds) < 2:
-        raise ValueError("need at least two ensemble members")
+    preds = np.asarray(class_preds, dtype=np.int64)
     probs = np.asarray(class_probs, dtype=float)
-    if probs.ndim != 2 or probs.shape[0] != len(preds):
+    if preds.ndim != 2 or preds.shape[1] < 2:
+        raise ValueError("need at least two ensemble members")
+    if probs.ndim != 3 or probs.shape[:2] != preds.shape:
         raise ValueError("one probability vector per member required")
-    sums = probs.sum(axis=1)
-    if np.any(np.abs(sums - 1.0) > 1e-9):
+    if not np.all(np.abs(probs.sum(axis=2) - 1.0) <= 1e-9):
         raise ValueError("member probability vectors must sum to 1")
-    counts = Counter(preds)
-    top = max(counts.values())
-    if top >= 2:
-        tied = sorted(c for c, k in counts.items() if k == top)
-        if len(tied) == 1:
-            return tied[0]
-        summed = probs.sum(axis=0)
-        best = max(tied, key=lambda c: (summed[c], -c))
-        return int(best)
-    summed = probs.sum(axis=0)
-    return int(np.argmax(summed))  # first max ties to the lowest index
+    if preds.size and not (preds.min() >= 0 and preds.max() < probs.shape[2]):
+        raise ValueError("predicted class index outside the probability vectors")
+    counts = (preds[:, :, None] == np.arange(probs.shape[2])).sum(axis=1)
+    top = counts.max(axis=1)[:, None]
+    candidates = (counts == top) | (top < 2)
+    summed = probs.sum(axis=1)
+    return np.argmax(np.where(candidates, summed, -np.inf), axis=1)
+
+
+def ensemble_vote(class_preds, class_probs) -> int:
+    """ensemble_votes for one row: m member classes, (m, k) probabilities."""
+    return int(ensemble_votes([class_preds], [class_probs])[0])
 
 
 @dataclass

@@ -26,7 +26,7 @@ from .boosting import (
     GbtParams,
     MajorityBaseline,
     apply_threshold,
-    ensemble_vote,
+    ensemble_votes,
     predict_proba,
     save_model,
     train_ovr,
@@ -215,18 +215,14 @@ def cmd_classify_sqft(cfg: RunConfig, args):
     pop = load_households(_require(_path(cfg, "households.csv"), "toygen"))
     data = dataset_from_households(pop, "sqft_class")
     ovr = train_ovr(data, _gbt_params(cfg), cfg.seed)
-    position = {cls: i for i, cls in enumerate(ovr.classes)}
-    majority = MajorityBaseline.fit(
-        np.array([position[int(label)] for label in data.y]), len(ovr.classes)
-    )
+    classes = np.asarray(ovr.classes)
+    majority = MajorityBaseline.fit(np.searchsorted(classes, data.y), classes.size)
     ovr_probs = ovr.predict_probs(data.X)
-    ovr_class = ovr.predict_class(data.X)
-    base_probs = majority.predict_probs()
-    base_class = majority.predict_class()
-    predicted = np.array([
-        ovr.classes[ensemble_vote([position[int(cls)], base_class], [probs, base_probs])]
-        for cls, probs in zip(ovr_class, ovr_probs)
-    ], dtype=np.int64)
+    base_probs = np.broadcast_to(majority.predict_probs(), ovr_probs.shape)
+    preds = np.column_stack(
+        [np.argmax(ovr_probs, axis=1), np.full(len(pop), majority.predict_class())]
+    )
+    predicted = classes[ensemble_votes(preds, np.stack([ovr_probs, base_probs], axis=1))]
     agree = int(np.count_nonzero(predicted == pop.sqft_class.filled(-1)))
     save_households(pop.replace(sqft_class=predicted), _path(cfg, "households_classified.csv"))
     log.info("classify-sqft: %d/%d match the planted class", agree, len(pop))

@@ -1,14 +1,25 @@
 """Weighted loss, Newton trees, voting, and the text model format."""
 
+import tempfile
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.special import expit
 
 from solartwin.boosting import (
+    GbtModel,
     GbtParams,
     LossParams,
     MajorityBaseline,
+    TreeNode,
+    _tree_apply,
     apply_threshold,
     ensemble_vote,
+    ensemble_votes,
     load_model,
     loss_grad_hess,
     predict_proba,
@@ -145,6 +156,51 @@ def test_ensemble_vote_rules():
         ensemble_vote([0, 1], [[0.5, 0.4], [0.5, 0.5]])
 
 
+def _reference_vote(preds, probs):
+    """The scalar vote rule: Counter plurality, then summed probabilities."""
+    counts = Counter(preds)
+    top = max(counts.values())
+    summed = np.asarray(probs, dtype=float).sum(axis=0)
+    if top >= 2:
+        tied = sorted(c for c, k in counts.items() if k == top)
+        return max(tied, key=lambda c: (summed[c], -c))
+    return int(np.argmax(summed))
+
+
+def test_ensemble_votes_input_checks():
+    with pytest.raises(ValueError, match="one probability vector per member"):
+        ensemble_votes([[0, 1]], [[[1.0, 0.0]]])
+    with pytest.raises(ValueError, match="sum to 1"):
+        ensemble_vote([0, 1], [[np.nan, 1.0], [0.5, 0.5]])
+    with pytest.raises(ValueError, match="outside the probability vectors"):
+        ensemble_vote([2, 2], [[0.5, 0.5], [0.5, 0.5]])
+    assert ensemble_votes(np.zeros((0, 2), int), np.zeros((0, 2, 3))).shape == (0,)
+
+
+@st.composite
+def vote_batches(draw):
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(2, 5))
+    k = draw(st.integers(1, 4))
+    preds = draw(st.lists(st.lists(st.integers(0, k - 1), min_size=m, max_size=m),
+                          min_size=n, max_size=n))
+    # quarters give exact ties between summed probabilities
+    weights = draw(st.lists(st.integers(0, 4), min_size=n * m * k, max_size=n * m * k))
+    raw = np.asarray(weights, dtype=float).reshape(n, m, k)
+    raw[:, :, 0] += raw.sum(axis=2) == 0
+    return preds, raw / raw.sum(axis=2, keepdims=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(vote_batches())
+def test_ensemble_votes_match_scalar_rule(batch):
+    preds, probs = batch
+    votes = ensemble_votes(preds, probs)
+    expected = [_reference_vote(p, q) for p, q in zip(preds, probs)]
+    assert votes.tolist() == expected
+    assert [ensemble_vote(p, q) for p, q in zip(preds, probs)] == expected
+
+
 def test_majority_baseline():
     baseline = MajorityBaseline.fit([0, 0, 0, 2], n_classes=3)
     assert baseline.predict_class() == 0
@@ -187,3 +243,139 @@ def test_load_model_rejects_garbage(tmp_path):
     path.write_text("not-a-model 1\n")
     with pytest.raises(ValueError, match="malformed model file at line 1"):
         load_model(path)
+
+
+def _reference_build_tree(X, g, h, max_depth, lam, min_child_hess):
+    """Per-feature exact greedy split search, one bincount per feature."""
+    nodes = []
+
+    def grow(rows, depth):
+        nid = len(nodes)
+        nodes.append(TreeNode())
+        g_sum = float(g[rows].sum())
+        h_sum = float(h[rows].sum())
+        best = None
+        if depth < max_depth and rows.size >= 2:
+            parent_score = g_sum * g_sum / (h_sum + lam)
+            for f in range(X.shape[1]):
+                codes = X[rows, f]
+                if codes.min() == codes.max():
+                    continue
+                length = int(codes.max()) + 1
+                gl = np.cumsum(np.bincount(codes, weights=g[rows], minlength=length))[:-1]
+                hl = np.cumsum(np.bincount(codes, weights=h[rows], minlength=length))[:-1]
+                cl = np.cumsum(np.bincount(codes, minlength=length))[:-1]
+                gr = g_sum - gl
+                hr = h_sum - hl
+                valid = (
+                    (cl > 0)
+                    & (cl < rows.size)
+                    & (hl >= min_child_hess)
+                    & (hr >= min_child_hess)
+                )
+                if not valid.any():
+                    continue
+                gains = np.where(
+                    valid,
+                    gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent_score,
+                    -np.inf,
+                )
+                c = int(np.argmax(gains))  # first max ties to the lowest code
+                if gains[c] > 1e-12 and (best is None or gains[c] > best[0]):
+                    best = (float(gains[c]), f, c)
+        if best is None:
+            nodes[nid] = TreeNode(value=-g_sum / (h_sum + lam))
+            return nid
+        _, f, c = best
+        mask = X[rows, f] <= c
+        left = grow(rows[mask], depth + 1)
+        right = grow(rows[~mask], depth + 1)
+        nodes[nid] = TreeNode(feature=f, code=c, left=left, right=right)
+        return nid
+
+    grow(np.arange(X.shape[0]), 0)
+    return nodes
+
+
+def _reference_train(data, params, loss):
+    """train_gbt with the reference tree and a second pass for the margins."""
+    margins = np.zeros(len(data))
+    y = data.y.astype(float)
+    trees = []
+    for _ in range(params.rounds):
+        grad, hess = loss_grad_hess(y, expit(margins), loss.beta)
+        nodes = _reference_build_tree(
+            data.X, grad, hess, params.depth, params.reg_lambda, params.min_child_hess
+        )
+        trees.append(nodes)
+        margins += params.learning_rate * _tree_apply(nodes, data.X)
+    return GbtModel(trees, params.learning_rate, 0.0, loss.beta, data.domains)
+
+
+def _model_text(model):
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "model.txt"
+        save_model(model, path)
+        return path.read_text()
+
+
+CODE_SETS = ((0,), (0, 1), (1, 2, 3), tuple(range(6)) + (99,), (0, 7))
+
+
+@st.composite
+def small_datasets(draw):
+    n_features = draw(st.integers(0, 4))
+    n_rows = draw(st.integers(2, 24))
+    sets = [draw(st.sampled_from(CODE_SETS)) for _ in range(n_features)]
+    X = np.array(
+        [[draw(st.sampled_from(codes)) for codes in sets] for _ in range(n_rows)],
+        dtype=np.int64,
+    ).reshape(n_rows, n_features)
+    y = draw(st.lists(st.integers(0, 1), min_size=n_rows, max_size=n_rows))
+    y[:2] = [0, 1]
+    return LabeledDataset(X, np.array(y))
+
+
+# at the first round every row's hessian is 0.25 (positives) or 0.25 * beta
+TRAIN_PARAMS = st.builds(
+    GbtParams,
+    rounds=st.integers(1, 3),
+    depth=st.integers(1, 4),
+    learning_rate=st.sampled_from([0.3, 20.0]),
+    reg_lambda=st.sampled_from([0.0, 1.0]),
+    min_child_hess=st.sampled_from([0.0, 1e-3, 0.1075, 0.25, 0.5, 0.5 + 1e-12, 0.75]),
+)
+BETAS = st.sampled_from([0.0, 0.43, 1.7])
+
+
+def _duplicate_columns():
+    # two identical columns tie on every gain: the first feature must win
+    X = np.array([[0, 0], [0, 0], [1, 1], [1, 1], [2, 2], [99, 99]])
+    return LabeledDataset(X, np.array([0, 1, 1, 0, 1, 1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_datasets(), TRAIN_PARAMS, BETAS)
+@example(_duplicate_columns(), GbtParams(rounds=2, depth=2), 1.7)
+@example(LabeledDataset(np.zeros((4, 0), dtype=np.int64), np.array([0, 1, 1, 0])),
+         GbtParams(rounds=2), 0.43)
+# the first tree saturates row 1 to p = 1.0 (h = 0), so at lambda = 0 the
+# second tree's feature 0 has a 0/0 gain: the whole feature is skipped
+@example(LabeledDataset(np.array([[0, 2], [1, 2], [0, 0]]), np.array([0, 1, 1])),
+         GbtParams(rounds=2, depth=1, learning_rate=20.0, reg_lambda=0.0,
+                   min_child_hess=0.0), 0.43)
+# ... and here a NaN at code 1 voids the gain of code 2 as well
+@example(LabeledDataset(np.array([[2], [1], [3]]), np.array([0, 1, 1])),
+         GbtParams(rounds=2, depth=1, learning_rate=50.0, reg_lambda=0.0,
+                   min_child_hess=0.0), 1.7)
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_train_matches_reference_search(data, params, beta):
+    loss = LossParams(beta=beta)
+    try:
+        expected = _model_text(_reference_train(data, params, loss))
+    except ZeroDivisionError:  # lambda = 0 with a zero hessian sum
+        with pytest.raises(ZeroDivisionError):
+            train_gbt(data, params, loss)
+        return
+    assert _model_text(train_gbt(data, params, loss)) == expected
