@@ -18,17 +18,19 @@ dates = [cfg.start_date + timedelta(days=i) for i in range(cfg.days)]
 
 profiles = generate_profiles(fitted, irradiance, dates, workers=1, seed=7, n_samples=50)
 print(f"{len(profiles)} household-day profiles "
-      f"({len(profiles) // len(dates)} adopters x {len(dates)} days)\n")
+      f"({len(profiles.household)} adopters x {len(profiles.dates)} days), "
+      f"hourly block {profiles.hourly_mean.shape}\n")
 
-first = profiles[0]
-print(f"household {first.household}, {first.date}: kWh by hour (mean +/- std)")
+daily_mean, daily_std = profiles.daily_mean, profiles.daily_std
+print(f"household {profiles.household[0]}, {dates[0]}: kWh by hour (mean +/- std)")
 for hour in range(24):
-    m = first.hourly_mean[hour]
-    s = first.hourly_std[hour]
+    m = profiles.hourly_mean[0, 0, hour]
+    s = profiles.hourly_std[0, 0, hour]
     bar = "#" * int(m * 40)
     print(f"  {hour:02d}  {m:.4f} +/- {s:.4f}  {bar}")
-print(f"  daily total {first.daily_mean:.3f} kWh +/- {first.daily_std:.3f}")
+print(f"  daily total {daily_mean[0, 0]:.3f} kWh +/- {daily_std[0, 0]:.3f}")
 
 print("\ndaily means per household-day:")
-for prof in profiles:
-    print(f"  household {prof.household}  {prof.date}  {prof.daily_mean:.3f} kWh")
+for k, household in enumerate(profiles.household):
+    for j, date in enumerate(profiles.dates):
+        print(f"  household {household}  {date}  {daily_mean[k, j]:.3f} kWh")

@@ -67,7 +67,7 @@ from solartwin.calibrate import (
 )
 from solartwin.sqft import SubclassWeights, estimate_sqft, subclass_weights
 from solartwin.pv import (
-    EnergyProfile,
+    EnergyProfiles,
     SamplingTables,
     TimeInvariantSamples,
     declination,

@@ -32,7 +32,7 @@ from .boosting import (
     train_ovr,
 )
 from .calibrate import calibrate, save_trace
-from .config import RunConfig, load_config
+from .config import RunConfig, load_config, parse_cases
 from .diffusion import DiffusionConfig, save_timeline, simulate
 from .metrics import (
     DiscreteDistribution,
@@ -343,17 +343,14 @@ def cmd_simulate(cfg: RunConfig, args):
         everyone, irradiance, dates,
         workers=cfg.workers, seed=cfg.seed, n_samples=cfg.pv_samples,
     )
-    daily_by_household = {}
-    for prof in profiles:
-        daily_by_household.setdefault(prof.household, []).append(prof.daily_mean)
-    mean_daily = np.array([float(np.mean(daily_by_household[i])) for i in pop.id.tolist()])
+    mean_daily = profiles.daily_mean.mean(axis=1)
     annual_kwh = mean_daily * 365.0
     initial = np.flatnonzero(pop.solar.filled(False))
-    cases = tuple(args.cases.split(",")) if args.cases else cfg.cases
+    cases = parse_cases(args.cases) if args.cases else cfg.cases
     results = []
     for case in cases:
         dcfg = DiffusionConfig(
-            case=case.strip(),
+            case=case,
             weights=cfg.diffusion_weights,
             time_steps=cfg.time_steps,
             iterations=cfg.iterations,

@@ -94,6 +94,11 @@ class RunConfig:
         return (self.weight_benefit, self.weight_county, self.weight_network)
 
 
+def parse_cases(text: str) -> tuple:
+    """Policy cases from a comma list, stripped, empty entries dropped."""
+    return tuple(p.strip() for p in text.split(",") if p.strip())
+
+
 # (section, key, field, converter)
 _SCHEMA = (
     ("run", "seed", "seed", int),
@@ -130,7 +135,7 @@ _SCHEMA = (
     ("diffusion", "credit_rate", "credit_rate", float),
     ("diffusion", "lmi_extra_credit", "lmi_extra_credit", float),
     ("diffusion", "capacity_factor", "capacity_factor", float),
-    ("diffusion", "cases", "cases", lambda s: tuple(p.strip() for p in s.split(",") if p.strip())),
+    ("diffusion", "cases", "cases", parse_cases),
     ("validate", "hist_bins", "hist_bins", int),
     ("validate", "kde_grid", "kde_grid", int),
 )

@@ -5,10 +5,12 @@ yield, performance ratio, tilt, azimuth).  For every date the declination
 fixes a solar elevation angle, each hour's horizontal irradiance is
 projected onto the sampled tilted planes with an azimuth degradation
 factor, and energy per sample is area * yield * radiation * ratio, reported
-as the ensemble mean and population standard deviation in kWh.  Households
-are independent, so the engine parallelizes over contiguous household
-blocks with per-household seeded streams; outputs are identical for any
-worker count.
+as the ensemble mean and population standard deviation in kWh.  The result
+is one EnergyProfiles block of (households, dates, 24) arrays: each
+household is sampled once, and all of its dates go through one batched
+projection and one ensemble reduction.  Households are independent, so the
+engine parallelizes over contiguous household blocks with per-household
+seeded streams; outputs are identical for any worker count.
 """
 
 import datetime
@@ -211,26 +213,27 @@ def tilted_radiation(
     return float(ghi * _tilt_factors(lat, delta, theta, degradation[omega]))
 
 
-def _tilt_factors(lat: float, delta: float, tilts, d):
-    """HT/GHI ratio sin(alpha + tilt)/sin(alpha) * D per sample, clamped to
-    >= 0; the horizontal D when sin(alpha) <= 0.01.
+def _tilt_factors(lat: float, delta, tilts, d):
+    """HT/GHI ratio sin(alpha + tilt)/sin(alpha) * D, clamped to >= 0; the
+    horizontal D where sin(alpha) <= 0.01.
 
-    Numerator and denominator use the same sine, so at zero tilt the ratio
-    is exactly 1.
+    delta, tilts and d broadcast: a (D, 1) column of declinations against
+    (n,) sample tilts gives a (D, n) block.  Numerator and denominator use
+    the same sine, so at zero tilt the ratio is exactly 1.
     """
     alpha = 90.0 - lat + delta
     s = np.sin(np.radians(alpha))
-    if s <= 0.01:
-        return d
-    factors = np.sin(np.radians(alpha + tilts)) / s * d
-    return np.maximum(factors, 0.0)
+    flat = s <= 0.01
+    factors = np.sin(np.radians(alpha + tilts)) / np.where(flat, 1.0, s) * d
+    return np.where(flat, d, np.maximum(factors, 0.0))
 
 
 def _ensemble_kwh(ghi, per_wh) -> tuple:
     """Hourly (mean, std) kWh over the ensemble, where sample i yields
-    ghi[h] / 1000 * per_wh[i] in hour h."""
-    energy = np.outer(np.asarray(ghi) / 1000.0, per_wh)  # (hours, n) kWh
-    return energy.mean(axis=1), energy.std(axis=1)
+    ghi[..., h] / 1000 * per_wh[..., i] in hour h; ghi (..., hours) and
+    per_wh (..., n) give (..., hours) results."""
+    energy = (np.asarray(ghi) / 1000.0)[..., :, None] * per_wh[..., None, :]
+    return energy.mean(axis=-1), energy.std(axis=-1)
 
 
 def hourly_energy(ti: TimeInvariantSamples, ht) -> tuple:
@@ -249,45 +252,38 @@ def hourly_energy(ti: TimeInvariantSamples, ht) -> tuple:
 
 
 @dataclass
-class EnergyProfile:
-    """One household-day: 24 hourly (mean, std) pairs plus daily aggregates."""
+class EnergyProfiles:
+    """Hourly (mean, std) kWh of H households over D dates, as (H, D, 24)
+    arrays; household holds the (H,) ids.  len() counts household-days."""
 
-    household: int
-    date: datetime.date
+    household: np.ndarray
+    dates: list
     hourly_mean: np.ndarray
     hourly_std: np.ndarray
-    daily_mean: float
-    daily_std: float
+
+    @property
+    def daily_mean(self) -> np.ndarray:
+        return self.hourly_mean.sum(axis=-1)
+
+    @property
+    def daily_std(self) -> np.ndarray:
+        return np.sqrt((self.hourly_std**2).sum(axis=-1))
+
+    def __len__(self):
+        return self.hourly_mean.shape[0] * self.hourly_mean.shape[1]
 
 
-def _profile_for_day(ti, lat, date, ghi24, degradation) -> EnergyProfile:
-    delta = declination(date.timetuple().tm_yday)
-    d = np.array([degradation[a] for a in ti.azimuths])
-    per_wh = ti.arpr * _tilt_factors(lat, delta, ti.tilts, d)
-    hourly_mean, hourly_std = _ensemble_kwh(ghi24, per_wh)
-    return EnergyProfile(
-        household=ti.household,
-        date=date,
-        hourly_mean=hourly_mean,
-        hourly_std=hourly_std,
-        daily_mean=float(hourly_mean.sum()),
-        daily_std=float(math.sqrt(float((hourly_std**2).sum()))),
-    )
-
-
-def _profiles_for_records(records, irradiance, dates, seed, tables, n_samples):
-    profiles = []
-    for rec in records:
-        rng = rng_for(seed, "pv", rec.id)
-        ti = sample_time_invariant(rec, n_samples, tables, rng)
-        series = irradiance[rec.tract]
-        for date in dates:
-            profiles.append(
-                _profile_for_day(
-                    ti, rec.lat, date, series.ghi_for_date(date), tables.degradation
-                )
-            )
-    return profiles
+def _profiles_for_records(records, ghi_by_tract, deltas, seed, tables, n_samples):
+    """(mean, std) blocks of shape (len(records), D, 24); deltas holds the D
+    declinations and ghi_by_tract each tract's (D, 24) GHI."""
+    mean = np.empty((len(records), deltas.size, 24))
+    std = np.empty_like(mean)
+    for k, rec in enumerate(records):
+        ti = sample_time_invariant(rec, n_samples, tables, rng_for(seed, "pv", rec.id))
+        d = np.array([tables.degradation[a] for a in ti.azimuths])
+        per_wh = ti.arpr * _tilt_factors(rec.lat, deltas[:, None], ti.tilts, d)
+        mean[k], std[k] = _ensemble_kwh(ghi_by_tract[rec.tract], per_wh)
+    return mean, std
 
 
 def generate_profiles(
@@ -298,70 +294,65 @@ def generate_profiles(
     seed: int = 0,
     tables: SamplingTables | None = None,
     n_samples: int = 20,
-) -> list:
+) -> EnergyProfiles:
     """Energy profiles for every solar-adopter household over the dates.
 
     irradiance maps tract id to IrradianceSeries.  Households are split into
     contiguous blocks across workers; per-household streams are derived from
-    (seed, household id), so the result is a list ordered by (household
-    table order, date) and identical for any worker count.
+    (seed, household id), so the block's households follow the table order
+    and its values are identical for any worker count.
     """
     tables = tables or DEFAULT_TABLES
     dates = list(dates)
     if not dates:
         raise ValueError("no dates in period")
-    adopters = [rec for rec in pop if rec.solar]
-    for rec in adopters:
-        if rec.tract not in irradiance:
-            raise ValueError(f"no irradiance series for tract {rec.tract}")
-        series = irradiance[rec.tract]
+    rows = np.flatnonzero(pop.solar.filled(False))
+    ghi_by_tract = {}
+    for tract in dict.fromkeys(pop.tract[rows].tolist()):
+        if tract not in irradiance:
+            raise ValueError(f"no irradiance series for tract {tract}")
+        series = irradiance[tract]
         for date in dates:
             if not series.covers(date):
-                raise ValueError(
-                    f"no irradiance for tract {rec.tract} on {date.isoformat()}"
-                )
-    if not adopters:
-        return []
+                raise ValueError(f"no irradiance for tract {tract} on {date.isoformat()}")
+        ghi_by_tract[tract] = np.stack([series.ghi_for_date(date) for date in dates])
+    deltas = np.array([declination(date.timetuple().tm_yday) for date in dates])
+    adopters = [pop[i] for i in rows]
+    args = (ghi_by_tract, deltas, seed, tables, n_samples)
     workers = max(1, int(workers))
-    if workers == 1 or len(adopters) == 1:
-        return _profiles_for_records(adopters, irradiance, dates, seed, tables, n_samples)
-    blocks = [b for b in np.array_split(np.arange(len(adopters)), workers) if b.size]
-    profiles = []
-    # more blocks than CPUs queue on the pool; the blocks fix the output
-    with ProcessPoolExecutor(max_workers=min(len(blocks), os.cpu_count() or 1)) as pool:
-        futures = [
-            pool.submit(
-                _profiles_for_records,
-                [adopters[i] for i in block],
-                irradiance,
-                dates,
-                seed,
-                tables,
-                n_samples,
-            )
-            for block in blocks
-        ]
-        for future in futures:
-            profiles.extend(future.result())
-    return profiles
+    if workers == 1 or len(adopters) <= 1:
+        parts = [_profiles_for_records(adopters, *args)]
+    else:
+        blocks = [b for b in np.array_split(np.arange(len(adopters)), workers) if b.size]
+        # more blocks than CPUs queue on the pool; the blocks fix the output
+        with ProcessPoolExecutor(max_workers=min(len(blocks), os.cpu_count() or 1)) as pool:
+            futures = [
+                pool.submit(_profiles_for_records, [adopters[i] for i in block], *args)
+                for block in blocks
+            ]
+            parts = [future.result() for future in futures]
+    mean, std = parts[0] if len(parts) == 1 else (np.concatenate(p) for p in zip(*parts))
+    return EnergyProfiles(pop.id[rows], dates, mean, std)
 
 
-def save_profiles(profiles, out_dir) -> list:
-    """Write one profiles_<date>.csv per date; returns the paths written."""
-    by_date = {}
-    for prof in profiles:
-        by_date.setdefault(prof.date, []).append(prof)
+def save_profiles(profiles: EnergyProfiles, out_dir) -> list:
+    """Write one profiles_<date>.csv per date, in ascending date order;
+    returns the paths written (none when there are no households)."""
+    if not profiles.household.size:
+        return []
+    ids = profiles.household.tolist()
     paths = []
-    for date in sorted(by_date):
-        day = date.isoformat()
+    for j in sorted(range(len(profiles.dates)), key=profiles.dates.__getitem__):
+        day = profiles.dates[j].isoformat()
         path = os.path.join(out_dir, f"profiles_{day}.csv")
+        means = profiles.hourly_mean[:, j].tolist()
+        stds = profiles.hourly_std[:, j].tolist()
         write_csv(
             path,
             ["household_id", "date", "hour", "mean_kwh", "std_kwh"],
             (
-                [prof.household, day, hour, repr(float(prof.hourly_mean[hour])),
-                 repr(float(prof.hourly_std[hour]))]
-                for prof in by_date[date]
+                [hid, day, hour, repr(means[k][hour]), repr(stds[k][hour])]
+                for k, hid in enumerate(ids)
                 for hour in range(24)
             ),
         )
@@ -369,15 +360,18 @@ def save_profiles(profiles, out_dir) -> list:
     return paths
 
 
-def save_daily(profiles, path):
-    """Write daily_<period>.csv rows in profile order."""
+def save_daily(profiles: EnergyProfiles, path):
+    """Write daily_<period>.csv rows in (household, date) order."""
+    days = [date.isoformat() for date in profiles.dates]
+    means = profiles.daily_mean.tolist()
+    stds = profiles.daily_std.tolist()
     write_csv(
         path,
         ["household_id", "date", "daily_mean_kwh", "daily_std_kwh"],
         (
-            [prof.household, prof.date.isoformat(), repr(float(prof.daily_mean)),
-             repr(float(prof.daily_std))]
-            for prof in profiles
+            [hid, day, repr(means[k][j]), repr(stds[k][j])]
+            for k, hid in enumerate(profiles.household.tolist())
+            for j, day in enumerate(days)
         ),
     )
 

@@ -321,21 +321,24 @@ def test_criterion_6_profiles(tmp_path):
 
     night = [True] * 24
     tract_of = {rec.id: rec.tract for rec in pop}
-    for prof in runs[1]:
-        # aggregate identities hold row by row
-        assert prof.daily_mean == pytest.approx(
-            float(np.sum(prof.hourly_mean)), abs=1e-9
-        )
-        assert prof.daily_std**2 == pytest.approx(
-            float(np.sum(prof.hourly_std**2)), abs=1e-9
-        )
-        ghi = irradiance[tract_of[prof.household]].ghi_for_date(prof.date)
-        for hour in range(24):
-            if ghi[hour] == 0.0:
-                assert prof.hourly_mean[hour] == 0.0
-                assert prof.hourly_std[hour] == 0.0
-            else:
-                night[hour] = False
+    one = runs[1]
+    daily_mean, daily_std = one.daily_mean, one.daily_std
+    for k, household in enumerate(one.household.tolist()):
+        for j, date in enumerate(one.dates):
+            mean = one.hourly_mean[k, j]
+            std = one.hourly_std[k, j]
+            # aggregate identities hold row by row
+            assert daily_mean[k, j] == pytest.approx(float(np.sum(mean)), abs=1e-9)
+            assert daily_std[k, j] ** 2 == pytest.approx(
+                float(np.sum(std**2)), abs=1e-9
+            )
+            ghi = irradiance[tract_of[household]].ghi_for_date(date)
+            for hour in range(24):
+                if ghi[hour] == 0.0:
+                    assert mean[hour] == 0.0
+                    assert std[hour] == 0.0
+                else:
+                    night[hour] = False
     assert not all(night)  # the week has daylight hours
 
     # doubling irradiance doubles every mean exactly
@@ -344,9 +347,8 @@ def test_criterion_6_profiles(tmp_path):
         for t, s in irradiance.items()
     }
     twice = generate_profiles(pop, doubled, dates, workers=1, seed=3, n_samples=20)
-    for one, two in zip(runs[1], twice):
-        assert np.array_equal(two.hourly_mean, one.hourly_mean * 2.0)
-        assert two.daily_mean == one.daily_mean * 2.0
+    assert np.array_equal(twice.hourly_mean, one.hourly_mean * 2.0)
+    assert np.array_equal(twice.daily_mean, one.daily_mean * 2.0)
 
 
 # ---------------------------------------------------------------- criterion 7

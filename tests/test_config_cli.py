@@ -225,3 +225,19 @@ def test_simulate_case_filter(tiny_run, tmp_path):
     lines = (out / "adoption_timeline.csv").read_text().splitlines()
     cases = {line.split(",")[0] for line in lines[1:]}
     assert cases == {"1a", "1b"}
+
+
+def test_simulate_cases_parsed_like_config(tiny_run, caplog):
+    # the --cases list goes through the config's parser: entries are
+    # stripped and empty ones dropped, as in [diffusion] cases
+    _, out, ini = tiny_run
+    caplog.set_level("INFO", logger="solartwin")
+    code = main([
+        "simulate", "--config", str(ini), "--out", str(out), "--cases", " 1a,,1b ",
+    ])
+    assert code == 0
+    lines = (out / "adoption_timeline.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == ["1a"] * 3 + ["1b"] * 3
+    logged = [r.getMessage() for r in caplog.records if "ended with" in r.getMessage()]
+    assert [m.split()[2] for m in logged] == ["1a", "1b"]
+    assert all(m.startswith("simulate: case 1") for m in logged)

@@ -21,6 +21,7 @@ from solartwin.pv import (
     tilted_radiation,
 )
 from solartwin.records import HouseholdRecord, HouseholdTable, IrradianceSeries
+from solartwin.seeds import rng_for
 
 FEATURES = {
     "NHSLDMEM": 2,
@@ -140,24 +141,30 @@ def test_profiles_shape_and_order():
     pop, irr, dates = profiles_setup()
     profiles = generate_profiles(pop, irr, dates, seed=4)
     assert len(profiles) == 6 * 2
+    assert profiles.hourly_mean.shape == profiles.hourly_std.shape == (6, 2, 24)
     # ordered by household table order, then date
-    keys = [(p.household, p.date) for p in profiles]
-    assert keys == [(h, d) for h in range(6) for d in dates]
+    assert profiles.household.tolist() == list(range(6))
+    assert profiles.dates == dates
 
 
 def test_profiles_identities_and_night_zeros():
     pop, irr, dates = profiles_setup()
-    for prof in generate_profiles(pop, irr, dates, seed=4):
-        assert prof.daily_mean == pytest.approx(float(prof.hourly_mean.sum()), abs=1e-9)
-        assert prof.daily_std**2 == pytest.approx(
-            float((prof.hourly_std**2).sum()), abs=1e-9
-        )
-        for hour in range(24):
-            if not 8 <= hour < 17:
-                assert prof.hourly_mean[hour] == 0.0
-                assert prof.hourly_std[hour] == 0.0
-            else:
-                assert prof.hourly_mean[hour] > 0.0
+    profiles = generate_profiles(pop, irr, dates, seed=4)
+    daily_mean, daily_std = profiles.daily_mean, profiles.daily_std
+    for k in range(len(pop)):
+        for j in range(len(dates)):
+            mean = profiles.hourly_mean[k, j]
+            std = profiles.hourly_std[k, j]
+            assert daily_mean[k, j] == pytest.approx(float(mean.sum()), abs=1e-9)
+            assert daily_std[k, j] ** 2 == pytest.approx(
+                float((std**2).sum()), abs=1e-9
+            )
+            for hour in range(24):
+                if not 8 <= hour < 17:
+                    assert mean[hour] == 0.0
+                    assert std[hour] == 0.0
+                else:
+                    assert mean[hour] > 0.0
 
 
 def test_profiles_ghi_doubling_is_exact():
@@ -167,9 +174,8 @@ def test_profiles_ghi_doubling_is_exact():
     }
     base = generate_profiles(pop, irr, dates, seed=4)
     twice = generate_profiles(pop, doubled, dates, seed=4)
-    for a, b in zip(base, twice):
-        assert np.array_equal(b.hourly_mean, a.hourly_mean * 2.0)
-        assert np.array_equal(b.hourly_std, a.hourly_std * 2.0)
+    assert np.array_equal(twice.hourly_mean, base.hourly_mean * 2.0)
+    assert np.array_equal(twice.hourly_std, base.hourly_std * 2.0)
 
 
 def test_profiles_worker_invariance_small():
@@ -177,10 +183,10 @@ def test_profiles_worker_invariance_small():
     one = generate_profiles(pop, irr, dates, workers=1, seed=4)
     two = generate_profiles(pop, irr, dates, workers=2, seed=4)
     assert len(one) == len(two)
-    for a, b in zip(one, two):
-        assert (a.household, a.date) == (b.household, b.date)
-        assert np.array_equal(a.hourly_mean, b.hourly_mean)
-        assert np.array_equal(a.hourly_std, b.hourly_std)
+    assert np.array_equal(one.household, two.household)
+    assert one.dates == two.dates
+    assert np.array_equal(one.hourly_mean, two.hourly_mean)
+    assert np.array_equal(one.hourly_std, two.hourly_std)
 
 
 def test_profile_pool_capped_at_cpu_count(monkeypatch):
@@ -207,10 +213,10 @@ def test_profile_pool_capped_at_cpu_count(monkeypatch):
     many = generate_profiles(pop, irr, dates, workers=5000, seed=4)
     assert pools == [2]
     one = generate_profiles(pop, irr, dates, workers=1, seed=4)
-    assert [(p.household, p.date) for p in many] == [(p.household, p.date) for p in one]
-    for a, b in zip(many, one):
-        assert np.array_equal(a.hourly_mean, b.hourly_mean)
-        assert np.array_equal(a.hourly_std, b.hourly_std)
+    assert np.array_equal(many.household, one.household)
+    assert many.dates == one.dates
+    assert np.array_equal(many.hourly_mean, one.hourly_mean)
+    assert np.array_equal(many.hourly_std, one.hourly_std)
 
 
 def test_profiles_only_for_adopters():
@@ -218,7 +224,22 @@ def test_profiles_only_for_adopters():
     pop = HouseholdTable(records)
     series = flat_series(days=1)
     profiles = generate_profiles(pop, {"t1": series}, [series.start_date], seed=0)
-    assert [p.household for p in profiles] == [0]
+    assert profiles.household.tolist() == [0]
+    assert len(profiles) == 1
+
+
+def test_profiles_empty_side(tmp_path):
+    pop = HouseholdTable([make_household(0, solar=False), make_household(1, solar=False)])
+    series = flat_series(days=2)
+    dates = [series.start_date, series.start_date + datetime.timedelta(days=1)]
+    profiles = generate_profiles(pop, {"t1": series}, dates, workers=2, seed=0)
+    assert len(profiles) == 0
+    assert save_profiles(profiles, tmp_path) == []
+    assert list(tmp_path.iterdir()) == []
+    save_daily(profiles, tmp_path / "daily.csv")
+    assert (tmp_path / "daily.csv").read_bytes() == (
+        b"household_id,date,daily_mean_kwh,daily_std_kwh\r\n"
+    )
 
 
 def test_profiles_input_guards():
@@ -230,6 +251,43 @@ def test_profiles_input_guards():
     late = [dates[-1] + datetime.timedelta(days=30)]
     with pytest.raises(ValueError, match="no irradiance for tract t1 on"):
         generate_profiles(pop, irr, late, seed=0)
+    # two tracts: only the second one's series ends early, so it is named
+    # with the first date it lacks
+    two = HouseholdTable(
+        [make_household(0), make_household(1, tract="t2"), make_household(2, tract="t2")]
+    )
+    short = {"t1": flat_series(days=3), "t2": flat_series("t2", days=1)}
+    days3 = [dates[0] + datetime.timedelta(days=d) for d in range(3)]
+    with pytest.raises(ValueError, match="^no irradiance for tract t2 on 2018-06-02$"):
+        generate_profiles(two, short, days3, seed=0)
+    with pytest.raises(ValueError, match="^no irradiance series for tract t2$"):
+        generate_profiles(two, {"t1": short["t1"]}, days3, seed=0)
+
+
+def test_profiles_horizontal_fallback_across_dates():
+    # at lat 89.5, sin(alpha) <= 0.01 through 2018-03-22 and > 0.01 from 03-23
+    rec = make_household(lat=89.5)
+    start = datetime.date(2018, 3, 20)
+    series = flat_series(days=6, start=start)
+    dates = [start + datetime.timedelta(days=d) for d in range(6)]
+    profiles = generate_profiles(HouseholdTable([rec]), {"t1": series}, dates, seed=5)
+    ti = sample_time_invariant(rec, 20, DEFAULT_TABLES, rng_for(5, "pv", rec.id))
+    d = np.array([DEFAULT_TABLES.degradation[a] for a in ti.azimuths])
+    flat_days = 0
+    for j, date in enumerate(dates):
+        alpha = 90.0 - 89.5 + declination(date.timetuple().tm_yday)
+        s = np.sin(np.radians(alpha))
+        if s <= 0.01:
+            per_wh = ti.arpr * d
+            flat_days += 1
+        else:
+            per_wh = ti.arpr * np.maximum(np.sin(np.radians(alpha + ti.tilts)) / s * d, 0.0)
+        assert (s <= 0.01) == (date <= datetime.date(2018, 3, 22))
+        for hour, ghi in enumerate(series.ghi_for_date(date)):
+            kwh = ghi / 1000.0 * per_wh
+            assert profiles.hourly_mean[0, j, hour] == kwh.mean()
+            assert profiles.hourly_std[0, j, hour] == kwh.std()
+    assert flat_days == 3
 
 
 def test_profile_csv_roundtrip(tmp_path):
@@ -242,15 +300,16 @@ def test_profile_csv_roundtrip(tmp_path):
     rows = load_profile_rows(paths[0])
     assert len(rows) == 3 * 24
     by_key = {(r[0], r[2]): (r[3], r[4]) for r in rows}
-    prof = profiles[0]
-    assert by_key[(prof.household, 10)] == (
-        float(prof.hourly_mean[10]), float(prof.hourly_std[10])
+    assert by_key[(int(profiles.household[0]), 10)] == (
+        float(profiles.hourly_mean[0, 0, 10]), float(profiles.hourly_std[0, 0, 10])
     )
     daily_path = tmp_path / "daily_test.csv"
     save_daily(profiles, daily_path)
     daily = load_daily(daily_path)
     assert len(daily) == len(profiles)
-    assert daily[0][2] == float(profiles[0].daily_mean)
+    assert daily[0][2] == float(profiles.daily_mean[0, 0])
+    # rows in (household, date) order
+    assert [(r[0], r[1]) for r in daily] == [(h, d) for h in range(3) for d in dates]
 
 
 def test_custom_tables_flow_through():
