@@ -3,16 +3,13 @@
 from datetime import timedelta
 
 from solartwin.pv import generate_profiles
-from solartwin.records import copy_record
 from solartwin.toygen import ToyConfig, gen_irradiance, gen_population, tract_ids
 
 cfg = ToyConfig(n_households=40, n_tracts=2, days=3, seed=7)
 pop = gen_population(cfg)
 
 # give everyone a roof size and mark the first few as adopters
-fitted = pop.with_records(
-    [copy_record(r, solar=r.id < 5, sqft_value=900.0 + 40.0 * r.id) for r in pop]
-)
+fitted = pop.replace(solar=pop.id < 5, sqft_value=900.0 + 40.0 * pop.id)
 irradiance = {t: gen_irradiance(cfg, t) for t in tract_ids(cfg)}
 dates = [cfg.start_date + timedelta(days=i) for i in range(cfg.days)]
 

@@ -65,11 +65,14 @@ from .records import (
     sqft_class_range,
     write_csv,
 )
-from .seeds import rng_for
+from .seeds import stream_rows
 from .sqft import estimate_sqft, subclass_weights
 from .toygen import ToyConfig, gen_irradiance, gen_network, gen_population, gen_survey, tract_ids
 
 log = logging.getLogger("solartwin")
+
+# households per estimate-sqft draw block
+_SQFT_CHUNK = 4096
 
 
 def parse_period(text: str):
@@ -231,15 +234,20 @@ def cmd_classify_sqft(cfg: RunConfig, args):
 def cmd_estimate_sqft(cfg: RunConfig, args):
     pop = load_households(_require(_path(cfg, "households_classified.csv"), "classify-sqft"))
     survey = _load_survey(_require(_path(cfg, "survey.csv"), "toygen"))
-    classes = pop.labels("sqft_class").tolist()
+    classes = pop.labels("sqft_class")
     weights = {
         k: subclass_weights(survey, sqft_class_range(k), cfg.sqft_k, uniform_fallback=True)
-        for k in sorted(set(classes))
+        for k in np.unique(classes).tolist()
     }
-    values = [
-        estimate_sqft(weights[k], cfg.sqft_m, cfg.sqft_l, rng_for(cfg.seed, "sqft", i))
-        for k, i in zip(classes, pop.id.tolist())
-    ]
+    values = np.empty(len(pop))
+    size = cfg.sqft_m + cfg.sqft_m * cfg.sqft_l
+    for start in range(0, len(pop), _SQFT_CHUNK):
+        # household i draws from its own stream rng_for(seed, "sqft", i)
+        draws = stream_rows(cfg.seed, "sqft", pop.id[start : start + _SQFT_CHUNK], size)
+        chunk = classes[start : start + _SQFT_CHUNK]
+        for k, w in weights.items():
+            rows = np.flatnonzero(chunk == k)
+            values[start + rows] = estimate_sqft(w, cfg.sqft_m, cfg.sqft_l, draws[rows])
     save_households(pop.replace(sqft_value=values), _path(cfg, "households_sqft.csv"))
     log.info("estimate-sqft: filled sqft_value for %d households", len(values))
 
@@ -339,11 +347,10 @@ def cmd_simulate(cfg: RunConfig, args):
     irradiance = _load_irradiance_map(cfg, pop.tract)
     # personal benefit needs generation for every household, adopter or not
     everyone = pop.replace(solar=np.ones(len(pop), dtype=bool))
-    profiles = generate_profiles(
+    mean_daily = generate_profiles(
         everyone, irradiance, dates,
-        workers=cfg.workers, seed=cfg.seed, n_samples=cfg.pv_samples,
-    )
-    mean_daily = profiles.daily_mean.mean(axis=1)
+        workers=cfg.workers, seed=cfg.seed, n_samples=cfg.pv_samples, hourly=False,
+    ).mean_daily
     annual_kwh = mean_daily * 365.0
     initial = np.flatnonzero(pop.solar.filled(False))
     cases = parse_cases(args.cases) if args.cases else cfg.cases

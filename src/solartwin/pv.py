@@ -6,23 +6,31 @@ fixes a solar elevation angle, each hour's horizontal irradiance is
 projected onto the sampled tilted planes with an azimuth degradation
 factor, and energy per sample is area * yield * radiation * ratio, reported
 as the ensemble mean and population standard deviation in kWh.  The result
-is one EnergyProfiles block of (households, dates, 24) arrays: each
-household is sampled once, and all of its dates go through one batched
-projection and one ensemble reduction.  Households are independent, so the
-engine parallelizes over contiguous household blocks with per-household
-seeded streams; outputs are identical for any worker count.
+is one EnergyProfiles block of (households, dates, 24) arrays.
+
+The engine reads the adopters' id, sqft_value, lat and tract columns and
+works on household chunks.  Each household's whole sampling sequence is
+one row of raw doubles from its own stream rng_for(seed, "pv", id), and
+the sampling math, the tilted projection and the ensemble reduction each
+run once per chunk; a chunk holds fewer households the more dates there
+are, so every intermediate is bounded by household-days.  A caller that
+needs only each household's mean daily kWh reduces every chunk as it is
+made (hourly=False).  Households are independent, so the engine also
+parallelizes over contiguous household blocks; outputs are identical for
+any worker count and any chunk size.
 """
 
 import datetime
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .records import HouseholdRecord, HouseholdTable, IrradianceSeries, read_csv, write_csv
-from .seeds import rng_for
+from .seeds import CHOICE_ERRORS, choice_codes, choice_error, choose, stream_rows
 
 SQFT_TO_M2 = 0.092903
 AZIMUTH_SECTORS = ("N", "NE", "E", "SE", "S", "SW", "W", "NW")
@@ -83,7 +91,11 @@ DEFAULT_TABLES = SamplingTables()
 
 @dataclass
 class TimeInvariantSamples:
-    """Per-household sampled ensembles of the time-invariant variables."""
+    """Sampled ensembles of the time-invariant variables of one household,
+    or of H households with a leading household axis on every field
+    (azimuths is then an (H, n) array of sector names).  degradation holds
+    each sample's azimuth factor from the sampling tables, NaN for a sector
+    they lack."""
 
     household: int
     roof_area: float
@@ -96,13 +108,22 @@ class TimeInvariantSamples:
     tilts: np.ndarray
     azimuths: tuple
     arpr: np.ndarray
+    degradation: np.ndarray | None = None
 
     def __post_init__(self):
-        for name in ("areas", "yields", "ratios", "planes", "tilts", "arpr"):
-            if len(getattr(self, name)) != self.n:
+        for name in ("areas", "yields", "ratios", "planes", "tilts", "azimuths", "arpr"):
+            if np.shape(getattr(self, name))[-1:] != (self.n,):
                 raise ValueError(f"{name} must have length n={self.n}")
-        if len(self.azimuths) != self.n:
-            raise ValueError(f"azimuths must have length n={self.n}")
+
+
+def _uniform_error(span):
+    """The exception Generator.uniform raises for high - low = span, or None."""
+    if not np.isfinite(span):
+        return OverflowError("high - low range exceeds valid bounds")
+    return ValueError("high - low < 0") if span < 0 else None
+
+
+_PER_SAMPLE = ("areas", "yields", "ratios", "planes", "tilts", "arpr", "degradation")
 
 
 def sample_time_invariant(
@@ -111,7 +132,7 @@ def sample_time_invariant(
     tables: SamplingTables | None = None,
     seed=0,
 ) -> TimeInvariantSamples:
-    """Draw n time-invariant samples for one household.
+    """Draw n time-invariant samples for one household, or for a batch.
 
     Roof area is 1.5x the house footprint converted to m^2; buildings at or
     under 464.6 m^2 count as small.  Yields and performance ratios are
@@ -120,58 +141,102 @@ def sample_time_invariant(
     exponential density whose (rate, location) depend on building type and
     whether the sample has a single plane; the winning candidate snaps down
     to a whole number of 1.64 m^2 panels.  Tilt/azimuth pairs come from the
-    joint weight table.  seed may be an integer or a numpy Generator.
+    joint weight table.
+
+    h is a HouseholdRecord, or a batch: any object with (H,) ``id`` and
+    ``sqft_value`` columns (a HouseholdTable, say; a missing footage is
+    masked or NaN), which adds a leading household axis to every field.
+    seed may be an integer, giving household h the stream rng_for(seed,
+    "pv", h.id), or a numpy Generator that the households consume in turn.
+    A household takes n * (n_candidates + 5) doubles in the order of one
+    Generator call per draw: n yields, n ratios, n plane counts; per sample,
+    n_candidates candidates and one pick; then n tilt/azimuth picks.  All
+    the math runs on the batch's (H, n, n_candidates + 1) block of doubles,
+    and a failure raises what the per-draw sequence raises for the first
+    household that fails, at its first failing check.
     """
     tables = tables or DEFAULT_TABLES
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if h.sqft_value is None:
-        raise ValueError(f"household {h.id} has no sqft_value")
-    if isinstance(seed, np.random.Generator):
-        rng = seed
-    else:
-        rng = rng_for(seed, "pv", h.id)
+    ids = np.atleast_1d(h.id)
+    sqft = np.atleast_1d(np.ma.filled(np.nan if h.sqft_value is None else h.sqft_value, np.nan))
+    missing = np.isnan(sqft)
 
-    roof_area = tables.roof_factor * h.sqft_value * SQFT_TO_M2
-    building_type = "small" if roof_area <= tables.small_threshold_m2 else "medium"
+    def no_sqft(row):
+        return ValueError(f"household {int(ids[row])} has no sqft_value")
 
-    yields = rng.uniform(*tables.yield_range, size=n)
-    ratios = rng.uniform(*tables.pr_range, size=n)
-
+    if missing[0]:
+        raise no_sqft(0)
+    # checks on the tables alone, which the first household meets next
+    y_lo, y_hi = map(float, tables.yield_range)
+    r_lo, r_hi = map(float, tables.pr_range)
     plane_values = np.array(sorted(tables.plane_weights))
     plane_p = np.array([tables.plane_weights[v] for v in plane_values], dtype=float)
-    planes = rng.choice(plane_values, size=n, p=plane_p / plane_p.sum())
-
-    areas = np.empty(n)
-    for i in range(n):
-        rate, location = tables.area_params[(building_type, bool(planes[i] == 1))]
-        candidates = rng.uniform(0.0, roof_area, size=tables.n_candidates)
-        weights = np.where(
-            candidates >= location,
-            rate * np.exp(-rate * (candidates - location)),
-            0.0,
-        )
-        total = weights.sum()
-        if total <= 0.0:
-            weights = np.full(tables.n_candidates, 1.0)  # all mass below location
-            total = float(tables.n_candidates)
-        chosen = rng.choice(candidates, p=weights / total)
-        areas[i] = math.floor(chosen / tables.panel_area_m2) * tables.panel_area_m2
-
-    tilt_values = sorted(tables.tilt_weights)
-    azimuth_values = [a for a in AZIMUTH_SECTORS if a in tables.azimuth_weights]
-    pairs = [(t, a) for t in tilt_values for a in azimuth_values]
-    joint = np.array(
-        [tables.tilt_weights[t] * tables.azimuth_weights[a] for t, a in pairs]
+    plane_p = plane_p / plane_p.sum()
+    for error in (_uniform_error(y_hi - y_lo), _uniform_error(r_hi - r_lo), choice_error(plane_p)):
+        if error is not None:
+            raise error
+    area_params = np.array(
+        [[tables.area_params[kind, one] for one in (False, True)] for kind in ("small", "medium")],
+        float,
     )
-    picks = rng.choice(len(pairs), size=n, p=joint / joint.sum())
-    tilts = np.array([pairs[i][0] for i in picks])
-    azimuths = tuple(pairs[i][1] for i in picks)
+    pairs = [
+        (t, a)
+        for t in sorted(tables.tilt_weights)
+        for a in AZIMUTH_SECTORS
+        if a in tables.azimuth_weights
+    ]
+    joint = np.array([tables.tilt_weights[t] * tables.azimuth_weights[a] for t, a in pairs])
+    joint = joint / joint.sum()
+    joint_error = choice_error(joint)
 
-    return TimeInvariantSamples(
-        household=h.id,
-        roof_area=roof_area,
-        building_type=building_type,
+    C = tables.n_candidates
+    H, size = ids.size, n * (C + 5)
+    if isinstance(seed, np.random.Generator):
+        u = seed.random((H, size))
+    else:
+        u = stream_rows(seed, "pv", ids, size)
+    draws = u[:, 3 * n : 3 * n + n * (C + 1)].reshape(H, n, C + 1)
+    yields = y_lo + (y_hi - y_lo) * u[:, :n]
+    ratios = r_lo + (r_hi - r_lo) * u[:, n : 2 * n]
+    planes = plane_values[choose(plane_p, u[:, 2 * n : 3 * n])]
+    roof = tables.roof_factor * sqft * SQFT_TO_M2
+    medium = ~(roof <= tables.small_threshold_m2)
+    cell = area_params[medium[:, None].astype(int), (planes == 1).astype(int)]
+    rate, location = cell[..., 0, None], cell[..., 1, None]
+    # uniform(0, roof) is 0 + roof * u, which is roof * u
+    candidates = roof[:, None, None] * draws[..., :C]
+    weights = np.where(
+        candidates >= location, rate * np.exp(-rate * (candidates - location)), 0.0
+    )
+    total = weights.sum(axis=-1)
+    flat = total <= 0.0  # all mass below location: uniform weights
+    p = np.where(flat[..., None], 1.0, weights) / np.where(flat, float(C), total)[..., None]
+
+    # each sample checks uniform's range, then choice's p; the joint pick is last
+    range_error = [_uniform_error(span) for span in roof.tolist()]
+    p_code = choice_codes(p)
+    bad = np.array([e is not None for e in range_error])[:, None] | (p_code >= 0)
+    fails = missing | bad.any(axis=1)
+    fails[0] |= joint_error is not None
+    if fails.any():
+        row = int(np.argmax(fails))
+        if missing[row]:
+            raise no_sqft(row)
+        if not bad[row].any():
+            raise joint_error
+        raise range_error[row] or ValueError(CHOICE_ERRORS[p_code[row][p_code[row] >= 0][0]])
+
+    chosen = np.take_along_axis(candidates, choose(p, draws[..., C])[..., None], axis=-1)
+    areas = np.floor(chosen[..., 0] / tables.panel_area_m2) * tables.panel_area_m2
+    pick = choose(joint, u[:, 3 * n + n * (C + 1) :])
+    tilts = np.array([t for t, _ in pairs])[pick]
+    azimuths = np.array([a for _, a in pairs])[pick]
+    factors = np.array([tables.degradation.get(a, np.nan) for _, a in pairs], dtype=float)
+    ti = TimeInvariantSamples(
+        household=ids,
+        roof_area=roof,
+        building_type=np.where(medium, "medium", "small"),
         n=n,
         areas=areas,
         yields=yields,
@@ -180,6 +245,17 @@ def sample_time_invariant(
         tilts=tilts,
         azimuths=azimuths,
         arpr=areas * yields * ratios,
+        degradation=factors[pick],
+    )
+    if np.ndim(h.id):
+        return ti
+    return replace(
+        ti,
+        household=h.id,
+        roof_area=float(roof[0]),
+        building_type=str(ti.building_type[0]),
+        **{name: getattr(ti, name)[0] for name in _PER_SAMPLE},
+        azimuths=tuple(azimuths[0].tolist()),
     )
 
 
@@ -228,11 +304,14 @@ def _tilt_factors(lat: float, delta, tilts, d):
     return np.where(flat, d, np.maximum(factors, 0.0))
 
 
-def _ensemble_kwh(ghi, per_wh) -> tuple:
-    """Hourly (mean, std) kWh over the ensemble, where sample i yields
-    ghi[..., h] / 1000 * per_wh[..., i] in hour h; ghi (..., hours) and
-    per_wh (..., n) give (..., hours) results."""
-    energy = (np.asarray(ghi) / 1000.0)[..., :, None] * per_wh[..., None, :]
+def _sample_kwh(ghi, per_wh):
+    """kWh of every sample in every hour, (..., hours, n): sample i yields
+    ghi[..., h] / 1000 * per_wh[..., i] in hour h."""
+    return (np.asarray(ghi) / 1000.0)[..., :, None] * per_wh[..., None, :]
+
+
+def _ensemble_kwh(energy) -> tuple:
+    """Hourly (mean, std) kWh over the ensemble, the last axis of energy."""
     return energy.mean(axis=-1), energy.std(axis=-1)
 
 
@@ -247,19 +326,22 @@ def hourly_energy(ti: TimeInvariantSamples, ht) -> tuple:
     if ht_arr.ndim != 0 and ht_arr.shape != (ti.n,):
         raise ValueError(f"ht must be scalar or length {ti.n}")
     # one hour at unit GHI: ht already holds each sample's plane irradiance
-    mean, std = _ensemble_kwh([1.0], ti.arpr * ht_arr)
+    mean, std = _ensemble_kwh(_sample_kwh([1.0], ti.arpr * ht_arr))
     return float(mean[0]), float(std[0])
 
 
 @dataclass
 class EnergyProfiles:
     """Hourly (mean, std) kWh of H households over D dates, as (H, D, 24)
-    arrays; household holds the (H,) ids.  len() counts household-days."""
+    arrays, or None when they were reduced without being kept; household
+    holds the (H,) ids, and mean_daily each household's mean over the dates
+    of its daily mean kWh.  len() counts household-days."""
 
     household: np.ndarray
     dates: list
-    hourly_mean: np.ndarray
-    hourly_std: np.ndarray
+    hourly_mean: np.ndarray | None
+    hourly_std: np.ndarray | None
+    mean_daily: np.ndarray
 
     @property
     def daily_mean(self) -> np.ndarray:
@@ -270,20 +352,55 @@ class EnergyProfiles:
         return np.sqrt((self.hourly_std**2).sum(axis=-1))
 
     def __len__(self):
-        return self.hourly_mean.shape[0] * self.hourly_mean.shape[1]
+        return self.household.size * len(self.dates)
 
 
-def _profiles_for_records(records, ghi_by_tract, deltas, seed, tables, n_samples):
-    """(mean, std) blocks of shape (len(records), D, 24); deltas holds the D
-    declinations and ghi_by_tract each tract's (D, 24) GHI."""
-    mean = np.empty((len(records), deltas.size, 24))
-    std = np.empty_like(mean)
-    for k, rec in enumerate(records):
-        ti = sample_time_invariant(rec, n_samples, tables, rng_for(seed, "pv", rec.id))
-        d = np.array([tables.degradation[a] for a in ti.azimuths])
-        per_wh = ti.arpr * _tilt_factors(rec.lat, deltas[:, None], ti.tilts, d)
-        mean[k], std[k] = _ensemble_kwh(ghi_by_tract[rec.tract], per_wh)
-    return mean, std
+# doubles per intermediate array of the profile kernel: a chunk covers
+# fewer households the more samples, candidates and dates each one has
+_BLOCK_CELLS = 1 << 18
+
+
+class _Households(NamedTuple):
+    """The columns of the adopters the profile kernel reads."""
+
+    id: np.ndarray
+    sqft_value: np.ndarray
+    lat: np.ndarray
+    tract: np.ndarray
+
+
+def _profile_chunks(households, ghi, deltas, seed, tables, n_samples, reduce):
+    """Yield reduce(energy) for consecutive household chunks, where energy
+    is the chunk's (households, D, 24, n) kWh per sample.
+
+    households.tract indexes the (tracts, D, 24) GHI stack ghi, and deltas
+    holds the D declinations.  Each chunk is sampled in one call and
+    projected in one _tilt_factors call.
+    """
+    per_household = max(n_samples, 1) * max(tables.n_candidates + 1, 24 * deltas.size)
+    rows = max(1, _BLOCK_CELLS // per_household)
+    for start in range(0, households.id.size, rows):
+        chunk = _Households(*(column[start : start + rows] for column in households))
+        ti = sample_time_invariant(chunk, n_samples, tables, seed)
+        lost = np.isnan(ti.degradation)
+        if lost.any():  # as the per-sample lookup raised it
+            raise KeyError(str(ti.azimuths[np.unravel_index(np.argmax(lost), lost.shape)]))
+        lat, tilts, d = chunk.lat[:, None, None], ti.tilts[:, None, :], ti.degradation[:, None, :]
+        factors = _tilt_factors(lat, deltas[:, None], tilts, d)
+        yield reduce(_sample_kwh(ghi[chunk.tract], ti.arpr[:, None, :] * factors))
+
+
+def _profile_block(*args):
+    return list(_profile_chunks(*args))
+
+
+def _mean_daily(energy):
+    return (energy.mean(axis=-1).sum(axis=-1).mean(axis=1),)
+
+
+def _hourly(energy):
+    mean, std = _ensemble_kwh(energy)
+    return mean, std, mean.sum(axis=-1).mean(axis=1)
 
 
 def generate_profiles(
@@ -294,45 +411,58 @@ def generate_profiles(
     seed: int = 0,
     tables: SamplingTables | None = None,
     n_samples: int = 20,
+    hourly: bool = True,
 ) -> EnergyProfiles:
-    """Energy profiles for every solar-adopter household over the dates.
+    """Energy profiles for every solar-adopter household over the dates, in
+    table order.
 
-    irradiance maps tract id to IrradianceSeries.  Households are split into
-    contiguous blocks across workers; per-household streams are derived from
-    (seed, household id), so the block's households follow the table order
-    and its values are identical for any worker count.
+    irradiance maps tract id to IrradianceSeries.  The kernel runs on
+    household chunks; with hourly=False each chunk is reduced to mean_daily
+    as it is made and the (households, dates, 24) blocks are not kept.
+    Households are split into contiguous blocks across workers, each block
+    returning its reduced chunks; per-household streams are derived from
+    (seed, household id), so the values are identical for any worker count.
     """
     tables = tables or DEFAULT_TABLES
     dates = list(dates)
     if not dates:
         raise ValueError("no dates in period")
     rows = np.flatnonzero(pop.solar.filled(False))
-    ghi_by_tract = {}
-    for tract in dict.fromkeys(pop.tract[rows].tolist()):
-        if tract not in irradiance:
-            raise ValueError(f"no irradiance series for tract {tract}")
-        series = irradiance[tract]
+    names, first, tract = np.unique(pop.tract[rows], return_index=True, return_inverse=True)
+    for name in names[np.argsort(first)].tolist():
+        if name not in irradiance:
+            raise ValueError(f"no irradiance series for tract {name}")
         for date in dates:
-            if not series.covers(date):
-                raise ValueError(f"no irradiance for tract {tract} on {date.isoformat()}")
-        ghi_by_tract[tract] = np.stack([series.ghi_for_date(date) for date in dates])
+            if not irradiance[name].covers(date):
+                raise ValueError(f"no irradiance for tract {name} on {date.isoformat()}")
+    ghi = np.array([[irradiance[name].ghi_for_date(date) for date in dates] for name in names])
     deltas = np.array([declination(date.timetuple().tm_yday) for date in dates])
-    adopters = [pop[i] for i in rows]
-    args = (ghi_by_tract, deltas, seed, tables, n_samples)
+    households = _Households(
+        pop.id[rows], pop.sqft_value.filled(np.nan)[rows], pop.lat[rows], tract
+    )
+    reduce = _hourly if hourly else _mean_daily
+    args = (ghi.reshape(-1, len(dates), 24), deltas, seed, tables, n_samples, reduce)
     workers = max(1, int(workers))
-    if workers == 1 or len(adopters) <= 1:
-        parts = [_profiles_for_records(adopters, *args)]
+    if workers == 1 or rows.size <= 1:
+        parts = _profile_chunks(households, *args)
     else:
-        blocks = [b for b in np.array_split(np.arange(len(adopters)), workers) if b.size]
+        blocks = [b for b in np.array_split(np.arange(rows.size), workers) if b.size]
         # more blocks than CPUs queue on the pool; the blocks fix the output
         with ProcessPoolExecutor(max_workers=min(len(blocks), os.cpu_count() or 1)) as pool:
             futures = [
-                pool.submit(_profiles_for_records, [adopters[i] for i in block], *args)
+                pool.submit(_profile_block, _Households(*(c[block] for c in households)), *args)
                 for block in blocks
             ]
-            parts = [future.result() for future in futures]
-    mean, std = parts[0] if len(parts) == 1 else (np.concatenate(p) for p in zip(*parts))
-    return EnergyProfiles(pop.id[rows], dates, mean, std)
+            parts = [part for future in futures for part in future.result()]
+    shapes = [a.shape[1:] for a in reduce(np.empty((0, len(dates), 24, 1)))]
+    out = [np.empty((rows.size,) + shape) for shape in shapes]
+    start = 0
+    for part in parts:
+        for whole, a in zip(out, part):
+            whole[start : start + len(a)] = a
+        start += len(part[0])
+    mean, std = out[:2] if hourly else (None, None)
+    return EnergyProfiles(pop.id[rows], dates, mean, std, out[-1])
 
 
 def save_profiles(profiles: EnergyProfiles, out_dir) -> list:

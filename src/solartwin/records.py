@@ -29,7 +29,7 @@ import csv
 import datetime
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -109,7 +109,7 @@ class HouseholdTable:
     columns, one value per row; an optional column left out is missing in
     every row, and a list may hold None cells.  Immutable by convention:
     ``table[i]`` and iteration return HouseholdRecord copies, so a change
-    goes into a new table through :meth:`replace` or :meth:`with_records`.
+    goes into a new table through :meth:`replace`.
     """
 
     def __init__(self, records=None, **columns):
@@ -194,9 +194,6 @@ class HouseholdTable:
     def replace(self, **columns) -> "HouseholdTable":
         """A new table with the named columns swapped for ``columns``."""
         return HouseholdTable(**{c: getattr(self, c) for c in _DTYPES} | columns)
-
-    def with_records(self, records) -> "HouseholdTable":
-        return HouseholdTable(records)
 
 
 def write_csv(path, header, rows):
@@ -498,11 +495,3 @@ def save_network(graph: Graph, path):
         fh.writelines(
             f"{u} {v}\n" for u, v in zip(graph.edge_u.tolist(), graph.edge_v.tolist())
         )
-
-
-def copy_record(rec: HouseholdRecord, **changes) -> HouseholdRecord:
-    """Copy a record with field overrides (features dict copied, not shared)."""
-    out = replace(rec, **changes)
-    if "features" not in changes:
-        out.features = dict(rec.features)
-    return out

@@ -3,14 +3,16 @@
 A class range is split into k equal-width sub-intervals weighted by how
 often survey values land in each.  The estimate draws M sub-intervals with
 replacement by weight, L uniform values from each, and returns the mean of
-all M*L draws, so it always lies inside the class range.
+all M*L draws, so it always lies inside the class range.  Each household's
+M + M*L draws are one row of doubles, so many households are estimated in
+one batched call on a block of rows.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .seeds import rng_for
+from .seeds import choice_error, choose, rng_for
 
 
 @dataclass(frozen=True)
@@ -76,22 +78,32 @@ def subclass_weights(
     )
 
 
-def estimate_sqft(w: SubclassWeights, M: int = 10, L: int = 10, seed=0) -> float:
+def estimate_sqft(w: SubclassWeights, M: int = 10, L: int = 10, seed=0):
     """Mean of M weighted sub-interval draws times L uniform draws each.
 
-    seed may be an integer or a numpy Generator (callers running many
-    households derive one stream per household).
+    seed may be an integer or a numpy Generator, giving one float (callers
+    running many households derive one stream per household), or an
+    (H, M + M*L) block of uniform doubles, one household's stream per row,
+    giving an (H,) array.  A stream's first M doubles pick sub-intervals as
+    ``Generator.choice(k, M, p=weights)`` does, and its next M*L place the
+    L draws inside each pick, so a block row gives what its Generator would.
     """
     if M < 1 or L < 1:
         raise ValueError("M and L must be >= 1")
-    if isinstance(seed, np.random.Generator):
-        rng = seed
+    if isinstance(seed, np.ndarray):
+        draws = seed
     else:
-        rng = rng_for(seed, "sqft-estimate")
-    edges = np.asarray(w.edges)
+        rng = seed if isinstance(seed, np.random.Generator) else rng_for(seed, "sqft-estimate")
+        draws = rng.random((1, M + M * L))
+    if draws.ndim != 2 or draws.shape[1] != M + M * L:
+        raise ValueError(f"draws must have shape (H, {M + M * L}), got {draws.shape}")
     weights = np.asarray(w.weights)
-    idx = rng.choice(w.k, size=M, p=weights)
+    if (error := choice_error(weights)) is not None:
+        raise error
+    edges = np.asarray(w.edges)
+    idx = choose(weights, draws[:, :M])
     lows = edges[idx]
     widths = edges[idx + 1] - edges[idx]
-    draws = lows[:, None] + rng.random((M, L)) * widths[:, None]
-    return float(draws.mean())
+    values = lows[..., None] + draws[:, M:].reshape(-1, M, L) * widths[..., None]
+    means = values.reshape(-1, M * L).mean(axis=-1)
+    return means if isinstance(seed, np.ndarray) else float(means[0])

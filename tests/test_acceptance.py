@@ -53,7 +53,7 @@ from solartwin.preprocess import (
     smoten_oversample,
 )
 from solartwin.pv import declination, generate_profiles, save_daily, save_profiles, tilted_radiation
-from solartwin.records import AdopterTarget, IrradianceSeries, copy_record
+from solartwin.records import AdopterTarget, IrradianceSeries
 from solartwin.seeds import rng_for
 from solartwin.sqft import SubclassWeights, estimate_sqft
 from solartwin.toygen import ToyConfig, gen_irradiance, gen_network, gen_population, tract_ids
@@ -281,11 +281,8 @@ def test_criterion_5_radiation():
 def _profile_world():
     cfg = ToyConfig(n_households=500, n_tracts=4, days=7, seed=3)
     pop = gen_population(cfg)
-    fitted = pop.with_records(
-        [
-            copy_record(rec, solar=True, sqft_value=500.0 + (rec.id % 40) * 50.0)
-            for rec in pop
-        ]
+    fitted = pop.replace(
+        solar=np.ones(len(pop), dtype=bool), sqft_value=500.0 + (pop.id % 40) * 50.0
     )
     irradiance = {t: gen_irradiance(cfg, t) for t in tract_ids(cfg)}
     dates = [cfg.start_date + timedelta(days=i) for i in range(cfg.days)]

@@ -1,15 +1,22 @@
 """Solar geometry, roof sampling, and the profile engine."""
 
 import datetime
+import math
 from concurrent.futures import Future
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from solartwin import pv
 from solartwin.pv import (
+    AZIMUTH_SECTORS,
     DEFAULT_TABLES,
+    SQFT_TO_M2,
     SamplingTables,
+    TimeInvariantSamples,
     declination,
     generate_profiles,
     hourly_energy,
@@ -21,7 +28,7 @@ from solartwin.pv import (
     tilted_radiation,
 )
 from solartwin.records import HouseholdRecord, HouseholdTable, IrradianceSeries
-from solartwin.seeds import rng_for
+from solartwin.seeds import choose, rng_for
 
 FEATURES = {
     "NHSLDMEM": 2,
@@ -318,3 +325,276 @@ def test_custom_tables_flow_through():
     assert np.all(ti.yields == 0.5)
     assert np.all(ti.ratios == 1.0)
     assert DEFAULT_TABLES.yield_range == (0.18, 0.22)
+
+
+# ------------------------------------------- batched sampler against the loop
+
+
+def _reference_sample_time_invariant(h, n, tables, rng):
+    """The per-sample sampler the batched kernel replaced: one Generator
+    call per draw, one rng.choice per sample."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if h.sqft_value is None:
+        raise ValueError(f"household {h.id} has no sqft_value")
+    roof_area = tables.roof_factor * h.sqft_value * SQFT_TO_M2
+    building_type = "small" if roof_area <= tables.small_threshold_m2 else "medium"
+    yields = rng.uniform(*tables.yield_range, size=n)
+    ratios = rng.uniform(*tables.pr_range, size=n)
+    plane_values = np.array(sorted(tables.plane_weights))
+    plane_p = np.array([tables.plane_weights[v] for v in plane_values], dtype=float)
+    planes = rng.choice(plane_values, size=n, p=plane_p / plane_p.sum())
+    areas = np.empty(n)
+    for i in range(n):
+        rate, location = tables.area_params[(building_type, bool(planes[i] == 1))]
+        candidates = rng.uniform(0.0, roof_area, size=tables.n_candidates)
+        weights = np.where(
+            candidates >= location,
+            rate * np.exp(-rate * (candidates - location)),
+            0.0,
+        )
+        total = weights.sum()
+        if total <= 0.0:
+            weights = np.full(tables.n_candidates, 1.0)
+            total = float(tables.n_candidates)
+        chosen = rng.choice(candidates, p=weights / total)
+        areas[i] = math.floor(chosen / tables.panel_area_m2) * tables.panel_area_m2
+    tilt_values = sorted(tables.tilt_weights)
+    azimuth_values = [a for a in AZIMUTH_SECTORS if a in tables.azimuth_weights]
+    pairs = [(t, a) for t in tilt_values for a in azimuth_values]
+    joint = np.array(
+        [tables.tilt_weights[t] * tables.azimuth_weights[a] for t, a in pairs]
+    )
+    picks = rng.choice(len(pairs), size=n, p=joint / joint.sum())
+    return TimeInvariantSamples(
+        household=h.id,
+        roof_area=roof_area,
+        building_type=building_type,
+        n=n,
+        areas=areas,
+        yields=yields,
+        ratios=ratios,
+        planes=planes,
+        tilts=np.array([pairs[i][0] for i in picks]),
+        azimuths=tuple(pairs[i][1] for i in picks),
+        arpr=areas * yields * ratios,
+    )
+
+
+def _outcome(fn, *args):
+    """fn's result, or the (type, message) of what it raised."""
+    try:
+        return fn(*args)
+    except (ValueError, KeyError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+def _same_samples(a, b):
+    assert a.household == b.household and a.n == b.n
+    assert a.roof_area == b.roof_area and a.building_type == b.building_type
+    for name in ("areas", "yields", "ratios", "planes", "tilts", "arpr"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert a.azimuths == b.azimuths
+
+
+# small/medium edge: the largest footage whose roof is <= 464.6 m^2, and the next
+_EDGE = 464.6 / (1.5 * SQFT_TO_M2)
+while 1.5 * _EDGE * SQFT_TO_M2 > 464.6:
+    _EDGE = np.nextafter(_EDGE, 0.0)
+while 1.5 * np.nextafter(_EDGE, np.inf) * SQFT_TO_M2 <= 464.6:
+    _EDGE = np.nextafter(_EDGE, np.inf)
+_FOOTAGES = st.one_of(
+    st.floats(0.5, 70.0),  # every candidate below the 10 m^2 location: uniform fallback
+    st.sampled_from([float(_EDGE), float(np.nextafter(_EDGE, np.inf))]),
+    st.floats(70.0, 12000.0),
+)
+_WEIGHT = st.one_of(st.just(0.0), st.floats(0.05, 5.0))
+_BAD_WEIGHT = st.sampled_from([float("nan"), float("inf"), -0.25])
+
+
+@st.composite
+def _tables(draw):
+    """Default tables, or custom ones with zero-weight entries, other
+    candidate counts and, now and then, a NaN, infinite or negative
+    weight or rate."""
+    if draw(st.booleans()):
+        return DEFAULT_TABLES
+
+    def weights(keys):
+        out = {k: draw(_WEIGHT) for k in keys}
+        out[draw(st.sampled_from(sorted(out)))] = draw(st.floats(0.05, 5.0))
+        if draw(st.integers(0, 9)) == 0:
+            out[draw(st.sampled_from(sorted(out)))] = draw(_BAD_WEIGHT)
+        return out
+
+    planes = draw(st.sets(st.integers(1, 5), min_size=1))
+    tilts = draw(st.sets(st.sampled_from([0.0, 15.0, 25.0, 35.0, 50.0]), min_size=1))
+    azimuths = draw(st.sets(st.sampled_from(AZIMUTH_SECTORS), min_size=1))
+    area = {
+        key: (draw(st.floats(0.0005, 0.2)), draw(st.sampled_from([0.0, 10.0, 300.0])))
+        for key in DEFAULT_TABLES.area_params
+    }
+    if draw(st.integers(0, 9)) == 0:
+        key = draw(st.sampled_from(sorted(area)))
+        area[key] = (draw(_BAD_WEIGHT), area[key][1])
+    return SamplingTables(
+        plane_weights=weights(sorted(planes)),
+        tilt_weights=weights(sorted(tilts)),
+        azimuth_weights=weights(sorted(azimuths)),
+        area_params=area,
+        n_candidates=draw(st.sampled_from([1, 2, 7, 100, 137])),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    footages=st.lists(st.one_of(st.none(), _FOOTAGES), min_size=1, max_size=6),
+    n=st.integers(1, 30),
+    tables=_tables(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(footages=[10.0, 4000.0], n=20, tables=DEFAULT_TABLES, seed=0)
+@example(footages=[1800.0, None, 30.0], n=3, tables=DEFAULT_TABLES, seed=1)
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")  # from the invalid tables
+def test_batched_sampler_matches_reference(footages, n, tables, seed):
+    """The batched kernel gives every household what the per-call loop
+    gives it from the same stream, bit for bit, and raises what the loop
+    raises for the first household that fails."""
+    households = [make_household(10 + 3 * k, sqft=f) for k, f in enumerate(footages)]
+    expected = []
+    for h in households:
+        got = _outcome(_reference_sample_time_invariant, h, n, tables, rng_for(seed, "pv", h.id))
+        expected.append(got)
+        if isinstance(got, tuple):
+            break
+    pop = HouseholdTable(households)
+    batch = _outcome(sample_time_invariant, pop, n, tables, seed)
+    if isinstance(expected[-1], tuple):
+        assert batch == expected[-1]
+    else:
+        assert batch.areas.shape == (len(households), n)
+        for k, ref in enumerate(expected):
+            _same_samples(
+                TimeInvariantSamples(
+                    int(batch.household[k]), float(batch.roof_area[k]),
+                    str(batch.building_type[k]), n, batch.areas[k], batch.yields[k],
+                    batch.ratios[k], batch.planes[k], batch.tilts[k],
+                    tuple(batch.azimuths[k].tolist()), batch.arpr[k],
+                ),
+                ref,
+            )
+    # the one-household API is the same kernel
+    first = _outcome(sample_time_invariant, households[0], n, tables, seed)
+    if isinstance(expected[0], tuple):
+        assert first == expected[0]
+    else:
+        _same_samples(first, expected[0])
+
+
+def test_choose_is_the_choice_search_rule():
+    """choose picks as Generator.choice does: the cdf divided by its last
+    value, searched with side="right", so a draw equal to a cdf step takes
+    the next entry and a draw above an unnormalized total stays in range."""
+    p = np.full(10, 0.1)  # its cumsum ends at 0.9999999999999999
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    top = np.nextafter(1.0, 0.0)
+    u = np.concatenate([cdf[:-1], [0.0, top], np.random.default_rng(0).random(50)])
+    assert np.array_equal(choose(p, u), cdf.searchsorted(u, side="right"))
+    assert choose(p, np.array([top]))[0] == 9
+    picks = np.random.default_rng(3).choice(10, size=200, p=p)
+    assert np.array_equal(choose(p, np.random.default_rng(3).random(200)), picks)
+
+
+def _reference_profiles(households, irradiance, dates, seed, tables, n):
+    """Per-household (D, 24) mean and std from the reference sampler."""
+    deltas = np.array([declination(date.timetuple().tm_yday) for date in dates])
+    mean, std = [], []
+    for h in households:
+        ti = _reference_sample_time_invariant(h, n, tables, rng_for(seed, "pv", h.id))
+        d = np.array([tables.degradation[a] for a in ti.azimuths])
+        ghi = np.stack([irradiance[h.tract].ghi_for_date(date) for date in dates])
+        per_wh = ti.arpr * pv._tilt_factors(h.lat, deltas[:, None], ti.tilts, d)
+        energy = (ghi / 1000.0)[:, :, None] * per_wh[:, None, :]
+        mean.append(energy.mean(axis=-1))
+        std.append(energy.std(axis=-1))
+    return np.array(mean).reshape(-1, len(dates), 24), np.array(std).reshape(-1, len(dates), 24)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    footages=st.lists(_FOOTAGES, min_size=1, max_size=7),
+    lats=st.lists(st.sampled_from([25.0, 38.0, 48.5, 89.5]), min_size=7, max_size=7),
+    days=st.integers(1, 4),
+    n=st.integers(1, 30),
+    cells=st.sampled_from([1, 700, 5000, pv._BLOCK_CELLS]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_profiles_match_reference_per_household(footages, lats, days, n, cells, seed):
+    """Household chunks of any size give each household's reference
+    profile bit for bit, and the chunked daily reduction equals the one
+    taken on the whole block."""
+    start = datetime.date(2018, 3, 19)
+    irradiance = {
+        "t1": flat_series("t1", days=days, start=start),
+        "t2": flat_series("t2", days=days, value=730.5, start=start),
+    }
+    dates = [start + datetime.timedelta(days=d) for d in range(days)]
+    households = [
+        make_household(k, sqft=f, tract=f"t{1 + k % 2}", lat=lats[k])
+        for k, f in enumerate(footages)
+    ]
+    pop = HouseholdTable(households)
+    with mock.patch.object(pv, "_BLOCK_CELLS", cells):
+        profiles = generate_profiles(pop, irradiance, dates, seed=seed, n_samples=n)
+        daily = generate_profiles(pop, irradiance, dates, seed=seed, n_samples=n, hourly=False)
+    mean, std = _reference_profiles(households, irradiance, dates, seed, DEFAULT_TABLES, n)
+    assert np.array_equal(profiles.hourly_mean, mean)
+    assert np.array_equal(profiles.hourly_std, std)
+    assert np.array_equal(profiles.mean_daily, profiles.daily_mean.mean(axis=1))
+    assert np.array_equal(daily.mean_daily, profiles.mean_daily)
+    assert daily.hourly_mean is None and daily.hourly_std is None
+    assert len(daily) == len(profiles) and np.array_equal(daily.household, profiles.household)
+
+
+def test_mean_daily_matches_whole_block_across_workers():
+    pop, irr, dates = profiles_setup(n_households=9, days=2)
+    whole = generate_profiles(pop, irr, dates, seed=11).daily_mean.mean(axis=1)
+    for workers in (1, 2):
+        with mock.patch.object(pv, "_BLOCK_CELLS", 1):
+            daily = generate_profiles(pop, irr, dates, workers=workers, seed=11, hourly=False)
+        assert daily.mean_daily.shape == (9,)
+        assert np.array_equal(daily.mean_daily, whole)
+
+
+def test_first_adopter_without_sqft_is_named():
+    records = [make_household(i, sqft=1500.0) for i in range(6)]
+    records[1].solar = False
+    records[1].sqft_value = None  # not an adopter: never sampled
+    records[4].sqft_value = None
+    records[5].sqft_value = None
+    pop = HouseholdTable(records)
+    series = flat_series(days=1)
+    for workers in (1, 2):
+        with pytest.raises(ValueError, match="^household 4 has no sqft_value$"):
+            generate_profiles(pop, {"t1": series}, [series.start_date], workers=workers)
+
+
+@pytest.mark.parametrize("field", ["plane_weights", "tilt_weights", "azimuth_weights"])
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (float("nan"), "Probabilities contain NaN"),
+        (float("inf"), "Probabilities contain NaN"),
+        (-0.5, "Probabilities are not non-negative"),
+    ],
+)
+@np.errstate(invalid="ignore")
+def test_invalid_table_weights_raise_like_choice(field, bad, message):
+    weights = dict(getattr(DEFAULT_TABLES, field))
+    weights[sorted(weights)[0]] = bad
+    tables = SamplingTables(**{field: weights})
+    with pytest.raises(ValueError, match=message):
+        sample_time_invariant(make_household(), tables=tables)
+    with pytest.raises(ValueError, match=message):
+        _reference_sample_time_invariant(make_household(), 20, tables, rng_for(0, "pv", 0))

@@ -21,7 +21,6 @@ from solartwin.records import (
     HouseholdTable,
     IngestError,
     IrradianceSeries,
-    copy_record,
     load_households,
     load_irradiance,
     load_network,
@@ -236,14 +235,6 @@ def test_loaders_name_bad_cell(tmp_path, table, row, column, cell):
     path.write_text("\n".join(",".join(r) for r in [header] + rows) + "\n")
     with pytest.raises(IngestError, match=re.escape(f"{name}: row {row}, column {column}: ")):
         loader(path)
-
-
-def test_copy_record_does_not_share_features():
-    rec = make_record(0)
-    dup = copy_record(rec, solar=True)
-    dup.features["MONEYPY"] = 1
-    assert rec.features["MONEYPY"] == 8
-    assert dup.solar is True and rec.solar is None
 
 
 def test_irradiance_roundtrip(tmp_path):
