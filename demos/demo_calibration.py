@@ -7,7 +7,7 @@ from solartwin.records import AdopterTarget
 from solartwin.toygen import ToyConfig, gen_population
 
 pop = gen_population(ToyConfig(n_households=1200, seed=4))
-target = AdopterTarget("VA", sum(1 for r in pop if r.solar))
+target = AdopterTarget("VA", int(pop.labels("solar").sum()))
 print(f"target: {target.count} adopters out of {len(pop)} households")
 
 data = dataset_from_households(pop, "solar")
@@ -30,6 +30,6 @@ for entry in result.trace[-5:]:
           f"  {entry.predicted:4d}  {entry.discrepancy:3d}")
 
 # the calibrated model is ready to label the twin population
-probs = predict_proba(result.model, pop.feature_matrix())
+probs = predict_proba(result.model, pop.features)
 decisions = apply_threshold(probs, result.tau_star)
 print("\ntwin adopters at tau*:", int(decisions.sum()))

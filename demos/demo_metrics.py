@@ -28,11 +28,11 @@ print("KDE-smoothed JSD:")
 print(f"  real vs twin    {jsd_kde(real, twin):.4f}")
 print(f"  real vs real+8  {jsd_kde(real, shifted):.4f}")
 
-# monthly 24-hour shape correlation; triples are (month, hour, value)
+# monthly 24-hour shape correlation; each side is (months, hours, values)
 shape = np.sin(np.linspace(0, np.pi, 24)) ** 2
-rows_a = [("2018-06", h, float(shape[h])) for h in range(24)]
-rows_b = [("2018-06", h, float(shape[h] * 0.9 + rng.normal(0, 0.01))) for h in range(24)]
-r = pearson_monthly(rows_a, rows_b)
+months, hours = ["2018-06"] * 24, list(range(24))
+noisy = [float(shape[h] * 0.9 + rng.normal(0, 0.01)) for h in hours]
+r = pearson_monthly((months, hours, shape), (months, hours, noisy))
 print(f"\nJune hourly-shape correlation: {r['2018-06']:.4f}")
 
 print(f"\nadopter count drift, 62 real vs 338 twin:"

@@ -2,24 +2,27 @@
 
 from collections import Counter
 
+import numpy as np
+
+from solartwin.records import FEATURE_NAMES
 from solartwin.toygen import ToyConfig, gen_irradiance, gen_network, gen_population, gen_survey, tract_ids
 
 cfg = ToyConfig(n_households=400, n_tracts=4, seed=0)
 pop = gen_population(cfg)
 
 print(f"{len(pop)} households in {cfg.n_tracts} tracts")
-print("planted adopters:", sum(1 for r in pop if r.solar))
-print("LMI households:  ", sum(1 for r in pop if r.lmi))
-print("rural households:", sum(1 for r in pop if r.rural))
+solar = pop.labels("solar")
+print("planted adopters:", np.count_nonzero(solar))
+print("LMI households:  ", np.count_nonzero(pop.labels("lmi")))
+print("rural households:", np.count_nonzero(pop.labels("rural")))
 
-classes = Counter(r.sqft_class for r in pop)
+classes = Counter(pop.labels("sqft_class").tolist())
 print("sqft class mix:", dict(sorted(classes.items())))
 
 # adopters skew wealthier and owner-occupied by construction
-adopter_income = [r.features["MONEYPY"] for r in pop if r.solar]
-other_income = [r.features["MONEYPY"] for r in pop if not r.solar]
-print(f"mean income code: adopters {sum(adopter_income)/len(adopter_income):.2f}"
-      f" vs rest {sum(other_income)/len(other_income):.2f}")
+income = pop.features[:, FEATURE_NAMES.index("MONEYPY")]
+print(f"mean income code: adopters {income[solar].mean():.2f}"
+      f" vs rest {income[~solar].mean():.2f}")
 
 tract = tract_ids(cfg)[0]
 series = gen_irradiance(cfg, tract)

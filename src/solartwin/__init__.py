@@ -10,7 +10,6 @@ toy data generated by :mod:`solartwin.toygen`.
 from solartwin.records import (
     AdopterTarget,
     Graph,
-    HouseholdRecord,
     HouseholdTable,
     IngestError,
     IrradianceSeries,
@@ -84,6 +83,7 @@ from solartwin.metrics import (
     jsd_histogram,
     jsd_kde,
     kld,
+    kld_histogram,
     pearson_monthly,
     relative_pct_diff,
     scott_bandwidth,

@@ -23,7 +23,6 @@ from datetime import date, timedelta
 import numpy as np
 
 from .boosting import (
-    GbtParams,
     MajorityBaseline,
     apply_threshold,
     ensemble_votes,
@@ -33,15 +32,9 @@ from .boosting import (
 )
 from .calibrate import calibrate, save_trace
 from .config import RunConfig, load_config, parse_cases
-from .diffusion import DiffusionConfig, save_timeline, simulate
-from .metrics import (
-    DiscreteDistribution,
-    jsd_histogram,
-    jsd_kde,
-    kld,
-    pearson_monthly,
-    relative_pct_diff,
-)
+from .diffusion import save_timeline, simulate
+from .metrics import jsd_histogram, jsd_kde, pearson_monthly, relative_pct_diff
+from .metrics import kld_histogram as kld  # perfbench's tracer times the KL row as cli.kld
 from .preprocess import (
     LabeledDataset,
     correlation_matrix,
@@ -67,7 +60,7 @@ from .records import (
 )
 from .seeds import stream_rows
 from .sqft import estimate_sqft, subclass_weights
-from .toygen import ToyConfig, gen_irradiance, gen_network, gen_population, gen_survey, tract_ids
+from .toygen import gen_irradiance, gen_network, gen_population, gen_survey, tract_ids
 
 log = logging.getLogger("solartwin")
 
@@ -164,27 +157,8 @@ def _load_irradiance_map(cfg: RunConfig, tracts) -> dict:
     return series
 
 
-def _gbt_params(cfg: RunConfig) -> GbtParams:
-    return GbtParams(
-        rounds=cfg.rounds,
-        depth=cfg.depth,
-        learning_rate=cfg.learning_rate,
-        reg_lambda=cfg.reg_lambda,
-        min_child_hess=cfg.min_child_hess,
-    )
-
-
 def cmd_toygen(cfg: RunConfig, args):
-    toy = ToyConfig(
-        n_households=cfg.n_households,
-        n_tracts=cfg.n_tracts,
-        adopter_fraction=cfg.adopter_fraction,
-        lmi_fraction=cfg.lmi_fraction,
-        seed=cfg.seed,
-        days=cfg.days,
-        start_date=cfg.start_date,
-        signal_shift=cfg.signal_shift,
-    )
+    toy = cfg.toy_config()
     os.makedirs(cfg.out_dir, exist_ok=True)
     pop = gen_population(toy)
     save_households(pop, _path(cfg, "households.csv"))
@@ -217,7 +191,7 @@ def cmd_preprocess(cfg: RunConfig, args):
 def cmd_classify_sqft(cfg: RunConfig, args):
     pop = load_households(_require(_path(cfg, "households.csv"), "toygen"))
     data = dataset_from_households(pop, "sqft_class")
-    ovr = train_ovr(data, _gbt_params(cfg), cfg.seed)
+    ovr = train_ovr(data, cfg.gbt_params(), cfg.seed)
     classes = np.asarray(ovr.classes)
     majority = MajorityBaseline.fit(np.searchsorted(classes, data.y), classes.size)
     ovr_probs = ovr.predict_probs(data.X)
@@ -262,7 +236,7 @@ def cmd_calibrate(cfg: RunConfig, args):
     result = calibrate(
         train, pop, total,
         budget=cfg.budget, init=cfg.init_points, seed=cfg.seed,
-        gbt_params=_gbt_params(cfg),
+        gbt_params=cfg.gbt_params(),
     )
     save_trace(result, _path(cfg, "calibration_trace.csv"))
     save_model(result.model, _path(cfg, "model.txt"))
@@ -304,33 +278,31 @@ def cmd_generate(cfg: RunConfig, args):
 
 def cmd_validate(cfg: RunConfig, args):
     label, dates = resolve_period(cfg, args)
-    real_rows = load_daily(_require(_path(cfg, "real", f"daily_{label}.csv"), "generate"))
-    twin_rows = load_daily(_require(_path(cfg, "twin", f"daily_{label}.csv"), "generate"))
-    if len(real_rows) < 2 or len(twin_rows) < 2:
+    real = load_daily(_require(_path(cfg, "real", f"daily_{label}.csv"), "generate"))
+    twin = load_daily(_require(_path(cfg, "twin", f"daily_{label}.csv"), "generate"))
+    if len(real["household_id"]) < 2 or len(twin["household_id"]) < 2:
         raise ValueError("not enough household-days on one side to validate")
-    real_daily = np.array([r[2] for r in real_rows])
-    twin_daily = np.array([r[2] for r in twin_rows])
+    real_daily = np.array(real["daily_mean_kwh"])
+    twin_daily = np.array(twin["daily_mean_kwh"])
     rows = [("jsd_histogram", "daily_kwh", jsd_histogram(real_daily, twin_daily, cfg.hist_bins))]
-    real_stds = np.array([r[3] for r in real_rows])
+    real_stds = np.array(real["daily_std_kwh"])
     bandwidth = real_stds if np.all(real_stds > 0) else None
     rows.append(("jsd_kde", "daily_kwh", jsd_kde(real_daily, twin_daily, bandwidth, cfg.kde_grid)))
-    lo = min(real_daily.min(), twin_daily.min())
-    hi = max(real_daily.max(), twin_daily.max())
-    edges = np.linspace(lo, hi, cfg.hist_bins + 1) if hi > lo else np.array([lo, lo + 1.0])
-    p = DiscreteDistribution.from_counts(edges, np.histogram(real_daily, edges)[0])
-    q = DiscreteDistribution.from_counts(edges, np.histogram(twin_daily, edges)[0])
-    rows.append(("kld", "daily_kwh", kld(p, q)))
-    real_hourly = []
-    twin_hourly = []
-    for side, sink in (("real", real_hourly), ("twin", twin_hourly)):
+    rows.append(("kld", "daily_kwh", kld(real_daily, twin_daily, cfg.hist_bins)))
+    hourly = []
+    for side in ("real", "twin"):
+        months, hours, means = [], [], []
         for d in dates:
             path = _require(_path(cfg, side, f"profiles_{d.isoformat()}.csv"), "generate")
-            month = d.isoformat()[:7]  # load_profile_rows checks each row is dated d
-            sink.extend((month, hour, mean) for _, _, hour, mean, _ in load_profile_rows(path))
-    for month, r in pearson_monthly(real_hourly, twin_hourly).items():
+            columns = load_profile_rows(path)  # checks each row is dated d
+            months.append(np.full(len(columns["hour"]), d.isoformat()[:7]))
+            hours += columns["hour"]
+            means += columns["mean_kwh"]
+        hourly.append((np.concatenate(months), hours, means))
+    for month, r in pearson_monthly(*hourly).items():
         rows.append(("pearson", month, r))
-    n_real = len({r[0] for r in real_rows})
-    n_twin = len({r[0] for r in twin_rows})
+    n_real = len(set(real["household_id"]))
+    n_twin = len(set(twin["household_id"]))
     rows.append(("adopter_pct_diff", "count", relative_pct_diff(n_real, n_twin)))
     write_csv(
         _path(cfg, "metrics_report.csv"),
@@ -356,18 +328,7 @@ def cmd_simulate(cfg: RunConfig, args):
     cases = parse_cases(args.cases) if args.cases else cfg.cases
     results = []
     for case in cases:
-        dcfg = DiffusionConfig(
-            case=case,
-            weights=cfg.diffusion_weights,
-            time_steps=cfg.time_steps,
-            iterations=cfg.iterations,
-            seed=cfg.seed,
-            cost_per_watt=cfg.cost_per_watt,
-            credit_rate=cfg.credit_rate,
-            lmi_extra_credit=cfg.lmi_extra_credit,
-            capacity_factor=cfg.capacity_factor,
-        )
-        result = simulate(pop, graph, dcfg, initial, mean_daily, annual_kwh)
+        result = simulate(pop, graph, cfg.diffusion_config(case), initial, mean_daily, annual_kwh)
         results.append(result)
         log.info(
             "simulate: case %s ended with %s adopters",

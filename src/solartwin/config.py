@@ -2,13 +2,17 @@
 
 Every pipeline stage reads its knobs from a RunConfig.  A config file only
 needs the keys it wants to change; everything else keeps its default.
+RunConfig builds the toygen, booster and diffusion settings the stages
+take, so validating a config runs their checks before any stage starts.
 """
 
 import configparser
 from dataclasses import dataclass, replace
 from datetime import date
 
-from .diffusion import CASES
+from .boosting import GbtParams
+from .diffusion import CASES, DiffusionConfig
+from .toygen import ToyConfig
 
 
 @dataclass(frozen=True)
@@ -65,33 +69,65 @@ class RunConfig:
             raise ValueError("seed must be >= 0")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.n_households < 1 or self.n_tracts < 1:
-            raise ValueError("population must have households and tracts")
-        if self.days < 1:
-            raise ValueError("days must be >= 1")
         if self.survey_size < 1:
             raise ValueError("survey_size must be >= 1")
         if not 0.0 <= self.edge_prob <= 1.0:
             raise ValueError("edge_prob must be in [0, 1]")
-        if self.budget < 1 or self.init_points < 1:
-            raise ValueError("budget and init_points must be >= 1")
+        if self.network_groups < 1:
+            raise ValueError("network_groups must be >= 1")
+        if self.smoten_k < 1:
+            raise ValueError("smoten k must be >= 1")
+        if not 1 <= self.init_points <= self.budget:
+            raise ValueError("need budget >= init_points >= 1")
         if self.sqft_m < 1 or self.sqft_l < 1 or self.sqft_k < 1:
             raise ValueError("sqft settings must be >= 1")
         if self.pv_samples < 1:
             raise ValueError("pv_samples must be >= 1")
         if self.hist_bins < 1 or self.kde_grid < 2:
             raise ValueError("hist_bins must be >= 1 and kde_grid >= 2")
-        weights = (self.weight_benefit, self.weight_county, self.weight_network)
-        if abs(sum(weights) - 1.0) > 1e-9:
-            raise ValueError("diffusion weights must sum to 1")
+        self.toy_config().validate()
+        self.gbt_params()
         for case in self.cases:
-            if case not in CASES:
-                raise ValueError(f"unknown case {case!r}; expected one of {CASES}")
+            self.diffusion_config(case)
         return self
 
     @property
     def diffusion_weights(self) -> tuple:
         return (self.weight_benefit, self.weight_county, self.weight_network)
+
+    def toy_config(self) -> ToyConfig:
+        return ToyConfig(
+            n_households=self.n_households,
+            n_tracts=self.n_tracts,
+            adopter_fraction=self.adopter_fraction,
+            lmi_fraction=self.lmi_fraction,
+            seed=self.seed,
+            days=self.days,
+            start_date=self.start_date,
+            signal_shift=self.signal_shift,
+        )
+
+    def gbt_params(self) -> GbtParams:
+        return GbtParams(
+            rounds=self.rounds,
+            depth=self.depth,
+            learning_rate=self.learning_rate,
+            reg_lambda=self.reg_lambda,
+            min_child_hess=self.min_child_hess,
+        )
+
+    def diffusion_config(self, case: str) -> DiffusionConfig:
+        return DiffusionConfig(
+            case=case,
+            weights=self.diffusion_weights,
+            time_steps=self.time_steps,
+            iterations=self.iterations,
+            seed=self.seed,
+            cost_per_watt=self.cost_per_watt,
+            credit_rate=self.credit_rate,
+            lmi_extra_credit=self.lmi_extra_credit,
+            capacity_factor=self.capacity_factor,
+        )
 
 
 def parse_cases(text: str) -> tuple:

@@ -67,8 +67,9 @@ def _jsd_mass(pm: np.ndarray, qm: np.ndarray) -> float:
     return min(1.0, max(0.0, value))
 
 
-def jsd_histogram(samples_a, samples_b, bins: int = 50) -> float:
-    """JSD between equal-width shared-range histograms of two sample sets."""
+def _histogram_masses(samples_a, samples_b, bins: int):
+    """Each sample set's mass in ``bins`` equal-width bins over the range
+    both sets share, or None when every sample on both sides is the same."""
     a = np.asarray(list(samples_a), dtype=float)
     b = np.asarray(list(samples_b), dtype=float)
     if a.size == 0 or b.size == 0:
@@ -76,10 +77,23 @@ def jsd_histogram(samples_a, samples_b, bins: int = 50) -> float:
     lo = float(min(a.min(), b.min()))
     hi = float(max(a.max(), b.max()))
     if lo == hi:
-        return 0.0  # every sample identical on both sides
-    counts_a, edges = np.histogram(a, bins=bins, range=(lo, hi))
+        return None
+    counts_a, _ = np.histogram(a, bins=bins, range=(lo, hi))
     counts_b, _ = np.histogram(b, bins=bins, range=(lo, hi))
-    return _jsd_mass(counts_a / a.size, counts_b / b.size)
+    return counts_a / a.size, counts_b / b.size
+
+
+def jsd_histogram(samples_a, samples_b, bins: int = 50) -> float:
+    """JSD between equal-width shared-range histograms of two sample sets."""
+    masses = _histogram_masses(samples_a, samples_b, bins)
+    return 0.0 if masses is None else _jsd_mass(*masses)
+
+
+def kld_histogram(samples_a, samples_b, bins: int = 50) -> float:
+    """KL divergence D(a || b) in bits on jsd_histogram's histograms;
+    +inf when a bin holds samples of a but none of b."""
+    masses = _histogram_masses(samples_a, samples_b, bins)
+    return 0.0 if masses is None else _kld_mass(*masses)
 
 
 def scott_bandwidth(samples) -> float:
@@ -136,19 +150,17 @@ def jsd_kde(samples_a, samples_b, bandwidth_a=None, grid: int = 512) -> float:
 def pearson_monthly(a, b) -> dict:
     """Per-month Pearson correlation of hourly load shapes.
 
-    Inputs are iterables of (month_key, hour, value); values are averaged
-    per (month, hour) into 24-point shapes first.  Both sides must cover
-    the same months and all 24 hours of each.  Months where either shape
-    has zero variance map to None.
+    Each side is a (months, hours, values) triple of equal-length columns,
+    one entry per row; values are averaged per (month, hour) into 24-point
+    shapes first.  Both sides must cover the same months and all 24 hours
+    of each.  Months where either shape has zero variance map to None.
     """
-    shapes_a = _monthly_shapes(a, "a")
-    shapes_b = _monthly_shapes(b, "b")
-    if set(shapes_a) != set(shapes_b):
+    months_a, shapes_a = _monthly_shapes(*a, "a")
+    months_b, shapes_b = _monthly_shapes(*b, "b")
+    if months_a != months_b:
         raise ValueError("the two series cover different months")
     out = {}
-    for month in sorted(shapes_a):
-        va = shapes_a[month]
-        vb = shapes_b[month]
+    for month, va, vb in zip(months_a, shapes_a, shapes_b):
         if float(np.std(va)) == 0.0 or float(np.std(vb)) == 0.0:
             out[month] = None
         else:
@@ -156,29 +168,25 @@ def pearson_monthly(a, b) -> dict:
     return out
 
 
-def _monthly_shapes(rows, side: str) -> dict:
-    sums = {}
-    counts = {}
-    for month, hour, value in rows:
-        hour = int(hour)
-        if not 0 <= hour < 24:
-            raise ValueError(f"hour {hour} out of range on side {side}")
-        key = (month, hour)
-        sums[key] = sums.get(key, 0.0) + float(value)
-        counts[key] = counts.get(key, 0) + 1
-    months = sorted({m for m, _ in sums})
-    if not months:
+def _monthly_shapes(months, hours, values, side: str) -> tuple:
+    """The sorted months of one side and their (months, 24) mean shapes.
+
+    One bincount adds each (month, hour) bin's values in row order.
+    """
+    hours = np.asarray(hours, dtype=np.int64)
+    outside = (hours < 0) | (hours >= 24)
+    if outside.any():
+        raise ValueError(f"hour {hours[outside.argmax()]} out of range on side {side}")
+    if not hours.size:
         raise ValueError(f"no rows on side {side}")
-    shapes = {}
-    for month in months:
-        shape = np.empty(24)
-        for hour in range(24):
-            key = (month, hour)
-            if key not in sums:
-                raise ValueError(f"side {side} missing hour {hour} in month {month}")
-            shape[hour] = sums[key] / counts[key]
-        shapes[month] = shape
-    return shapes
+    keys, month = np.unique(months, return_inverse=True)
+    cells = month * 24 + hours
+    sums = np.bincount(cells, np.asarray(values, dtype=float), keys.size * 24)
+    counts = np.bincount(cells, minlength=keys.size * 24)
+    if not counts.all():
+        gap = int(np.argmin(counts))
+        raise ValueError(f"side {side} missing hour {gap % 24} in month {keys[gap // 24]}")
+    return keys.tolist(), (sums / counts).reshape(-1, 24)
 
 
 def relative_pct_diff(real: float, synth: float) -> float:

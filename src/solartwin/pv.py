@@ -17,19 +17,21 @@ are, so every intermediate is bounded by household-days.  A caller that
 needs only each household's mean daily kWh reduces every chunk as it is
 made (hourly=False).  Households are independent, so the engine also
 parallelizes over contiguous household blocks; outputs are identical for
-any worker count and any chunk size.
+any worker count and any chunk size.  The sampler takes the same columns,
+so one household is a one-row table and gets (1, n) samples.  The CSV
+loaders return whole parsed columns.
 """
 
 import datetime
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .records import HouseholdRecord, HouseholdTable, IrradianceSeries, read_csv, write_csv
+from .records import HouseholdTable, IrradianceSeries, read_csv, write_csv
 from .seeds import CHOICE_ERRORS, choice_codes, choice_error, choose, stream_rows
 
 SQFT_TO_M2 = 0.092903
@@ -91,22 +93,22 @@ DEFAULT_TABLES = SamplingTables()
 
 @dataclass
 class TimeInvariantSamples:
-    """Sampled ensembles of the time-invariant variables of one household,
-    or of H households with a leading household axis on every field
-    (azimuths is then an (H, n) array of sector names).  degradation holds
+    """Sampled ensembles of the time-invariant variables of H households:
+    (H,) household ids, roof areas and building types, and (H, n) arrays
+    of per-sample values (azimuths holds sector names).  degradation holds
     each sample's azimuth factor from the sampling tables, NaN for a sector
     they lack."""
 
-    household: int
-    roof_area: float
-    building_type: str
+    household: np.ndarray
+    roof_area: np.ndarray
+    building_type: np.ndarray
     n: int
     areas: np.ndarray
     yields: np.ndarray
     ratios: np.ndarray
     planes: np.ndarray
     tilts: np.ndarray
-    azimuths: tuple
+    azimuths: np.ndarray
     arpr: np.ndarray
     degradation: np.ndarray | None = None
 
@@ -123,16 +125,13 @@ def _uniform_error(span):
     return ValueError("high - low < 0") if span < 0 else None
 
 
-_PER_SAMPLE = ("areas", "yields", "ratios", "planes", "tilts", "arpr", "degradation")
-
-
 def sample_time_invariant(
-    h: HouseholdRecord,
+    h,
     n: int = 20,
     tables: SamplingTables | None = None,
     seed=0,
 ) -> TimeInvariantSamples:
-    """Draw n time-invariant samples for one household, or for a batch.
+    """Draw n time-invariant samples for each of a batch of households.
 
     Roof area is 1.5x the house footprint converted to m^2; buildings at or
     under 464.6 m^2 count as small.  Yields and performance ratios are
@@ -143,11 +142,11 @@ def sample_time_invariant(
     to a whole number of 1.64 m^2 panels.  Tilt/azimuth pairs come from the
     joint weight table.
 
-    h is a HouseholdRecord, or a batch: any object with (H,) ``id`` and
-    ``sqft_value`` columns (a HouseholdTable, say; a missing footage is
-    masked or NaN), which adds a leading household axis to every field.
-    seed may be an integer, giving household h the stream rng_for(seed,
-    "pv", h.id), or a numpy Generator that the households consume in turn.
+    h is any object with (H,) ``id`` and ``sqft_value`` columns, such as a
+    HouseholdTable (one household is a one-row table); a missing footage
+    is masked or NaN.  seed may be an integer, giving each household the
+    stream rng_for(seed, "pv", id), or a numpy Generator that the
+    households consume in turn.
     A household takes n * (n_candidates + 5) doubles in the order of one
     Generator call per draw: n yields, n ratios, n plane counts; per sample,
     n_candidates candidates and one pick; then n tilt/azimuth picks.  All
@@ -158,8 +157,8 @@ def sample_time_invariant(
     tables = tables or DEFAULT_TABLES
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    ids = np.atleast_1d(h.id)
-    sqft = np.atleast_1d(np.ma.filled(np.nan if h.sqft_value is None else h.sqft_value, np.nan))
+    ids = h.id
+    sqft = np.ma.filled(h.sqft_value, np.nan)
     missing = np.isnan(sqft)
 
     def no_sqft(row):
@@ -233,7 +232,7 @@ def sample_time_invariant(
     tilts = np.array([t for t, _ in pairs])[pick]
     azimuths = np.array([a for _, a in pairs])[pick]
     factors = np.array([tables.degradation.get(a, np.nan) for _, a in pairs], dtype=float)
-    ti = TimeInvariantSamples(
+    return TimeInvariantSamples(
         household=ids,
         roof_area=roof,
         building_type=np.where(medium, "medium", "small"),
@@ -246,16 +245,6 @@ def sample_time_invariant(
         azimuths=azimuths,
         arpr=areas * yields * ratios,
         degradation=factors[pick],
-    )
-    if np.ndim(h.id):
-        return ti
-    return replace(
-        ti,
-        household=h.id,
-        roof_area=float(roof[0]),
-        building_type=str(ti.building_type[0]),
-        **{name: getattr(ti, name)[0] for name in _PER_SAMPLE},
-        azimuths=tuple(azimuths[0].tolist()),
     )
 
 
@@ -316,7 +305,8 @@ def _ensemble_kwh(energy) -> tuple:
 
 
 def hourly_energy(ti: TimeInvariantSamples, ht) -> tuple:
-    """(mean, std) energy in kWh over the ensemble for one hour.
+    """(mean, std) energy in kWh over each household's ensemble for one
+    hour, as two (H,) arrays.
 
     ht is the tilted radiation in W/m^2, either one scalar shared by all
     samples or one value per sample.  Per sample the hour yields
@@ -327,7 +317,7 @@ def hourly_energy(ti: TimeInvariantSamples, ht) -> tuple:
         raise ValueError(f"ht must be scalar or length {ti.n}")
     # one hour at unit GHI: ht already holds each sample's plane irradiance
     mean, std = _ensemble_kwh(_sample_kwh([1.0], ti.arpr * ht_arr))
-    return float(mean[0]), float(std[0])
+    return mean[..., 0], std[..., 0]
 
 
 @dataclass
@@ -506,9 +496,10 @@ def save_daily(profiles: EnergyProfiles, path):
     )
 
 
-def load_daily(path) -> list:
-    """Read a daily CSV back as (household_id, date, mean, std) tuples."""
-    columns = read_csv(
+def load_daily(path) -> dict:
+    """Read a daily CSV back as its household_id, date, daily_mean_kwh and
+    daily_std_kwh columns, keyed by name."""
+    return read_csv(
         path,
         {
             "household_id": int,
@@ -517,13 +508,12 @@ def load_daily(path) -> list:
             "daily_std_kwh": float,
         },
     )
-    return list(zip(*columns.values()))
 
 
-def load_profile_rows(path) -> list:
-    """Read a profiles_<date>.csv back as (household_id, date, hour, mean,
-    std) tuples, the date as text.  Every row's date must be the one in the
-    file name."""
+def load_profile_rows(path) -> dict:
+    """Read a profiles_<date>.csv back as its household_id, date, hour,
+    mean_kwh and std_kwh columns, keyed by name, the date as text.  Every
+    row's date must be the one in the file name."""
     day = os.path.basename(path)[len("profiles_"):-len(".csv")]
 
     def same_day(cell):
@@ -531,8 +521,7 @@ def load_profile_rows(path) -> list:
             raise ValueError(f"date is not {day}")
         return cell
 
-    columns = read_csv(
+    return read_csv(
         path,
         {"household_id": int, "date": same_day, "hour": int, "mean_kwh": float, "std_kwh": float},
     )
-    return list(zip(*columns.values()))

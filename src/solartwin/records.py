@@ -16,9 +16,10 @@ A :class:`HouseholdTable` holds households as numpy columns: int64 ``id``,
 object arrays of ``state``/``county``/``tract`` text, float64 ``lat`` and
 ``lon``, an (n, 8) int64 ``features`` matrix in ``FEATURE_NAMES`` order,
 and one masked array per optional column (``sqft_class``, ``sqft_value``,
-``solar``, ``lmi``, ``rural``) whose masked cells are missing values.
-``table[i]`` and iteration build :class:`HouseholdRecord` copies on
-demand.  :class:`Graph` holds its edges as two int64 endpoint arrays.
+``solar``, ``lmi``, ``rural``) whose masked cells are missing values.  One
+household is a one-row table, and iterating a table yields its rows as
+one-row tables.  :class:`Graph` holds its edges as two int64 endpoint
+arrays.
 
 Loaders validate on ingestion and raise :class:`IngestError` naming the
 offending file, row and column; loading identical bytes always yields
@@ -29,7 +30,7 @@ import csv
 import datetime
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,24 +75,6 @@ def sqft_class_range(k: int, edges=SQFT_CLASS_EDGES, top_cap: float = 8000.0):
     return low, high
 
 
-@dataclass
-class HouseholdRecord:
-    """One synthetic household with categorical features and optional labels."""
-
-    id: int
-    state: str
-    county: str
-    tract: str
-    lat: float
-    lon: float
-    features: dict = field(default_factory=dict)
-    sqft_class: int | None = None
-    sqft_value: float | None = None
-    solar: bool | None = None
-    lmi: bool | None = None
-    rural: bool | None = None
-
-
 def _optional_column(values, dtype) -> np.ma.MaskedArray:
     """A masked array of ``dtype`` whose masked cells are the None ones."""
     if isinstance(values, np.ndarray):
@@ -104,23 +87,13 @@ class HouseholdTable:
     """Ordered, id-unique collection of households in the column layout
     the module docstring gives.
 
-    ``HouseholdTable(records)`` builds one from HouseholdRecords, and
-    ``HouseholdTable(id=..., features=..., solar=..., ...)`` from whole
-    columns, one value per row; an optional column left out is missing in
-    every row, and a list may hold None cells.  Immutable by convention:
-    ``table[i]`` and iteration return HouseholdRecord copies, so a change
-    goes into a new table through :meth:`replace`.
+    ``HouseholdTable(id=..., features=..., solar=..., ...)`` builds one
+    from whole columns, one value per row; an optional column left out is
+    missing in every row, and a list may hold None cells.  Immutable by
+    convention: a change goes into a new table through :meth:`replace`.
     """
 
-    def __init__(self, records=None, **columns):
-        if records is not None:
-            records = list(records)
-            try:
-                features = [[r.features[f] for f in FEATURE_NAMES] for r in records]
-            except KeyError as exc:
-                raise IngestError(f"missing feature {exc.args[0]}") from None
-            columns = {c: [getattr(r, c) for r in records] for c in _DTYPES if c != "features"}
-            columns["features"] = np.array(features, np.int64).reshape(-1, len(FEATURE_NAMES))
+    def __init__(self, **columns):
         n = len(columns["id"])
         for name, dtype in _DTYPES.items():
             if name in _OPTIONAL_COLUMNS:
@@ -163,26 +136,21 @@ class HouseholdTable:
     def __len__(self):
         return self.id.size
 
-    def _records(self, rows) -> list:
-        """HouseholdRecord copies of the rows selected by ``rows``."""
-        cells = [getattr(self, c)[rows].tolist() for c in _DTYPES]
-        return [
-            HouseholdRecord(*row[:6], dict(zip(FEATURE_NAMES, row[6])), *row[7:])
-            for row in zip(*cells)
-        ]
+    def _row(self, i) -> "HouseholdTable":
+        """Row ``i`` as a one-row table of slices, left unvalidated because
+        these columns already passed."""
+        row = object.__new__(HouseholdTable)
+        for c in _DTYPES:
+            setattr(row, c, getattr(self, c)[i : i + 1])
+        return row
 
     def __iter__(self):
-        return iter(self._records(slice(None)))
-
-    def __getitem__(self, i):
-        return self._records([i])[0]
+        return map(self._row, range(len(self)))
 
     def __eq__(self, other):
-        return isinstance(other, HouseholdTable) and list(self) == list(other)
-
-    def feature_matrix(self) -> np.ndarray:
-        """(n, 8) int matrix of feature codes in FEATURE_NAMES order."""
-        return self.features
+        return isinstance(other, HouseholdTable) and all(
+            _same_column(getattr(self, c), getattr(other, c)) for c in _DTYPES
+        )
 
     def labels(self, name: str) -> np.ndarray:
         """Optional column ``name`` as a plain array; every row must hold a value."""
@@ -194,6 +162,16 @@ class HouseholdTable:
     def replace(self, **columns) -> "HouseholdTable":
         """A new table with the named columns swapped for ``columns``."""
         return HouseholdTable(**{c: getattr(self, c) for c in _DTYPES} | columns)
+
+
+def _same_column(a, b) -> bool:
+    """Equal shapes, equal masks, and equal values in the unmasked cells."""
+    missing = np.ma.getmaskarray(a)
+    return (
+        a.shape == b.shape
+        and np.array_equal(missing, np.ma.getmaskarray(b))
+        and np.array_equal(np.ma.getdata(a)[~missing], np.ma.getdata(b)[~missing])
+    )
 
 
 def write_csv(path, header, rows):

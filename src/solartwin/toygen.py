@@ -21,7 +21,7 @@ from .records import (
     HouseholdTable,
     IrradianceSeries,
     N_SQFT_CLASSES,
-    SQFT_CLASS_EDGES,
+    sqft_class_range,
 )
 from .seeds import rng_for
 
@@ -49,7 +49,6 @@ ADOPTER_KOWNRENT = (0.90, 0.08, 0.02)
 
 # Survey square-footage mass per class, low to high.
 SURVEY_CLASS_WEIGHTS = (0.05, 0.10, 0.20, 0.25, 0.18, 0.12, 0.06, 0.04)
-SURVEY_TOP_CAP = 8000.0
 
 
 @dataclass(frozen=True)
@@ -209,8 +208,7 @@ def gen_survey(cfg: ToyConfig, size: int | None = None) -> list:
     classes = _draw(rng, np.arange(N_SQFT_CLASSES), SURVEY_CLASS_WEIGHTS, size)
     values = []
     for k in classes:
-        lo = SQFT_CLASS_EDGES[k]
-        hi = SQFT_CLASS_EDGES[k + 1] if k + 1 < N_SQFT_CLASSES else SURVEY_TOP_CAP
+        lo, hi = sqft_class_range(k)
         values.append(float(lo + rng.random() * (hi - lo)))
     return values
 

@@ -317,7 +317,7 @@ def test_criterion_6_profiles(tmp_path):
             ).read_bytes()
 
     night = [True] * 24
-    tract_of = {rec.id: rec.tract for rec in pop}
+    tract_of = dict(zip(pop.id.tolist(), pop.tract.tolist()))
     one = runs[1]
     daily_mean, daily_std = one.daily_mean, one.daily_std
     for k, household in enumerate(one.household.tolist()):
@@ -375,7 +375,7 @@ def test_criterion_7_metrics():
     shape = [0.0, 0.0, 1.0, 3.0, 6.0, 8.0, 9.0, 8.0, 6.0, 3.0, 1.0, 0.5] * 2
     rows_a = [(m, h, shape[h] + i) for i, m in enumerate(months) for h in range(24)]
     rows_b = [(m, h, 3.0 * v + 7.0) for m, h, v in rows_a]
-    correlations = pearson_monthly(rows_a, rows_b)
+    correlations = pearson_monthly(tuple(zip(*rows_a)), tuple(zip(*rows_b)))
     for month in months:
         assert correlations[month] == pytest.approx(1.0, abs=1e-9)
 

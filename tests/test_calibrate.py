@@ -88,7 +88,7 @@ def toy_calibration():
     pop = gen_population(ToyConfig(n_households=400, seed=11))
     data = dataset_from_households(pop, "solar")
     balanced = smoten_oversample(data, k=5, seed=11)
-    target = AdopterTarget("VA", sum(1 for r in pop if r.solar))
+    target = AdopterTarget("VA", int(np.count_nonzero(pop.labels("solar"))))
     result = calibrate(
         balanced, pop, target, budget=200, init=8, seed=11,
         gbt_params=GbtParams(rounds=40),
@@ -120,7 +120,7 @@ def test_calibrate_model_reproduces_prediction(toy_calibration):
     from solartwin.boosting import apply_threshold, predict_proba
 
     pop, target, result = toy_calibration
-    probs = predict_proba(result.model, pop.feature_matrix())
+    probs = predict_proba(result.model, pop.features)
     predicted = int(apply_threshold(probs, result.tau_star).sum())
     winner = [e for e in result.trace if e.discrepancy == result.discrepancy][0]
     assert predicted == winner.predicted

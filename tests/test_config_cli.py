@@ -1,6 +1,7 @@
 """Config loading and the command line pipeline, run in process."""
 
 import os
+import re
 from dataclasses import replace
 from datetime import date
 from types import SimpleNamespace
@@ -64,6 +65,40 @@ def test_validate_guards():
         replace(RunConfig(), weight_benefit=0.9).validate()
     with pytest.raises(ValueError, match="unknown case"):
         replace(RunConfig(), cases=("8x",)).validate()
+
+
+@pytest.mark.parametrize(
+    "section, key, value, message",
+    [
+        ("diffusion", "iterations", "0", "iterations must be >= 1"),
+        ("diffusion", "time_steps", "-1", "time_steps must be >= 0"),
+        ("diffusion", "capacity_factor", "0", "capacity_factor must be > 0"),
+        ("boosting", "depth", "0", "depth must be >= 1"),
+        ("boosting", "learning_rate", "0", "learning_rate must be > 0"),
+        ("toygen", "network_groups", "0", "network_groups must be >= 1"),
+        ("toygen", "adopter_fraction", "1.5", "adopter_fraction must be in [0, 1]"),
+        ("toygen", "n_tracts", "201", "n_tracts must not exceed n_households"),
+        ("smoten", "k", "0", "smoten k must be >= 1"),
+        ("calibrate", "budget", "9", "need budget >= init_points >= 1"),
+    ],
+)
+def test_config_rejects_stage_settings_before_any_stage(
+    tmp_path, capsys, section, key, value, message
+):
+    sections = {"toygen": {"n_households": "200"}}
+    sections.setdefault(section, {})[key] = value
+    ini = tmp_path / "bad.ini"
+    ini.write_text("".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+        for name, keys in sections.items()
+    ))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_config(str(ini))
+    out = tmp_path / "out"
+    assert main(["pipeline", "--config", str(ini), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: pipeline: ") and message in err
+    assert not out.exists()
 
 
 def test_parse_period_kinds():

@@ -19,7 +19,7 @@ from solartwin.diffusion import (
     threshold_from_barriers,
     utility,
 )
-from solartwin.records import Graph, HouseholdRecord, HouseholdTable
+from solartwin.records import FEATURE_NAMES, Graph, HouseholdTable
 from solartwin.seeds import rng_for
 
 FEATURES = {
@@ -34,13 +34,15 @@ FEATURES = {
 }
 
 
-def make_household(i, county="51001", lmi=False, rural=False, **feature_overrides):
-    features = dict(FEATURES)
-    features.update(feature_overrides)
-    return HouseholdRecord(
-        id=i, state="VA", county=county, tract=county + "000001",
-        lat=37.0, lon=-78.0, features=features,
-        solar=False, lmi=lmi, rural=rural,
+def make_households(county, lmi, rural=None, features=None):
+    """Households 0..n-1, one per entry of the county and lmi lists; rural
+    defaults to False and features to FEATURES in every row."""
+    n = len(county)
+    return HouseholdTable(
+        id=range(n), state=["VA"] * n, county=county, tract=[c + "000001" for c in county],
+        lat=[37.0] * n, lon=[-78.0] * n,
+        features=np.tile(list(FEATURES.values()), (n, 1)) if features is None else features,
+        solar=[False] * n, lmi=lmi, rural=[False] * n if rural is None else rural,
     )
 
 
@@ -53,14 +55,14 @@ def test_threshold_from_barriers():
 
 
 def test_barriers_from_record_mapping():
-    pop = HouseholdTable([
-        make_household(0),
-        make_household(1, lmi=True),
-        make_household(2, KOWNRENT=2),
-        make_household(3, MONEYPY=1),
-        make_household(4, BA_climate=8),
-        make_household(5, lmi=True, KOWNRENT=2, MONEYPY=2),
-    ])
+    features = np.tile(list(FEATURES.values()), (6, 1))
+    for row, name, code in [
+        (2, "KOWNRENT", 2), (3, "MONEYPY", 1), (4, "BA_climate", 8),
+        (5, "KOWNRENT", 2), (5, "MONEYPY", 2),
+    ]:
+        features[row, FEATURE_NAMES.index(name)] = code
+    lmi = [False, True, False, False, False, True]
+    pop = make_households(["51001"] * 6, lmi, features=features)
     flags = barrier_flags(pop.features, pop.lmi.filled(False))
     assert flags.shape == (6, 8) and flags.dtype == bool
     assert flags[0].sum() == 0
@@ -145,16 +147,11 @@ def test_config_validation():
 
 
 def small_world(n=30, lmi_every=3, seed=0):
-    records = [
-        make_household(
-            i,
-            county="51001" if i < n // 2 else "51002",
-            lmi=(i % lmi_every == 0),
-            rural=(i % 2 == 1),
-        )
-        for i in range(n)
-    ]
-    pop = HouseholdTable(records)
+    pop = make_households(
+        county=["51001" if i < n // 2 else "51002" for i in range(n)],
+        lmi=[i % lmi_every == 0 for i in range(n)],
+        rural=[i % 2 == 1 for i in range(n)],
+    )
     rng = rng_for(seed, "edges")
     edges = []
     for u in range(n):
@@ -180,7 +177,7 @@ def test_case5_uprating_changes_bins():
     kwh = np.linspace(4000.0, 8000.0, 40)
     four = build_nodes(pop, graph, DiffusionConfig(case="4"), benefit, kwh)
     five = build_nodes(pop, graph, DiffusionConfig(case="5"), benefit, kwh)
-    lmi = np.array([bool(r.lmi) for r in pop])
+    lmi = pop.lmi.filled(False)
     # the uprated credit can only push LMI households up the ranking
     assert np.all(five.rebate_bin[lmi] >= four.rebate_bin[lmi])
     assert np.any(five.rebate_bin != four.rebate_bin)
@@ -189,8 +186,7 @@ def test_case5_uprating_changes_bins():
 def test_step_is_synchronous_and_irreversible():
     # line graph 0-1-2: with county/network rates from the step's start,
     # node 2 cannot react to node 1 adopting within the same step
-    records = [make_household(i, county="51001") for i in range(3)]
-    pop = HouseholdTable(records)
+    pop = make_households(["51001"] * 3, lmi=[False] * 3)
     graph = Graph(3, [(0, 1), (1, 2)])
     cfg = DiffusionConfig(case="1b", weights=(0.0, 0.0, 1.0), time_steps=1, seed=0)
     nodes = build_nodes(pop, graph, cfg, np.ones(3))

@@ -4,13 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from solartwin.metrics import (
     DiscreteDistribution,
+    _monthly_shapes,
     jsd,
     jsd_histogram,
     jsd_kde,
     kld,
+    kld_histogram,
     pearson_monthly,
     relative_pct_diff,
     scott_bandwidth,
@@ -76,6 +80,53 @@ def test_jsd_histogram_behavior():
     assert 0.0 < mid < 1.0
 
 
+def _reference_kld_histogram(a, b, bins):
+    """The KL route the validate stage took before kld_histogram: explicit
+    linspace edges over the shared range, DiscreteDistribution.from_counts
+    on each side's counts, then kld."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    lo = min(a.min(), b.min())
+    hi = max(a.max(), b.max())
+    edges = np.linspace(lo, hi, bins + 1) if hi > lo else np.array([lo, lo + 1.0])
+    p = DiscreteDistribution.from_counts(edges, np.histogram(a, edges)[0])
+    q = DiscreteDistribution.from_counts(edges, np.histogram(b, edges)[0])
+    return kld(p, q)
+
+
+@st.composite
+def _kl_samples(draw):
+    """Two sample sets and a bin count; many samples sit exactly on the bin
+    edges of a range near the one they span, and sometimes every sample is
+    the same value."""
+    bins = draw(st.integers(1, 60))
+    lo = draw(st.integers(-10**6, 10**6)) / 1000
+    width = draw(st.sampled_from([0, 1, 7, 1000, 123457])) / 1000
+    edges = np.linspace(lo, lo + width, bins + 1).tolist()
+    value = st.one_of(st.sampled_from(edges), st.floats(lo, lo + width))
+    sides = [draw(st.lists(value, min_size=1, max_size=40)) for _ in range(2)]
+    return sides[0], sides[1], bins
+
+
+@settings(max_examples=300, deadline=None)
+@given(_kl_samples())
+@example(([5.0, 5.0], [5.0], 50))
+@example(([0.0, 1.0], [0.0, 0.0, 0.5], 2))
+def test_kld_histogram_matches_reference(samples):
+    a, b, bins = samples
+    assert kld_histogram(a, b, bins) == _reference_kld_histogram(a, b, bins)
+
+
+def test_kld_histogram_behavior():
+    assert kld_histogram([1.0, 2.0], [1.0, 2.0], 4) == 0.0
+    assert kld_histogram([1.0, 2.0], [1.0, 1.0], 4) == math.inf
+    assert kld_histogram([3.0], [3.0, 3.0]) == 0.0  # degenerate range
+    assert kld_histogram([1.0, 1.0, 2.0], [1.0, 2.0], 2) == pytest.approx(
+        kld(dist(2 / 3, 1 / 3), dist(0.5, 0.5)), rel=1e-15
+    )
+    with pytest.raises(ValueError, match="non-empty"):
+        kld_histogram([], [1.0])
+
+
 def test_scott_bandwidth_exact_values():
     # n^(-1/5) * population std; 32 points of unit std give exactly 0.5
     samples = [-1.0, 1.0] * 16
@@ -120,12 +171,17 @@ def month_rows(values_by_month, scale=1.0, offset=0.0):
     return rows
 
 
+def columns(rows):
+    """(months, hours, values) columns of (month, hour, value) rows."""
+    return tuple(list(column) for column in zip(*rows)) or ([], [], [])
+
+
 def test_pearson_monthly_identity_and_affine():
     rng = np.random.default_rng(4)
     shapes = {"2018-01": rng.random(24), "2018-02": rng.random(24)}
-    a = month_rows(shapes)
-    same = pearson_monthly(a, month_rows(shapes))
-    affine = pearson_monthly(a, month_rows(shapes, scale=3.0, offset=7.0))
+    a = columns(month_rows(shapes))
+    same = pearson_monthly(a, columns(month_rows(shapes)))
+    affine = pearson_monthly(a, columns(month_rows(shapes, scale=3.0, offset=7.0)))
     for month in ("2018-01", "2018-02"):
         assert same[month] == pytest.approx(1.0, abs=1e-9)
         assert affine[month] == pytest.approx(1.0, abs=1e-9)
@@ -135,23 +191,143 @@ def test_pearson_monthly_averages_duplicates():
     shape = np.arange(24.0)
     a = month_rows({"m": shape}) + month_rows({"m": shape + 2.0})
     b = month_rows({"m": shape + 1.0})  # the mean of the two a-series
-    out = pearson_monthly(a, b)
+    out = pearson_monthly(columns(a), columns(b))
     assert out["m"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_pearson_monthly_zero_variance_is_none():
-    flat = {"m": np.ones(24)}
-    varying = {"m": np.arange(24.0)}
-    assert pearson_monthly(month_rows(flat), month_rows(varying))["m"] is None
+    flat = columns(month_rows({"m": np.ones(24)}))
+    varying = columns(month_rows({"m": np.arange(24.0)}))
+    assert pearson_monthly(flat, varying)["m"] is None
 
 
 def test_pearson_monthly_errors():
     full = month_rows({"m": np.arange(24.0)})
     with pytest.raises(ValueError, match="missing hour 23 in month m"):
-        pearson_monthly(full[:-1], full)
+        pearson_monthly(columns(full[:-1]), columns(full))
     other = month_rows({"x": np.arange(24.0)})
     with pytest.raises(ValueError, match="different months"):
-        pearson_monthly(full, other)
+        pearson_monthly(columns(full), columns(other))
+
+
+def _reference_monthly_shapes(rows, side):
+    """The dict fold pearson_monthly used before its bincount: per-row
+    sums and counts keyed by (month, hour), then one 24-point mean shape
+    per month."""
+    sums = {}
+    counts = {}
+    for month, hour, value in rows:
+        hour = int(hour)
+        if not 0 <= hour < 24:
+            raise ValueError(f"hour {hour} out of range on side {side}")
+        key = (month, hour)
+        sums[key] = sums.get(key, 0.0) + float(value)
+        counts[key] = counts.get(key, 0) + 1
+    months = sorted({m for m, _ in sums})
+    if not months:
+        raise ValueError(f"no rows on side {side}")
+    shapes = {}
+    for month in months:
+        shape = np.empty(24)
+        for hour in range(24):
+            key = (month, hour)
+            if key not in sums:
+                raise ValueError(f"side {side} missing hour {hour} in month {month}")
+            shape[hour] = sums[key] / counts[key]
+        shapes[month] = shape
+    return shapes
+
+
+def _reference_pearson_monthly(a, b):
+    shapes_a = _reference_monthly_shapes(a, "a")
+    shapes_b = _reference_monthly_shapes(b, "b")
+    if set(shapes_a) != set(shapes_b):
+        raise ValueError("the two series cover different months")
+    out = {}
+    for month in sorted(shapes_a):
+        va, vb = shapes_a[month], shapes_b[month]
+        if float(np.std(va)) == 0.0 or float(np.std(vb)) == 0.0:
+            out[month] = None
+        else:
+            out[month] = float(np.corrcoef(va, vb)[0, 1])
+    return out
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+_MONTHS = ("2018-01", "2018-02", "2018-03")
+_SPECIAL = np.array([0.0, -0.0, 0.1, 1.0, 1e16, -1e16])
+
+
+@st.composite
+def _hourly_side(draw, months):
+    """Rows of the given months in shuffled order: every hour once, extra
+    rows and duplicate rows, with values of every sign and magnitude; now
+    and then one value in every row, dropped rows or hours outside
+    0..23."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    extra = draw(st.integers(0, 40))
+    month = np.concatenate([np.repeat(months, 24), rng.choice(months, extra)])
+    hour = np.concatenate([np.tile(np.arange(24), len(months)), rng.integers(0, 24, extra)])
+    value = np.where(
+        rng.random(month.size) < 0.3,
+        rng.choice(_SPECIAL, month.size),
+        rng.normal(size=month.size) * 10.0 ** rng.uniform(-300.0, 300.0, month.size),
+    )
+    if draw(st.integers(0, 9)) == 0:
+        value[:] = rng.choice(_SPECIAL)  # a flat shape
+    rows = list(zip(month.tolist(), hour.tolist(), value.tolist()))
+    rows += [rows[i] for i in rng.integers(0, len(rows), draw(st.integers(0, 5)))]
+    if draw(st.integers(0, 9)) == 0:
+        for _ in range(draw(st.integers(1, 3))):
+            rows.pop(draw(st.integers(0, len(rows) - 1)))
+    if draw(st.integers(0, 19)) == 0:
+        rows += [(months[0], hour, 1.0) for hour in draw(st.lists(
+            st.sampled_from([-1, 24, 99]), min_size=1, max_size=3
+        ))]
+    return [rows[i] for i in rng.permutation(len(rows))]
+
+
+@st.composite
+def _hourly_pair(draw):
+    months = draw(st.lists(st.sampled_from(_MONTHS), min_size=1, max_size=3, unique=True))
+    other = months if draw(st.integers(0, 9)) else draw(
+        st.lists(st.sampled_from(_MONTHS), min_size=1, max_size=3, unique=True)
+    )
+    return draw(_hourly_side(months)), draw(_hourly_side(other))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_hourly_pair())
+@example(([("m", h, 1.0) for h in range(24)], []))
+@np.errstate(over="ignore", invalid="ignore")
+def test_pearson_monthly_matches_dict_fold(pair):
+    """The bincount fold gives the dict fold's shapes bit for bit, and the
+    same correlations or the same error."""
+    rows_a, rows_b = pair
+    for side, rows in (("a", rows_a), ("b", rows_b)):
+        expected = _outcome(_reference_monthly_shapes, rows, side)
+        got = _outcome(_monthly_shapes, *columns(rows), side)
+        if isinstance(expected, str):
+            assert got == expected
+        else:
+            assert got[0] == sorted(expected)
+            assert got[1].tobytes() == np.array([expected[m] for m in got[0]]).tobytes()
+    expected = _outcome(_reference_pearson_monthly, rows_a, rows_b)
+    got = _outcome(pearson_monthly, columns(rows_a), columns(rows_b))
+    if isinstance(expected, dict):
+        assert list(got) == list(expected)
+        assert all(
+            (g is None and e is None) or (math.isnan(g) and math.isnan(e)) or g == e
+            for g, e in zip(got.values(), expected.values())
+        )
+    else:
+        assert got == expected
 
 
 def test_relative_pct_diff_oracle():

@@ -27,7 +27,7 @@ from solartwin.pv import (
     save_profiles,
     tilted_radiation,
 )
-from solartwin.records import HouseholdRecord, HouseholdTable, IrradianceSeries
+from solartwin.records import HouseholdTable, IrradianceSeries
 from solartwin.seeds import choose, rng_for
 
 FEATURES = {
@@ -42,10 +42,18 @@ FEATURES = {
 }
 
 
-def make_household(i=0, sqft=1800.0, tract="t1", solar=True, lat=38.0):
-    return HouseholdRecord(
-        id=i, state="VA", county="51001", tract=tract, lat=lat, lon=-78.0,
-        features=dict(FEATURES), sqft_value=sqft, solar=solar,
+def make_households(n=1, sqft=1800.0, tract="t1", solar=True, lat=38.0, ids=None):
+    """n households with ids 0..n-1, or ``ids``; a column given as a list
+    holds one value per row (None for missing), a scalar every row's."""
+
+    def column(value):
+        return value if isinstance(value, list) else [value] * n
+
+    return HouseholdTable(
+        id=list(range(n)) if ids is None else ids, state=column("VA"), county=column("51001"),
+        tract=column(tract), lat=column(lat), lon=column(-78.0),
+        features=np.tile(list(FEATURES.values()), (n, 1)), sqft_value=column(sqft),
+        solar=column(solar),
     )
 
 
@@ -87,16 +95,17 @@ def test_tilted_radiation_degradation_and_guards():
 
 
 def test_sample_time_invariant_ranges():
-    ti = sample_time_invariant(make_household(sqft=2000.0), n=200, seed=1)
+    ti = sample_time_invariant(make_households(sqft=2000.0), n=200, seed=1)
     assert ti.n == 200
+    assert ti.areas.shape == ti.azimuths.shape == (1, 200)
     roof = 1.5 * 2000.0 * 0.092903
-    assert ti.roof_area == pytest.approx(roof)
-    assert ti.building_type == "small"
+    assert ti.roof_area.tolist() == pytest.approx([roof])
+    assert ti.building_type.tolist() == ["small"]
     assert np.all((ti.yields >= 0.18) & (ti.yields <= 0.22))
     assert np.all((ti.ratios >= 0.5) & (ti.ratios <= 0.9))
     assert np.all((ti.planes >= 1) & (ti.planes <= 4))
     assert set(np.unique(ti.tilts)) <= {15.0, 25.0, 35.0}
-    assert set(ti.azimuths) <= {"N", "NE", "E", "SE", "S", "SW", "W", "NW"}
+    assert set(ti.azimuths.ravel().tolist()) <= {"N", "NE", "E", "SE", "S", "SW", "W", "NW"}
     assert np.all(ti.areas >= 0.0) and np.all(ti.areas <= roof)
     # areas snap to whole 1.64 m^2 panels
     panels = ti.areas / 1.64
@@ -106,39 +115,37 @@ def test_sample_time_invariant_ranges():
 
 
 def test_building_type_threshold():
-    big = sample_time_invariant(make_household(sqft=4000.0), n=10, seed=0)
-    assert big.building_type == "medium"  # 1.5 * 4000 * 0.092903 > 464.6
-    small = sample_time_invariant(make_household(sqft=3000.0), n=10, seed=0)
-    assert small.building_type == "small"
+    big = sample_time_invariant(make_households(sqft=4000.0), n=10, seed=0)
+    assert big.building_type.tolist() == ["medium"]  # 1.5 * 4000 * 0.092903 > 464.6
+    small = sample_time_invariant(make_households(sqft=3000.0), n=10, seed=0)
+    assert small.building_type.tolist() == ["small"]
 
 
 def test_sample_requires_sqft():
-    rec = make_household()
-    rec.sqft_value = None
     with pytest.raises(ValueError, match="household 0 has no sqft_value"):
-        sample_time_invariant(rec)
+        sample_time_invariant(make_households(sqft=None))
 
 
 def test_sample_deterministic():
-    a = sample_time_invariant(make_household(), n=50, seed=9)
-    b = sample_time_invariant(make_household(), n=50, seed=9)
+    a = sample_time_invariant(make_households(), n=50, seed=9)
+    b = sample_time_invariant(make_households(), n=50, seed=9)
     assert np.array_equal(a.areas, b.areas)
-    assert a.azimuths == b.azimuths
+    assert np.array_equal(a.azimuths, b.azimuths)
 
 
 def test_hourly_energy_matches_manual():
-    ti = sample_time_invariant(make_household(), n=30, seed=2)
+    ti = sample_time_invariant(make_households(), n=30, seed=2)
     mean, std = hourly_energy(ti, 500.0)
-    kwh = ti.arpr * 500.0 / 1000.0
-    assert mean == pytest.approx(float(kwh.mean()), rel=1e-12)
-    assert std == pytest.approx(float(kwh.std()), rel=1e-12)
+    assert mean.shape == std.shape == (1,)
+    kwh = ti.arpr[0] * 500.0 / 1000.0
+    assert mean[0] == pytest.approx(float(kwh.mean()), rel=1e-12)
+    assert std[0] == pytest.approx(float(kwh.std()), rel=1e-12)
     with pytest.raises(ValueError, match="scalar or length"):
         hourly_energy(ti, np.zeros(7))
 
 
 def profiles_setup(n_households=6, days=2):
-    records = [make_household(i, sqft=1200.0 + 150.0 * i) for i in range(n_households)]
-    pop = HouseholdTable(records)
+    pop = make_households(n_households, sqft=[1200.0 + 150.0 * i for i in range(n_households)])
     series = flat_series(days=days)
     dates = [series.start_date + datetime.timedelta(days=d) for d in range(days)]
     return pop, {"t1": series}, dates
@@ -227,8 +234,7 @@ def test_profile_pool_capped_at_cpu_count(monkeypatch):
 
 
 def test_profiles_only_for_adopters():
-    records = [make_household(0, solar=True), make_household(1, solar=False)]
-    pop = HouseholdTable(records)
+    pop = make_households(2, solar=[True, False])
     series = flat_series(days=1)
     profiles = generate_profiles(pop, {"t1": series}, [series.start_date], seed=0)
     assert profiles.household.tolist() == [0]
@@ -236,7 +242,7 @@ def test_profiles_only_for_adopters():
 
 
 def test_profiles_empty_side(tmp_path):
-    pop = HouseholdTable([make_household(0, solar=False), make_household(1, solar=False)])
+    pop = make_households(2, solar=False)
     series = flat_series(days=2)
     dates = [series.start_date, series.start_date + datetime.timedelta(days=1)]
     profiles = generate_profiles(pop, {"t1": series}, dates, workers=2, seed=0)
@@ -260,9 +266,7 @@ def test_profiles_input_guards():
         generate_profiles(pop, irr, late, seed=0)
     # two tracts: only the second one's series ends early, so it is named
     # with the first date it lacks
-    two = HouseholdTable(
-        [make_household(0), make_household(1, tract="t2"), make_household(2, tract="t2")]
-    )
+    two = make_households(3, tract=["t1", "t2", "t2"])
     short = {"t1": flat_series(days=3), "t2": flat_series("t2", days=1)}
     days3 = [dates[0] + datetime.timedelta(days=d) for d in range(3)]
     with pytest.raises(ValueError, match="^no irradiance for tract t2 on 2018-06-02$"):
@@ -273,22 +277,23 @@ def test_profiles_input_guards():
 
 def test_profiles_horizontal_fallback_across_dates():
     # at lat 89.5, sin(alpha) <= 0.01 through 2018-03-22 and > 0.01 from 03-23
-    rec = make_household(lat=89.5)
+    pop = make_households(lat=89.5)
     start = datetime.date(2018, 3, 20)
     series = flat_series(days=6, start=start)
     dates = [start + datetime.timedelta(days=d) for d in range(6)]
-    profiles = generate_profiles(HouseholdTable([rec]), {"t1": series}, dates, seed=5)
-    ti = sample_time_invariant(rec, 20, DEFAULT_TABLES, rng_for(5, "pv", rec.id))
-    d = np.array([DEFAULT_TABLES.degradation[a] for a in ti.azimuths])
+    profiles = generate_profiles(pop, {"t1": series}, dates, seed=5)
+    ti = sample_time_invariant(pop, 20, DEFAULT_TABLES, rng_for(5, "pv", 0))
+    arpr, tilts = ti.arpr[0], ti.tilts[0]
+    d = np.array([DEFAULT_TABLES.degradation[a] for a in ti.azimuths[0]])
     flat_days = 0
     for j, date in enumerate(dates):
         alpha = 90.0 - 89.5 + declination(date.timetuple().tm_yday)
         s = np.sin(np.radians(alpha))
         if s <= 0.01:
-            per_wh = ti.arpr * d
+            per_wh = arpr * d
             flat_days += 1
         else:
-            per_wh = ti.arpr * np.maximum(np.sin(np.radians(alpha + ti.tilts)) / s * d, 0.0)
+            per_wh = arpr * np.maximum(np.sin(np.radians(alpha + tilts)) / s * d, 0.0)
         assert (s <= 0.01) == (date <= datetime.date(2018, 3, 22))
         for hour, ghi in enumerate(series.ghi_for_date(date)):
             kwh = ghi / 1000.0 * per_wh
@@ -305,23 +310,27 @@ def test_profile_csv_roundtrip(tmp_path):
         "2018-06-01.csv", "2018-06-02.csv"
     ]
     rows = load_profile_rows(paths[0])
-    assert len(rows) == 3 * 24
-    by_key = {(r[0], r[2]): (r[3], r[4]) for r in rows}
+    assert len(rows["hour"]) == 3 * 24
+    by_key = dict(zip(
+        zip(rows["household_id"], rows["hour"]), zip(rows["mean_kwh"], rows["std_kwh"])
+    ))
     assert by_key[(int(profiles.household[0]), 10)] == (
         float(profiles.hourly_mean[0, 0, 10]), float(profiles.hourly_std[0, 0, 10])
     )
     daily_path = tmp_path / "daily_test.csv"
     save_daily(profiles, daily_path)
     daily = load_daily(daily_path)
-    assert len(daily) == len(profiles)
-    assert daily[0][2] == float(profiles.daily_mean[0, 0])
+    assert len(daily["household_id"]) == len(profiles)
+    assert daily["daily_mean_kwh"][0] == float(profiles.daily_mean[0, 0])
     # rows in (household, date) order
-    assert [(r[0], r[1]) for r in daily] == [(h, d) for h in range(3) for d in dates]
+    assert list(zip(daily["household_id"], daily["date"])) == [
+        (h, d) for h in range(3) for d in dates
+    ]
 
 
 def test_custom_tables_flow_through():
     tables = SamplingTables(yield_range=(0.5, 0.5), pr_range=(1.0, 1.0))
-    ti = sample_time_invariant(make_household(), n=20, tables=tables, seed=0)
+    ti = sample_time_invariant(make_households(), n=20, tables=tables, seed=0)
     assert np.all(ti.yields == 0.5)
     assert np.all(ti.ratios == 1.0)
     assert DEFAULT_TABLES.yield_range == (0.18, 0.22)
@@ -330,14 +339,15 @@ def test_custom_tables_flow_through():
 # ------------------------------------------- batched sampler against the loop
 
 
-def _reference_sample_time_invariant(h, n, tables, rng):
+def _reference_sample_time_invariant(household, sqft_value, n, tables, rng):
     """The per-sample sampler the batched kernel replaced: one Generator
-    call per draw, one rng.choice per sample."""
+    call per draw, one rng.choice per sample, for one household's id and
+    footage (None when missing)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if h.sqft_value is None:
-        raise ValueError(f"household {h.id} has no sqft_value")
-    roof_area = tables.roof_factor * h.sqft_value * SQFT_TO_M2
+    if sqft_value is None:
+        raise ValueError(f"household {household} has no sqft_value")
+    roof_area = tables.roof_factor * sqft_value * SQFT_TO_M2
     building_type = "small" if roof_area <= tables.small_threshold_m2 else "medium"
     yields = rng.uniform(*tables.yield_range, size=n)
     ratios = rng.uniform(*tables.pr_range, size=n)
@@ -367,7 +377,7 @@ def _reference_sample_time_invariant(h, n, tables, rng):
     )
     picks = rng.choice(len(pairs), size=n, p=joint / joint.sum())
     return TimeInvariantSamples(
-        household=h.id,
+        household=household,
         roof_area=roof_area,
         building_type=building_type,
         n=n,
@@ -387,6 +397,15 @@ def _outcome(fn, *args):
         return fn(*args)
     except (ValueError, KeyError, OverflowError) as exc:
         return type(exc), str(exc)
+
+
+def _row_samples(batch, k):
+    """Household k of a batch, in the reference sampler's one-household form."""
+    return TimeInvariantSamples(
+        int(batch.household[k]), float(batch.roof_area[k]), str(batch.building_type[k]),
+        batch.n, batch.areas[k], batch.yields[k], batch.ratios[k], batch.planes[k],
+        batch.tilts[k], tuple(batch.azimuths[k].tolist()), batch.arpr[k],
+    )
 
 
 def _same_samples(a, b):
@@ -460,35 +479,29 @@ def test_batched_sampler_matches_reference(footages, n, tables, seed):
     """The batched kernel gives every household what the per-call loop
     gives it from the same stream, bit for bit, and raises what the loop
     raises for the first household that fails."""
-    households = [make_household(10 + 3 * k, sqft=f) for k, f in enumerate(footages)]
+    ids = [10 + 3 * k for k in range(len(footages))]
+    pop = make_households(len(footages), sqft=list(footages), ids=ids)
     expected = []
-    for h in households:
-        got = _outcome(_reference_sample_time_invariant, h, n, tables, rng_for(seed, "pv", h.id))
+    for household, sqft in zip(ids, footages):
+        rng = rng_for(seed, "pv", household)
+        got = _outcome(_reference_sample_time_invariant, household, sqft, n, tables, rng)
         expected.append(got)
         if isinstance(got, tuple):
             break
-    pop = HouseholdTable(households)
     batch = _outcome(sample_time_invariant, pop, n, tables, seed)
     if isinstance(expected[-1], tuple):
         assert batch == expected[-1]
     else:
-        assert batch.areas.shape == (len(households), n)
+        assert batch.areas.shape == (len(footages), n)
         for k, ref in enumerate(expected):
-            _same_samples(
-                TimeInvariantSamples(
-                    int(batch.household[k]), float(batch.roof_area[k]),
-                    str(batch.building_type[k]), n, batch.areas[k], batch.yields[k],
-                    batch.ratios[k], batch.planes[k], batch.tilts[k],
-                    tuple(batch.azimuths[k].tolist()), batch.arpr[k],
-                ),
-                ref,
-            )
-    # the one-household API is the same kernel
-    first = _outcome(sample_time_invariant, households[0], n, tables, seed)
+            _same_samples(_row_samples(batch, k), ref)
+    # one household is a one-row table: the same kernel, batch-shaped
+    first = _outcome(sample_time_invariant, next(iter(pop)), n, tables, seed)
     if isinstance(expected[0], tuple):
         assert first == expected[0]
     else:
-        _same_samples(first, expected[0])
+        assert first.areas.shape == (1, n)
+        _same_samples(_row_samples(first, 0), expected[0])
 
 
 def test_choose_is_the_choice_search_rule():
@@ -506,15 +519,17 @@ def test_choose_is_the_choice_search_rule():
     assert np.array_equal(choose(p, np.random.default_rng(3).random(200)), picks)
 
 
-def _reference_profiles(households, irradiance, dates, seed, tables, n):
+def _reference_profiles(pop, irradiance, dates, seed, tables, n):
     """Per-household (D, 24) mean and std from the reference sampler."""
     deltas = np.array([declination(date.timetuple().tm_yday) for date in dates])
     mean, std = [], []
-    for h in households:
-        ti = _reference_sample_time_invariant(h, n, tables, rng_for(seed, "pv", h.id))
+    columns = (pop.id.tolist(), pop.sqft_value.tolist(), pop.tract.tolist(), pop.lat.tolist())
+    for household, sqft, tract, lat in zip(*columns):
+        rng = rng_for(seed, "pv", household)
+        ti = _reference_sample_time_invariant(household, sqft, n, tables, rng)
         d = np.array([tables.degradation[a] for a in ti.azimuths])
-        ghi = np.stack([irradiance[h.tract].ghi_for_date(date) for date in dates])
-        per_wh = ti.arpr * pv._tilt_factors(h.lat, deltas[:, None], ti.tilts, d)
+        ghi = np.stack([irradiance[tract].ghi_for_date(date) for date in dates])
+        per_wh = ti.arpr * pv._tilt_factors(lat, deltas[:, None], ti.tilts, d)
         energy = (ghi / 1000.0)[:, :, None] * per_wh[:, None, :]
         mean.append(energy.mean(axis=-1))
         std.append(energy.std(axis=-1))
@@ -540,15 +555,15 @@ def test_profiles_match_reference_per_household(footages, lats, days, n, cells, 
         "t2": flat_series("t2", days=days, value=730.5, start=start),
     }
     dates = [start + datetime.timedelta(days=d) for d in range(days)]
-    households = [
-        make_household(k, sqft=f, tract=f"t{1 + k % 2}", lat=lats[k])
-        for k, f in enumerate(footages)
-    ]
-    pop = HouseholdTable(households)
+    n_households = len(footages)
+    pop = make_households(
+        n_households, sqft=list(footages), lat=lats[:n_households],
+        tract=[f"t{1 + k % 2}" for k in range(n_households)],
+    )
     with mock.patch.object(pv, "_BLOCK_CELLS", cells):
         profiles = generate_profiles(pop, irradiance, dates, seed=seed, n_samples=n)
         daily = generate_profiles(pop, irradiance, dates, seed=seed, n_samples=n, hourly=False)
-    mean, std = _reference_profiles(households, irradiance, dates, seed, DEFAULT_TABLES, n)
+    mean, std = _reference_profiles(pop, irradiance, dates, seed, DEFAULT_TABLES, n)
     assert np.array_equal(profiles.hourly_mean, mean)
     assert np.array_equal(profiles.hourly_std, std)
     assert np.array_equal(profiles.mean_daily, profiles.daily_mean.mean(axis=1))
@@ -568,12 +583,10 @@ def test_mean_daily_matches_whole_block_across_workers():
 
 
 def test_first_adopter_without_sqft_is_named():
-    records = [make_household(i, sqft=1500.0) for i in range(6)]
-    records[1].solar = False
-    records[1].sqft_value = None  # not an adopter: never sampled
-    records[4].sqft_value = None
-    records[5].sqft_value = None
-    pop = HouseholdTable(records)
+    # household 1 lacks footage too, but is not an adopter: never sampled
+    pop = make_households(
+        6, sqft=[1500.0, None, 1500.0, 1500.0, None, None], solar=[True, False] + [True] * 4
+    )
     series = flat_series(days=1)
     for workers in (1, 2):
         with pytest.raises(ValueError, match="^household 4 has no sqft_value$"):
@@ -595,6 +608,6 @@ def test_invalid_table_weights_raise_like_choice(field, bad, message):
     weights[sorted(weights)[0]] = bad
     tables = SamplingTables(**{field: weights})
     with pytest.raises(ValueError, match=message):
-        sample_time_invariant(make_household(), tables=tables)
+        sample_time_invariant(make_households(), tables=tables)
     with pytest.raises(ValueError, match=message):
-        _reference_sample_time_invariant(make_household(), 20, tables, rng_for(0, "pv", 0))
+        _reference_sample_time_invariant(0, 1800.0, 20, tables, rng_for(0, "pv", 0))

@@ -10,14 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from solartwin.cli import _load_dataset, _load_survey
-from solartwin.pv import load_daily, load_profile_rows
+from solartwin.pv import EnergyProfiles, load_daily, load_profile_rows, save_daily, save_profiles
 from solartwin.records import (
     FEATURE_DOMAINS,
     FEATURE_NAMES,
     N_SQFT_CLASSES,
     AdopterTarget,
     Graph,
-    HouseholdRecord,
     HouseholdTable,
     IngestError,
     IrradianceSeries,
@@ -44,18 +43,17 @@ FEATURES = {
 }
 
 
-def make_record(i=0, **kw):
-    base = dict(
-        id=i,
-        state="VA",
-        county="51001",
-        tract="51001000001",
-        lat=37.5,
-        lon=-78.0,
-        features=dict(FEATURES),
+def make_table(n=1, features=None, **columns):
+    """n households, ids 0..n-1 unless given; a column given as a scalar
+    holds that value in every row, and features defaults to FEATURES."""
+    base = dict(id=range(n), state="VA", county="51001", tract="51001000001", lat=37.5, lon=-78.0)
+    base.update(columns)
+    if features is None:
+        features = np.tile(list(FEATURES.values()), (n, 1))
+    return HouseholdTable(
+        features=features,
+        **{c: v if isinstance(v, (list, range)) else [v] * n for c, v in base.items()},
     )
-    base.update(kw)
-    return HouseholdRecord(**base)
 
 
 def test_sqft_class_range():
@@ -69,46 +67,54 @@ def test_sqft_class_range():
 
 def test_record_validation_errors():
     with pytest.raises(IngestError, match=r"row 3, column lat: 123.0 out of \[-90, 90\]"):
-        HouseholdTable([make_record(0), make_record(1, lat=123.0)])
-    bad = make_record()
-    bad.features["MONEYPY"] = 42
+        make_table(2, lat=[37.5, 123.0])
+    bad = np.array([list(FEATURES.values())])
+    bad[0, FEATURE_NAMES.index("MONEYPY")] = 42
     with pytest.raises(IngestError, match="column MONEYPY: code 42 outside domain"):
-        HouseholdTable([bad])
-    missing = make_record()
-    del missing.features["FUELHEAT"]
-    with pytest.raises(IngestError, match="missing feature FUELHEAT"):
-        HouseholdTable([missing])
+        make_table(features=bad)
+    with pytest.raises(ValueError, match=r"an \(1, 8\) features matrix"):
+        make_table(features=bad[:, 1:])
     with pytest.raises(IngestError, match="column sqft_class: 8 out of"):
-        HouseholdTable([make_record(sqft_class=8)])
+        make_table(sqft_class=8)
     with pytest.raises(IngestError, match="column sqft_value: -10.0 must be > 0"):
-        HouseholdTable([make_record(sqft_value=-10.0)])
+        make_table(sqft_value=-10.0)
 
 
 def test_duplicate_ids_rejected():
     with pytest.raises(IngestError, match="duplicate household id 3"):
-        HouseholdTable([make_record(3), make_record(3)])
+        make_table(2, id=[3, 3])
 
 
-def test_feature_matrix_order():
-    table = HouseholdTable([make_record(0), make_record(1)])
-    X = table.feature_matrix()
+def test_features_column_order():
+    X = make_table(2).features
     assert X.shape == (2, 8)
     assert X.dtype == np.int64
     assert list(X[0]) == [2, 3, 2, 1, 1, 5, 8, 4]
 
 
 def test_households_roundtrip(tmp_path):
-    records = [
-        make_record(0, sqft_class=3, solar=True, lmi=False, rural=True),
-        make_record(1, sqft_value=1234.5, solar=False, lmi=True, rural=False),
-    ]
-    table = HouseholdTable(records)
+    table = make_table(
+        2, sqft_class=[3, None], sqft_value=[None, 1234.5], solar=[True, False],
+        lmi=[False, True], rural=[True, False],
+    )
     path = tmp_path / "households.csv"
     save_households(table, path)
     again = load_households(path)
     assert again == table
-    assert again[0].solar is True and again[0].sqft_value is None
-    assert again[1].sqft_value == 1234.5
+    assert again.solar.tolist() == [True, False]
+    assert again.sqft_value.tolist() == [None, 1234.5]
+
+
+def test_rows_and_equality():
+    table = make_table(3, sqft_value=[None, 900.0, 1234.5], solar=[True, None, False])
+    rows = list(table)
+    assert [len(row) for row in rows] == [1, 1, 1]
+    assert [bool(row.solar) for row in rows] == [True, False, False]
+    assert rows[2] == make_table(id=2, sqft_value=1234.5, solar=False)
+    assert rows[1] != make_table(id=1, sqft_value=900.0, solar=False)  # missing is not False
+    assert rows[1] != make_table(id=1, sqft_value=900.5)
+    assert table != make_table(2, sqft_value=[None, 900.0], solar=[True, None])
+    assert table == table.replace(lat=table.lat.copy())
 
 
 _OPTIONAL_VALUES = {
@@ -158,6 +164,52 @@ def test_households_roundtrip_property(table):
         assert again == table
         save_households(again, second)
         assert second.read_bytes() == first.read_bytes()
+
+
+@st.composite
+def energy_profiles(draw):
+    """Profiles of 0-4 households over 1-3 distinct dates, in any order,
+    with finite hourly means and stds."""
+    n = draw(st.integers(0, 4))
+    dates = draw(st.lists(st.dates(), min_size=1, max_size=3, unique=True))
+    ids = draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n, unique=True))
+    cells = st.lists(st.floats(0.0, 1e12), min_size=n * len(dates) * 24,
+                     max_size=n * len(dates) * 24)
+    mean, std = (np.reshape(draw(cells), (n, len(dates), 24)) for _ in range(2))
+    return EnergyProfiles(np.array(ids, dtype=np.int64), dates, mean, std, mean.sum(-1).mean(1))
+
+
+@settings(max_examples=50, deadline=None)
+@given(energy_profiles())
+def test_daily_roundtrip_property(profiles):
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch, "daily_x.csv")
+        save_daily(profiles, path)
+        columns = load_daily(path)
+    n, days = len(profiles.household), len(profiles.dates)
+    assert columns["household_id"] == np.repeat(profiles.household, days).tolist()
+    assert columns["date"] == profiles.dates * n
+    assert columns["daily_mean_kwh"] == profiles.daily_mean.ravel().tolist()
+    assert columns["daily_std_kwh"] == profiles.daily_std.ravel().tolist()
+
+
+@settings(max_examples=50, deadline=None)
+@given(energy_profiles())
+def test_profiles_roundtrip_property(profiles):
+    with tempfile.TemporaryDirectory() as scratch:
+        paths = save_profiles(profiles, scratch)
+        loaded = [load_profile_rows(path) for path in paths]
+    n = len(profiles.household)
+    order = sorted(range(len(profiles.dates)), key=profiles.dates.__getitem__) if n else []
+    assert [Path(path).name for path in paths] == [
+        f"profiles_{profiles.dates[j].isoformat()}.csv" for j in order
+    ]
+    for j, columns in zip(order, loaded):
+        assert columns["household_id"] == np.repeat(profiles.household, 24).tolist()
+        assert columns["date"] == [profiles.dates[j].isoformat()] * n * 24
+        assert columns["hour"] == list(range(24)) * n
+        assert columns["mean_kwh"] == profiles.hourly_mean[:, j].ravel().tolist()
+        assert columns["std_kwh"] == profiles.hourly_std[:, j].ravel().tolist()
 
 
 def test_households_missing_column(tmp_path):

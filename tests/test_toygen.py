@@ -5,7 +5,7 @@ import datetime
 import numpy as np
 import pytest
 
-from solartwin.records import FEATURE_DOMAINS, N_SQFT_CLASSES
+from solartwin.records import FEATURE_DOMAINS, FEATURE_NAMES, N_SQFT_CLASSES
 from solartwin.toygen import (
     SUNRISE_HOUR,
     SUNSET_HOUR,
@@ -28,31 +28,30 @@ def test_population_counts_are_exact():
     cfg = ToyConfig(n_households=240, adopter_fraction=0.1, lmi_fraction=0.25, seed=3)
     pop = gen_population(cfg)
     assert len(pop) == 240
-    assert sum(1 for r in pop if r.solar) == 24
-    assert sum(1 for r in pop if r.lmi) == 60
-    assert all(r.sqft_value is None for r in pop)
-    assert {r.sqft_class for r in pop} <= set(range(N_SQFT_CLASSES))
+    assert np.count_nonzero(pop.labels("solar")) == 24
+    assert np.count_nonzero(pop.labels("lmi")) == 60
+    assert pop.sqft_value.mask.all()
+    assert set(pop.labels("sqft_class").tolist()) <= set(range(N_SQFT_CLASSES))
 
 
 def test_population_feature_domains():
     pop = gen_population(ToyConfig(n_households=300, seed=1))
-    for rec in pop:
-        for name, code in rec.features.items():
-            assert code in FEATURE_DOMAINS[name]
+    for name, codes in zip(FEATURE_NAMES, pop.features.T):
+        assert set(codes.tolist()) <= set(FEATURE_DOMAINS[name])
 
 
 def test_planted_income_signal():
     pop = gen_population(ToyConfig(n_households=1000, seed=0))
-    adopters = [r.features["MONEYPY"] for r in pop if r.solar]
-    rest = [r.features["MONEYPY"] for r in pop if not r.solar]
-    assert np.mean(adopters) > np.mean(rest) + 1.0
+    income = pop.features[:, FEATURE_NAMES.index("MONEYPY")]
+    solar = pop.labels("solar")
+    assert np.mean(income[solar]) > np.mean(income[~solar]) + 1.0
 
 
 def test_lmi_marks_lowest_income():
     pop = gen_population(ToyConfig(n_households=200, lmi_fraction=0.2, seed=5))
-    lmi_max = max(r.features["MONEYPY"] for r in pop if r.lmi)
-    non_lmi_min = min(r.features["MONEYPY"] for r in pop if not r.lmi)
-    assert lmi_max <= non_lmi_min
+    income = pop.features[:, FEATURE_NAMES.index("MONEYPY")]
+    lmi = pop.labels("lmi")
+    assert income[lmi].max() <= income[~lmi].min()
 
 
 def test_tract_and_rural_assignment():
@@ -60,9 +59,8 @@ def test_tract_and_rural_assignment():
     pop = gen_population(cfg)
     ids = tract_ids(cfg)
     assert len(ids) == 4
-    for i, rec in enumerate(pop):
-        assert rec.tract == ids[i % 4]
-        assert rec.rural == (i % 4 % 2 == 1)
+    assert pop.tract.tolist() == [ids[i % 4] for i in range(40)]
+    assert pop.labels("rural").tolist() == [i % 4 % 2 == 1 for i in range(40)]
 
 
 def test_irradiance_night_zero_and_peak():
