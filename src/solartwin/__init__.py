@@ -71,7 +71,6 @@ from solartwin.pv import (
     TimeInvariantSamples,
     declination,
     generate_profiles,
-    hourly_energy,
     sample_time_invariant,
     save_daily,
     save_profiles,
@@ -82,7 +81,6 @@ from solartwin.metrics import (
     jsd,
     jsd_histogram,
     jsd_kde,
-    kld,
     kld_histogram,
     pearson_monthly,
     relative_pct_diff,

@@ -12,6 +12,7 @@ of evaluation order.
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse
 
 from .records import FEATURE_NAMES, Graph, HouseholdTable, write_csv
 from .seeds import rng_for
@@ -175,7 +176,8 @@ def rebate_bins(rebates) -> np.ndarray:
 
 @dataclass
 class NodeData:
-    """Static per-node inputs shared by every state of one simulation."""
+    """Static per-node inputs shared by every state of one simulation;
+    adjacency is the graph's symmetric 0/1 matrix in CSR form."""
 
     thresholds: np.ndarray
     benefit: np.ndarray
@@ -184,6 +186,7 @@ class NodeData:
     lmi: np.ndarray
     rural: np.ndarray
     degree: np.ndarray
+    adjacency: scipy.sparse.csr_array
     rebate_bin: np.ndarray | None = None
 
     @property
@@ -251,9 +254,10 @@ def build_nodes(
         raise ValueError("need one benefit value per household")
     counties, county_index = np.unique(pop.county, return_inverse=True)
     county_size = np.bincount(county_index, minlength=counties.size).astype(float)
-    degree = (
-        np.bincount(graph.edge_u, minlength=n) + np.bincount(graph.edge_v, minlength=n)
-    ).astype(float)
+    ends = np.concatenate((graph.edge_u, graph.edge_v))
+    starts = np.concatenate((graph.edge_v, graph.edge_u))
+    adjacency = scipy.sparse.csr_array((np.ones(ends.size), (ends, starts)), shape=(n, n))
+    degree = np.bincount(ends, minlength=n).astype(float)
     bins = None
     if config.case in ("4", "5"):
         if annual_kwh is None:
@@ -274,6 +278,7 @@ def build_nodes(
         lmi=lmi,
         rural=rural,
         degree=degree,
+        adjacency=adjacency,
         rebate_bin=bins,
     )
 
@@ -282,18 +287,17 @@ def step(state: DiffusionState, graph: Graph, config: DiffusionConfig, rng) -> D
     """One synchronous update; returns the successor state.
 
     rng supplies one uniform per node (a single vectorized draw), so the
-    outcome does not depend on node evaluation order.
+    outcome does not depend on node evaluation order.  Each node's adopting
+    neighbours come from one matvec with the adjacency that build_nodes
+    made from graph: every term is 0 or 1, so the float sums are exact
+    integers whatever order they are added in.
     """
     nodes = state.nodes
     if graph.node_count != nodes.n:
         raise ValueError("graph does not match the simulation's node data")
     adopted = state.adopted
     county_rate = state.county_rates()[nodes.county_index]
-    adopted_f = adopted.astype(float)
-    neighbor_adopters = np.bincount(
-        graph.edge_u, weights=adopted_f[graph.edge_v], minlength=nodes.n
-    ) + np.bincount(graph.edge_v, weights=adopted_f[graph.edge_u], minlength=nodes.n)
-    neighbor_rate = neighbor_adopters / np.maximum(nodes.degree, 1.0)
+    neighbor_rate = (nodes.adjacency @ adopted) / np.maximum(nodes.degree, 1.0)
     step_number = state.step + 1
     probs = _gate(config.case, nodes.lmi, step_number, nodes.rebate_bin)
     draws = rng.random(nodes.n)
@@ -324,11 +328,12 @@ def simulate(
     step with totals split by (lmi, rural).
     """
     nodes = build_nodes(pop, graph, config, benefit_values, annual_kwh)
+    chosen = np.asarray(initial_adopters, dtype=np.int64)
+    outside = (chosen < 0) | (chosen >= nodes.n)
+    if outside.any():
+        raise ValueError(f"initial adopter index {chosen[outside.argmax()]} out of range")
     initial = np.zeros(nodes.n, dtype=bool)
-    for idx in initial_adopters:
-        if not 0 <= int(idx) < nodes.n:
-            raise ValueError(f"initial adopter index {idx} out of range")
-        initial[int(idx)] = True
+    initial[chosen] = True
     timelines = []
     for iteration in range(config.iterations):
         rng = rng_for(config.seed, "diffusion", config.case, iteration)
@@ -336,24 +341,23 @@ def simulate(
         for _ in range(config.time_steps):
             states.append(step(states[-1], graph, config, rng))
         timelines.append(states)
-    rows = []
-    quadrants = (
-        ("lmi_rural", nodes.lmi & nodes.rural),
-        ("lmi_urban", nodes.lmi & ~nodes.rural),
-        ("nonlmi_rural", ~nodes.lmi & nodes.rural),
-        ("nonlmi_urban", ~nodes.lmi & ~nodes.rural),
-    )
-    for t in range(config.time_steps + 1):
-        row = {"case": config.case, "step": t}
-        adopted_stack = [timeline[t].adopted for timeline in timelines]
-        row["total_adopters"] = float(
-            np.mean([np.count_nonzero(a) for a in adopted_stack])
-        )
-        for name, mask in quadrants:
-            row[name] = float(
-                np.mean([np.count_nonzero(a & mask) for a in adopted_stack])
-            )
-        rows.append(row)
+    # (iterations, steps + 1, n): integer counts per run, then their mean
+    adopted = np.array([[state.adopted for state in timeline] for timeline in timelines])
+    groups = {
+        "total_adopters": np.ones(nodes.n, dtype=bool),
+        "lmi_rural": nodes.lmi & nodes.rural,
+        "lmi_urban": nodes.lmi & ~nodes.rural,
+        "nonlmi_rural": ~nodes.lmi & nodes.rural,
+        "nonlmi_urban": ~nodes.lmi & ~nodes.rural,
+    }
+    means = {
+        name: np.count_nonzero(adopted & mask, axis=2).mean(axis=0).tolist()
+        for name, mask in groups.items()
+    }
+    rows = [
+        {"case": config.case, "step": t, **{name: mean[t] for name, mean in means.items()}}
+        for t in range(config.time_steps + 1)
+    ]
     return SimulationResult(config=config, timelines=timelines, rows=rows)
 
 

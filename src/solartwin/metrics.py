@@ -27,14 +27,6 @@ class DiscreteDistribution:
         if np.any(mass < 0) or abs(float(mass.sum()) - 1.0) > 1e-9:
             raise ValueError("mass must be non-negative and sum to 1")
 
-    @classmethod
-    def from_counts(cls, bin_edges, counts) -> "DiscreteDistribution":
-        counts = np.asarray(counts, dtype=float)
-        total = counts.sum()
-        if total <= 0:
-            raise ValueError("counts sum to zero")
-        return cls(tuple(float(e) for e in bin_edges), tuple(counts / total))
-
 
 def _kld_mass(p: np.ndarray, q: np.ndarray) -> float:
     support = p > 0
@@ -47,12 +39,6 @@ def _kld_mass(p: np.ndarray, q: np.ndarray) -> float:
 def _check_edges(p: DiscreteDistribution, q: DiscreteDistribution):
     if not np.array_equal(p.bin_edges, q.bin_edges):
         raise ValueError("distributions must share bin edges")
-
-
-def kld(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
-    """Kullback-Leibler divergence in bits; +inf when q lacks p's support."""
-    _check_edges(p, q)
-    return _kld_mass(np.asarray(p.mass), np.asarray(q.mass))
 
 
 def jsd(p: DiscreteDistribution, q: DiscreteDistribution) -> float:

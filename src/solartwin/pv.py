@@ -304,22 +304,6 @@ def _ensemble_kwh(energy) -> tuple:
     return energy.mean(axis=-1), energy.std(axis=-1)
 
 
-def hourly_energy(ti: TimeInvariantSamples, ht) -> tuple:
-    """(mean, std) energy in kWh over each household's ensemble for one
-    hour, as two (H,) arrays.
-
-    ht is the tilted radiation in W/m^2, either one scalar shared by all
-    samples or one value per sample.  Per sample the hour yields
-    area * yield * ht * ratio watt-hours.
-    """
-    ht_arr = np.asarray(ht, dtype=float)
-    if ht_arr.ndim != 0 and ht_arr.shape != (ti.n,):
-        raise ValueError(f"ht must be scalar or length {ti.n}")
-    # one hour at unit GHI: ht already holds each sample's plane irradiance
-    mean, std = _ensemble_kwh(_sample_kwh([1.0], ti.arpr * ht_arr))
-    return mean[..., 0], std[..., 0]
-
-
 @dataclass
 class EnergyProfiles:
     """Hourly (mean, std) kWh of H households over D dates, as (H, D, 24)

@@ -30,6 +30,7 @@ import csv
 import datetime
 import math
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -441,8 +442,30 @@ class Graph:
         return self.edge_u.size
 
 
+# the lines save_network writes: two unsigned decimal endpoints and one
+# space; at most 18 digits, so every value fits in int64
+_SAVED_EDGES = re.compile(rb"(?:[0-9]{1,18} [0-9]{1,18}\n)*")
+
+
 def load_network(path, node_count: int | None = None) -> Graph:
-    """Load an edge list (whitespace or comma separated integer pairs)."""
+    """Load an edge list (whitespace or comma separated integer pairs).
+
+    A file in save_network's format is parsed whole; any other file, or one
+    whose edges fail a check, goes through the line scan, which accepts
+    blanks, ``#`` comments and commas and names the line of an error.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if _SAVED_EDGES.fullmatch(data):
+        pairs = np.fromstring(data, dtype=np.int64, sep=" ").reshape(-1, 2)
+        count = node_count if node_count is not None else int(pairs.max(initial=-1)) + 1
+        if not (pairs[:, 0] == pairs[:, 1]).any() and not (pairs >= count).any():
+            return Graph(count, pairs)
+    return _scan_network(path, node_count)
+
+
+def _scan_network(path, node_count: int | None) -> Graph:
+    """load_network one line at a time."""
     edges = []
     max_node = -1
     with open(path) as fh:

@@ -260,10 +260,68 @@ def test_simulate_rows_schema_and_quadrants():
     assert len(result.timelines) == 3
 
 
+@pytest.mark.parametrize("iterations", [1, 3, 7])
+def test_simulate_rows_match_per_state_counts(iterations):
+    pop, graph = small_world(n=36, lmi_every=3, seed=4)
+    cfg = DiffusionConfig(case="2b", time_steps=5, iterations=iterations, seed=2)
+    result = simulate(pop, graph, cfg, [0, 5, 9], rng_for(2, "benefit").random(36))
+    lmi, rural = pop.lmi.filled(False), pop.rural.filled(False)
+    masks = {
+        "total_adopters": np.ones(36, dtype=bool), "lmi_rural": lmi & rural,
+        "lmi_urban": lmi & ~rural, "nonlmi_rural": ~lmi & rural, "nonlmi_urban": ~lmi & ~rural,
+    }
+    for t, row in enumerate(result.rows):
+        assert row["case"] == "2b" and row["step"] == t
+        for name, mask in masks.items():
+            counts = [np.count_nonzero(timeline[t].adopted & mask) for timeline in result.timelines]
+            assert repr(row[name]) == repr(float(np.mean(counts)))
+
+
 def test_simulate_initial_index_guard():
     pop, graph = small_world(n=10)
-    with pytest.raises(ValueError, match="out of range"):
-        simulate(pop, graph, DiffusionConfig(), [99], np.ones(10))
+    # the first bad index in input order is named
+    for initial, bad in [([99], 99), ([-1], -1), ([3, 10, -2], 10), (np.array([3, -2, 10]), -2)]:
+        with pytest.raises(ValueError, match=rf"^initial adopter index {bad} out of range$"):
+            simulate(pop, graph, DiffusionConfig(), initial, np.ones(10))
+
+
+def _reference_step(state, graph, config, rng):
+    """step with each node's adopting neighbours gathered per edge end and
+    summed by two weighted bincounts."""
+    nodes, adopted = state.nodes, state.adopted
+    county_rate = state.county_rates()[nodes.county_index]
+    adopted_f = adopted.astype(float)
+    neighbor_adopters = np.bincount(
+        graph.edge_u, weights=adopted_f[graph.edge_v], minlength=nodes.n
+    ) + np.bincount(graph.edge_v, weights=adopted_f[graph.edge_u], minlength=nodes.n)
+    neighbor_rate = neighbor_adopters / np.maximum(nodes.degree, 1.0)
+    probs = np.array([
+        node_probability(config.case, lmi, state.step + 1,
+                         None if nodes.rebate_bin is None else nodes.rebate_bin[i])
+        for i, lmi in enumerate(nodes.lmi)
+    ])
+    draws = rng.random(nodes.n)
+    w = config.weights
+    u = w[0] * nodes.benefit + w[1] * county_rate + w[2] * neighbor_rate
+    newly = (~adopted) & (draws < probs) & (u > nodes.thresholds)
+    return DiffusionState(step=state.step + 1, adopted=adopted | newly, nodes=nodes)
+
+
+@pytest.mark.parametrize("case", ["1a", "2b", "3", "5"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_step_matches_bincount_reference(case, seed):
+    pop, graph = small_world(n=40, lmi_every=2, seed=seed)
+    cfg = DiffusionConfig(case=case, weights=(0.2, 0.2, 0.6), seed=seed)
+    kwh = np.linspace(4000.0, 8000.0, 40)
+    nodes = build_nodes(pop, graph, cfg, rng_for(seed, "benefit").random(40), kwh)
+    assert nodes.degree.tolist() == np.diff(nodes.adjacency.indptr).tolist()
+    state = DiffusionState(step=0, adopted=rng_for(seed, "start").random(40) < 0.3, nodes=nodes)
+    ours, theirs = rng_for(seed, "steps"), rng_for(seed, "steps")
+    expected = state
+    for _ in range(6):
+        state = step(state, graph, cfg, ours)
+        expected = _reference_step(expected, graph, cfg, theirs)
+        assert np.array_equal(state.adopted, expected.adopted)
 
 
 def test_save_timeline_format(tmp_path):

@@ -19,7 +19,6 @@ from solartwin.pv import (
     TimeInvariantSamples,
     declination,
     generate_profiles,
-    hourly_energy,
     load_daily,
     load_profile_rows,
     sample_time_invariant,
@@ -134,14 +133,21 @@ def test_sample_deterministic():
 
 
 def test_hourly_energy_matches_manual():
-    ti = sample_time_invariant(make_households(), n=30, seed=2)
-    mean, std = hourly_energy(ti, 500.0)
-    assert mean.shape == std.shape == (1,)
-    kwh = ti.arpr[0] * 500.0 / 1000.0
-    assert mean[0] == pytest.approx(float(kwh.mean()), rel=1e-12)
-    assert std[0] == pytest.approx(float(kwh.std()), rel=1e-12)
-    with pytest.raises(ValueError, match="scalar or length"):
-        hourly_energy(ti, np.zeros(7))
+    """One profile hour is the ensemble mean and std of each sample's
+    area * yield * ratio * tilted radiation, in kWh."""
+    pop = make_households()
+    series = flat_series(days=1, value=500.0)
+    date = series.start_date
+    profiles = generate_profiles(pop, {"t1": series}, [date], seed=2, n_samples=30)
+    ti = sample_time_invariant(pop, n=30, seed=2)
+    delta = declination(date.timetuple().tm_yday)
+    ht = [
+        tilted_radiation(500.0, 38.0, delta, tilt, azimuth)
+        for tilt, azimuth in zip(ti.tilts[0], ti.azimuths[0])
+    ]
+    kwh = ti.arpr[0] * np.array(ht) / 1000.0
+    assert profiles.hourly_mean[0, 0, 12] == pytest.approx(float(kwh.mean()), rel=1e-12)
+    assert profiles.hourly_std[0, 0, 12] == pytest.approx(float(kwh.std()), rel=1e-12)
 
 
 def profiles_setup(n_households=6, days=2):

@@ -6,10 +6,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from solartwin.cli import _load_dataset, _load_survey
+from solartwin.cli import _load_dataset, _load_survey, _save_dataset, _save_survey
+from solartwin.preprocess import LabeledDataset
 from solartwin.pv import EnergyProfiles, load_daily, load_profile_rows, save_daily, save_profiles
 from solartwin.records import (
     FEATURE_DOMAINS,
@@ -370,3 +371,152 @@ def test_network_parsing(tmp_path):
         outside.write_text(f"# three nodes\n0 1\n{edge}\n")
         with pytest.raises(IngestError, match=rf"line 3: edge \({edge.replace(' ', ', ')}\) outside"):
             load_network(outside, 3)
+
+
+@st.composite
+def graphs(draw):
+    """Graphs on 0-12 nodes with up to 30 edges, given in any orientation."""
+    n = draw(st.integers(0, 12))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    return Graph(n, draw(st.lists(pairs, max_size=30)) if n > 1 else [])
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs())
+def test_network_roundtrip_property(graph):
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch, "network.edges")
+        save_network(graph, path)
+        sized, unsized = load_network(path, graph.node_count), load_network(path)
+    for again in (sized, unsized):
+        assert again.edge_u.tolist() == graph.edge_u.tolist()
+        assert again.edge_v.tolist() == graph.edge_v.tolist()
+    assert sized.node_count == graph.node_count
+    assert unsized.node_count == int(graph.edge_v.max(initial=-1)) + 1
+
+
+def _reference_load_network(path, node_count=None):
+    """load_network as a scan of one line at a time, before the whole-file
+    parse of save_network's format."""
+    edges = []
+    max_node = -1
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.replace(",", " ").split()
+            if len(parts) != 2:
+                raise IngestError(f"line {lineno}: expected two endpoints, got {line!r}")
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise IngestError(f"line {lineno}: non-integer endpoint in {line!r}") from None
+            if u == v:
+                raise IngestError(f"line {lineno}: self-loop at node {u}")
+            if min(u, v) < 0 or node_count is not None and max(u, v) >= node_count:
+                raise IngestError(f"line {lineno}: edge ({u}, {v}) outside node range")
+            edges.append((u, v))
+            max_node = max(max_node, u, v)
+    if node_count is None:
+        node_count = max_node + 1
+    return Graph(node_count, edges)
+
+
+_ODD_ENDPOINTS = st.one_of(
+    st.integers(0, 14).map(lambda v: f"00{v}"),
+    st.integers(-3, 14).map(lambda v: f"{v:+d}"),
+    st.sampled_from(["1_0", "x", "1.5", "", "\u0663", str(2**63 - 1), str(2**63), str(-(2**63) - 1),
+                     "999999999999999999", "1000000000000000000", "0" * 19 + "7"]),
+)
+# mostly plain small endpoints, so that a whole mixed file often loads
+_ENDPOINTS = st.one_of(st.integers(0, 14).map(str), st.integers(0, 14).map(str), _ODD_ENDPOINTS)
+_SEPARATORS = st.sampled_from([" ", " ", ",", "\t", ", ", "  "])
+
+
+@st.composite
+def edge_files(draw):
+    """Edge-list text: either lines as save_network writes them, or lines
+    mixing blanks, comments, commas, tabs, signs, underscores, leading
+    zeros, self-loops, out-of-range, negative and int64-overflowing
+    endpoints, and one or three tokens."""
+    if draw(st.booleans()):
+        pair = st.tuples(st.integers(0, 14), st.integers(0, 14))
+        lines = [f"{u} {v}" for u, v in draw(st.lists(pair, max_size=20))]
+        return "".join(line + "\n" for line in lines)
+    pair_line = st.builds(lambda u, sep, v: f"{u}{sep}{v}", _ENDPOINTS, _SEPARATORS, _ENDPOINTS)
+    odd_line = st.lists(_ENDPOINTS, min_size=1, max_size=3).flatmap(
+        lambda tokens: _SEPARATORS.map(lambda sep: sep.join(tokens))
+    )
+    line = st.one_of(
+        pair_line, pair_line, pair_line.map(lambda text: f"  {text} "), odd_line,
+        st.sampled_from(["", "   ", "# comment", "#0 0", " # indented"]),
+    )
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    text = ending.join(draw(st.lists(line, max_size=8)))
+    return text + ending if draw(st.booleans()) else text
+
+
+@settings(max_examples=400, deadline=None)
+@given(edge_files(), st.none() | st.integers(0, 16))
+@example("0 1\n2 3\n", None)
+@example("0 1\n1 1\n", None)
+@example("0 1\n3 4\n", 4)
+@example("", None)
+@example("999999999999999999 1\n", None)
+@example("9223372036854775808 1\n", None)
+@example("0 1\n0000000000000000002 1\n", 3)
+def test_load_network_matches_line_scan(text, node_count):
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch, "network.edges")
+        path.write_bytes(text.encode())
+        outcomes = []
+        for load in (load_network, _reference_load_network):
+            try:
+                graph = load(path, node_count)
+            except Exception as exc:  # noqa: BLE001 - the error itself is compared
+                outcomes.append((type(exc), str(exc)))
+            else:
+                outcomes.append((graph.node_count, graph.edge_u.tolist(), graph.edge_v.tolist()))
+    assert outcomes[0] == outcomes[1]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.builds(AdopterTarget, st.text(), st.integers(0, 2**63 - 1)), max_size=6))
+def test_targets_roundtrip_property(targets):
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch, "targets.csv")
+        save_targets(targets, path)
+        assert load_targets(path) == targets
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=20))
+def test_survey_roundtrip_property(values):
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch, "survey.csv")
+        _save_survey(values, path)
+        assert list(map(repr, _load_survey(path))) == list(map(repr, values))
+
+
+@st.composite
+def labeled_datasets(draw):
+    """0-8 rows of in-domain feature codes with labels 0..7."""
+    n = draw(st.integers(0, 8))
+    X = np.array(
+        [draw(st.lists(st.sampled_from(FEATURE_DOMAINS[f]), min_size=n, max_size=n))
+         for f in FEATURE_NAMES], dtype=np.int64,
+    ).T.reshape(n, len(FEATURE_NAMES))
+    y = draw(st.lists(st.integers(0, 7), min_size=n, max_size=n))
+    return LabeledDataset(X, y, tuple(tuple(FEATURE_DOMAINS[f]) for f in FEATURE_NAMES))
+
+
+@settings(max_examples=50, deadline=None)
+@given(labeled_datasets())
+def test_dataset_roundtrip_property(data):
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch, "train_solar.csv")
+        _save_dataset(data, path)
+        again = _load_dataset(path)
+    assert again == data
+    assert again.domains == data.domains
