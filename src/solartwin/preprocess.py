@@ -80,6 +80,11 @@ def smoten_oversample(data: LabeledDataset, k: int = 5, seed: int = 0) -> Labele
     the lower row index, mode ties to the lowest code).  Original rows are
     passed through verbatim, synthetics are appended per class in ascending
     class order.
+
+    A class's seed rows are drawn in one call.  The synthetic row is a pure
+    function of its seed, so it is computed once per distinct seed, in
+    chunks of seeds sized so that the (seeds, rows) distance block stays a
+    fixed size and memory grows linearly with the class.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -88,8 +93,8 @@ def smoten_oversample(data: LabeledDataset, k: int = 5, seed: int = 0) -> Labele
         raise ValueError("need at least two classes to oversample")
     majority = max(counts.values())
     rng = rng_for(seed, "smoten")
-    synth_rows = []
-    synth_labels = []
+    X_parts = [data.X]
+    y_parts = [data.y]
     for cls in sorted(counts):
         deficit = majority - counts[cls]
         if deficit == 0:
@@ -100,23 +105,45 @@ def smoten_oversample(data: LabeledDataset, k: int = 5, seed: int = 0) -> Labele
                 f"k={k}; use a smaller k"
             )
         rows = data.X[data.y == cls]
-        for _ in range(deficit):
-            s = int(rng.integers(0, rows.shape[0]))
-            dist = np.count_nonzero(rows != rows[s], axis=1)
-            dist[s] = rows.shape[1] + 1  # a row is not its own neighbor
-            order = np.lexsort((np.arange(rows.shape[0]), dist))
-            neighbors = rows[order[:k]]
-            row = np.empty(rows.shape[1], dtype=np.int64)
-            for j in range(rows.shape[1]):
-                codes, code_counts = np.unique(neighbors[:, j], return_counts=True)
-                row[j] = codes[np.argmax(code_counts)]
-            synth_rows.append(row)
-            synth_labels.append(cls)
-    if not synth_rows:
+        seeds, inverse = np.unique(rng.integers(0, rows.shape[0], size=deficit), return_inverse=True)
+        X_parts.append(_smoten_rows(rows, seeds, k)[inverse])
+        y_parts.append(np.full(deficit, cls, dtype=np.int64))
+    if len(X_parts) == 1:
         return LabeledDataset(data.X.copy(), data.y.copy(), data.domains)
-    X = np.vstack([data.X, np.array(synth_rows, dtype=np.int64)])
-    y = np.concatenate([data.y, np.array(synth_labels, dtype=np.int64)])
-    return LabeledDataset(X, y, data.domains)
+    return LabeledDataset(np.vstack(X_parts), np.concatenate(y_parts), data.domains)
+
+
+# (seed, row) distances held at once; small enough to stay in cache
+_SMOTEN_PAIRS = 1 << 16
+
+
+def _smoten_rows(rows: np.ndarray, seeds: np.ndarray, k: int) -> np.ndarray:
+    """The SMOTEN row of each seed index: per-feature mode of its k nearest.
+
+    The k nearest are the k smallest keys ``distance * m + row``, which are
+    unique, so (distance, row index) order picks them; their order does not
+    matter to the mode.
+    """
+    m, F = rows.shape
+    columns = np.ascontiguousarray(rows.T)
+    index = np.arange(m)
+    out = np.empty((seeds.size, F), dtype=np.int64)
+    chunk = max(1, _SMOTEN_PAIRS // m)
+    differs = np.empty((min(chunk, seeds.size), m), dtype=bool)
+    for start in range(0, seeds.size, chunk):
+        block = seeds[start:start + chunk]
+        dist = np.zeros((block.size, m), dtype=np.min_scalar_type(F + 1))
+        for column in columns:
+            dist += np.not_equal(column, column[block, None], out=differs[:block.size])
+        dist[np.arange(block.size), block] = F + 1  # a row is not its own neighbor
+        key = dist * np.int64(m) + index
+        near = rows[np.argpartition(key, k - 1, axis=1)[:, :k]]  # (b, k, F)
+        # how often each neighbor's code occurs among the k; the mode is the
+        # lowest code of highest count
+        freq = np.count_nonzero(near[:, :, None, :] == near[:, None, :, :], axis=2)
+        top = freq == freq.max(axis=1, keepdims=True)
+        out[start:start + chunk] = np.where(top, near, np.iinfo(np.int64).max).min(axis=1)
+    return out
 
 
 def cramers_v(col_a, col_b) -> float:
@@ -138,8 +165,7 @@ def cramers_v(col_a, col_b) -> float:
     c = int(bi.max()) + 1
     if min(r - 1, c - 1) == 0:
         return 0.0
-    observed = np.zeros((r, c))
-    np.add.at(observed, (ai, bi), 1.0)
+    observed = np.bincount(ai * c + bi, minlength=r * c).reshape(r, c).astype(float)
     expected = observed.sum(axis=1, keepdims=True) * observed.sum(axis=0) / n
     with np.errstate(invalid="ignore", divide="ignore"):
         terms = np.where(expected > 0, (observed - expected) ** 2 / expected, 0.0)

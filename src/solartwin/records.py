@@ -421,7 +421,12 @@ class Graph:
         if outside.any():
             raise IngestError(f"edge {tuple(pairs[outside.argmax()].tolist())} outside node range")
         lo, hi = np.minimum(u, v), np.maximum(u, v)
-        first = np.sort(np.unique(lo * self.node_count + hi, return_index=True)[1])
+        # a stable sort by (lo, hi) puts each edge's first occurrence first
+        order = np.lexsort((hi, lo))
+        lo_sorted, hi_sorted = lo[order], hi[order]
+        new = np.ones(order.size, dtype=bool)
+        new[1:] = (lo_sorted[1:] != lo_sorted[:-1]) | (hi_sorted[1:] != hi_sorted[:-1])
+        first = np.sort(order[new])
         self.edge_u, self.edge_v = lo[first], hi[first]
 
     @property

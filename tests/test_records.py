@@ -340,6 +340,11 @@ def test_graph_dedup_and_validation():
     assert g.edge_count == 2
     assert g.edge_u.tolist() == [0, 2] and g.edge_v.tolist() == [1, 3]
     assert g.edge_u.dtype == g.edge_v.dtype == np.int64
+    # distinct edges whose lo * node_count + hi agree modulo 2**64
+    g = Graph(2**62, [(0, 5), (4, 5), (5, 0)])
+    assert g.edge_u.tolist() == [0, 4] and g.edge_v.tolist() == [5, 5]
+    g = Graph(2**63 - 1, [(2, 9), (0, 7), (9, 2)])
+    assert g.edge_u.tolist() == [2, 0] and g.edge_v.tolist() == [9, 7]
     with pytest.raises(IngestError, match="self-loop at node 2"):
         Graph(4, [(2, 2)])
     with pytest.raises(IngestError, match="outside node range"):
