@@ -328,7 +328,11 @@ def cmd_simulate(cfg: RunConfig, args):
     cases = parse_cases(args.cases) if args.cases else cfg.cases
     results = []
     for case in cases:
-        result = simulate(pop, graph, cfg.diffusion_config(case), initial, mean_daily, annual_kwh)
+        # keep only the rows: a case's timelines hold its nodes and CSR adjacency
+        result = replace(
+            simulate(pop, graph, cfg.diffusion_config(case), initial, mean_daily, annual_kwh),
+            timelines=[],
+        )
         results.append(result)
         log.info(
             "simulate: case %s ended with %s adopters",

@@ -90,10 +90,26 @@ def scott_bandwidth(samples) -> float:
     return arr.size ** (-1.0 / 5.0) * float(np.std(arr))
 
 
+# (grid point, sample) kernel cells evaluated at once by _kde_mass.
+_KDE_BLOCK_CELLS = 1 << 16
+
+
 def _kde_mass(samples: np.ndarray, bandwidths: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    z = (xs[:, None] - samples[None, :]) / bandwidths[None, :]
-    kernels = np.exp(-0.5 * z**2) / (bandwidths[None, :] * math.sqrt(2.0 * math.pi))
-    density = kernels.mean(axis=1)
+    """Mass of the Gaussian KDE of ``samples`` at the grid points ``xs``.
+
+    The density at each grid point is the mean of one kernel per sample,
+    each with its own bandwidth, normalised so the grid sums to 1.  Grid
+    points go in blocks of about ``_KDE_BLOCK_CELLS`` kernel cells (at least
+    one point per block), so memory is O(samples + grid).  Each point's
+    kernels are reduced whole along one contiguous row, so the mass does not
+    depend on the block size.
+    """
+    density = np.empty(xs.size)
+    norm = bandwidths * math.sqrt(2.0 * math.pi)
+    rows = max(1, _KDE_BLOCK_CELLS // samples.size)
+    for start in range(0, xs.size, rows):
+        z = (xs[start : start + rows, None] - samples) / bandwidths
+        density[start : start + rows] = (np.exp(-0.5 * z**2) / norm).mean(axis=1)
     return density / density.sum()
 
 

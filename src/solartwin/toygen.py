@@ -213,12 +213,25 @@ def gen_survey(cfg: ToyConfig, size: int | None = None) -> list:
     return values
 
 
+# Within-group pairs drawn per rng.random call in gen_network.
+_BLOCK_PAIRS = 1 << 18
+
+
 def gen_network(n: int, edge_prob: float, groups: int = 1, seed: int = 0) -> Graph:
     """Workplace-group random graph.
 
     Nodes 0..n-1 are split into ``groups`` near-equal contiguous groups;
     each within-group pair is connected independently with ``edge_prob``.
     There are no cross-group edges.
+
+    Each group of m nodes walks its m(m-1)/2 upper-triangle pairs (u < v) in
+    row-major order, in blocks of ``_BLOCK_PAIRS``: one uniform double per
+    pair, the pair kept when the double is below ``edge_prob``.  Successive
+    ``rng.random`` calls yield the same doubles as one call over every pair,
+    so the edges and their order do not depend on the block size.  A hit at
+    flat index k maps back to row i through a search of the row starts
+    ``i(m-1) - i(i-1)/2``.  Memory is the edges plus O(m + block), never
+    O(m^2).
     """
     if n <= 0:
         raise ValueError(f"n must be > 0, got {n}")
@@ -234,7 +247,13 @@ def gen_network(n: int, edge_prob: float, groups: int = 1, seed: int = 0) -> Gra
         m = hi - lo
         if m < 2:
             continue
-        iu, iv = np.triu_indices(m, k=1)
-        mask = rng.random(iu.size) < edge_prob
-        edges.append(np.column_stack((iu[mask], iv[mask])) + lo)
+        rows = np.arange(m - 1, dtype=np.int64)
+        row_starts = rows * (m - 1) - rows * (rows - 1) // 2
+        pairs = m * (m - 1) // 2
+        for offset in range(0, pairs, _BLOCK_PAIRS):
+            hits = np.flatnonzero(rng.random(min(_BLOCK_PAIRS, pairs - offset)) < edge_prob)
+            hits += offset
+            u = np.searchsorted(row_starts, hits, "right") - 1
+            v = hits - row_starts[u] + u + 1
+            edges.append(np.column_stack((u, v)) + lo)
     return Graph(n, np.concatenate(edges))

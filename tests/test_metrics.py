@@ -1,14 +1,17 @@
 """Divergences, KDE comparison, and shape correlation."""
 
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from solartwin import metrics
 from solartwin.metrics import (
     DiscreteDistribution,
+    _kde_mass,
     _kld_mass,
     _monthly_shapes,
     jsd,
@@ -178,6 +181,56 @@ def test_jsd_kde_guards():
         jsd_kde([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
     with pytest.raises(ValueError, match="at least"):
         jsd_kde([1.0], [1.0, 2.0])
+
+
+def _reference_kde_mass(samples, bandwidths, xs):
+    """_kde_mass as one (grid, samples) kernel block."""
+    z = (xs[:, None] - samples[None, :]) / bandwidths[None, :]
+    kernels = np.exp(-0.5 * z**2) / (bandwidths[None, :] * math.sqrt(2.0 * math.pi))
+    density = kernels.mean(axis=1)
+    return density / density.sum()
+
+
+@st.composite
+def _kde_cases(draw):
+    """(a, b, bandwidth_a, grid, block cells) for jsd_kde."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.normal(0.0, draw(st.floats(0.01, 100.0)), draw(st.integers(2, 80)))
+    b = rng.normal(draw(st.floats(-5.0, 5.0)), 1.0, draw(st.integers(2, 80)))
+    kind = draw(st.sampled_from(["scott", "scalar", "per-point"]))
+    if kind == "scalar":
+        bandwidth_a = draw(st.floats(0.01, 10.0))
+    elif kind == "per-point":
+        bandwidth_a = rng.uniform(0.01, 5.0, a.size)
+    else:
+        bandwidth_a = None
+    grid = draw(st.integers(2, 64))
+    cells = draw(st.integers(1, 4 * max(a.size, b.size)))
+    return a, b, bandwidth_a, grid, cells
+
+
+@settings(max_examples=300, deadline=None)
+@given(_kde_cases())
+# one grid row per block
+@example((np.linspace(0.0, 1.0, 7), np.linspace(0.5, 2.0, 9), None, 16, 1))
+# three grid rows per block on side a, a grid of 64 rows
+@example((np.linspace(-1.0, 1.0, 10), np.linspace(0.0, 3.0, 40), 0.3, 64, 30))
+@example((np.linspace(-1.0, 1.0, 50), np.linspace(0.0, 3.0, 40), np.linspace(0.1, 2.0, 50), 29, 200))
+@example((np.sin(np.arange(2000.0)), np.cos(np.arange(1500.0)), None, 512, 1 << 16))
+@np.errstate(invalid="ignore")  # a coarse grid can underflow every density to 0/0
+def test_kde_matches_one_block_reference(case):
+    a, b, bandwidth_a, grid, cells = case
+    with patch.object(metrics, "_kde_mass", _reference_kde_mass):
+        expected = jsd_kde(a, b, bandwidth_a, grid)
+    h_a = np.broadcast_to(scott_bandwidth(a) if bandwidth_a is None else bandwidth_a, a.shape)
+    h_b = np.full(b.size, scott_bandwidth(b))
+    pad = 3.0 * max(h_a.max(), h_b[0])
+    xs = np.linspace(min(a.min(), b.min()) - pad, max(a.max(), b.max()) + pad, grid)
+    with patch.object(metrics, "_KDE_BLOCK_CELLS", cells):
+        assert jsd_kde(a, b, bandwidth_a, grid) == expected
+        for samples, h in ((a, h_a), (b, h_b)):
+            got = _kde_mass(samples, h, xs)
+            assert np.array_equal(got, _reference_kde_mass(samples, h, xs), equal_nan=True)
 
 
 def month_rows(values_by_month, scale=1.0, offset=0.0):

@@ -1,5 +1,6 @@
 """Record validation and CSV round-trips."""
 
+import datetime
 import re
 import tempfile
 from pathlib import Path
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from solartwin.cli import _load_dataset, _load_survey, _save_dataset, _save_survey
+from solartwin.cli import _load_dataset, _load_survey, _save_dataset, _save_matrix, _save_survey
 from solartwin.preprocess import LabeledDataset
 from solartwin.pv import EnergyProfiles, load_daily, load_profile_rows, save_daily, save_profiles
 from solartwin.records import (
@@ -25,6 +26,7 @@ from solartwin.records import (
     load_irradiance,
     load_network,
     load_targets,
+    read_csv,
     save_households,
     save_irradiance,
     save_network,
@@ -291,8 +293,6 @@ def test_loaders_name_bad_cell(tmp_path, table, row, column, cell):
 
 
 def test_irradiance_roundtrip(tmp_path):
-    import datetime
-
     hours = np.arange(48, dtype=float)
     series = IrradianceSeries("t1", datetime.date(2018, 1, 1), hours)
     assert series.days == 2
@@ -304,9 +304,50 @@ def test_irradiance_roundtrip(tmp_path):
     assert load_irradiance(path, "t1") == series
 
 
-def test_irradiance_validation(tmp_path):
-    import datetime
+@settings(max_examples=50, deadline=None)
+@given(
+    st.text(),
+    st.dates(datetime.date(1, 1, 1), datetime.date(9000, 12, 31)),
+    st.integers(1, 4).flatmap(
+        lambda days: st.lists(
+            st.floats(0.0, allow_infinity=False), min_size=24 * days, max_size=24 * days
+        )
+    ),
+)
+def test_irradiance_roundtrip_property(tract, start, hours):
+    series = IrradianceSeries(tract, start, hours)
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch, "irradiance.csv")
+        save_irradiance(series, path)
+        loaded = load_irradiance(path, tract)
+    assert loaded == series
+    assert list(map(repr, loaded.hours.tolist())) == list(map(repr, hours))
 
+
+@st.composite
+def _named_matrices(draw):
+    names = draw(
+        st.lists(st.text().filter(lambda name: name != "feature"), min_size=1, max_size=6, unique=True)
+    )
+    cells = st.floats(allow_nan=False, allow_infinity=False)
+    values = draw(st.lists(cells, min_size=len(names) ** 2, max_size=len(names) ** 2))
+    return names, np.array(values).reshape(len(names), len(names))
+
+
+@settings(max_examples=50, deadline=None)
+@given(_named_matrices())
+def test_matrix_roundtrip_property(named):
+    names, matrix = named
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch, "corr_after.csv")
+        _save_matrix(matrix, names, path)
+        columns = read_csv(path, {"feature": str, **dict.fromkeys(names, float)})
+    assert columns["feature"] == names
+    loaded = np.array([columns[name] for name in names]).T.reshape(matrix.shape)
+    assert loaded.tobytes() == matrix.tobytes()
+
+
+def test_irradiance_validation(tmp_path):
     with pytest.raises(IngestError, match="not divisible by 24"):
         IrradianceSeries("x", datetime.date(2018, 1, 1), np.zeros(25))
     with pytest.raises(IngestError, match="negative"):

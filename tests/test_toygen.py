@@ -1,11 +1,16 @@
 """Toy generators: determinism, planted signal, irradiance shape."""
 
 import datetime
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from solartwin.records import FEATURE_DOMAINS, FEATURE_NAMES, N_SQFT_CLASSES
+from solartwin import toygen
+from solartwin.records import FEATURE_DOMAINS, FEATURE_NAMES, N_SQFT_CLASSES, Graph
+from solartwin.seeds import rng_for
 from solartwin.toygen import (
     SUNRISE_HOUR,
     SUNSET_HOUR,
@@ -102,6 +107,55 @@ def test_network_groups_do_not_cross():
         assert (u < 50) == (v < 50)
     assert g.edge_count > 0
     assert gen_network(100, 0.3, 2, 4) == g
+
+
+def _reference_gen_network(n, edge_prob, groups=1, seed=0):
+    """gen_network as one triu_indices walk over each group's pairs."""
+    rng = rng_for(seed, "network")
+    bounds = np.linspace(0, n, groups + 1).astype(int)
+    edges = [np.zeros((0, 2), dtype=np.int64)]
+    for g in range(groups):
+        lo, hi = int(bounds[g]), int(bounds[g + 1])
+        m = hi - lo
+        if m < 2:
+            continue
+        iu, iv = np.triu_indices(m, k=1)
+        mask = rng.random(iu.size) < edge_prob
+        edges.append(np.column_stack((iu[mask], iv[mask])) + lo)
+    return Graph(n, np.concatenate(edges))
+
+
+@st.composite
+def _network_cases(draw):
+    """(n, groups, edge_prob, seed, block) with at most ~256 blocks per group,
+    so small groups get blocks of a pair or two and large ones cross rows."""
+    n = draw(st.integers(1, 300))
+    groups = draw(st.integers(1, 4))
+    largest = -(-n // groups)
+    least = max(1, largest * (largest - 1) // 2 // 256)
+    return (
+        n,
+        groups,
+        draw(st.sampled_from([0.0, 0.01, 0.4, 1.0])),
+        draw(st.integers(0, 2**32 - 1)),
+        draw(st.integers(least, least + 600)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_network_cases())
+@example((1, 1, 1.0, 0, 1))
+@example((5, 4, 1.0, 0, 1))
+@example((40, 3, 0.4, 2, 3))
+@example((300, 1, 0.4, 1, 1 << 18))
+def test_network_matches_triu_reference(case):
+    n, groups, edge_prob, seed, block = case
+    expected = _reference_gen_network(n, edge_prob, groups, seed)
+    with patch.object(toygen, "_BLOCK_PAIRS", block):
+        got = gen_network(n, edge_prob, groups, seed)
+    assert got.node_count == n
+    assert np.array_equal(got.edge_u, expected.edge_u)
+    assert np.array_equal(got.edge_v, expected.edge_v)
 
 
 def test_config_validation():
