@@ -277,12 +277,13 @@ def calibrate(
 
 def save_trace(result: CalibrationResult, path):
     """Write the audit trace: round,beta,tau,predicted,target,diff."""
+    trace = result.trace
     write_csv(
         path,
         ["round", "beta", "tau", "predicted", "target", "diff"],
-        (
-            [e.round, f"{e.beta:.2f}", f"{e.tau:.2f}", e.predicted,
-             result.target_count, e.discrepancy]
-            for e in result.trace
-        ),
+        [
+            [str(e.round) for e in trace], [f"{e.beta:.2f}" for e in trace],
+            [f"{e.tau:.2f}" for e in trace], [str(e.predicted) for e in trace],
+            [str(result.target_count)] * len(trace), [str(e.discrepancy) for e in trace],
+        ],
     )

@@ -119,7 +119,7 @@ def _require(path: str, hint: str) -> str:
 
 
 def _save_survey(values, path):
-    write_csv(path, ["sqft"], ([repr(float(v))] for v in values))
+    write_csv(path, ["sqft"], [[repr(float(v)) for v in values]])
 
 
 def _load_survey(path) -> list:
@@ -127,11 +127,8 @@ def _load_survey(path) -> list:
 
 
 def _save_dataset(data: LabeledDataset, path):
-    write_csv(
-        path,
-        list(FEATURE_NAMES) + ["label"],
-        ([int(c) for c in row] + [int(label)] for row, label in zip(data.X, data.y)),
-    )
+    columns = [*data.X.T.tolist(), data.y.tolist()]
+    write_csv(path, list(FEATURE_NAMES) + ["label"], [list(map(str, c)) for c in columns])
 
 
 def _load_dataset(path) -> LabeledDataset:
@@ -142,10 +139,9 @@ def _load_dataset(path) -> LabeledDataset:
 
 
 def _save_matrix(matrix: np.ndarray, names, path):
+    columns = np.asarray(matrix, dtype=float).T.tolist()
     write_csv(
-        path,
-        ["feature"] + list(names),
-        ([name] + [repr(float(v)) for v in row] for name, row in zip(names, matrix)),
+        path, ["feature"] + list(names), [list(names)] + [list(map(repr, c)) for c in columns]
     )
 
 
@@ -307,7 +303,10 @@ def cmd_validate(cfg: RunConfig, args):
     write_csv(
         _path(cfg, "metrics_report.csv"),
         ["metric", "scope", "value"],
-        ([m, scope, "" if v is None else repr(float(v))] for m, scope, v in rows),
+        [
+            [m for m, _, _ in rows], [scope for _, scope, _ in rows],
+            ["" if v is None else repr(float(v)) for _, _, v in rows],
+        ],
     )
     log.info("validate: wrote %d metric rows", len(rows))
 

@@ -370,12 +370,10 @@ def save_timeline(results, path):
     if isinstance(results, SimulationResult):
         results = [results]
     counts = ("total_adopters", "lmi_rural", "lmi_urban", "nonlmi_rural", "nonlmi_urban")
+    rows = [row for result in results for row in result.rows]
     write_csv(
         path,
         ["case", "step", *counts],
-        (
-            [row["case"], row["step"], *(_format_count(row[c]) for c in counts)]
-            for result in results
-            for row in result.rows
-        ),
+        [[str(row[c]) for row in rows] for c in ("case", "step")]
+        + [[_format_count(row[c]) for row in rows] for c in counts],
     )

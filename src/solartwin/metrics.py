@@ -102,15 +102,34 @@ def _kde_mass(samples: np.ndarray, bandwidths: np.ndarray, xs: np.ndarray) -> np
     points go in blocks of about ``_KDE_BLOCK_CELLS`` kernel cells (at least
     one point per block), so memory is O(samples + grid).  Each point's
     kernels are reduced whole along one contiguous row, so the mass does not
-    depend on the block size.
+    depend on the block size.  When every density underflows to 0 (a grid
+    coarse against the bandwidths), or their sum overflows, the mass comes
+    from the log-densities instead.
     """
     density = np.empty(xs.size)
     norm = bandwidths * math.sqrt(2.0 * math.pi)
+    for block, z in _kernel_blocks(samples, bandwidths, xs):
+        density[block] = (np.exp(-0.5 * z**2) / norm).mean(axis=1)
+    total = density.sum()
+    if 0.0 < total < math.inf:
+        return density / total
+    log_norm = np.log(norm)
+    log_density = np.empty(xs.size)
+    for block, z in _kernel_blocks(samples, bandwidths, xs):
+        # log-sum-exp of each point's kernels, the mean's 1/n left out
+        terms = -0.5 * z**2 - log_norm
+        peak = terms.max(axis=1)
+        log_density[block] = peak + np.log(np.exp(terms - peak[:, None]).sum(axis=1))
+    mass = np.exp(log_density - log_density.max())
+    return mass / mass.sum()
+
+
+def _kernel_blocks(samples, bandwidths, xs):
+    """(grid slice, standardised distances) for each block of grid rows."""
     rows = max(1, _KDE_BLOCK_CELLS // samples.size)
     for start in range(0, xs.size, rows):
-        z = (xs[start : start + rows, None] - samples) / bandwidths
-        density[start : start + rows] = (np.exp(-0.5 * z**2) / norm).mean(axis=1)
-    return density / density.sum()
+        block = slice(start, start + rows)
+        yield block, (xs[block, None] - samples) / bandwidths
 
 
 def jsd_kde(samples_a, samples_b, bandwidth_a=None, grid: int = 512) -> float:

@@ -444,21 +444,20 @@ def save_profiles(profiles: EnergyProfiles, out_dir) -> list:
     returns the paths written (none when there are no households)."""
     if not profiles.household.size:
         return []
-    ids = profiles.household.tolist()
+    ids = [cell for cell in map(str, profiles.household.tolist()) for _ in range(24)]
+    hours = list(map(str, range(24))) * profiles.household.size
     paths = []
     for j in sorted(range(len(profiles.dates)), key=profiles.dates.__getitem__):
         day = profiles.dates[j].isoformat()
         path = os.path.join(out_dir, f"profiles_{day}.csv")
-        means = profiles.hourly_mean[:, j].tolist()
-        stds = profiles.hourly_std[:, j].tolist()
         write_csv(
             path,
             ["household_id", "date", "hour", "mean_kwh", "std_kwh"],
-            (
-                [hid, day, hour, repr(means[k][hour]), repr(stds[k][hour])]
-                for k, hid in enumerate(ids)
-                for hour in range(24)
-            ),
+            [
+                ids, [day] * len(ids), hours,
+                list(map(repr, profiles.hourly_mean[:, j].ravel().tolist())),
+                list(map(repr, profiles.hourly_std[:, j].ravel().tolist())),
+            ],
         )
         paths.append(path)
     return paths
@@ -467,16 +466,15 @@ def save_profiles(profiles: EnergyProfiles, out_dir) -> list:
 def save_daily(profiles: EnergyProfiles, path):
     """Write daily_<period>.csv rows in (household, date) order."""
     days = [date.isoformat() for date in profiles.dates]
-    means = profiles.daily_mean.tolist()
-    stds = profiles.daily_std.tolist()
     write_csv(
         path,
         ["household_id", "date", "daily_mean_kwh", "daily_std_kwh"],
-        (
-            [hid, day, repr(means[k][j]), repr(stds[k][j])]
-            for k, hid in enumerate(profiles.household.tolist())
-            for j, day in enumerate(days)
-        ),
+        [
+            [cell for cell in map(str, profiles.household.tolist()) for _ in days],
+            days * profiles.household.size,
+            list(map(repr, profiles.daily_mean.ravel().tolist())),
+            list(map(repr, profiles.daily_std.ravel().tolist())),
+        ],
     )
 
 

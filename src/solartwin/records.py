@@ -1,9 +1,18 @@
-"""Domain records and CSV interchange.
+r"""Domain records and CSV interchange.
 
 This module owns the CSV dialect of every table the pipeline reads or
-writes: :func:`write_csv` and :func:`read_csv` are the only code that
-touches the csv module, and every loader and saver in the package is built
-on them.  The four input formats are:
+writes, and every loader and saver in the package is built on
+:func:`write_csv` and :func:`read_csv`.  The pipeline's own tables are in
+the plain dialect: unquoted cells with no ``,``, ``"``, CR, LF or NUL,
+``\r\n`` (or ``\n``) line ends including a final one, the header's width
+on every line, and no blank line.  ``write_csv`` joins a plain table's
+columns into one string; ``read_csv`` splits a plain file's text whole
+with ``str.split`` into per-column cell lists.  A table or file outside
+the plain dialect (quoted cells, a bare ``\r``, blank lines, ragged rows,
+...) goes through ``csv.writer`` or ``csv.reader``, which are the only
+uses of the csv module and give the same bytes and cells on plain input.
+Either way, cells are parsed by the same column parsers, so a bad cell
+raises the same error.  The four input formats are:
 
 * ``households.csv`` -- one row per household, categorical feature codes
   plus optional label/flag columns
@@ -28,6 +37,7 @@ identical tables.
 
 import csv
 import datetime
+import itertools
 import math
 import os
 import re
@@ -175,13 +185,35 @@ def _same_column(a, b) -> bool:
     )
 
 
-def write_csv(path, header, rows):
-    """Write one table: a header row, then ``rows`` (an iterable of
-    sequences whose cells the caller has already formatted)."""
+def write_csv(path, header, columns):
+    r"""Write one table: a header row, then one row per index of
+    ``columns``, equal-length sequences of cells the caller has already
+    formatted as str.
+
+    A table in the plain dialect is joined and written in one call.  A cell
+    holding ``,``, ``"``, ``\r`` or ``\n``, or an empty cell of a one-column
+    table, sends the whole table through csv.writer, which quotes it.
+    """
+    header = list(header)
+    if len(columns) != len(header) or len(set(map(len, columns))) > 1:
+        raise ValueError(f"need {len(header)} equal-length columns")
+    lines = 1 + len(columns[0]) if columns else 1
+    text = "\r\n".join([",".join(header), *map(",".join, zip(*columns)), ""])
+    # the joins put `lines` of each line-end character and `lines * (width - 1)`
+    # commas in the text; any more come from a cell that csv.writer would quote
+    plain = (
+        text.count("\n") == text.count("\r") == lines
+        and text.count(",") == lines * (len(header) - 1)
+        and '"' not in text
+        and not (len(header) == 1 and "" in [*header, *columns[0]])
+    )
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        if plain:
+            fh.write(text)
+        else:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(zip(*columns))
 
 
 def read_csv(path, columns: dict, optional: dict | None = None) -> dict:
@@ -196,24 +228,34 @@ def read_csv(path, columns: dict, optional: dict | None = None) -> dict:
     """
     name = os.path.basename(path)
     with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
-    header, body = (rows[0], rows[1:]) if rows else ([], [])
+        text = fh.read()
+    table = _split_plain(text)
+    del text
+    if table is None:
+        with open(path, newline="") as fh:
+            rows = [row for row in csv.reader(fh) if row]
+        header, body = (rows[0], rows[1:]) if rows else ([], [])
+    else:
+        header, cells = table
     for column in columns:
         if column not in header:
             raise IngestError(f"{name}: missing column {column}")
-    for number, row in enumerate(body, start=2):
-        if len(row) != len(header):
-            raise IngestError(
-                f"{name}: row {number}: expected {len(header)} fields, got {len(row)}"
-            )
-    cells = dict(zip(header, zip(*body))) if body else dict.fromkeys(header, ())
-    numbers = range(2, len(body) + 2)
+    if table is None:
+        for number, row in enumerate(body, start=2):
+            if len(row) != len(header):
+                raise IngestError(
+                    f"{name}: row {number}: expected {len(header)} fields, got {len(row)}"
+                )
+        cells = list(zip(*body)) if body else [()] * len(header)
+    count = len(cells[0]) if cells else 0
+    cells = dict(zip(header, cells))
+    numbers = range(2, count + 2)
     out = {
         column: _parse_column(name, column, cells[column], numbers, parse)
         for column, parse in columns.items()
     }
     for column, parse in (optional or {}).items():
-        values = [None] * len(body)
+        values = [None] * count
         present = [i for i, cell in enumerate(cells.get(column, ())) if cell != ""]
         parsed = _parse_column(
             name, column, [cells[column][i] for i in present], [i + 2 for i in present], parse
@@ -222,6 +264,33 @@ def read_csv(path, columns: dict, optional: dict | None = None) -> dict:
             values[i] = value
         out[column] = values
     return out
+
+
+def _split_plain(text: str):
+    r"""(header, one list of cells per header column) of ``text``, or None
+    when it is not in the plain dialect write_csv emits: no ``"``, no NUL,
+    no blank line, every ``\r`` part of a ``\r\n``, a final newline, the
+    header's width on every line and no line longer than
+    ``csv.field_size_limit()``.  On plain text csv.reader yields these cells.
+    """
+    crlf = text.count("\r\n")
+    if not text.endswith("\n") or '"' in text or "\0" in text or text.count("\r") != crlf:
+        return None
+    if crlf == text.count("\n"):
+        lines = text.split("\r\n")
+    else:
+        lines = text.replace("\r\n", "\n").split("\n")
+    lines.pop()
+    commas = lines[0].count(",")
+    if (
+        "" in lines
+        or max(map(len, lines)) > csv.field_size_limit()
+        or set(map(str.count, lines, itertools.repeat(","))) != {commas}
+    ):
+        return None
+    width = commas + 1
+    body = ",".join(lines[1:]).split(",") if len(lines) > 1 else []
+    return lines[0].split(","), [body[j::width] for j in range(width)]
 
 
 def _parse_column(name, column, cells, numbers, parse) -> list:
@@ -292,9 +361,9 @@ def save_households(table: HouseholdTable, path):
     ]
     base = [table.id, table.state, table.county, table.tract, table.lat, table.lon]
     # tolist() gives Python scalars: an np.bool_ would print as True, not 1
-    cells = [column.tolist() for column in base + list(table.features.T)]
-    cells += [map(_format_optional, getattr(table, c).tolist()) for c in optional]
-    write_csv(path, list(_BASE_COLUMNS) + optional, zip(*cells))
+    cells = [list(map(str, column.tolist())) for column in base + list(table.features.T)]
+    cells += [list(map(_format_optional, getattr(table, c).tolist())) for c in optional]
+    write_csv(path, list(_BASE_COLUMNS) + optional, cells)
 
 
 @dataclass
@@ -345,38 +414,43 @@ def load_irradiance(path, tract: str | None = None) -> IrradianceSeries:
     columns = read_csv(
         path, {"date": datetime.date.fromisoformat, "hour": int, "ghi_wm2": float}
     )
-    dates, hours, ghi = columns["date"], columns["hour"], columns["ghi_wm2"]
-    if not ghi:
+    dates, hours, ghi = columns["date"], columns["hour"], np.array(columns["ghi_wm2"])
+    if not ghi.size:
         raise IngestError("irradiance file has no rows")
-    negative = next((i for i, value in enumerate(ghi) if value < 0), None)
-    if negative is not None:
-        raise IngestError(f"negative GHI at {dates[negative]} hour {hours[negative]}")
+    if (ghi < 0).any():
+        i = int((ghi < 0).argmax())
+        raise IngestError(f"negative GHI at {dates[i]} hour {hours[i]}")
+    # row i holds hour i % 24 of day i // 24, counted from the first row's date
     start = dates[0]
-    for i, (date, hour) in enumerate(zip(dates, hours)):
-        expect_date = start + datetime.timedelta(days=i // 24)
-        expect_hour = i % 24
-        if date != expect_date or hour != expect_hour:
-            day_index = (expect_date - start).days + 1
-            raise IngestError(
-                f"gap in hours: expected day {day_index} ({expect_date}) "
-                f"hour {expect_hour}, found {date} hour {hour}"
-            )
+    row = np.arange(ghi.size)
+    day = np.fromiter(map(datetime.date.toordinal, dates), np.int64, ghi.size) - start.toordinal()
+    gap = (day != row // 24) | (np.array(hours) != row % 24)
+    if gap.any():
+        i = int(gap.argmax())
+        raise IngestError(
+            f"gap in hours: expected day {i // 24 + 1} "
+            f"({start + datetime.timedelta(days=i // 24)}) "
+            f"hour {i % 24}, found {dates[i]} hour {hours[i]}"
+        )
     if len(ghi) % 24 != 0:
         raise IngestError(f"series ends mid-day at {dates[-1]} hour {hours[-1]}")
     if tract is None:
         tract = ""
-    return IrradianceSeries(tract, start, np.array(ghi))
+    return IrradianceSeries(tract, start, ghi)
 
 
 def save_irradiance(series: IrradianceSeries, path):
+    days = [
+        (series.start_date + datetime.timedelta(days=d)).isoformat() for d in range(series.days)
+    ]
     write_csv(
         path,
         ["date", "hour", "ghi_wm2"],
-        (
-            [(series.start_date + datetime.timedelta(days=i // 24)).isoformat(), i % 24,
-             repr(float(ghi))]
-            for i, ghi in enumerate(series.hours)
-        ),
+        [
+            [day for day in days for _ in range(24)],
+            list(map(str, range(24))) * series.days,
+            list(map(repr, series.hours.tolist())),
+        ],
     )
 
 
@@ -399,7 +473,9 @@ def load_targets(path) -> list[AdopterTarget]:
 
 
 def save_targets(targets, path):
-    write_csv(path, ["state", "count"], ([t.state, t.count] for t in targets))
+    write_csv(
+        path, ["state", "count"], [[str(t.state) for t in targets], [str(t.count) for t in targets]]
+    )
 
 
 class Graph:
@@ -420,6 +496,12 @@ class Graph:
         outside = ((pairs < 0) | (pairs >= self.node_count)).any(axis=1)
         if outside.any():
             raise IngestError(f"edge {tuple(pairs[outside.argmax()].tolist())} outside node range")
+        # edges already unique, with u < v, in (u, v) order are stored as
+        # given; gen_network and save_network emit them so
+        later = (u[1:] > u[:-1]) | ((u[1:] == u[:-1]) & (v[1:] > v[:-1]))
+        if (u < v).all() and later.all():
+            self.edge_u, self.edge_v = u.copy(), v.copy()
+            return
         lo, hi = np.minimum(u, v), np.maximum(u, v)
         # a stable sort by (lo, hi) puts each edge's first occurrence first
         order = np.lexsort((hi, lo))

@@ -256,4 +256,5 @@ def gen_network(n: int, edge_prob: float, groups: int = 1, seed: int = 0) -> Gra
             u = np.searchsorted(row_starts, hits, "right") - 1
             v = hits - row_starts[u] + u + 1
             edges.append(np.column_stack((u, v)) + lo)
-    return Graph(n, np.concatenate(edges))
+    edges = np.concatenate(edges)  # drops the blocks before Graph copies the columns
+    return Graph(n, edges)

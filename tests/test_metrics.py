@@ -1,12 +1,14 @@
 """Divergences, KDE comparison, and shape correlation."""
 
 import math
+import warnings
 from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from solartwin import metrics
 from solartwin.metrics import (
@@ -183,12 +185,23 @@ def test_jsd_kde_guards():
         jsd_kde([1.0], [1.0, 2.0])
 
 
-def _reference_kde_mass(samples, bandwidths, xs):
-    """_kde_mass as one (grid, samples) kernel block."""
+def _reference_density(samples, bandwidths, xs):
+    """(standardised distances, KDE density) as one (grid, samples) block."""
     z = (xs[:, None] - samples[None, :]) / bandwidths[None, :]
     kernels = np.exp(-0.5 * z**2) / (bandwidths[None, :] * math.sqrt(2.0 * math.pi))
-    density = kernels.mean(axis=1)
-    return density / density.sum()
+    return z, kernels.mean(axis=1)
+
+
+def _reference_kde_mass(samples, bandwidths, xs):
+    """_kde_mass as one (grid, samples) kernel block; when the densities
+    do not have a positive finite sum, the mass from scipy's log-sum-exp of
+    the log-kernels."""
+    z, density = _reference_density(samples, bandwidths, xs)
+    if 0.0 < density.sum() < math.inf:
+        return density / density.sum()
+    log_kernels = -0.5 * z**2 - np.log(bandwidths[None, :] * math.sqrt(2.0 * math.pi))
+    log_density = logsumexp(log_kernels, axis=1)
+    return np.exp(log_density - logsumexp(log_density))
 
 
 @st.composite
@@ -217,8 +230,14 @@ def _kde_cases(draw):
 @example((np.linspace(-1.0, 1.0, 10), np.linspace(0.0, 3.0, 40), 0.3, 64, 30))
 @example((np.linspace(-1.0, 1.0, 50), np.linspace(0.0, 3.0, 40), np.linspace(0.1, 2.0, 50), 29, 200))
 @example((np.sin(np.arange(2000.0)), np.cos(np.arange(1500.0)), None, 512, 1 << 16))
-@np.errstate(invalid="ignore")  # a coarse grid can underflow every density to 0/0
+# every density of side b underflows, on a grid of 4 and of 512 points
+@example((np.array([0.0, 10.0]), np.array([5.0, 5.001]), None, 4, 1))
+@example((np.array([0.0, 10.0]), np.array([5.0, 5.001]), None, 512, 3))
 def test_kde_matches_one_block_reference(case):
+    """Bit-identical to the one-block reference wherever its direct
+    densities have a positive finite sum; within a tolerance of the
+    log-space evaluation (relative error about |log-density| * 2**-52)
+    where every density underflows."""
     a, b, bandwidth_a, grid, cells = case
     with patch.object(metrics, "_kde_mass", _reference_kde_mass):
         expected = jsd_kde(a, b, bandwidth_a, grid)
@@ -226,11 +245,38 @@ def test_kde_matches_one_block_reference(case):
     h_b = np.full(b.size, scott_bandwidth(b))
     pad = 3.0 * max(h_a.max(), h_b[0])
     xs = np.linspace(min(a.min(), b.min()) - pad, max(a.max(), b.max()) + pad, grid)
+    underflow = [
+        not 0.0 < _reference_density(samples, h, xs)[1].sum() < math.inf
+        for samples, h in ((a, h_a), (b, h_b))
+    ]
     with patch.object(metrics, "_KDE_BLOCK_CELLS", cells):
-        assert jsd_kde(a, b, bandwidth_a, grid) == expected
-        for samples, h in ((a, h_a), (b, h_b)):
+        if any(underflow):
+            assert jsd_kde(a, b, bandwidth_a, grid) == pytest.approx(expected, rel=1e-6, abs=1e-12)
+        else:
+            assert jsd_kde(a, b, bandwidth_a, grid) == expected
+        for samples, h, log_space in ((a, h_a, underflow[0]), (b, h_b, underflow[1])):
             got = _kde_mass(samples, h, xs)
-            assert np.array_equal(got, _reference_kde_mass(samples, h, xs), equal_nan=True)
+            reference = _reference_kde_mass(samples, h, xs)
+            if log_space:
+                assert np.allclose(got, reference, rtol=1e-6, atol=1e-300)
+            else:
+                assert np.array_equal(got, reference)
+
+
+def test_jsd_kde_when_every_density_of_one_side_underflows():
+    # side b's bandwidth (about 4e-4) is far below the grid step, so all
+    # its mass lands on the grid point nearest its samples
+    a, b = np.array([0.0, 10.0]), np.array([5.0, 5.001])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = jsd_kde(a, b)
+    h_a = np.full(2, scott_bandwidth(a))
+    pad = 3.0 * h_a[0]
+    xs = np.linspace(-pad, 10.0 + pad, 512)
+    one_hot = np.zeros(512)
+    one_hot[np.abs(xs - 5.0005).argmin()] = 1.0
+    assert value == pytest.approx(metrics._jsd_mass(_reference_kde_mass(a, h_a, xs), one_hot))
+    assert 0.9 < value < 1.0
 
 
 def month_rows(values_by_month, scale=1.0, offset=0.0):

@@ -1,5 +1,6 @@
 """Record validation and CSV round-trips."""
 
+import csv
 import datetime
 import re
 import tempfile
@@ -22,6 +23,7 @@ from solartwin.records import (
     HouseholdTable,
     IngestError,
     IrradianceSeries,
+    _parse_column,
     load_households,
     load_irradiance,
     load_network,
@@ -32,6 +34,7 @@ from solartwin.records import (
     save_network,
     save_targets,
     sqft_class_range,
+    write_csv,
 )
 
 FEATURES = {
@@ -215,6 +218,150 @@ def test_profiles_roundtrip_property(profiles):
         assert columns["std_kwh"] == profiles.hourly_std[:, j].ravel().tolist()
 
 
+def _reference_write_csv(path, header, rows):
+    """write_csv as csv.writer rows, before the columnar join."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _reference_read_csv(path, columns, optional=None):
+    """read_csv as csv.reader rows, before the whole-text split."""
+    name = Path(path).name
+    with open(path, newline="") as fh:
+        rows = [row for row in csv.reader(fh) if row]
+    header, body = (rows[0], rows[1:]) if rows else ([], [])
+    for column in columns:
+        if column not in header:
+            raise IngestError(f"{name}: missing column {column}")
+    for number, row in enumerate(body, start=2):
+        if len(row) != len(header):
+            raise IngestError(
+                f"{name}: row {number}: expected {len(header)} fields, got {len(row)}"
+            )
+    cells = dict(zip(header, zip(*body))) if body else dict.fromkeys(header, ())
+    numbers = range(2, len(body) + 2)
+    out = {
+        column: _parse_column(name, column, cells[column], numbers, parse)
+        for column, parse in columns.items()
+    }
+    for column, parse in (optional or {}).items():
+        values = [None] * len(body)
+        present = [i for i, cell in enumerate(cells.get(column, ())) if cell != ""]
+        parsed = _parse_column(
+            name, column, [cells[column][i] for i in present], [i + 2 for i in present], parse
+        )
+        for i, value in zip(present, parsed):
+            values[i] = value
+        out[column] = values
+    return out
+
+
+# cells the parsers accept or reject, and characters outside the plain dialect
+_PLAIN_CELLS = st.sampled_from(
+    ["0", "7", "-3", "1_0", " 2", "4 ", "0.5", "1e3", "nan", "inf", "-infinity", "", "x",
+     "2018-01-01", "99999999999999999999", "\x85", "\u2028", "\x0b"]
+)
+_ODD_CELLS = st.text(st.sampled_from('a1., "\r\n\0\t'), max_size=4)
+_CELLS = st.one_of(_PLAIN_CELLS, _PLAIN_CELLS, _ODD_CELLS)
+_ENDINGS = st.sampled_from(["\n", "\r\n"])
+
+
+@st.composite
+def csv_texts(draw):
+    """Text of a table whose header mixes required, optional, unknown and
+    duplicate names.  Half are in the plain dialect (LF, CRLF or mixed
+    endings); the rest may also have blank lines, ragged rows, odd cells
+    (quotes, NUL, stray CR, commas) and no final newline."""
+    header = draw(st.lists(st.sampled_from(["a", "b", "c", "d", "e"]), min_size=1, max_size=5))
+    width = len(header)
+    plain = draw(st.booleans())
+    widths = st.just(width) if plain else st.one_of(st.just(width), st.integers(0, width + 1))
+    cells = _PLAIN_CELLS if plain else _CELLS
+    rows = draw(st.lists(widths.flatmap(lambda w: st.lists(cells, min_size=w, max_size=w)),
+                         max_size=6))
+    lines = [",".join(header)] + [",".join(row) for row in rows]
+    if not plain and draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), "")
+    text = "".join(line + draw(_ENDINGS) for line in lines)
+    return text if plain or draw(st.booleans()) else text.rstrip("\r\n")
+
+
+# required and optional parsers per column; "e" is never asked for
+_READ_PARSERS = [
+    ({"a": int, "b": float}, {"c": int, "d": float}),
+    ({"a": str, "c": datetime.date.fromisoformat}, {"b": str}),
+    ({}, {"a": int}),
+]
+
+
+@settings(max_examples=400, deadline=None)
+@given(csv_texts(), st.sampled_from(_READ_PARSERS), st.sampled_from([131072, 3]))
+@example("a,b\r\n1,2.5\r\n3,nan\r\n", _READ_PARSERS[0], 131072)
+@example("a,b\n1_0, 2\n\n", _READ_PARSERS[0], 131072)
+@example("a,b\n1,2\r3,4\n", _READ_PARSERS[0], 131072)
+@example("a\n1\r2\n", _READ_PARSERS[2], 131072)
+@example("a,b\n1,2\n3\n", _READ_PARSERS[0], 131072)
+@example("a,b\n1,\"2\"\n", _READ_PARSERS[0], 131072)
+@example("a,b,a\n1,2,x\n", _READ_PARSERS[0], 131072)
+@example("a,b\n1,2", _READ_PARSERS[0], 131072)
+@example("a,b\n1,2222\n", _READ_PARSERS[0], 3)
+@example("a,b\n1\x002,2\n", _READ_PARSERS[0], 131072)
+@example("", _READ_PARSERS[2], 131072)
+def test_read_csv_matches_csv_reader(text, parsers, field_limit):
+    """The whole-text split gives csv.reader's columns, or the same error."""
+    limit = csv.field_size_limit(field_limit)
+    try:
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch, "table.csv")
+            path.write_bytes(text.encode())
+            outcomes = []
+            for read in (read_csv, _reference_read_csv):
+                try:
+                    outcomes.append(read(path, *parsers))
+                except Exception as exc:  # noqa: BLE001 - the error itself is compared
+                    outcomes.append((type(exc), str(exc)))
+    finally:
+        csv.field_size_limit(limit)
+    assert outcomes[0] == outcomes[1]
+
+
+@st.composite
+def csv_tables(draw):
+    """(header, columns) of 1-4 columns and 0-5 rows; cells are plain or
+    hold commas, quotes, CR, LF or nothing."""
+    width = draw(st.integers(1, 4))
+    rows = draw(st.integers(0, 5))
+    cells = st.one_of(_PLAIN_CELLS, _ODD_CELLS, st.text(max_size=3))
+    header = draw(st.lists(cells, min_size=width, max_size=width))
+    columns = [draw(st.lists(cells, min_size=rows, max_size=rows)) for _ in range(width)]
+    return header, columns
+
+
+@settings(max_examples=400, deadline=None)
+@given(csv_tables())
+@example((["sqft"], [["1.5", "", "2.0"]]))
+@example(([""], [["1"]]))
+@example((["a", "b"], [["x,y", "1"], ["2", 'q"']]))
+@example((["a", "b"], [["1\r", "2"], ["\n", "3"]]))
+@example((["a"], [[]]))
+def test_write_csv_matches_csv_writer(table):
+    header, columns = table
+    with tempfile.TemporaryDirectory() as scratch:
+        got, want = Path(scratch, "got.csv"), Path(scratch, "want.csv")
+        write_csv(got, header, columns)
+        _reference_write_csv(want, header, zip(*columns))
+        assert got.read_bytes() == want.read_bytes()
+
+
+def test_write_csv_needs_one_column_per_header_name(tmp_path):
+    with pytest.raises(ValueError, match="need 2 equal-length columns"):
+        write_csv(tmp_path / "t.csv", ["a", "b"], [["1"], ["2", "3"]])
+    with pytest.raises(ValueError, match="need 2 equal-length columns"):
+        write_csv(tmp_path / "t.csv", ["a", "b"], [["1"]])
+
+
 def test_households_missing_column(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("id,state\n0,VA\n")
@@ -367,6 +514,80 @@ def test_irradiance_validation(tmp_path):
         load_irradiance(short)
 
 
+def _reference_load_irradiance(path, tract=None):
+    """load_irradiance checking contiguity one row at a time."""
+    columns = read_csv(
+        path, {"date": datetime.date.fromisoformat, "hour": int, "ghi_wm2": float}
+    )
+    dates, hours, ghi = columns["date"], columns["hour"], columns["ghi_wm2"]
+    if not ghi:
+        raise IngestError("irradiance file has no rows")
+    negative = next((i for i, value in enumerate(ghi) if value < 0), None)
+    if negative is not None:
+        raise IngestError(f"negative GHI at {dates[negative]} hour {hours[negative]}")
+    start = dates[0]
+    for i, (date, hour) in enumerate(zip(dates, hours)):
+        expect_date = start + datetime.timedelta(days=i // 24)
+        expect_hour = i % 24
+        if date != expect_date or hour != expect_hour:
+            day_index = (expect_date - start).days + 1
+            raise IngestError(
+                f"gap in hours: expected day {day_index} ({expect_date}) "
+                f"hour {expect_hour}, found {date} hour {hour}"
+            )
+    if len(ghi) % 24 != 0:
+        raise IngestError(f"series ends mid-day at {dates[-1]} hour {hours[-1]}")
+    return IrradianceSeries("" if tract is None else tract, start, np.array(ghi))
+
+
+@st.composite
+def irradiance_rows(draw):
+    """(date, hour, ghi) rows of 0-3 whole days, some near date.max, then
+    rows deleted, repeated, re-dated, re-houred or made negative."""
+    start = draw(st.sampled_from(
+        [datetime.date(2018, 1, 1), datetime.date(2016, 2, 28), datetime.date(9999, 12, 30)]
+    ))
+    days = draw(st.integers(0, 3))
+    rows = [
+        [(start + datetime.timedelta(days=d)).isoformat(), str(h), "1.5"]
+        for d in range(min(days, (datetime.date.max - start).days + 1)) for h in range(24)
+    ]
+    for _ in range(draw(st.integers(0, 2))):
+        if not rows:
+            break
+        i = draw(st.integers(0, len(rows) - 1))
+        edit = draw(st.sampled_from(["delete", "repeat", "date", "hour", "negative", "extend"]))
+        if edit == "delete":
+            del rows[i]
+        elif edit == "repeat":
+            rows.insert(i, list(rows[i]))
+        elif edit == "date":
+            rows[i][0] = draw(st.sampled_from(["2018-01-02", "2017-12-31", "9999-12-31"]))
+        elif edit == "hour":
+            rows[i][1] = str(draw(st.integers(-1, 25)))
+        elif edit == "negative":
+            rows[i][2] = "-0.5"
+        else:
+            rows += [list(row) for row in rows[: draw(st.integers(1, 30))]]
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(irradiance_rows())
+def test_load_irradiance_matches_row_scan(rows):
+    """The whole-column contiguity check reports the row scan's first gap."""
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch, "irradiance_t1.csv")
+        write_csv(path, ["date", "hour", "ghi_wm2"], [[row[j] for row in rows] for j in range(3)])
+        outcomes = []
+        for load in (load_irradiance, _reference_load_irradiance):
+            try:
+                outcomes.append(load(path, "t1"))
+            except Exception as exc:  # noqa: BLE001 - the error itself is compared
+                outcomes.append((type(exc), str(exc)))
+    assert outcomes[0] == outcomes[1]
+
+
 def test_targets_roundtrip(tmp_path):
     targets = [AdopterTarget("VA", 50), AdopterTarget("MD", 7)]
     path = tmp_path / "targets.csv"
@@ -386,6 +607,11 @@ def test_graph_dedup_and_validation():
     assert g.edge_u.tolist() == [0, 4] and g.edge_v.tolist() == [5, 5]
     g = Graph(2**63 - 1, [(2, 9), (0, 7), (9, 2)])
     assert g.edge_u.tolist() == [2, 0] and g.edge_v.tolist() == [9, 7]
+    # ordered with a repeat, and unique but out of order: both take the sort
+    g = Graph(4, [(0, 1), (0, 1), (2, 3)])
+    assert g.edge_u.tolist() == [0, 2] and g.edge_v.tolist() == [1, 3]
+    g = Graph(4, [(0, 2), (0, 1)])
+    assert g.edge_u.tolist() == [0, 0] and g.edge_v.tolist() == [2, 1]
     with pytest.raises(IngestError, match="self-loop at node 2"):
         Graph(4, [(2, 2)])
     with pytest.raises(IngestError, match="outside node range"):
