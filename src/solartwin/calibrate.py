@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.special import ndtr
 
 from .boosting import GbtParams, LossParams, predict_proba, train_gbt
@@ -108,6 +107,10 @@ def gp_fit(points, values, kernel: RbfKernel | None = None) -> GpModel:
                 raise np.linalg.LinAlgError(
                     "kernel matrix not positive definite after max jitter"
                 )
+    # imported here: the GP runs only once the init points miss the target,
+    # and importing scipy.linalg adds about 60 ms and 5 MB to every CLI start
+    from scipy.linalg import solve_triangular
+
     mean = float(vals.mean())
     centered = vals - mean
     alpha = solve_triangular(
@@ -120,6 +123,8 @@ def gp_fit(points, values, kernel: RbfKernel | None = None) -> GpModel:
 
 def gp_predict(gp: GpModel, x):
     """Posterior (mu, sigma) at one (beta, tau) point or a batch of them."""
+    from scipy.linalg import solve_triangular  # see gp_fit
+
     arr = np.asarray(x, dtype=float)
     single = arr.ndim == 1
     X = arr[None, :] if single else arr

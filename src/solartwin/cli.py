@@ -327,7 +327,7 @@ def cmd_simulate(cfg: RunConfig, args):
     cases = parse_cases(args.cases) if args.cases else cfg.cases
     results = []
     for case in cases:
-        # keep only the rows: a case's timelines hold its nodes and CSR adjacency
+        # keep only the rows: a case's timelines hold every state's adopted array
         result = replace(
             simulate(pop, graph, cfg.diffusion_config(case), initial, mean_daily, annual_kwh),
             timelines=[],

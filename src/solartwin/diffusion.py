@@ -6,13 +6,13 @@ u = w1*benefit + w2*county_rate + w3*neighbor_rate strictly exceeds its
 barrier threshold.  Updates are synchronous; county and neighbor rates come
 from the state at the start of the step, and every node draws from a
 per-step vector of uniforms indexed by node id, so results are independent
-of evaluation order.
+of evaluation order.  Those rates come from integer counts that each step
+updates from its new adopters alone.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse
 
 from .records import FEATURE_NAMES, Graph, HouseholdTable, write_csv
 from .seeds import rng_for
@@ -176,8 +176,12 @@ def rebate_bins(rebates) -> np.ndarray:
 
 @dataclass
 class NodeData:
-    """Static per-node inputs shared by every state of one simulation;
-    adjacency is the graph's symmetric 0/1 matrix in CSR form."""
+    """Static per-node inputs shared by every state of one simulation.
+
+    The degree[i] neighbours of node i are indices[indptr[i]:indptr[i + 1]]:
+    both directions of every graph edge in CSR layout.  degree_floor is
+    max(degree, 1), the divisor of each node's neighbour rate.
+    """
 
     thresholds: np.ndarray
     benefit: np.ndarray
@@ -186,7 +190,9 @@ class NodeData:
     lmi: np.ndarray
     rural: np.ndarray
     degree: np.ndarray
-    adjacency: scipy.sparse.csr_array
+    indptr: np.ndarray
+    indices: np.ndarray
+    degree_floor: np.ndarray
     rebate_bin: np.ndarray | None = None
 
     @property
@@ -194,25 +200,48 @@ class NodeData:
         return self.thresholds.size
 
 
+def _adopter_counts(nodes: NodeData, adopters) -> tuple:
+    """What the nodes at indices adopters add to each node's count of
+    adopting neighbours and to each county's adopter count, as int64."""
+    lengths = nodes.degree[adopters]
+    # the CSR positions of every listed node's neighbours, row after row
+    positions = (nodes.indptr[adopters] - lengths.cumsum() + lengths).repeat(lengths)
+    positions += np.arange(positions.size)
+    return (
+        np.bincount(nodes.indices[positions], minlength=nodes.n),
+        np.bincount(nodes.county_index[adopters], minlength=nodes.county_size.size),
+    )
+
+
 @dataclass
 class DiffusionState:
-    """Adopter set after `step` synchronous updates."""
+    """Adopter set after `step` synchronous updates.
+
+    neighbor_count (adopting neighbours per node) and county_count
+    (adopters per county) are the integer counts step carries forward.  A
+    state built from its adopted array alone holds neither; counts()
+    derives them when they are needed.
+    """
 
     step: int
     adopted: np.ndarray
     nodes: NodeData = field(repr=False)
+    neighbor_count: np.ndarray | None = field(default=None, repr=False)
+    county_count: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def total(self) -> int:
         return int(np.count_nonzero(self.adopted))
 
+    def counts(self) -> tuple:
+        """(neighbor_count, county_count): the carried counts, or for a state
+        built without them, both counted from adopted."""
+        if self.neighbor_count is None or self.county_count is None:
+            return _adopter_counts(self.nodes, self.adopted.nonzero()[0])
+        return self.neighbor_count, self.county_count
+
     def county_rates(self) -> np.ndarray:
-        per_county = np.bincount(
-            self.nodes.county_index,
-            weights=self.adopted.astype(float),
-            minlength=self.nodes.county_size.size,
-        )
-        return per_county / self.nodes.county_size
+        return self.counts()[1] / self.nodes.county_size
 
 
 def normalize_benefit(values) -> np.ndarray:
@@ -256,8 +285,10 @@ def build_nodes(
     county_size = np.bincount(county_index, minlength=counties.size).astype(float)
     ends = np.concatenate((graph.edge_u, graph.edge_v))
     starts = np.concatenate((graph.edge_v, graph.edge_u))
-    adjacency = scipy.sparse.csr_array((np.ones(ends.size), (ends, starts)), shape=(n, n))
-    degree = np.bincount(ends, minlength=n).astype(float)
+    degree = np.bincount(ends, minlength=n)
+    indptr = np.concatenate(([0], np.cumsum(degree)))
+    # any order within a row will do: step only counts a row's entries
+    indices = starts[np.argsort(ends)]
     bins = None
     if config.case in ("4", "5"):
         if annual_kwh is None:
@@ -278,7 +309,9 @@ def build_nodes(
         lmi=lmi,
         rural=rural,
         degree=degree,
-        adjacency=adjacency,
+        indptr=indptr,
+        indices=indices,
+        degree_floor=np.maximum(degree, 1.0),
         rebate_bin=bins,
     )
 
@@ -287,23 +320,32 @@ def step(state: DiffusionState, graph: Graph, config: DiffusionConfig, rng) -> D
     """One synchronous update; returns the successor state.
 
     rng supplies one uniform per node (a single vectorized draw), so the
-    outcome does not depend on node evaluation order.  Each node's adopting
-    neighbours come from one matvec with the adjacency that build_nodes
-    made from graph: every term is 0 or 1, so the float sums are exact
-    integers whatever order they are added in.
+    outcome does not depend on node evaluation order.  The rates are
+    integer counts over max(degree, 1) and county size.  The successor's
+    counts are these plus what the step's new adopters add, found from
+    their CSR rows alone, so a step costs O(n) plus the new adopters'
+    edges.
     """
     nodes = state.nodes
     if graph.node_count != nodes.n:
         raise ValueError("graph does not match the simulation's node data")
     adopted = state.adopted
-    county_rate = state.county_rates()[nodes.county_index]
-    neighbor_rate = (nodes.adjacency @ adopted) / np.maximum(nodes.degree, 1.0)
+    neighbor_count, county_count = state.counts()
+    county_rate = (county_count / nodes.county_size)[nodes.county_index]
+    neighbor_rate = neighbor_count / nodes.degree_floor
     step_number = state.step + 1
     probs = _gate(config.case, nodes.lmi, step_number, nodes.rebate_bin)
     draws = rng.random(nodes.n)
     u = _utility(nodes.benefit, county_rate, neighbor_rate, config.weights)
     newly = (~adopted) & (draws < probs) & (u > nodes.thresholds)
-    return DiffusionState(step=step_number, adopted=adopted | newly, nodes=nodes)
+    new_neighbors, new_county = _adopter_counts(nodes, newly.nonzero()[0])
+    return DiffusionState(
+        step=step_number,
+        adopted=adopted | newly,
+        nodes=nodes,
+        neighbor_count=neighbor_count + new_neighbors,
+        county_count=county_count + new_county,
+    )
 
 
 @dataclass
@@ -334,12 +376,17 @@ def simulate(
         raise ValueError(f"initial adopter index {chosen[outside.argmax()]} out of range")
     initial = np.zeros(nodes.n, dtype=bool)
     initial[chosen] = True
+    # every iteration steps from one start state; the timelines keep each
+    # state's adopted array only, not the counts step carries
+    start = DiffusionState(0, initial, nodes, *_adopter_counts(nodes, np.flatnonzero(initial)))
     timelines = []
     for iteration in range(config.iterations):
         rng = rng_for(config.seed, "diffusion", config.case, iteration)
-        states = [DiffusionState(step=0, adopted=initial.copy(), nodes=nodes)]
+        state = start
+        states = [DiffusionState(0, initial, nodes)]
         for _ in range(config.time_steps):
-            states.append(step(states[-1], graph, config, rng))
+            state = step(state, graph, config, rng)
+            states.append(DiffusionState(state.step, state.adopted, nodes))
         timelines.append(states)
     # (iterations, steps + 1, n): integer counts per run, then their mean
     adopted = np.array([[state.adopted for state in timeline] for timeline in timelines])

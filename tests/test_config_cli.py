@@ -2,8 +2,11 @@
 
 import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from datetime import date
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -11,6 +14,26 @@ import pytest
 from solartwin.cli import main, parse_period, resolve_period
 from solartwin.config import RunConfig, load_config
 from solartwin.diffusion import CASES
+
+
+def test_cli_import_leaves_out_scipy_linalg_and_sparse():
+    # the contagion step needs no scipy.sparse, and the GP imports
+    # scipy.linalg when it first runs; neither is paid for at CLI start
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [
+            sys.executable, "-c",
+            "import sys, solartwin.cli; "
+            "print(sorted(m for m in ('scipy.linalg', 'scipy.sparse') if m in sys.modules))",
+        ],
+        env={**os.environ, "PYTHONPATH": pythonpath},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_defaults():

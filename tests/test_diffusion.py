@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from solartwin.diffusion import (
     CASE3_LMI_SEQUENCE,
+    CASES,
     DiffusionConfig,
     DiffusionState,
     barrier_flags,
@@ -19,7 +22,7 @@ from solartwin.diffusion import (
     threshold_from_barriers,
     utility,
 )
-from solartwin.records import FEATURE_NAMES, Graph, HouseholdTable
+from solartwin.records import FEATURE_DOMAINS, FEATURE_NAMES, Graph, HouseholdTable
 from solartwin.seeds import rng_for
 
 FEATURES = {
@@ -287,10 +290,13 @@ def test_simulate_initial_index_guard():
 
 def _reference_step(state, graph, config, rng):
     """step with each node's adopting neighbours gathered per edge end and
-    summed by two weighted bincounts."""
+    summed by two weighted bincounts, and county rates counted afresh."""
     nodes, adopted = state.nodes, state.adopted
-    county_rate = state.county_rates()[nodes.county_index]
     adopted_f = adopted.astype(float)
+    county_rate = (
+        np.bincount(nodes.county_index, weights=adopted_f, minlength=nodes.county_size.size)
+        / nodes.county_size
+    )[nodes.county_index]
     neighbor_adopters = np.bincount(
         graph.edge_u, weights=adopted_f[graph.edge_v], minlength=nodes.n
     ) + np.bincount(graph.edge_v, weights=adopted_f[graph.edge_u], minlength=nodes.n)
@@ -314,7 +320,7 @@ def test_step_matches_bincount_reference(case, seed):
     cfg = DiffusionConfig(case=case, weights=(0.2, 0.2, 0.6), seed=seed)
     kwh = np.linspace(4000.0, 8000.0, 40)
     nodes = build_nodes(pop, graph, cfg, rng_for(seed, "benefit").random(40), kwh)
-    assert nodes.degree.tolist() == np.diff(nodes.adjacency.indptr).tolist()
+    assert nodes.degree.tolist() == np.diff(nodes.indptr).tolist()
     state = DiffusionState(step=0, adopted=rng_for(seed, "start").random(40) < 0.3, nodes=nodes)
     ours, theirs = rng_for(seed, "steps"), rng_for(seed, "steps")
     expected = state
@@ -322,6 +328,174 @@ def test_step_matches_bincount_reference(case, seed):
         state = step(state, graph, cfg, ours)
         expected = _reference_step(expected, graph, cfg, theirs)
         assert np.array_equal(state.adopted, expected.adopted)
+
+
+@st.composite
+def worlds(draw):
+    """(pop, graph, inputs) for build_nodes and simulate: 1 to 25 households
+    in up to three counties with random barrier features, on an edge set of
+    density 0 (no edges), low (isolated nodes likely) or high.  inputs holds
+    the benefit values, annual kWh, the step-0 adopted mask, the weights and
+    the seed."""
+    n = draw(st.integers(1, 25))
+    density = draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+    seed = draw(st.integers(0, 2**16))
+    rng = rng_for(seed, "world")
+    u, v = np.triu_indices(n, 1)
+    keep = rng.random(u.size) < density
+    features = np.column_stack([rng.choice(FEATURE_DOMAINS[name], n) for name in FEATURE_NAMES])
+    pop = make_households(
+        county=[str(51001 + c) for c in rng.integers(0, 3, n)],
+        lmi=(rng.random(n) < 0.5).tolist(),
+        rural=(rng.random(n) < 0.5).tolist(),
+        features=features,
+    )
+    inputs = {
+        "benefit": rng.random(n),
+        "kwh": 4000.0 + 4000.0 * rng.random(n),
+        "start": rng.random(n) < draw(st.sampled_from([0.0, 0.2, 0.6])),
+        "weights": draw(st.sampled_from([(0.4, 0.3, 0.3), (0.2, 0.2, 0.6), (0.0, 0.5, 0.5)])),
+        "seed": seed,
+    }
+    return pop, Graph(n, np.column_stack((u[keep], v[keep]))), inputs
+
+
+def _counts_afresh(nodes, graph, adopted):
+    """Adopting neighbours per node and adopters per county, by bincount."""
+    adopted_f = adopted.astype(float)
+    neighbors = np.bincount(
+        graph.edge_u, weights=adopted_f[graph.edge_v], minlength=nodes.n
+    ) + np.bincount(graph.edge_v, weights=adopted_f[graph.edge_u], minlength=nodes.n)
+    county = np.bincount(nodes.county_index, weights=adopted_f, minlength=nodes.county_size.size)
+    return neighbors, county
+
+
+@settings(max_examples=200, deadline=None)
+@given(worlds(), st.sampled_from(CASES))
+def test_step_chain_matches_reference_and_carries_counts(world, case):
+    pop, graph, inputs = world
+    cfg = DiffusionConfig(case=case, weights=inputs["weights"], seed=inputs["seed"])
+    nodes = build_nodes(pop, graph, cfg, inputs["benefit"], inputs["kwh"])
+    state = expected = DiffusionState(step=0, adopted=inputs["start"], nodes=nodes)
+    ours, theirs = rng_for(cfg.seed, "steps"), rng_for(cfg.seed, "steps")
+    # 13 steps take case 3 past the end of its LMI sequence
+    for number in range(1, 14):
+        state = step(state, graph, cfg, ours)
+        expected = _reference_step(expected, graph, cfg, theirs)
+        assert state.step == expected.step == number
+        assert np.array_equal(state.adopted, expected.adopted)
+        neighbors, county = _counts_afresh(nodes, graph, state.adopted)
+        assert state.neighbor_count.dtype == state.county_count.dtype == np.int64
+        assert state.neighbor_count.tolist() == neighbors.tolist()
+        assert state.county_count.tolist() == county.tolist()
+        assert state.county_rates().tolist() == (county / nodes.county_size).tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(worlds(), st.sampled_from(CASES), st.integers(0, 12), st.integers(1, 4))
+def test_simulate_rows_match_reference_loop(world, case, time_steps, iterations):
+    pop, graph, inputs = world
+    cfg = DiffusionConfig(
+        case=case, weights=inputs["weights"], time_steps=time_steps,
+        iterations=iterations, seed=inputs["seed"],
+    )
+    initial = np.flatnonzero(inputs["start"])
+    result = simulate(pop, graph, cfg, initial, inputs["benefit"], inputs["kwh"])
+    nodes = build_nodes(pop, graph, cfg, inputs["benefit"], inputs["kwh"])
+    runs = []
+    for iteration in range(iterations):
+        rng = rng_for(cfg.seed, "diffusion", case, iteration)
+        state = DiffusionState(step=0, adopted=inputs["start"], nodes=nodes)
+        run = [state.adopted]
+        for _ in range(time_steps):
+            state = _reference_step(state, graph, cfg, rng)
+            run.append(state.adopted)
+        runs.append(run)
+    for timeline, run in zip(result.timelines, runs, strict=True):
+        assert [s.adopted.tolist() for s in timeline] == [a.tolist() for a in run]
+    lmi, rural = nodes.lmi, nodes.rural
+    masks = {
+        "total_adopters": np.ones(nodes.n, dtype=bool), "lmi_rural": lmi & rural,
+        "lmi_urban": lmi & ~rural, "nonlmi_rural": ~lmi & rural, "nonlmi_urban": ~lmi & ~rural,
+    }
+    assert [(row["case"], row["step"]) for row in result.rows] == [
+        (case, t) for t in range(time_steps + 1)
+    ]
+    for t, row in enumerate(result.rows):
+        for name, mask in masks.items():
+            counts = [np.count_nonzero(run[t] & mask) for run in runs]
+            assert repr(row[name]) == repr(float(np.mean(counts)))
+
+
+class FixedDraws:
+    """An rng whose one draw per step is a given vector."""
+
+    def __init__(self, draws):
+        self.draws = draws
+
+    def random(self, n):
+        assert n == self.draws.size
+        return self.draws
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_step_gates_match_node_probability(case):
+    # every node but node 0 clears its threshold (u = benefit = 1), so a node
+    # adopts exactly when its draw is below its gate; draws sit on the gate
+    # and one float below it, at every step up to past case 3's sequence
+    pop, graph = small_world(n=40, lmi_every=2)
+    cfg = DiffusionConfig(case=case, weights=(1.0, 0.0, 0.0))
+    nodes = build_nodes(pop, graph, cfg, [0.0] + [1.0] * 39, np.linspace(4000.0, 8000.0, 40))
+    bins = [None] * 40 if nodes.rebate_bin is None else nodes.rebate_bin
+    below = np.arange(40) % 4 < 2
+    for number in range(1, 14):
+        gates = np.array(
+            [node_probability(case, lmi, number, b) for lmi, b in zip(nodes.lmi, bins)]
+        )
+        draws = np.where(below, np.nextafter(gates, 0.0), gates)
+        state = DiffusionState(step=number - 1, adopted=np.zeros(40, dtype=bool), nodes=nodes)
+        nxt = step(state, graph, cfg, FixedDraws(draws))
+        assert nxt.adopted.tolist() == (below & (np.arange(40) > 0)).tolist()
+
+
+def test_step_adds_utility_terms_in_documented_order():
+    # u = (w1*benefit + w2*county_rate) + w3*neighbor_rate lands one float
+    # either side of the 0.525 threshold (four barriers) for nodes 0 and 2,
+    # where w1*benefit + (w2*county_rate + w3*neighbor_rate) lands on the
+    # other side
+    features = np.tile(list(FEATURES.values()), (8, 1))
+    for name, code in [("BA_climate", 7), ("NHSLDMEM", 6), ("MONEYPY", 1), ("KOWNRENT", 2)]:
+        features[[0, 2], FEATURE_NAMES.index(name)] = code
+    pop = make_households(["A", "A", "B", "B", "C", "C", "C", "C"], [False] * 8, features=features)
+    graph = Graph(8, [(0, 1), (2, 3), (2, 4), (2, 5)])
+    cfg = DiffusionConfig(case="1a")
+    benefit = [0.1875000000000002, 0.5, 0.6875000000000001, 0.5, 0.5, 0.5, 0.0, 1.0]
+    nodes = build_nodes(pop, graph, cfg, benefit)
+    assert nodes.thresholds[[0, 2]].tolist() == [0.525, 0.525]
+    adopted = np.zeros(8, dtype=bool)
+    adopted[[1, 3]] = True
+    nxt = step(DiffusionState(0, adopted, nodes), graph, cfg, FixedDraws(np.zeros(8)))
+    w = cfg.weights
+    for node, c, n, adopts in [(0, 1 / 2, 1 / 1, True), (2, 1 / 2, 1 / 3, False)]:
+        p = benefit[node]
+        assert ((w[0] * p + w[1] * c) + w[2] * n > 0.525) is adopts
+        assert (w[0] * p + (w[1] * c + w[2] * n) > 0.525) is not adopts
+        assert nxt.adopted[node] == adopts
+
+
+def test_timeline_states_keep_only_adopted():
+    pop, graph = small_world(n=30, seed=3)
+    cfg = DiffusionConfig(case="1b", time_steps=4, iterations=2, seed=1)
+    result = simulate(pop, graph, cfg, [0, 4], np.linspace(0.0, 1.0, 30))
+    for timeline in result.timelines:
+        for state in timeline:
+            assert state.neighbor_count is None and state.county_count is None
+    # a kept state still steps, from counts it derives
+    last = result.timelines[0][-1]
+    again = step(last, graph, cfg, rng_for(0, "again"))
+    neighbors, county = _counts_afresh(last.nodes, graph, again.adopted)
+    assert again.neighbor_count.tolist() == neighbors.tolist()
+    assert again.county_count.tolist() == county.tolist()
 
 
 def test_save_timeline_format(tmp_path):

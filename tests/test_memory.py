@@ -1,5 +1,5 @@
-"""Peak memory of network generation, graph building and KDE scoring stays
-linear in size.
+"""Peak memory of network generation, graph building, KDE scoring and the
+contagion simulation stays linear in size.
 
 Each case runs in a fresh interpreter and reports how far ``ru_maxrss``
 rose across one call, after its inputs exist.  A quadratic working set
@@ -7,6 +7,10 @@ would take about 1.8 GB for the network (12 000 nodes in one group) and
 about 250 MB for the KDE (20 000 samples per side).  A graph of 2 M edges,
 unique and in (u, v) order as gen_network emits them, costs about its two
 endpoint arrays (32 MB); a dedup sort of them would take about 115 MB.
+``simulate`` keeps 20 x 21 states of 30 000 households: as bool adopted
+arrays that is 12.6 MB, held about three times over while the rows are
+counted (about 38 MB).  Keeping the int64 counts that ``step`` carries in
+every state would add about 100 MB.
 """
 
 import os
@@ -30,6 +34,18 @@ SETUP = {
         "u = np.repeat(np.arange(2_000), 1_000)\n"
         "edges = np.column_stack((u, u + 1 + np.tile(np.arange(1_000), 2_000)))\n"
         "call = lambda: Graph(3_000, edges)\n"
+    ),
+    "simulate_timelines": (
+        "import numpy as np\n"
+        "from solartwin.diffusion import DiffusionConfig, simulate\n"
+        "from solartwin.records import Graph\n"
+        "from solartwin.toygen import ToyConfig, gen_population\n"
+        "n = 30_000\n"
+        "pop = gen_population(ToyConfig(n_households=n, seed=0))\n"
+        "graph = Graph(n, np.column_stack((np.arange(n - 1), np.arange(1, n))))\n"
+        "cfg = DiffusionConfig(case='1b', time_steps=20, iterations=20)\n"
+        "initial = np.flatnonzero(pop.solar.filled(False))\n"
+        "call = lambda: simulate(pop, graph, cfg, initial, np.linspace(1.0, 2.0, n))\n"
     ),
     "jsd_kde": (
         "import numpy as np\n"

@@ -439,6 +439,23 @@ def test_loaders_name_bad_cell(tmp_path, table, row, column, cell):
         loader(path)
 
 
+@pytest.mark.parametrize("date_row, hour_row", [(2, 3), (3, 2), (2, 2)])
+def test_profile_rows_name_date_before_hour(tmp_path, date_row, hour_row):
+    # the date column comes before hour, so its bad cell is the one named,
+    # wherever the bad hour is
+    loader, name, header, rows = TABLES["profiles"]
+    rows = [list(r) for r in rows]
+    rows[date_row - 2][header.index("date")] = "2018-01-02"
+    rows[hour_row - 2][header.index("hour")] = "1.5"
+    path = tmp_path / name
+    path.write_text("\n".join(",".join(r) for r in [header] + rows) + "\n")
+    with pytest.raises(
+        IngestError,
+        match=rf"^{re.escape(name)}: row {date_row}, column date: bad value '2018-01-02'$",
+    ):
+        loader(path)
+
+
 def test_irradiance_roundtrip(tmp_path):
     hours = np.arange(48, dtype=float)
     series = IrradianceSeries("t1", datetime.date(2018, 1, 1), hours)
