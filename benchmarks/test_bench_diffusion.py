@@ -13,7 +13,7 @@ of 2 000 households at ``edge_prob`` 0.01 (about 20 k edges, the
 import numpy as np
 import pytest
 
-from solartwin.diffusion import CASES, DiffusionConfig, simulate
+from solartwin.diffusion import CASES, DiffusionConfig, build_nodes, simulate
 from solartwin.records import load_network, save_network
 from solartwin.toygen import ToyConfig, gen_network, gen_population
 
@@ -32,10 +32,12 @@ def test_bench_simulate_all_cases(benchmark, world):
     configs = [DiffusionConfig(case=c, time_steps=20, iterations=50) for c in CASES]
 
     def sweep():
-        return [simulate(pop, graph, cfg, initial, daily_kwh, daily_kwh * 365.0) for cfg in configs]
+        # as the simulate stage does: the nodes once, then every case on them
+        nodes = build_nodes(pop, graph, daily_kwh)
+        return [simulate(nodes, cfg, initial, daily_kwh * 365.0) for cfg in configs]
 
     results = benchmark(sweep)
-    assert [r.rows[-1]["step"] for r in results] == [20] * len(CASES)
+    assert [rows[-1]["step"] for rows in results] == [20] * len(CASES)
 
 
 def test_bench_load_network(benchmark, tmp_path):

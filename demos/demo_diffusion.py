@@ -1,6 +1,8 @@
 """Adoption contagion under the seven policy cases."""
 
-from solartwin.diffusion import DiffusionConfig, simulate
+import numpy as np
+
+from solartwin.diffusion import DiffusionConfig, build_nodes, simulate
 from solartwin.seeds import rng_for
 from solartwin.toygen import ToyConfig, gen_network, gen_population
 
@@ -12,17 +14,19 @@ print(f"{n} nodes, {len(graph.edges)} edges")
 rng = rng_for(5, "demo-diffusion")
 benefit = rng.random(n)                     # stand-in for modeled generation
 annual_kwh = 4000.0 + rng.random(n) * 5000.0
-initial = [i for i, r in enumerate(pop) if r.solar]
-print(f"seeding with {len(initial)} planted adopters\n")
+initial = np.flatnonzero(pop.solar.filled(False))
+print(f"seeding with {initial.size} planted adopters\n")
+# the node arrays every case shares, built once for the sweep
+nodes = build_nodes(pop, graph, benefit)
 
 cases = ("1a", "1b", "2a", "2b", "3", "4", "5")
 print("case  " + "  ".join(f"t={t:02d}" for t in range(11)))
 finals = {}
 for case in cases:
     config = DiffusionConfig(case=case, time_steps=10, iterations=5, seed=11)
-    result = simulate(pop, graph, config, initial, benefit, annual_kwh)
-    totals = [row["total_adopters"] for row in result.rows]
-    finals[case] = result.rows[-1]
+    rows = simulate(nodes, config, initial, annual_kwh)
+    totals = [row["total_adopters"] for row in rows]
+    finals[case] = rows[-1]
     print(f"  {case:2s}  " + "  ".join(f"{t:4.0f}" for t in totals))
 
 print("\nfinal split (mean over iterations):")

@@ -89,7 +89,7 @@ from solartwin.metrics import (
 from solartwin.diffusion import (
     DiffusionConfig,
     DiffusionState,
-    SimulationResult,
+    build_nodes,
     node_probability,
     rebate_value,
     save_timeline,

@@ -32,7 +32,7 @@ from .boosting import (
 )
 from .calibrate import calibrate, save_trace
 from .config import RunConfig, load_config, parse_cases
-from .diffusion import save_timeline, simulate
+from .diffusion import build_nodes, save_timeline, simulate
 from .metrics import jsd_histogram, jsd_kde, pearson_monthly, relative_pct_diff
 from .metrics import kld_histogram as kld  # perfbench's tracer times the KL row as cli.kld
 from .preprocess import (
@@ -312,7 +312,9 @@ def cmd_validate(cfg: RunConfig, args):
 
 
 def cmd_simulate(cfg: RunConfig, args):
-    label, dates = resolve_period(cfg, args)
+    cases = parse_cases(args.cases) if args.cases is not None else cfg.cases
+    configs = [cfg.diffusion_config(case) for case in cases]
+    _, dates = resolve_period(cfg, args)
     pop = load_households(_require(_path(cfg, "households_twin.csv"), "calibrate"))
     graph = load_network(_require(_path(cfg, "network.edges"), "toygen"), len(pop))
     irradiance = _load_irradiance_map(cfg, pop.tract)
@@ -323,21 +325,17 @@ def cmd_simulate(cfg: RunConfig, args):
         workers=cfg.workers, seed=cfg.seed, n_samples=cfg.pv_samples, hourly=False,
     ).mean_daily
     annual_kwh = mean_daily * 365.0
+    nodes = build_nodes(pop, graph, mean_daily)
     initial = np.flatnonzero(pop.solar.filled(False))
-    cases = parse_cases(args.cases) if args.cases else cfg.cases
-    results = []
-    for case in cases:
-        # keep only the rows: a case's timelines hold every state's adopted array
-        result = replace(
-            simulate(pop, graph, cfg.diffusion_config(case), initial, mean_daily, annual_kwh),
-            timelines=[],
-        )
-        results.append(result)
+    rows = []
+    for config in configs:
+        case_rows = simulate(nodes, config, initial, annual_kwh)
+        rows += case_rows
         log.info(
             "simulate: case %s ended with %s adopters",
-            case, result.rows[-1]["total_adopters"],
+            config.case, case_rows[-1]["total_adopters"],
         )
-    save_timeline(results, _path(cfg, "adoption_timeline.csv"))
+    save_timeline(rows, _path(cfg, "adoption_timeline.csv"))
 
 
 def cmd_pipeline(cfg: RunConfig, args):

@@ -131,8 +131,12 @@ class RunConfig:
 
 
 def parse_cases(text: str) -> tuple:
-    """Policy cases from a comma list, stripped, empty entries dropped."""
-    return tuple(p.strip() for p in text.split(",") if p.strip())
+    """Policy cases from a comma list, stripped, empty entries dropped; at
+    least one must remain."""
+    cases = tuple(p.strip() for p in text.split(",") if p.strip())
+    if not cases:
+        raise ValueError(f"no policy cases in {text!r}")
+    return cases
 
 
 # (section, key, field, converter)

@@ -10,7 +10,7 @@ of evaluation order.  Those rates come from integer counts that each step
 updates from its new adopters alone.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -37,6 +37,8 @@ THRESHOLD_MAX = 0.95
 N_BARRIERS = 8
 N_REBATE_BINS = 10
 HOURS_PER_YEAR = 8760
+# the (lmi, rural) split of the timeline rows
+QUADRANTS = ("lmi_rural", "lmi_urban", "nonlmi_rural", "nonlmi_urban")
 
 
 @dataclass(frozen=True)
@@ -176,7 +178,8 @@ def rebate_bins(rebates) -> np.ndarray:
 
 @dataclass
 class NodeData:
-    """Static per-node inputs shared by every state of one simulation.
+    """Per-node inputs that every policy case shares, except rebate_bin,
+    which case_nodes sets for cases 4 and 5.
 
     The degree[i] neighbours of node i are indices[indptr[i]:indptr[i + 1]]:
     both directions of every graph edge in CSR layout.  degree_floor is
@@ -215,33 +218,21 @@ def _adopter_counts(nodes: NodeData, adopters) -> tuple:
 
 @dataclass
 class DiffusionState:
-    """Adopter set after `step` synchronous updates.
-
-    neighbor_count (adopting neighbours per node) and county_count
-    (adopters per county) are the integer counts step carries forward.  A
-    state built from its adopted array alone holds neither; counts()
-    derives them when they are needed.
-    """
+    """Adopter set after `step` synchronous updates, with the int64 counts
+    step carries forward: adopting neighbours per node (neighbor_count) and
+    adopters per county (county_count)."""
 
     step: int
     adopted: np.ndarray
     nodes: NodeData = field(repr=False)
-    neighbor_count: np.ndarray | None = field(default=None, repr=False)
-    county_count: np.ndarray | None = field(default=None, repr=False)
+    neighbor_count: np.ndarray = field(repr=False)
+    county_count: np.ndarray = field(repr=False)
 
-    @property
-    def total(self) -> int:
-        return int(np.count_nonzero(self.adopted))
-
-    def counts(self) -> tuple:
-        """(neighbor_count, county_count): the carried counts, or for a state
-        built without them, both counted from adopted."""
-        if self.neighbor_count is None or self.county_count is None:
-            return _adopter_counts(self.nodes, self.adopted.nonzero()[0])
-        return self.neighbor_count, self.county_count
-
-    def county_rates(self) -> np.ndarray:
-        return self.counts()[1] / self.nodes.county_size
+    @classmethod
+    def start(cls, nodes: NodeData, adopted) -> "DiffusionState":
+        """The step-0 state of an adopted mask, its counts derived from it."""
+        adopted = np.asarray(adopted, dtype=bool)
+        return cls(0, adopted, nodes, *_adopter_counts(nodes, np.flatnonzero(adopted)))
 
 
 def normalize_benefit(values) -> np.ndarray:
@@ -256,19 +247,10 @@ def normalize_benefit(values) -> np.ndarray:
     return (arr - lo) / (hi - lo)
 
 
-def build_nodes(
-    pop: HouseholdTable,
-    graph: Graph,
-    config: DiffusionConfig,
-    benefit_values,
-    annual_kwh=None,
-) -> NodeData:
-    """Assemble static node arrays; node i is row i of the table.
-
-    benefit_values are raw per-household daily generation figures,
-    normalized here.  Cases 4 and 5 additionally need annual_kwh per
-    household to rank rebates; case 5 uprates the credit rate for LMI
-    households by the extra credit before ranking.
+def build_nodes(pop: HouseholdTable, graph: Graph, benefit_values) -> NodeData:
+    """Assemble the node arrays every policy case shares; node i is row i of
+    the table.  benefit_values are raw per-household daily generation
+    figures, normalized here.
     """
     n = len(pop)
     if graph.node_count != n:
@@ -276,47 +258,48 @@ def build_nodes(
             f"graph has {graph.node_count} nodes but population has {n}"
         )
     lmi = pop.lmi.filled(False)
-    rural = pop.rural.filled(False)
-    thresholds = threshold_from_barriers(barrier_flags(pop.features, lmi))
     benefit = normalize_benefit(benefit_values)
     if benefit.size != n:
         raise ValueError("need one benefit value per household")
     counties, county_index = np.unique(pop.county, return_inverse=True)
-    county_size = np.bincount(county_index, minlength=counties.size).astype(float)
     ends = np.concatenate((graph.edge_u, graph.edge_v))
     starts = np.concatenate((graph.edge_v, graph.edge_u))
     degree = np.bincount(ends, minlength=n)
-    indptr = np.concatenate(([0], np.cumsum(degree)))
-    # any order within a row will do: step only counts a row's entries
-    indices = starts[np.argsort(ends)]
-    bins = None
-    if config.case in ("4", "5"):
-        if annual_kwh is None:
-            raise ValueError(f"case {config.case} needs annual_kwh per household")
-        kwh = np.asarray(annual_kwh, dtype=float)
-        if kwh.size != n:
-            raise ValueError("need one annual_kwh value per household")
-        rates = np.full(n, config.credit_rate)
-        if config.case == "5":
-            rates[lmi] = config.credit_rate + config.lmi_extra_credit
-        rebates = rebate_value(kwh, config.cost_per_watt, rates, config.capacity_factor)
-        bins = rebate_bins(rebates)
     return NodeData(
-        thresholds=thresholds,
+        thresholds=threshold_from_barriers(barrier_flags(pop.features, lmi)),
         benefit=benefit,
         county_index=county_index,
-        county_size=county_size,
+        county_size=np.bincount(county_index, minlength=counties.size).astype(float),
         lmi=lmi,
-        rural=rural,
+        rural=pop.rural.filled(False),
         degree=degree,
-        indptr=indptr,
-        indices=indices,
+        indptr=np.concatenate(([0], np.cumsum(degree))),
+        # any order within a row will do: step only counts a row's entries
+        indices=starts[np.argsort(ends)],
         degree_floor=np.maximum(degree, 1.0),
-        rebate_bin=bins,
     )
 
 
-def step(state: DiffusionState, graph: Graph, config: DiffusionConfig, rng) -> DiffusionState:
+def case_nodes(nodes: NodeData, config: DiffusionConfig, annual_kwh=None) -> NodeData:
+    """The nodes under config's case.  Cases 4 and 5 add each household's
+    rebate bin, ranked on its annual_kwh; case 5 uprates the credit rate for
+    LMI households by the extra credit before ranking.  Other cases take the
+    nodes as they are."""
+    if config.case not in ("4", "5"):
+        return nodes
+    if annual_kwh is None:
+        raise ValueError(f"case {config.case} needs annual_kwh per household")
+    kwh = np.asarray(annual_kwh, dtype=float)
+    if kwh.size != nodes.n:
+        raise ValueError("need one annual_kwh value per household")
+    rates = np.full(nodes.n, config.credit_rate)
+    if config.case == "5":
+        rates[nodes.lmi] = config.credit_rate + config.lmi_extra_credit
+    rebates = rebate_value(kwh, config.cost_per_watt, rates, config.capacity_factor)
+    return replace(nodes, rebate_bin=rebate_bins(rebates))
+
+
+def step(state: DiffusionState, config: DiffusionConfig, rng) -> DiffusionState:
     """One synchronous update; returns the successor state.
 
     rng supplies one uniform per node (a single vectorized draw), so the
@@ -327,12 +310,9 @@ def step(state: DiffusionState, graph: Graph, config: DiffusionConfig, rng) -> D
     edges.
     """
     nodes = state.nodes
-    if graph.node_count != nodes.n:
-        raise ValueError("graph does not match the simulation's node data")
     adopted = state.adopted
-    neighbor_count, county_count = state.counts()
-    county_rate = (county_count / nodes.county_size)[nodes.county_index]
-    neighbor_rate = neighbor_count / nodes.degree_floor
+    county_rate = (state.county_count / nodes.county_size)[nodes.county_index]
+    neighbor_rate = state.neighbor_count / nodes.degree_floor
     step_number = state.step + 1
     probs = _gate(config.case, nodes.lmi, step_number, nodes.rebate_bin)
     draws = rng.random(nodes.n)
@@ -343,81 +323,60 @@ def step(state: DiffusionState, graph: Graph, config: DiffusionConfig, rng) -> D
         step=step_number,
         adopted=adopted | newly,
         nodes=nodes,
-        neighbor_count=neighbor_count + new_neighbors,
-        county_count=county_count + new_county,
+        neighbor_count=state.neighbor_count + new_neighbors,
+        county_count=state.county_count + new_county,
     )
 
 
-@dataclass
-class SimulationResult:
-    config: DiffusionConfig
-    timelines: list
-    rows: list
-
-
-def simulate(
-    pop: HouseholdTable,
-    graph: Graph,
-    config: DiffusionConfig,
-    initial_adopters,
-    benefit_values,
-    annual_kwh=None,
-) -> SimulationResult:
+def simulate(nodes: NodeData, config: DiffusionConfig, initial_adopters, annual_kwh=None) -> list:
     """Run config.iterations contagion runs of config.time_steps steps each.
 
-    initial_adopters holds node indices (row positions) adopted at step 0.
-    rows holds the plot-ready timeline averaged over iterations: one row per
-    step with totals split by (lmi, rural).
+    initial_adopters holds node indices (row positions) adopted at step 0;
+    annual_kwh ranks the rebates of cases 4 and 5 (see case_nodes).  Returns
+    the plot-ready timeline: one row per step with the adopter total and its
+    (lmi, rural) split, averaged over iterations.
     """
-    nodes = build_nodes(pop, graph, config, benefit_values, annual_kwh)
+    nodes = case_nodes(nodes, config, annual_kwh)
     chosen = np.asarray(initial_adopters, dtype=np.int64)
     outside = (chosen < 0) | (chosen >= nodes.n)
     if outside.any():
         raise ValueError(f"initial adopter index {chosen[outside.argmax()]} out of range")
     initial = np.zeros(nodes.n, dtype=bool)
     initial[chosen] = True
-    # every iteration steps from one start state; the timelines keep each
-    # state's adopted array only, not the counts step carries
-    start = DiffusionState(0, initial, nodes, *_adopter_counts(nodes, np.flatnonzero(initial)))
-    timelines = []
+    start = DiffusionState.start(nodes, initial)
+    steps = config.time_steps + 1
+    # one code per (step, quadrant), so one bincount folds a run's states
+    # into its integer counts; the runs' counts are then averaged.  A
+    # node's quadrant is its position in QUADRANTS.
+    quadrant = 2 * ~nodes.lmi + ~nodes.rural
+    codes = np.arange(steps)[:, None] * len(QUADRANTS) + quadrant
+    counts = np.empty((config.iterations, steps * len(QUADRANTS)), dtype=np.int64)
     for iteration in range(config.iterations):
         rng = rng_for(config.seed, "diffusion", config.case, iteration)
         state = start
-        states = [DiffusionState(0, initial, nodes)]
+        run = [state.adopted]
         for _ in range(config.time_steps):
-            state = step(state, graph, config, rng)
-            states.append(DiffusionState(state.step, state.adopted, nodes))
-        timelines.append(states)
-    # (iterations, steps + 1, n): integer counts per run, then their mean
-    adopted = np.array([[state.adopted for state in timeline] for timeline in timelines])
-    groups = {
-        "total_adopters": np.ones(nodes.n, dtype=bool),
-        "lmi_rural": nodes.lmi & nodes.rural,
-        "lmi_urban": nodes.lmi & ~nodes.rural,
-        "nonlmi_rural": ~nodes.lmi & nodes.rural,
-        "nonlmi_urban": ~nodes.lmi & ~nodes.rural,
-    }
+            state = step(state, config, rng)
+            run.append(state.adopted)
+        counts[iteration] = np.bincount(codes[np.array(run)], minlength=counts.shape[1])
+    counts = counts.reshape(config.iterations, steps, len(QUADRANTS))
     means = {
-        name: np.count_nonzero(adopted & mask, axis=2).mean(axis=0).tolist()
-        for name, mask in groups.items()
+        "total_adopters": counts.sum(axis=2).mean(axis=0).tolist(),
+        **dict(zip(QUADRANTS, counts.mean(axis=0).T.tolist())),
     }
-    rows = [
+    return [
         {"case": config.case, "step": t, **{name: mean[t] for name, mean in means.items()}}
-        for t in range(config.time_steps + 1)
+        for t in range(steps)
     ]
-    return SimulationResult(config=config, timelines=timelines, rows=rows)
 
 
 def _format_count(value: float) -> str:
     return str(int(value)) if value == int(value) else repr(value)
 
 
-def save_timeline(results, path):
-    """Write adoption_timeline.csv for one or more simulation results."""
-    if isinstance(results, SimulationResult):
-        results = [results]
-    counts = ("total_adopters", "lmi_rural", "lmi_urban", "nonlmi_rural", "nonlmi_urban")
-    rows = [row for result in results for row in result.rows]
+def save_timeline(rows, path):
+    """Write adoption_timeline.csv from the rows of one or more simulate calls."""
+    counts = ("total_adopters", *QUADRANTS)
     write_csv(
         path,
         ["case", "step", *counts],

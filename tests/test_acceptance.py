@@ -36,8 +36,12 @@ from solartwin.calibrate import (
 from solartwin.diffusion import (
     CASE3_LMI_SEQUENCE,
     DiffusionConfig,
+    DiffusionState,
+    build_nodes,
+    case_nodes,
     node_probability,
     simulate,
+    step,
 )
 from solartwin.metrics import (
     DiscreteDistribution,
@@ -394,35 +398,49 @@ def test_criterion_8_diffusion():
     for step_number, expected in enumerate(CASE3_LMI_SEQUENCE, start=1):
         assert node_probability("3", True, step_number) == expected
 
-    # adoption never reverses on any step of any case at scale
+    # adoption never reverses on any step of any case at scale: step is
+    # driven from simulate's start state with simulate's stream, and
+    # simulate's rows count those states
     n = 5000
     pop = gen_population(ToyConfig(n_households=n, seed=1))
     graph = gen_network(n, 0.002, groups=10, seed=1)
     rng = rng_for(1, "acceptance", "diffusion")
     benefit = rng.random(n)
     annual = 4000.0 + rng.random(n) * 5000.0
-    initial = [i for i, rec in enumerate(pop) if rec.solar]
-    assert initial
+    initial = np.flatnonzero(pop.solar.filled(False))
+    assert initial.size
+    nodes = build_nodes(pop, graph, benefit)
+    lmi, rural = nodes.lmi, nodes.rural
+    masks = {
+        "total_adopters": np.ones(n, dtype=bool), "lmi_rural": lmi & rural,
+        "lmi_urban": lmi & ~rural, "nonlmi_rural": ~lmi & rural, "nonlmi_urban": ~lmi & ~rural,
+    }
+    adopted = np.isin(np.arange(n), initial)
     for case in ("1a", "1b", "2a", "2b", "3", "4", "5"):
         config = DiffusionConfig(case=case, time_steps=5, iterations=1, seed=7)
-        result = simulate(pop, graph, config, initial, benefit, annual)
-        for timeline in result.timelines:
-            for prev, nxt in zip(timeline, timeline[1:]):
-                assert np.all(prev.adopted <= nxt.adopted)
+        states = [DiffusionState.start(case_nodes(nodes, config, annual), adopted)]
+        stream = rng_for(config.seed, "diffusion", case, 0)
+        for _ in range(config.time_steps):
+            states.append(step(states[-1], config, stream))
+            assert np.all(states[-2].adopted <= states[-1].adopted)
+        rows = simulate(nodes, config, initial, annual)
+        assert [[row[name] for name in masks] for row in rows] == [
+            [float(np.count_nonzero(state.adopted & mask)) for mask in masks.values()]
+            for state in states
+        ]
 
     # stronger incentives reach at least as many homes, on average
     n = 1000
     pop = gen_population(ToyConfig(n_households=n, seed=2))
     graph = gen_network(n, 0.01, groups=2, seed=2)
-    benefit = rng_for(2, "acceptance", "diffusion").random(n)
-    initial = [i for i, rec in enumerate(pop) if rec.solar]
+    nodes = build_nodes(pop, graph, rng_for(2, "acceptance", "diffusion").random(n))
+    initial = np.flatnonzero(pop.solar.filled(False))
     totals = {case: [] for case in ("1a", "1b")}
     lmi_totals = {case: [] for case in ("2a", "2b")}
     for seed in range(20):
         for case in ("1a", "1b", "2a", "2b"):
             config = DiffusionConfig(case=case, time_steps=10, iterations=1, seed=seed)
-            result = simulate(pop, graph, config, initial, benefit)
-            last = result.rows[-1]
+            last = simulate(nodes, config, initial)[-1]
             if case in totals:
                 totals[case].append(last["total_adopters"])
             else:

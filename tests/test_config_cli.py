@@ -299,3 +299,35 @@ def test_simulate_cases_parsed_like_config(tiny_run, caplog):
     logged = [r.getMessage() for r in caplog.records if "ended with" in r.getMessage()]
     assert [m.split()[2] for m in logged] == ["1a", "1b"]
     assert all(m.startswith("simulate: case 1") for m in logged)
+
+
+@pytest.mark.parametrize("cases", [",", "", " , "])
+def test_simulate_rejects_empty_case_list(tiny_run, capsys, cases):
+    # an empty --cases is an error, not "all cases", and leaves the
+    # timeline as it was
+    _, out, ini = tiny_run
+    timeline = (out / "adoption_timeline.csv").read_bytes()
+    code = main(["simulate", "--config", str(ini), "--out", str(out), "--cases", cases])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == f"error: simulate: no policy cases in {cases!r}\n"
+    assert (out / "adoption_timeline.csv").read_bytes() == timeline
+
+
+def test_simulate_rejects_empty_config_cases(tiny_run, tmp_path, capsys):
+    _, out, ini = tiny_run
+    empty = tmp_path / "empty_cases.ini"
+    empty.write_text(ini.read_text().replace("cases = 1a", "cases ="))
+    code = main(["simulate", "--config", str(empty), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == "error: simulate: bad value for [diffusion] cases: ''\n"
+
+
+@pytest.mark.parametrize("cases", ["9z", "1a,9z"])
+def test_simulate_checks_cases_before_reading_inputs(tmp_path, capsys, cases):
+    code = main(["simulate", "--out", str(tmp_path / "empty"), "--cases", cases])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: simulate: unknown case '9z'")
+    assert "households_twin" not in err

@@ -1,5 +1,7 @@
 """Contagion thresholds, policy gates, and the synchronous simulator."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from solartwin.diffusion import (
     DiffusionState,
     barrier_flags,
     build_nodes,
+    case_nodes,
     node_probability,
     normalize_benefit,
     rebate_bins,
@@ -166,20 +169,23 @@ def small_world(n=30, lmi_every=3, seed=0):
 
 def test_build_nodes_guards():
     pop, graph = small_world()
-    cfg = DiffusionConfig(case="1a")
     benefit = np.linspace(0.0, 1.0, len(pop))
     with pytest.raises(ValueError, match="graph has"):
-        build_nodes(pop, Graph(5, []), cfg, benefit[:5])
+        build_nodes(pop, Graph(5, []), benefit[:5])
+    nodes = build_nodes(pop, graph, benefit)
     with pytest.raises(ValueError, match="needs annual_kwh"):
-        build_nodes(pop, graph, DiffusionConfig(case="4"), benefit)
+        simulate(nodes, DiffusionConfig(case="4"), [0])
 
 
 def test_case5_uprating_changes_bins():
     pop, graph = small_world(n=40, lmi_every=2)
-    benefit = np.linspace(1.0, 2.0, 40)
+    nodes = build_nodes(pop, graph, np.linspace(1.0, 2.0, 40))
     kwh = np.linspace(4000.0, 8000.0, 40)
-    four = build_nodes(pop, graph, DiffusionConfig(case="4"), benefit, kwh)
-    five = build_nodes(pop, graph, DiffusionConfig(case="5"), benefit, kwh)
+    four = case_nodes(nodes, DiffusionConfig(case="4"), kwh)
+    five = case_nodes(nodes, DiffusionConfig(case="5"), kwh)
+    # the shared nodes carry no bins, and the other cases take them as they are
+    assert nodes.rebate_bin is None
+    assert case_nodes(nodes, DiffusionConfig(case="3"), kwh) is nodes
     lmi = pop.lmi.filled(False)
     # the uprated credit can only push LMI households up the ranking
     assert np.all(five.rebate_bin[lmi] >= four.rebate_bin[lmi])
@@ -192,66 +198,58 @@ def test_step_is_synchronous_and_irreversible():
     pop = make_households(["51001"] * 3, lmi=[False] * 3)
     graph = Graph(3, [(0, 1), (1, 2)])
     cfg = DiffusionConfig(case="1b", weights=(0.0, 0.0, 1.0), time_steps=1, seed=0)
-    nodes = build_nodes(pop, graph, cfg, np.ones(3))
-    adopted = np.array([True, False, False])
-    state = DiffusionState(step=0, adopted=adopted, nodes=nodes)
+    nodes = build_nodes(pop, graph, np.ones(3))
+    state = DiffusionState.start(nodes, [True, False, False])
 
     class AlwaysPass:
         def random(self, n):
             return np.zeros(n)  # every Bernoulli gate succeeds
 
-    nxt = step(state, graph, cfg, AlwaysPass())
+    nxt = step(state, cfg, AlwaysPass())
     # node 1 sees neighbor rate 0.5 > 0.1 threshold; node 2 sees 0 and waits
     assert list(nxt.adopted) == [True, True, False]
-    after = step(nxt, graph, cfg, AlwaysPass())
+    after = step(nxt, cfg, AlwaysPass())
     assert list(after.adopted) == [True, True, True]
     assert nxt.step == 1 and after.step == 2
 
 
-def test_county_rates_recomputed_each_step():
-    pop, graph = small_world(n=20)
-    cfg = DiffusionConfig(case="1a", seed=1)
-    nodes = build_nodes(pop, graph, cfg, np.linspace(0, 1, 20))
-    adopted = np.zeros(20, dtype=bool)
-    adopted[:4] = True  # all in county 51001 (first half)
-    state = DiffusionState(step=0, adopted=adopted, nodes=nodes)
-    rates = state.county_rates()
-    assert rates == pytest.approx([0.4, 0.0])
+def quadrant_masks(nodes):
+    """The node mask of each count in a timeline row."""
+    lmi, rural = nodes.lmi, nodes.rural
+    return {
+        "total_adopters": np.ones(nodes.n, dtype=bool), "lmi_rural": lmi & rural,
+        "lmi_urban": lmi & ~rural, "nonlmi_rural": ~lmi & rural, "nonlmi_urban": ~lmi & ~rural,
+    }
 
 
 def test_simulate_monotone_and_deterministic():
     pop, graph = small_world(n=40, seed=2)
     cfg = DiffusionConfig(case="1b", time_steps=8, iterations=2, seed=5)
-    benefit = rng_for(5, "benefit").random(40)
+    nodes = build_nodes(pop, graph, rng_for(5, "benefit").random(40))
     initial = [0, 7, 13]
-    a = simulate(pop, graph, cfg, initial, benefit)
-    b = simulate(pop, graph, cfg, initial, benefit)
-    for timeline_a, timeline_b in zip(a.timelines, b.timelines):
-        for sa, sb in zip(timeline_a, timeline_b):
-            assert np.array_equal(sa.adopted, sb.adopted)
-    for timeline in a.timelines:
-        assert timeline[0].total == 3
-        totals = [s.total for s in timeline]
-        assert totals == sorted(totals)
-        for prev, nxt in zip(timeline, timeline[1:]):
-            assert np.all(prev.adopted <= nxt.adopted)  # never un-adopts
+    rows = simulate(nodes, cfg, initial)
+    assert rows == simulate(nodes, cfg, initial)
+    assert rows[0]["total_adopters"] == 3.0
+    for name in quadrant_masks(nodes):
+        means = [row[name] for row in rows]
+        assert means == sorted(means)
 
 
 def test_simulate_zero_steps():
     pop, graph = small_world(n=10)
     cfg = DiffusionConfig(case="1a", time_steps=0)
-    result = simulate(pop, graph, cfg, [2], np.ones(10))
-    assert len(result.timelines[0]) == 1
-    assert result.rows[-1]["step"] == 0
-    assert result.rows[-1]["total_adopters"] == 1.0
+    rows = simulate(build_nodes(pop, graph, np.ones(10)), cfg, [2])
+    assert len(rows) == 1
+    assert rows[-1]["step"] == 0
+    assert rows[-1]["total_adopters"] == 1.0
 
 
 def test_simulate_rows_schema_and_quadrants():
     pop, graph = small_world(n=24, lmi_every=2)
     cfg = DiffusionConfig(case="2b", time_steps=3, iterations=3, seed=9)
-    result = simulate(pop, graph, cfg, [0, 1], np.linspace(0, 1, 24))
-    assert len(result.rows) == 4
-    for t, row in enumerate(result.rows):
+    rows = simulate(build_nodes(pop, graph, np.linspace(0, 1, 24)), cfg, [0, 1])
+    assert len(rows) == 4
+    for t, row in enumerate(rows):
         assert row["case"] == "2b"
         assert row["step"] == t
         quadrant_sum = (
@@ -259,39 +257,49 @@ def test_simulate_rows_schema_and_quadrants():
             + row["nonlmi_rural"] + row["nonlmi_urban"]
         )
         assert quadrant_sum == pytest.approx(row["total_adopters"])
-    assert result.rows[0]["total_adopters"] == 2.0
-    assert len(result.timelines) == 3
+    assert rows[0]["total_adopters"] == 2.0
+
+
+def assert_rows_average(rows, nodes, runs):
+    """rows hold, for every step and mask, the mean over runs of the
+    adopters each run has at that step under that mask."""
+    for t, row in enumerate(rows):
+        for name, mask in quadrant_masks(nodes).items():
+            counts = [np.count_nonzero(run[t] & mask) for run in runs]
+            assert repr(row[name]) == repr(float(np.mean(counts)))
 
 
 @pytest.mark.parametrize("iterations", [1, 3, 7])
 def test_simulate_rows_match_per_state_counts(iterations):
     pop, graph = small_world(n=36, lmi_every=3, seed=4)
     cfg = DiffusionConfig(case="2b", time_steps=5, iterations=iterations, seed=2)
-    result = simulate(pop, graph, cfg, [0, 5, 9], rng_for(2, "benefit").random(36))
-    lmi, rural = pop.lmi.filled(False), pop.rural.filled(False)
-    masks = {
-        "total_adopters": np.ones(36, dtype=bool), "lmi_rural": lmi & rural,
-        "lmi_urban": lmi & ~rural, "nonlmi_rural": ~lmi & rural, "nonlmi_urban": ~lmi & ~rural,
-    }
-    for t, row in enumerate(result.rows):
-        assert row["case"] == "2b" and row["step"] == t
-        for name, mask in masks.items():
-            counts = [np.count_nonzero(timeline[t].adopted & mask) for timeline in result.timelines]
-            assert repr(row[name]) == repr(float(np.mean(counts)))
+    nodes = build_nodes(pop, graph, rng_for(2, "benefit").random(36))
+    rows = simulate(nodes, cfg, [0, 5, 9])
+    start = DiffusionState.start(nodes, np.isin(np.arange(36), [0, 5, 9]))
+    runs = []
+    for iteration in range(iterations):
+        rng = rng_for(cfg.seed, "diffusion", cfg.case, iteration)
+        states = [start]
+        for _ in range(cfg.time_steps):
+            states.append(step(states[-1], cfg, rng))
+        runs.append([state.adopted for state in states])
+    assert [(row["case"], row["step"]) for row in rows] == [("2b", t) for t in range(6)]
+    assert_rows_average(rows, nodes, runs)
 
 
 def test_simulate_initial_index_guard():
     pop, graph = small_world(n=10)
     # the first bad index in input order is named
+    nodes = build_nodes(pop, graph, np.ones(10))
     for initial, bad in [([99], 99), ([-1], -1), ([3, 10, -2], 10), (np.array([3, -2, 10]), -2)]:
         with pytest.raises(ValueError, match=rf"^initial adopter index {bad} out of range$"):
-            simulate(pop, graph, DiffusionConfig(), initial, np.ones(10))
+            simulate(nodes, DiffusionConfig(), initial)
 
 
-def _reference_step(state, graph, config, rng):
-    """step with each node's adopting neighbours gathered per edge end and
-    summed by two weighted bincounts, and county rates counted afresh."""
-    nodes, adopted = state.nodes, state.adopted
+def _reference_step(nodes, graph, config, adopted, number, rng):
+    """The adopted mask after step number (1-based), as step makes it, but
+    with each node's adopting neighbours gathered per edge end and summed by
+    two weighted bincounts, and county rates counted afresh."""
     adopted_f = adopted.astype(float)
     county_rate = (
         np.bincount(nodes.county_index, weights=adopted_f, minlength=nodes.county_size.size)
@@ -302,7 +310,7 @@ def _reference_step(state, graph, config, rng):
     ) + np.bincount(graph.edge_v, weights=adopted_f[graph.edge_u], minlength=nodes.n)
     neighbor_rate = neighbor_adopters / np.maximum(nodes.degree, 1.0)
     probs = np.array([
-        node_probability(config.case, lmi, state.step + 1,
+        node_probability(config.case, lmi, number,
                          None if nodes.rebate_bin is None else nodes.rebate_bin[i])
         for i, lmi in enumerate(nodes.lmi)
     ])
@@ -310,7 +318,7 @@ def _reference_step(state, graph, config, rng):
     w = config.weights
     u = w[0] * nodes.benefit + w[1] * county_rate + w[2] * neighbor_rate
     newly = (~adopted) & (draws < probs) & (u > nodes.thresholds)
-    return DiffusionState(step=state.step + 1, adopted=adopted | newly, nodes=nodes)
+    return adopted | newly
 
 
 @pytest.mark.parametrize("case", ["1a", "2b", "3", "5"])
@@ -319,15 +327,15 @@ def test_step_matches_bincount_reference(case, seed):
     pop, graph = small_world(n=40, lmi_every=2, seed=seed)
     cfg = DiffusionConfig(case=case, weights=(0.2, 0.2, 0.6), seed=seed)
     kwh = np.linspace(4000.0, 8000.0, 40)
-    nodes = build_nodes(pop, graph, cfg, rng_for(seed, "benefit").random(40), kwh)
+    nodes = case_nodes(build_nodes(pop, graph, rng_for(seed, "benefit").random(40)), cfg, kwh)
     assert nodes.degree.tolist() == np.diff(nodes.indptr).tolist()
-    state = DiffusionState(step=0, adopted=rng_for(seed, "start").random(40) < 0.3, nodes=nodes)
+    state = DiffusionState.start(nodes, rng_for(seed, "start").random(40) < 0.3)
     ours, theirs = rng_for(seed, "steps"), rng_for(seed, "steps")
-    expected = state
-    for _ in range(6):
-        state = step(state, graph, cfg, ours)
-        expected = _reference_step(expected, graph, cfg, theirs)
-        assert np.array_equal(state.adopted, expected.adopted)
+    expected = state.adopted
+    for number in range(1, 7):
+        state = step(state, cfg, ours)
+        expected = _reference_step(nodes, graph, cfg, expected, number, theirs)
+        assert np.array_equal(state.adopted, expected)
 
 
 @st.composite
@@ -375,20 +383,21 @@ def _counts_afresh(nodes, graph, adopted):
 def test_step_chain_matches_reference_and_carries_counts(world, case):
     pop, graph, inputs = world
     cfg = DiffusionConfig(case=case, weights=inputs["weights"], seed=inputs["seed"])
-    nodes = build_nodes(pop, graph, cfg, inputs["benefit"], inputs["kwh"])
-    state = expected = DiffusionState(step=0, adopted=inputs["start"], nodes=nodes)
+    nodes = case_nodes(build_nodes(pop, graph, inputs["benefit"]), cfg, inputs["kwh"])
+    state = DiffusionState.start(nodes, inputs["start"])
+    expected = inputs["start"]
     ours, theirs = rng_for(cfg.seed, "steps"), rng_for(cfg.seed, "steps")
     # 13 steps take case 3 past the end of its LMI sequence
-    for number in range(1, 14):
-        state = step(state, graph, cfg, ours)
-        expected = _reference_step(expected, graph, cfg, theirs)
-        assert state.step == expected.step == number
-        assert np.array_equal(state.adopted, expected.adopted)
+    for number in range(14):
+        if number:
+            state = step(state, cfg, ours)
+            expected = _reference_step(nodes, graph, cfg, expected, number, theirs)
+        assert state.step == number
+        assert np.array_equal(state.adopted, expected)
         neighbors, county = _counts_afresh(nodes, graph, state.adopted)
         assert state.neighbor_count.dtype == state.county_count.dtype == np.int64
         assert state.neighbor_count.tolist() == neighbors.tolist()
         assert state.county_count.tolist() == county.tolist()
-        assert state.county_rates().tolist() == (county / nodes.county_size).tolist()
 
 
 @settings(max_examples=100, deadline=None)
@@ -399,32 +408,20 @@ def test_simulate_rows_match_reference_loop(world, case, time_steps, iterations)
         case=case, weights=inputs["weights"], time_steps=time_steps,
         iterations=iterations, seed=inputs["seed"],
     )
-    initial = np.flatnonzero(inputs["start"])
-    result = simulate(pop, graph, cfg, initial, inputs["benefit"], inputs["kwh"])
-    nodes = build_nodes(pop, graph, cfg, inputs["benefit"], inputs["kwh"])
+    shared = build_nodes(pop, graph, inputs["benefit"])
+    rows = simulate(shared, cfg, np.flatnonzero(inputs["start"]), inputs["kwh"])
+    nodes = case_nodes(shared, cfg, inputs["kwh"])
     runs = []
     for iteration in range(iterations):
         rng = rng_for(cfg.seed, "diffusion", case, iteration)
-        state = DiffusionState(step=0, adopted=inputs["start"], nodes=nodes)
-        run = [state.adopted]
-        for _ in range(time_steps):
-            state = _reference_step(state, graph, cfg, rng)
-            run.append(state.adopted)
+        run = [inputs["start"]]
+        for number in range(1, time_steps + 1):
+            run.append(_reference_step(nodes, graph, cfg, run[-1], number, rng))
         runs.append(run)
-    for timeline, run in zip(result.timelines, runs, strict=True):
-        assert [s.adopted.tolist() for s in timeline] == [a.tolist() for a in run]
-    lmi, rural = nodes.lmi, nodes.rural
-    masks = {
-        "total_adopters": np.ones(nodes.n, dtype=bool), "lmi_rural": lmi & rural,
-        "lmi_urban": lmi & ~rural, "nonlmi_rural": ~lmi & rural, "nonlmi_urban": ~lmi & ~rural,
-    }
-    assert [(row["case"], row["step"]) for row in result.rows] == [
+    assert [(row["case"], row["step"]) for row in rows] == [
         (case, t) for t in range(time_steps + 1)
     ]
-    for t, row in enumerate(result.rows):
-        for name, mask in masks.items():
-            counts = [np.count_nonzero(run[t] & mask) for run in runs]
-            assert repr(row[name]) == repr(float(np.mean(counts)))
+    assert_rows_average(rows, nodes, runs)
 
 
 class FixedDraws:
@@ -445,7 +442,9 @@ def test_step_gates_match_node_probability(case):
     # and one float below it, at every step up to past case 3's sequence
     pop, graph = small_world(n=40, lmi_every=2)
     cfg = DiffusionConfig(case=case, weights=(1.0, 0.0, 0.0))
-    nodes = build_nodes(pop, graph, cfg, [0.0] + [1.0] * 39, np.linspace(4000.0, 8000.0, 40))
+    nodes = case_nodes(
+        build_nodes(pop, graph, [0.0] + [1.0] * 39), cfg, np.linspace(4000.0, 8000.0, 40)
+    )
     bins = [None] * 40 if nodes.rebate_bin is None else nodes.rebate_bin
     below = np.arange(40) % 4 < 2
     for number in range(1, 14):
@@ -453,8 +452,8 @@ def test_step_gates_match_node_probability(case):
             [node_probability(case, lmi, number, b) for lmi, b in zip(nodes.lmi, bins)]
         )
         draws = np.where(below, np.nextafter(gates, 0.0), gates)
-        state = DiffusionState(step=number - 1, adopted=np.zeros(40, dtype=bool), nodes=nodes)
-        nxt = step(state, graph, cfg, FixedDraws(draws))
+        state = replace(DiffusionState.start(nodes, np.zeros(40, dtype=bool)), step=number - 1)
+        nxt = step(state, cfg, FixedDraws(draws))
         assert nxt.adopted.tolist() == (below & (np.arange(40) > 0)).tolist()
 
 
@@ -470,11 +469,10 @@ def test_step_adds_utility_terms_in_documented_order():
     graph = Graph(8, [(0, 1), (2, 3), (2, 4), (2, 5)])
     cfg = DiffusionConfig(case="1a")
     benefit = [0.1875000000000002, 0.5, 0.6875000000000001, 0.5, 0.5, 0.5, 0.0, 1.0]
-    nodes = build_nodes(pop, graph, cfg, benefit)
+    nodes = build_nodes(pop, graph, benefit)
     assert nodes.thresholds[[0, 2]].tolist() == [0.525, 0.525]
-    adopted = np.zeros(8, dtype=bool)
-    adopted[[1, 3]] = True
-    nxt = step(DiffusionState(0, adopted, nodes), graph, cfg, FixedDraws(np.zeros(8)))
+    start = DiffusionState.start(nodes, np.isin(np.arange(8), [1, 3]))
+    nxt = step(start, cfg, FixedDraws(np.zeros(8)))
     w = cfg.weights
     for node, c, n, adopts in [(0, 1 / 2, 1 / 1, True), (2, 1 / 2, 1 / 3, False)]:
         p = benefit[node]
@@ -483,30 +481,15 @@ def test_step_adds_utility_terms_in_documented_order():
         assert nxt.adopted[node] == adopts
 
 
-def test_timeline_states_keep_only_adopted():
-    pop, graph = small_world(n=30, seed=3)
-    cfg = DiffusionConfig(case="1b", time_steps=4, iterations=2, seed=1)
-    result = simulate(pop, graph, cfg, [0, 4], np.linspace(0.0, 1.0, 30))
-    for timeline in result.timelines:
-        for state in timeline:
-            assert state.neighbor_count is None and state.county_count is None
-    # a kept state still steps, from counts it derives
-    last = result.timelines[0][-1]
-    again = step(last, graph, cfg, rng_for(0, "again"))
-    neighbors, county = _counts_afresh(last.nodes, graph, again.adopted)
-    assert again.neighbor_count.tolist() == neighbors.tolist()
-    assert again.county_count.tolist() == county.tolist()
-
-
 def test_save_timeline_format(tmp_path):
     pop, graph = small_world(n=16)
-    results = [
-        simulate(pop, graph, DiffusionConfig(case=c, time_steps=2, seed=3), [0],
-                 np.linspace(0, 1, 16))
-        for c in ("1a", "1b")
+    nodes = build_nodes(pop, graph, np.linspace(0, 1, 16))
+    rows = [
+        row for c in ("1a", "1b")
+        for row in simulate(nodes, DiffusionConfig(case=c, time_steps=2, seed=3), [0])
     ]
     path = tmp_path / "adoption_timeline.csv"
-    save_timeline(results, path)
+    save_timeline(rows, path)
     lines = path.read_text().splitlines()
     assert lines[0] == (
         "case,step,total_adopters,lmi_rural,lmi_urban,nonlmi_rural,nonlmi_urban"

@@ -7,10 +7,13 @@ would take about 1.8 GB for the network (12 000 nodes in one group) and
 about 250 MB for the KDE (20 000 samples per side).  A graph of 2 M edges,
 unique and in (u, v) order as gen_network emits them, costs about its two
 endpoint arrays (32 MB); a dedup sort of them would take about 115 MB.
-``simulate`` keeps 20 x 21 states of 30 000 households: as bool adopted
-arrays that is 12.6 MB, held about three times over while the rows are
-counted (about 38 MB).  Keeping the int64 counts that ``step`` carries in
-every state would add about 100 MB.
+``simulate`` runs 50 iterations of 20 steps on 30 000 households, as the
+``energy-policy-90d`` benchmark sweeps: it holds one run's 21 bool adopted
+arrays (0.6 MB) and folds them into integer counts before the next run.
+Keeping every run's states, as a stack of 50 x 21 adopted arrays (31.5 MB)
+held about three times over while the rows are counted, grew it by about
+94 MB; keeping the int64 counts that ``step`` carries in every state would
+add about 250 MB more.
 """
 
 import os
@@ -37,15 +40,16 @@ SETUP = {
     ),
     "simulate_timelines": (
         "import numpy as np\n"
-        "from solartwin.diffusion import DiffusionConfig, simulate\n"
+        "from solartwin.diffusion import DiffusionConfig, build_nodes, simulate\n"
         "from solartwin.records import Graph\n"
         "from solartwin.toygen import ToyConfig, gen_population\n"
         "n = 30_000\n"
         "pop = gen_population(ToyConfig(n_households=n, seed=0))\n"
         "graph = Graph(n, np.column_stack((np.arange(n - 1), np.arange(1, n))))\n"
-        "cfg = DiffusionConfig(case='1b', time_steps=20, iterations=20)\n"
+        "cfg = DiffusionConfig(case='1b', time_steps=20, iterations=50)\n"
         "initial = np.flatnonzero(pop.solar.filled(False))\n"
-        "call = lambda: simulate(pop, graph, cfg, initial, np.linspace(1.0, 2.0, n))\n"
+        "nodes = build_nodes(pop, graph, np.linspace(1.0, 2.0, n))\n"
+        "call = lambda: simulate(nodes, cfg, initial)\n"
     ),
     "jsd_kde": (
         "import numpy as np\n"
