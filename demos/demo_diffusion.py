@@ -9,7 +9,7 @@ from solartwin.toygen import ToyConfig, gen_network, gen_population
 n = 800
 pop = gen_population(ToyConfig(n_households=n, seed=5))
 graph = gen_network(n, 0.01, groups=2, seed=5)
-print(f"{n} nodes, {len(graph.edges)} edges")
+print(f"{n} nodes, {graph.edge_count} edges")
 
 rng = rng_for(5, "demo-diffusion")
 benefit = rng.random(n)                     # stand-in for modeled generation

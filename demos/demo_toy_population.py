@@ -31,7 +31,7 @@ print(f"\ntract {tract}, {cfg.start_date}: hourly GHI W/m2")
 print("  " + " ".join(f"{v:.0f}" for v in day))
 
 graph = gen_network(len(pop), 0.02, groups=2, seed=0)
-print(f"\nnetwork: {len(graph.edges)} edges over {graph.node_count} nodes")
+print(f"\nnetwork: {graph.edge_count} edges over {graph.node_count} nodes")
 
 survey = gen_survey(cfg, 1000)
 print(f"survey: {len(survey)} responses, {min(survey):.0f}-{max(survey):.0f} sqft")

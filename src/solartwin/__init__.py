@@ -44,7 +44,6 @@ from solartwin.boosting import (
     MajorityBaseline,
     OvrModel,
     apply_threshold,
-    ensemble_vote,
     ensemble_votes,
     load_model,
     loss_grad_hess,

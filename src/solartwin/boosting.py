@@ -327,11 +327,6 @@ def ensemble_votes(class_preds, class_probs) -> np.ndarray:
     return np.argmax(np.where(candidates, summed, -np.inf), axis=1)
 
 
-def ensemble_vote(class_preds, class_probs) -> int:
-    """ensemble_votes for one row: m member classes, (m, k) probabilities."""
-    return int(ensemble_votes([class_preds], [class_probs])[0])
-
-
 @dataclass
 class MajorityBaseline:
     """Trivial ensemble member: constant class-frequency probabilities."""

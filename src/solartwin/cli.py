@@ -311,9 +311,14 @@ def cmd_validate(cfg: RunConfig, args):
     log.info("validate: wrote %d metric rows", len(rows))
 
 
-def cmd_simulate(cfg: RunConfig, args):
+def _case_configs(cfg: RunConfig, args) -> list:
+    """One DiffusionConfig per case of --cases, or of the config."""
     cases = parse_cases(args.cases) if args.cases is not None else cfg.cases
-    configs = [cfg.diffusion_config(case) for case in cases]
+    return [cfg.diffusion_config(case) for case in cases]
+
+
+def cmd_simulate(cfg: RunConfig, args):
+    configs = _case_configs(cfg, args)
     _, dates = resolve_period(cfg, args)
     pop = load_households(_require(_path(cfg, "households_twin.csv"), "calibrate"))
     graph = load_network(_require(_path(cfg, "network.edges"), "toygen"), len(pop))
@@ -339,6 +344,16 @@ def cmd_simulate(cfg: RunConfig, args):
 
 
 def cmd_pipeline(cfg: RunConfig, args):
+    # every flag is checked before toygen writes; the period must lie in
+    # the span of irradiance that toygen writes
+    _case_configs(cfg, args)
+    _, dates = resolve_period(cfg, args)
+    last = cfg.start_date + timedelta(days=cfg.days - 1)
+    if dates[0] < cfg.start_date or dates[-1] > last:
+        raise ValueError(
+            f"period {args.period} is outside the toygen span "
+            f"{cfg.start_date.isoformat()} to {last.isoformat()}"
+        )
     cmd_toygen(cfg, args)
     cmd_preprocess(cfg, args)
     cmd_classify_sqft(cfg, args)

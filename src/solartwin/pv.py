@@ -8,17 +8,19 @@ factor, and energy per sample is area * yield * radiation * ratio, reported
 as the ensemble mean and population standard deviation in kWh.  The result
 is one EnergyProfiles block of (households, dates, 24) arrays.
 
-The engine reads the adopters' id, sqft_value, lat and tract columns and
+The engine is one block function: it reads a block of adopters' id,
+sqft_value, lat and tract columns and returns the block's (mean, std,
+mean_daily) arrays, the hourly pair only when asked (hourly=True).  It
 works on household chunks.  Each household's whole sampling sequence is
-one row of raw doubles from its own stream rng_for(seed, "pv", id), and
-the sampling math, the tilted projection and the ensemble reduction each
-run once per chunk; a chunk holds fewer households the more dates there
-are, so every intermediate is bounded by household-days.  A caller that
-needs only each household's mean daily kWh reduces every chunk as it is
-made (hourly=False).  Households are independent, so the engine also
-parallelizes over contiguous household blocks; outputs are identical for
-any worker count and any chunk size.  The sampler takes the same columns,
-so one household is a one-row table and gets (1, n) samples.  The CSV
+one row of raw doubles from its own stream rng_for(seed, "pv", id), the
+only seed form, and the sampling math, the tilted projection and the
+ensemble reduction each run once per chunk; a chunk holds fewer
+households the more dates there are, so every intermediate is bounded by
+household-days.  Households are independent, so with several workers
+each contiguous household block runs in a pool process and returns its
+whole-block arrays, joined in block order; outputs are identical for any
+worker count and any chunk size.  The sampler takes the same columns, so
+one household is a one-row table and gets (1, n) samples.  The CSV
 loaders return whole parsed columns.
 """
 
@@ -129,7 +131,7 @@ def sample_time_invariant(
     h,
     n: int = 20,
     tables: SamplingTables | None = None,
-    seed=0,
+    seed: int = 0,
 ) -> TimeInvariantSamples:
     """Draw n time-invariant samples for each of a batch of households.
 
@@ -144,9 +146,8 @@ def sample_time_invariant(
 
     h is any object with (H,) ``id`` and ``sqft_value`` columns, such as a
     HouseholdTable (one household is a one-row table); a missing footage
-    is masked or NaN.  seed may be an integer, giving each household the
-    stream rng_for(seed, "pv", id), or a numpy Generator that the
-    households consume in turn.
+    is masked or NaN.  Each household draws from its own stream
+    rng_for(seed, "pv", id).
     A household takes n * (n_candidates + 5) doubles in the order of one
     Generator call per draw: n yields, n ratios, n plane counts; per sample,
     n_candidates candidates and one pick; then n tilt/azimuth picks.  All
@@ -191,10 +192,7 @@ def sample_time_invariant(
 
     C = tables.n_candidates
     H, size = ids.size, n * (C + 5)
-    if isinstance(seed, np.random.Generator):
-        u = seed.random((H, size))
-    else:
-        u = stream_rows(seed, "pv", ids, size)
+    u = stream_rows(seed, "pv", ids, size)
     draws = u[:, 3 * n : 3 * n + n * (C + 1)].reshape(H, n, C + 1)
     yields = y_lo + (y_hi - y_lo) * u[:, :n]
     ratios = r_lo + (r_hi - r_lo) * u[:, n : 2 * n]
@@ -293,17 +291,6 @@ def _tilt_factors(lat: float, delta, tilts, d):
     return np.where(flat, d, np.maximum(factors, 0.0))
 
 
-def _sample_kwh(ghi, per_wh):
-    """kWh of every sample in every hour, (..., hours, n): sample i yields
-    ghi[..., h] / 1000 * per_wh[..., i] in hour h."""
-    return (np.asarray(ghi) / 1000.0)[..., :, None] * per_wh[..., None, :]
-
-
-def _ensemble_kwh(energy) -> tuple:
-    """Hourly (mean, std) kWh over the ensemble, the last axis of energy."""
-    return energy.mean(axis=-1), energy.std(axis=-1)
-
-
 @dataclass
 class EnergyProfiles:
     """Hourly (mean, std) kWh of H households over D dates, as (H, D, 24)
@@ -343,38 +330,39 @@ class _Households(NamedTuple):
     tract: np.ndarray
 
 
-def _profile_chunks(households, ghi, deltas, seed, tables, n_samples, reduce):
-    """Yield reduce(energy) for consecutive household chunks, where energy
-    is the chunk's (households, D, 24, n) kWh per sample.
+def _profile_block(households, ghi, deltas, seed, tables, n_samples, hourly):
+    """(mean, std, mean_daily) of a block of households: the (H, D, 24)
+    hourly ensemble mean and population std kWh, both None unless hourly,
+    and the (H,) mean over the dates of each household's daily mean kWh.
 
     households.tract indexes the (tracts, D, 24) GHI stack ghi, and deltas
-    holds the D declinations.  Each chunk is sampled in one call and
-    projected in one _tilt_factors call.
+    holds the D declinations.  Each household chunk is sampled in one call
+    and projected in one _tilt_factors call, and its (households, D, 24, n)
+    kWh per sample is reduced before the next chunk is made.
     """
-    per_household = max(n_samples, 1) * max(tables.n_candidates + 1, 24 * deltas.size)
+    size, days = households.id.size, deltas.size
+    per_household = max(n_samples, 1) * max(tables.n_candidates + 1, 24 * days)
     rows = max(1, _BLOCK_CELLS // per_household)
-    for start in range(0, households.id.size, rows):
-        chunk = _Households(*(column[start : start + rows] for column in households))
+    shape = (size, days, 24)
+    mean, std = (np.empty(shape), np.empty(shape)) if hourly else (None, None)
+    mean_daily = np.empty(size)
+    for start in range(0, size, rows):
+        part = slice(start, start + rows)
+        chunk = _Households(*(column[part] for column in households))
         ti = sample_time_invariant(chunk, n_samples, tables, seed)
         lost = np.isnan(ti.degradation)
         if lost.any():  # as the per-sample lookup raised it
             raise KeyError(str(ti.azimuths[np.unravel_index(np.argmax(lost), lost.shape)]))
         lat, tilts, d = chunk.lat[:, None, None], ti.tilts[:, None, :], ti.degradation[:, None, :]
-        factors = _tilt_factors(lat, deltas[:, None], tilts, d)
-        yield reduce(_sample_kwh(ghi[chunk.tract], ti.arpr[:, None, :] * factors))
-
-
-def _profile_block(*args):
-    return list(_profile_chunks(*args))
-
-
-def _mean_daily(energy):
-    return (energy.mean(axis=-1).sum(axis=-1).mean(axis=1),)
-
-
-def _hourly(energy):
-    mean, std = _ensemble_kwh(energy)
-    return mean, std, mean.sum(axis=-1).mean(axis=1)
+        per_wh = ti.arpr[:, None, :] * _tilt_factors(lat, deltas[:, None], tilts, d)
+        # sample i yields ghi / 1000 * per_wh[i] kWh in each hour
+        energy = (ghi[chunk.tract] / 1000.0)[..., None] * per_wh[:, :, None, :]
+        hour_mean = energy.mean(axis=-1)
+        if hourly:
+            mean[part], std[part] = hour_mean, energy.std(axis=-1)
+        mean_daily[part] = hour_mean.sum(axis=-1).mean(axis=1)
+        del energy, hour_mean  # free before the next chunk's are made
+    return mean, std, mean_daily
 
 
 def generate_profiles(
@@ -390,12 +378,12 @@ def generate_profiles(
     """Energy profiles for every solar-adopter household over the dates, in
     table order.
 
-    irradiance maps tract id to IrradianceSeries.  The kernel runs on
-    household chunks; with hourly=False each chunk is reduced to mean_daily
-    as it is made and the (households, dates, 24) blocks are not kept.
-    Households are split into contiguous blocks across workers, each block
-    returning its reduced chunks; per-household streams are derived from
-    (seed, household id), so the values are identical for any worker count.
+    irradiance maps tract id to IrradianceSeries.  One _profile_block call
+    covers every adopter, or with several workers each contiguous block of
+    adopters gets one, whose arrays are joined in block order; with
+    hourly=False only mean_daily is kept.  Per-household streams are
+    derived from (seed, household id), so the values are identical for any
+    worker count.
     """
     tables = tables or DEFAULT_TABLES
     dates = list(dates)
@@ -414,11 +402,10 @@ def generate_profiles(
     households = _Households(
         pop.id[rows], pop.sqft_value.filled(np.nan)[rows], pop.lat[rows], tract
     )
-    reduce = _hourly if hourly else _mean_daily
-    args = (ghi.reshape(-1, len(dates), 24), deltas, seed, tables, n_samples, reduce)
+    args = (ghi.reshape(-1, len(dates), 24), deltas, seed, tables, n_samples, hourly)
     workers = max(1, int(workers))
     if workers == 1 or rows.size <= 1:
-        parts = _profile_chunks(households, *args)
+        mean, std, mean_daily = _profile_block(households, *args)
     else:
         blocks = [b for b in np.array_split(np.arange(rows.size), workers) if b.size]
         # more blocks than CPUs queue on the pool; the blocks fix the output
@@ -427,16 +414,9 @@ def generate_profiles(
                 pool.submit(_profile_block, _Households(*(c[block] for c in households)), *args)
                 for block in blocks
             ]
-            parts = [part for future in futures for part in future.result()]
-    shapes = [a.shape[1:] for a in reduce(np.empty((0, len(dates), 24, 1)))]
-    out = [np.empty((rows.size,) + shape) for shape in shapes]
-    start = 0
-    for part in parts:
-        for whole, a in zip(out, part):
-            whole[start : start + len(a)] = a
-        start += len(part[0])
-    mean, std = out[:2] if hourly else (None, None)
-    return EnergyProfiles(pop.id[rows], dates, mean, std, out[-1])
+            parts = zip(*(future.result() for future in futures))
+        mean, std, mean_daily = (None if p[0] is None else np.concatenate(p) for p in parts)
+    return EnergyProfiles(pop.id[rows], dates, mean, std, mean_daily)
 
 
 def save_profiles(profiles: EnergyProfiles, out_dir) -> list:

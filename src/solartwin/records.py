@@ -511,11 +511,6 @@ class Graph:
         first = np.sort(order[new])
         self.edge_u, self.edge_v = lo[first], hi[first]
 
-    @property
-    def edges(self) -> np.ndarray:
-        """(m, 2) array of the stored (u, v) pairs."""
-        return np.column_stack((self.edge_u, self.edge_v))
-
     def __eq__(self, other):
         return (
             isinstance(other, Graph)

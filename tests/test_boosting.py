@@ -18,7 +18,6 @@ from solartwin.boosting import (
     TreeNode,
     _tree_apply,
     apply_threshold,
-    ensemble_vote,
     ensemble_votes,
     load_model,
     loss_grad_hess,
@@ -143,17 +142,17 @@ def test_loss_params_validation():
 
 def test_ensemble_vote_rules():
     # plurality with two agreeing members wins regardless of probabilities
-    assert ensemble_vote([1, 1, 0], [[0.1, 0.9], [0.2, 0.8], [0.9, 0.1]]) == 1
+    assert ensemble_votes([[1, 1, 0]], [[[0.1, 0.9], [0.2, 0.8], [0.9, 0.1]]])[0] == 1
     # all-different predictions fall back to summed probabilities
     probs = [[0.6, 0.3, 0.1], [0.1, 0.5, 0.4], [0.2, 0.3, 0.5]]
-    assert ensemble_vote([0, 1, 2], probs) == 1  # column sums 0.9, 1.1, 1.0
+    assert ensemble_votes([[0, 1, 2]], [probs])[0] == 1  # column sums 0.9, 1.1, 1.0
     # tied plurality resolved by summed probability of the tied classes
     probs = [[0.9, 0.1, 0.0], [0.8, 0.2, 0.0], [0.1, 0.9, 0.0], [0.3, 0.7, 0.0]]
-    assert ensemble_vote([0, 0, 1, 1], probs) == 0
+    assert ensemble_votes([[0, 0, 1, 1]], [probs])[0] == 0
     with pytest.raises(ValueError, match="two ensemble members"):
-        ensemble_vote([1], [[0.5, 0.5]])
+        ensemble_votes([[1]], [[[0.5, 0.5]]])
     with pytest.raises(ValueError, match="sum to 1"):
-        ensemble_vote([0, 1], [[0.5, 0.4], [0.5, 0.5]])
+        ensemble_votes([[0, 1]], [[[0.5, 0.4], [0.5, 0.5]]])
 
 
 def _reference_vote(preds, probs):
@@ -171,9 +170,9 @@ def test_ensemble_votes_input_checks():
     with pytest.raises(ValueError, match="one probability vector per member"):
         ensemble_votes([[0, 1]], [[[1.0, 0.0]]])
     with pytest.raises(ValueError, match="sum to 1"):
-        ensemble_vote([0, 1], [[np.nan, 1.0], [0.5, 0.5]])
+        ensemble_votes([[0, 1]], [[[np.nan, 1.0], [0.5, 0.5]]])
     with pytest.raises(ValueError, match="outside the probability vectors"):
-        ensemble_vote([2, 2], [[0.5, 0.5], [0.5, 0.5]])
+        ensemble_votes([[2, 2]], [[[0.5, 0.5], [0.5, 0.5]]])
     assert ensemble_votes(np.zeros((0, 2), int), np.zeros((0, 2, 3))).shape == (0,)
 
 
@@ -198,7 +197,7 @@ def test_ensemble_votes_match_scalar_rule(batch):
     votes = ensemble_votes(preds, probs)
     expected = [_reference_vote(p, q) for p, q in zip(preds, probs)]
     assert votes.tolist() == expected
-    assert [ensemble_vote(p, q) for p, q in zip(preds, probs)] == expected
+    assert [ensemble_votes([p], [q])[0] for p, q in zip(preds, probs)] == expected
 
 
 def test_majority_baseline():

@@ -324,6 +324,40 @@ def test_simulate_rejects_empty_config_cases(tiny_run, tmp_path, capsys):
     assert err == "error: simulate: bad value for [diffusion] cases: ''\n"
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--cases", "9z"], "unknown case '9z'"),
+        (["--period", "bogus"], "period must look like kind:value, got 'bogus'"),
+        (["--period", "week:2018-W99"], "Invalid week: 99"),
+        (
+            ["--period", "month:2019-01"],
+            "period month:2019-01 is outside the toygen span 2018-01-01 to 2018-01-02",
+        ),
+        (["--period", "date:2017-12-31"], "outside the toygen span"),
+        (["--period", "date:2018-01-03"], "outside the toygen span"),
+    ],
+)
+def test_pipeline_checks_flags_before_any_write(tmp_path, capsys, flags, message):
+    ini = tmp_path / "tiny.ini"
+    ini.write_text(TINY_INI)
+    out = tmp_path / "out"
+    assert main(["pipeline", "--config", str(ini), "--out", str(out), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: pipeline: ") and message in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_pipeline_accepts_period_on_last_toygen_day(tmp_path):
+    ini = tmp_path / "tiny.ini"
+    ini.write_text(TINY_INI)
+    out = tmp_path / "out"
+    flags = ["--config", str(ini), "--out", str(out), "--period", "date:2018-01-02"]
+    assert main(["pipeline", *flags]) == 0
+    assert (out / "twin" / "profiles_2018-01-02.csv").exists()
+
+
 @pytest.mark.parametrize("cases", ["9z", "1a,9z"])
 def test_simulate_checks_cases_before_reading_inputs(tmp_path, capsys, cases):
     code = main(["simulate", "--out", str(tmp_path / "empty"), "--cases", cases])

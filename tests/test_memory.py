@@ -1,5 +1,5 @@
-"""Peak memory of network generation, graph building, KDE scoring and the
-contagion simulation stays linear in size.
+"""Peak memory of network generation, graph building, KDE scoring, the
+daily PV reduction and the contagion simulation stays linear in size.
 
 Each case runs in a fresh interpreter and reports how far ``ru_maxrss``
 rose across one call, after its inputs exist.  A quadratic working set
@@ -7,6 +7,10 @@ would take about 1.8 GB for the network (12 000 nodes in one group) and
 about 250 MB for the KDE (20 000 samples per side).  A graph of 2 M edges,
 unique and in (u, v) order as gen_network emits them, costs about its two
 endpoint arrays (32 MB); a dedup sort of them would take about 115 MB.
+``generate_profiles(..., hourly=False)`` over 20 000 adopters x 30 days
+keeps only the (20 000,) mean daily kWh and reduces each household chunk
+before the next is made; keeping the (households, dates, 24) mean and std
+would take about 230 MB.
 ``simulate`` runs 50 iterations of 20 steps on 30 000 households, as the
 ``energy-policy-90d`` benchmark sweeps: it holds one run's 21 bool adopted
 arrays (0.6 MB) and folds them into integer counts before the next run.
@@ -37,6 +41,18 @@ SETUP = {
         "u = np.repeat(np.arange(2_000), 1_000)\n"
         "edges = np.column_stack((u, u + 1 + np.tile(np.arange(1_000), 2_000)))\n"
         "call = lambda: Graph(3_000, edges)\n"
+    ),
+    "profiles_mean_daily": (
+        "from datetime import timedelta\n"
+        "import numpy as np\n"
+        "from solartwin.pv import generate_profiles\n"
+        "from solartwin.toygen import ToyConfig, gen_irradiance, gen_population, tract_ids\n"
+        "toy = ToyConfig(n_households=20_000, seed=0, days=30)\n"
+        "pop = gen_population(toy)\n"
+        "pop = pop.replace(solar=np.ones(len(pop), bool), sqft_value=np.full(len(pop), 1800.0))\n"
+        "irradiance = {t: gen_irradiance(toy, t) for t in tract_ids(toy)}\n"
+        "dates = [toy.start_date + timedelta(days=d) for d in range(toy.days)]\n"
+        "call = lambda: generate_profiles(pop, irradiance, dates, hourly=False)\n"
     ),
     "simulate_timelines": (
         "import numpy as np\n"

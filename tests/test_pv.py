@@ -288,7 +288,7 @@ def test_profiles_horizontal_fallback_across_dates():
     series = flat_series(days=6, start=start)
     dates = [start + datetime.timedelta(days=d) for d in range(6)]
     profiles = generate_profiles(pop, {"t1": series}, dates, seed=5)
-    ti = sample_time_invariant(pop, 20, DEFAULT_TABLES, rng_for(5, "pv", 0))
+    ti = sample_time_invariant(pop, 20, DEFAULT_TABLES, seed=5)
     arpr, tilts = ti.arpr[0], ti.tilts[0]
     d = np.array([DEFAULT_TABLES.degradation[a] for a in ti.azimuths[0]])
     flat_days = 0
@@ -579,13 +579,23 @@ def test_profiles_match_reference_per_household(footages, lats, days, n, cells, 
 
 
 def test_mean_daily_matches_whole_block_across_workers():
+    """One-household chunks, in one block of 9, blocks of 5 and 4, or
+    blocks of 1 (12 workers leave 3 blocks empty), give the arrays of one
+    whole-block chunk."""
     pop, irr, dates = profiles_setup(n_households=9, days=2)
-    whole = generate_profiles(pop, irr, dates, seed=11).daily_mean.mean(axis=1)
-    for workers in (1, 2):
+    whole = generate_profiles(pop, irr, dates, seed=11)
+    assert np.array_equal(whole.mean_daily, whole.daily_mean.mean(axis=1))
+    for workers in (1, 2, 12):
         with mock.patch.object(pv, "_BLOCK_CELLS", 1):
             daily = generate_profiles(pop, irr, dates, workers=workers, seed=11, hourly=False)
+            hourly = generate_profiles(pop, irr, dates, workers=workers, seed=11)
         assert daily.mean_daily.shape == (9,)
-        assert np.array_equal(daily.mean_daily, whole)
+        assert np.array_equal(daily.mean_daily, whole.mean_daily)
+        assert daily.hourly_mean is None and daily.hourly_std is None
+        assert np.array_equal(hourly.household, whole.household)
+        assert np.array_equal(hourly.hourly_mean, whole.hourly_mean)
+        assert np.array_equal(hourly.hourly_std, whole.hourly_std)
+        assert np.array_equal(hourly.mean_daily, whole.mean_daily)
 
 
 def test_first_adopter_without_sqft_is_named():

@@ -103,8 +103,7 @@ def test_survey_values_span_classes():
 
 def test_network_groups_do_not_cross():
     g = gen_network(100, edge_prob=0.3, groups=2, seed=4)
-    for u, v in g.edges:
-        assert (u < 50) == (v < 50)
+    assert np.array_equal(g.edge_u < 50, g.edge_v < 50)
     assert g.edge_count > 0
     assert gen_network(100, 0.3, 2, 4) == g
 
