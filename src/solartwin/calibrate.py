@@ -255,17 +255,12 @@ def calibrate(
         values = np.array([float(e.discrepancy) for e in trace])
         gp = gp_fit(points, values, default_kernel(values))
         f_min = float(values.min())
-        best_ei = -1.0
-        pick = -1
+        ei = np.empty(n_grid)
         for start in range(0, n_grid, EI_CHUNK):
-            chunk = slice(start, min(start + EI_CHUNK, n_grid))
-            mu, sigma = gp_predict(gp, grid[chunk])
-            ei = expected_improvement(mu, sigma, f_min)
-            ei = np.where(evaluated[chunk], -np.inf, ei)
-            local = int(np.argmax(ei))
-            if ei[local] > best_ei:
-                best_ei = float(ei[local])
-                pick = start + local
+            chunk = slice(start, start + EI_CHUNK)
+            ei[chunk] = expected_improvement(*gp_predict(gp, grid[chunk]), f_min)
+        ei[evaluated] = -np.inf
+        pick = int(np.argmax(ei))
         entry = evaluate(pick)
         if entry.discrepancy < best.discrepancy:
             best, best_index = entry, pick

@@ -430,16 +430,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     stage = args.command
     try:
-        cfg = load_config(args.config)
-        overrides = {}
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.workers is not None:
-            overrides["workers"] = args.workers
-        if args.out is not None:
-            overrides["out_dir"] = args.out
-        if overrides:
-            cfg = replace(cfg, **overrides).validate()
+        flags = {"seed": args.seed, "workers": args.workers, "out_dir": args.out}
+        cfg = replace(
+            load_config(args.config),
+            **{name: value for name, value in flags.items() if value is not None},
+        )
         STAGES[stage](cfg, args)
     except Exception as exc:  # single-line error contract
         print(f"error: {stage}: {exc}", file=sys.stderr)

@@ -1,13 +1,21 @@
 """Run configuration: defaults, INI file loading, and validation.
 
-Every pipeline stage reads its knobs from a RunConfig.  A config file only
-needs the keys it wants to change; everything else keeps its default.
-RunConfig builds the toygen, booster and diffusion settings the stages
-take, so validating a config runs their checks before any stage starts.
+Every pipeline stage reads its knobs from a RunConfig, the one place that
+lists them.  The toygen, booster and diffusion settings the stages take are
+built from the RunConfig fields of the same name, and every settings class
+checks itself when it is built, so a RunConfig that exists has passed every
+check before any stage starts.
+
+A config file only needs the keys it wants to change; everything else keeps
+its default.  SECTIONS maps each INI section to the fields it sets; a key is
+its field's name less the ``<section>_`` prefix (``smoten_k`` is
+``[smoten] k``), and its value is parsed by the field's type.  The file is
+read literally: ``%`` is an ordinary character and ``[DEFAULT]`` is an
+unknown section.
 """
 
 import configparser
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from datetime import date
 
 from .boosting import GbtParams
@@ -17,11 +25,9 @@ from .toygen import ToyConfig
 
 @dataclass(frozen=True)
 class RunConfig:
-    # run
     seed: int = 0
     workers: int = 1
     out_dir: str = "out"
-    # toygen
     n_households: int = 500
     n_tracts: int = 4
     adopter_fraction: float = 0.1
@@ -32,24 +38,18 @@ class RunConfig:
     survey_size: int = 2000
     edge_prob: float = 0.01
     network_groups: int = 1
-    # boosting
     rounds: int = 100
     depth: int = 3
     learning_rate: float = 0.3
     reg_lambda: float = 1.0
     min_child_hess: float = 1e-3
-    # smoten
     smoten_k: int = 5
-    # calibrate
     budget: int = 2000
     init_points: int = 10
-    # sqft
     sqft_m: int = 10
     sqft_l: int = 10
     sqft_k: int = 5
-    # pv
     pv_samples: int = 20
-    # diffusion
     time_steps: int = 10
     iterations: int = 1
     weight_benefit: float = 0.4
@@ -60,11 +60,10 @@ class RunConfig:
     lmi_extra_credit: float = 0.20
     capacity_factor: float = 0.15
     cases: tuple = CASES
-    # validate
     hist_bins: int = 50
     kde_grid: int = 512
 
-    def validate(self):
+    def __post_init__(self):
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if self.workers < 1:
@@ -85,49 +84,29 @@ class RunConfig:
             raise ValueError("pv_samples must be >= 1")
         if self.hist_bins < 1 or self.kde_grid < 2:
             raise ValueError("hist_bins must be >= 1 and kde_grid >= 2")
-        self.toy_config().validate()
+        self.toy_config()
         self.gbt_params()
         for case in self.cases:
             self.diffusion_config(case)
-        return self
 
     @property
     def diffusion_weights(self) -> tuple:
         return (self.weight_benefit, self.weight_county, self.weight_network)
 
+    def _settings(self, cls, **explicit):
+        """A cls built from its fields that RunConfig also has, plus explicit."""
+        own = {f.name for f in fields(self)}
+        shared = {f.name: getattr(self, f.name) for f in fields(cls) if f.name in own}
+        return cls(**shared, **explicit)
+
     def toy_config(self) -> ToyConfig:
-        return ToyConfig(
-            n_households=self.n_households,
-            n_tracts=self.n_tracts,
-            adopter_fraction=self.adopter_fraction,
-            lmi_fraction=self.lmi_fraction,
-            seed=self.seed,
-            days=self.days,
-            start_date=self.start_date,
-            signal_shift=self.signal_shift,
-        )
+        return self._settings(ToyConfig)
 
     def gbt_params(self) -> GbtParams:
-        return GbtParams(
-            rounds=self.rounds,
-            depth=self.depth,
-            learning_rate=self.learning_rate,
-            reg_lambda=self.reg_lambda,
-            min_child_hess=self.min_child_hess,
-        )
+        return self._settings(GbtParams)
 
     def diffusion_config(self, case: str) -> DiffusionConfig:
-        return DiffusionConfig(
-            case=case,
-            weights=self.diffusion_weights,
-            time_steps=self.time_steps,
-            iterations=self.iterations,
-            seed=self.seed,
-            cost_per_watt=self.cost_per_watt,
-            credit_rate=self.credit_rate,
-            lmi_extra_credit=self.lmi_extra_credit,
-            capacity_factor=self.capacity_factor,
-        )
+        return self._settings(DiffusionConfig, case=case, weights=self.diffusion_weights)
 
 
 def parse_cases(text: str) -> tuple:
@@ -139,68 +118,57 @@ def parse_cases(text: str) -> tuple:
     return cases
 
 
-# (section, key, field, converter)
-_SCHEMA = (
-    ("run", "seed", "seed", int),
-    ("run", "workers", "workers", int),
-    ("run", "out_dir", "out_dir", str),
-    ("toygen", "n_households", "n_households", int),
-    ("toygen", "n_tracts", "n_tracts", int),
-    ("toygen", "adopter_fraction", "adopter_fraction", float),
-    ("toygen", "lmi_fraction", "lmi_fraction", float),
-    ("toygen", "days", "days", int),
-    ("toygen", "start_date", "start_date", date.fromisoformat),
-    ("toygen", "signal_shift", "signal_shift", int),
-    ("toygen", "survey_size", "survey_size", int),
-    ("toygen", "edge_prob", "edge_prob", float),
-    ("toygen", "network_groups", "network_groups", int),
-    ("boosting", "rounds", "rounds", int),
-    ("boosting", "depth", "depth", int),
-    ("boosting", "learning_rate", "learning_rate", float),
-    ("boosting", "reg_lambda", "reg_lambda", float),
-    ("boosting", "min_child_hess", "min_child_hess", float),
-    ("smoten", "k", "smoten_k", int),
-    ("calibrate", "budget", "budget", int),
-    ("calibrate", "init_points", "init_points", int),
-    ("sqft", "m", "sqft_m", int),
-    ("sqft", "l", "sqft_l", int),
-    ("sqft", "k", "sqft_k", int),
-    ("pv", "samples", "pv_samples", int),
-    ("diffusion", "time_steps", "time_steps", int),
-    ("diffusion", "iterations", "iterations", int),
-    ("diffusion", "weight_benefit", "weight_benefit", float),
-    ("diffusion", "weight_county", "weight_county", float),
-    ("diffusion", "weight_network", "weight_network", float),
-    ("diffusion", "cost_per_watt", "cost_per_watt", float),
-    ("diffusion", "credit_rate", "credit_rate", float),
-    ("diffusion", "lmi_extra_credit", "lmi_extra_credit", float),
-    ("diffusion", "capacity_factor", "capacity_factor", float),
-    ("diffusion", "cases", "cases", parse_cases),
-    ("validate", "hist_bins", "hist_bins", int),
-    ("validate", "kde_grid", "kde_grid", int),
-)
+# INI section -> the RunConfig fields it sets, in the order they are read
+SECTIONS = {
+    "run": ("seed", "workers", "out_dir"),
+    "toygen": (
+        "n_households", "n_tracts", "adopter_fraction", "lmi_fraction", "days",
+        "start_date", "signal_shift", "survey_size", "edge_prob", "network_groups",
+    ),
+    "boosting": ("rounds", "depth", "learning_rate", "reg_lambda", "min_child_hess"),
+    "smoten": ("smoten_k",),
+    "calibrate": ("budget", "init_points"),
+    "sqft": ("sqft_m", "sqft_l", "sqft_k"),
+    "pv": ("pv_samples",),
+    "diffusion": (
+        "time_steps", "iterations", "weight_benefit", "weight_county", "weight_network",
+        "cost_per_watt", "credit_rate", "lmi_extra_credit", "capacity_factor", "cases",
+    ),
+    "validate": ("hist_bins", "kde_grid"),
+}
+
+# parsers for the field types that cannot read INI text themselves
+_PARSERS = {date: date.fromisoformat, tuple: parse_cases}
+
+
+def _schema():
+    """(section, key, field name, parser) of every INI key, in read order."""
+    types = {f.name: f.type for f in fields(RunConfig)}
+    for section, names in SECTIONS.items():
+        for name in names:
+            parse = _PARSERS.get(types[name], types[name])
+            yield section, name.removeprefix(section + "_"), name, parse
 
 
 def load_config(path=None) -> RunConfig:
     """Defaults, overridden by any keys present in the INI file at path."""
-    cfg = RunConfig()
     if path is None:
-        return cfg.validate()
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
+        return RunConfig()
+    parser = configparser.ConfigParser(interpolation=None)
+    if not parser.read(path):
         raise ValueError(f"cannot read config file {path}")
-    known = {(section, key) for section, key, _, _ in _SCHEMA}
-    for section in parser.sections():
+    keys = list(_schema())
+    known = {(section, key) for section, key, _, _ in keys}
+    for section in (parser.default_section, *parser.sections()):
         for key in parser[section]:
             if (section, key) not in known:
                 raise ValueError(f"unknown config key [{section}] {key}")
     overrides = {}
-    for section, key, fieldname, convert in _SCHEMA:
+    for section, key, name, parse in keys:
         if parser.has_option(section, key):
             raw = parser.get(section, key)
             try:
-                overrides[fieldname] = convert(raw)
+                overrides[name] = parse(raw)
             except ValueError as exc:
                 raise ValueError(f"bad value for [{section}] {key}: {raw!r}") from exc
-    return replace(cfg, **overrides).validate()
+    return RunConfig(**overrides)

@@ -223,8 +223,8 @@ def read_csv(path, columns: dict, optional: dict | None = None) -> dict:
     ``int``, ``float`` or any callable that raises ValueError on a bad
     cell); ``optional`` maps columns that may be absent, or hold empty
     cells, to theirs, and those read as None.  Float cells must be finite.
-    A missing column, a row of the wrong width or a bad cell raises
-    IngestError naming the file, row and column.
+    A missing or repeated column, a row of the wrong width or a bad cell
+    raises IngestError naming the file, row and column.
     """
     name = os.path.basename(path)
     with open(path, newline="") as fh:
@@ -237,6 +237,9 @@ def read_csv(path, columns: dict, optional: dict | None = None) -> dict:
         header, body = (rows[0], rows[1:]) if rows else ([], [])
     else:
         header, cells = table
+    if len(set(header)) < len(header):
+        repeated = next(column for column in header if header.count(column) > 1)
+        raise IngestError(f"{name}: repeated column {repeated}")
     for column in columns:
         if column not in header:
             raise IngestError(f"{name}: missing column {column}")

@@ -53,7 +53,7 @@ SURVEY_CLASS_WEIGHTS = (0.05, 0.10, 0.20, 0.25, 0.18, 0.12, 0.06, 0.04)
 
 @dataclass(frozen=True)
 class ToyConfig:
-    """Knobs for the toy generators; every field has a sane default."""
+    """Toy generator knobs: every field has a sane default and is checked on construction."""
 
     n_households: int = 500
     n_tracts: int = 4
@@ -66,7 +66,7 @@ class ToyConfig:
     signal_shift: int = 4
     state: str = "VA"
 
-    def validate(self):
+    def __post_init__(self):
         if self.n_households <= 0:
             raise ValueError(f"n_households must be > 0, got {self.n_households}")
         if self.n_tracts <= 0:
@@ -121,7 +121,6 @@ def gen_population(cfg: ToyConfig) -> HouseholdTable:
         ``n_households`` records with ids 0..n-1, planted ``sqft_class``,
         ``solar``, ``lmi``, and ``rural`` labels, and empty ``sqft_value``.
     """
-    cfg.validate()
     rng = rng_for(cfg.seed, "population")
     n = cfg.n_households
 
@@ -186,7 +185,6 @@ def gen_irradiance(cfg: ToyConfig, tract: str) -> IrradianceSeries:
     Daylight hours follow ``peak * sin(pi * (w - sunrise)/(sunset - sunrise))``;
     hours at or outside the sunrise/sunset bounds are exactly zero.
     """
-    cfg.validate()
     span = SUNSET_HOUR - SUNRISE_HOUR
     hours = np.zeros(cfg.days * 24)
     for d in range(cfg.days):
@@ -201,7 +199,6 @@ def gen_irradiance(cfg: ToyConfig, tract: str) -> IrradianceSeries:
 
 def gen_survey(cfg: ToyConfig, size: int | None = None) -> list:
     """Square-footage survey values spanning all eight classes."""
-    cfg.validate()
     if size is None:
         size = cfg.n_households
     rng = rng_for(cfg.seed, "survey")

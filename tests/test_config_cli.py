@@ -1,25 +1,31 @@
 """Config loading and the command line pipeline, run in process."""
 
+import configparser
+import importlib.util
 import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from datetime import date
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+from solartwin.boosting import GbtParams
 from solartwin.cli import main, parse_period, resolve_period
-from solartwin.config import RunConfig, load_config
-from solartwin.diffusion import CASES
+from solartwin.config import RunConfig, _schema, load_config
+from solartwin.diffusion import CASES, DiffusionConfig
+from solartwin.toygen import ToyConfig
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_cli_import_leaves_out_scipy_linalg_and_sparse():
     # the contagion step needs no scipy.sparse, and the GP imports
     # scipy.linalg when it first runs; neither is paid for at CLI start
-    src = str(Path(__file__).resolve().parents[1] / "src")
+    src = str(ROOT / "src")
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [
@@ -81,13 +87,111 @@ def test_config_errors(tmp_path):
         load_config(str(tmp_path / "missing.ini"))
 
 
+# every INI key the loader accepts, by section
+ACCEPTED_KEYS = {
+    "run": ("seed", "workers", "out_dir"),
+    "toygen": (
+        "n_households", "n_tracts", "adopter_fraction", "lmi_fraction", "days",
+        "start_date", "signal_shift", "survey_size", "edge_prob", "network_groups",
+    ),
+    "boosting": ("rounds", "depth", "learning_rate", "reg_lambda", "min_child_hess"),
+    "smoten": ("k",),
+    "calibrate": ("budget", "init_points"),
+    "sqft": ("m", "l", "k"),
+    "pv": ("samples",),
+    "diffusion": (
+        "time_steps", "iterations", "weight_benefit", "weight_county", "weight_network",
+        "cost_per_watt", "credit_rate", "lmi_extra_credit", "capacity_factor", "cases",
+    ),
+    "validate": ("hist_bins", "kde_grid"),
+}
+
+
+def _every_key_ini() -> str:
+    """The identity tool's INI, which sets every key."""
+    spec = importlib.util.spec_from_file_location("identity", ROOT / "tools" / "identity.py")
+    identity = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(identity)
+    return identity.EVERY_KEY_INI
+
+
+def test_every_ini_key_reaches_its_field(tmp_path):
+    pairs = [(section, key) for section, keys in ACCEPTED_KEYS.items() for key in keys]
+    assert len(pairs) == 37
+    assert [(section, key) for section, key, _, _ in _schema()] == pairs
+    assert sorted(name for _, _, name, _ in _schema()) == sorted(f.name for f in fields(RunConfig))
+    ini = tmp_path / "every.ini"
+    ini.write_text(_every_key_ini())
+    written = configparser.ConfigParser(interpolation=None)
+    written.read(ini)
+    assert [(section, key) for section in written.sections() for key in written[section]] == pairs
+    cfg = load_config(str(ini))
+    assert {f.name: getattr(cfg, f.name) for f in fields(cfg)} == {
+        "seed": 11, "workers": 2, "out_dir": "runs/every-key",
+        "n_households": 300, "n_tracts": 6, "adopter_fraction": 0.15, "lmi_fraction": 0.25,
+        "days": 3, "start_date": date(2018, 6, 1), "signal_shift": 5, "survey_size": 700,
+        "edge_prob": 0.05, "network_groups": 14,
+        "rounds": 30, "depth": 4, "learning_rate": 0.45, "reg_lambda": 2.0,
+        "min_child_hess": 0.01,
+        "smoten_k": 7, "budget": 60, "init_points": 8, "sqft_m": 9, "sqft_l": 12, "sqft_k": 13,
+        "pv_samples": 10,
+        "time_steps": 15, "iterations": 16, "weight_benefit": 0.6, "weight_county": 0.12,
+        "weight_network": 0.28, "cost_per_watt": 2.5, "credit_rate": 0.26,
+        "lmi_extra_credit": 0.1, "capacity_factor": 0.18, "cases": ("1a", "3", "5"),
+        "hist_bins": 40, "kde_grid": 256,
+    }
+    default = RunConfig()
+    assert all(getattr(cfg, f.name) != getattr(default, f.name) for f in fields(cfg))
+    assert cfg.toy_config() == ToyConfig(
+        n_households=300, n_tracts=6, adopter_fraction=0.15, lmi_fraction=0.25, seed=11,
+        days=3, start_date=date(2018, 6, 1), signal_shift=5,
+    )
+    assert cfg.gbt_params() == GbtParams(
+        rounds=30, depth=4, learning_rate=0.45, reg_lambda=2.0, min_child_hess=0.01
+    )
+    assert cfg.diffusion_config("3") == DiffusionConfig(
+        case="3", weights=(0.6, 0.12, 0.28), time_steps=15, iterations=16, seed=11,
+        cost_per_watt=2.5, credit_rate=0.26, lmi_extra_credit=0.1, capacity_factor=0.18,
+    )
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ("[DEFAULT]\nseed = 5\n", "seed"),
+        ("[DEFAULT]\nseed = 5\n[run]\nworkers = 2\n", "seed"),
+        ("[DEFAULT]\nseed = 5\n[toygen]\ndays = 2\n", "seed"),
+        ("[run]\nworkers = 2\n[DEFAULT]\nplanets = 9\n", "planets"),
+    ],
+)
+def test_config_rejects_default_section(tmp_path, capsys, text, key):
+    # [DEFAULT] is not a fallback for the other sections: each key in it is
+    # unknown, whichever sections come with it
+    ini = tmp_path / "default.ini"
+    ini.write_text(text)
+    message = f"unknown config key [DEFAULT] {key}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_config(str(ini))
+    assert main(["toygen", "--config", str(ini), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: toygen: {message}\n"
+
+
+def test_config_reads_percent_literally(tmp_path):
+    ini = tmp_path / "percent.ini"
+    ini.write_text("[run]\nout_dir = runs/50%\n[diffusion]\ncases = 1a, %(seed)s\n")
+    with pytest.raises(ValueError, match=re.escape("unknown case '%(seed)s'")):
+        load_config(str(ini))
+    ini.write_text("[run]\nout_dir = runs/50%%(seed)s%\n")
+    assert load_config(str(ini)).out_dir == "runs/50%%(seed)s%"
+
+
 def test_validate_guards():
     with pytest.raises(ValueError, match="workers"):
-        replace(RunConfig(), workers=0).validate()
+        replace(RunConfig(), workers=0)
     with pytest.raises(ValueError, match="sum to 1"):
-        replace(RunConfig(), weight_benefit=0.9).validate()
+        replace(RunConfig(), weight_benefit=0.9)
     with pytest.raises(ValueError, match="unknown case"):
-        replace(RunConfig(), cases=("8x",)).validate()
+        replace(RunConfig(), cases=("8x",))
 
 
 @pytest.mark.parametrize(

@@ -24,6 +24,7 @@ from solartwin.records import (
     IngestError,
     IrradianceSeries,
     _parse_column,
+    _split_plain,
     load_households,
     load_irradiance,
     load_network,
@@ -232,6 +233,9 @@ def _reference_read_csv(path, columns, optional=None):
     with open(path, newline="") as fh:
         rows = [row for row in csv.reader(fh) if row]
     header, body = (rows[0], rows[1:]) if rows else ([], [])
+    for column in header:
+        if header.count(column) > 1:
+            raise IngestError(f"{name}: repeated column {column}")
     for column in columns:
         if column not in header:
             raise IngestError(f"{name}: missing column {column}")
@@ -612,6 +616,19 @@ def test_targets_roundtrip(tmp_path):
     assert load_targets(path) == targets
     with pytest.raises(IngestError, match="negative adopter count"):
         AdopterTarget("VA", -1)
+
+
+@pytest.mark.parametrize("plain", [True, False])
+def test_read_csv_rejects_repeated_column(tmp_path, plain):
+    # a repeated name is an error on both read paths, not the last column
+    text = "state,count,count\nVA,5,7\n" if plain else 'state,count,count\nVA,5,"7"\n'
+    assert (_split_plain(text) is not None) == plain
+    path = tmp_path / "targets.csv"
+    path.write_text(text)
+    with pytest.raises(IngestError, match="^targets.csv: repeated column count$"):
+        load_targets(path)
+    with pytest.raises(IngestError, match="^targets.csv: repeated column count$"):
+        read_csv(path, {"state": str})
 
 
 def test_graph_dedup_and_validation():

@@ -161,6 +161,6 @@ def test_config_validation():
     with pytest.raises(ValueError, match="n_households"):
         gen_population(ToyConfig(n_households=0))
     with pytest.raises(ValueError, match="adopter_fraction"):
-        ToyConfig(adopter_fraction=1.5).validate()
+        ToyConfig(adopter_fraction=1.5)
     with pytest.raises(ValueError, match="edge_prob"):
         gen_network(10, 1.5)

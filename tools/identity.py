@@ -3,14 +3,17 @@
     python3 tools/identity.py REV
 
 Exports ``src/`` and ``perfbench/`` at REV with ``git archive`` into a
-temporary directory, then runs the six standard pipelines on that tree and
+temporary directory, then runs the seven standard pipelines on that tree and
 on this checkout (working tree included):
 
 - seeds 0, 1 and 2 on the default config;
 - seed 0 with ``--workers 2``;
 - seed 0 on the ``pipeline-2k`` and ``energy-policy-90d`` configs, which
   each tree writes with its own perfbench's
-  ``write_ini(workload_config(name))``.
+  ``write_ini(workload_config(name))``;
+- EVERY_KEY_INI, the same file for both trees, which sets every config key
+  to a value other than its default, so a key read into the wrong setting
+  shows up as a differing file.
 
 Every output file is compared byte for byte.  Each differing or missing
 path is printed, and the exit status is 1 if any file differs, is missing
@@ -26,7 +29,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# (name, pipeline flags, perfbench workload whose config it runs or None)
+EVERY_KEY = "every-key"
+
+# (name, pipeline flags, the config it runs: None for the defaults, a
+# perfbench workload's name, or EVERY_KEY for EVERY_KEY_INI)
 RUNS = (
     ("seed0", ["--seed", "0"], None),
     ("seed1", ["--seed", "1"], None),
@@ -34,7 +40,60 @@ RUNS = (
     ("seed0-workers2", ["--seed", "0", "--workers", "2"], None),
     ("pipeline-2k", ["--seed", "0"], "pipeline-2k"),
     ("energy-policy-90d", ["--seed", "0"], "energy-policy-90d"),
+    (EVERY_KEY, [], EVERY_KEY),
 )
+
+# 300 households over 3 days; each value differs from its default and,
+# where it can, from every other value of its type.  Calibration runs one
+# expected-improvement round after its 8 initial points.
+EVERY_KEY_INI = """\
+[run]
+seed = 11
+workers = 2
+out_dir = runs/every-key
+[toygen]
+n_households = 300
+n_tracts = 6
+adopter_fraction = 0.15
+lmi_fraction = 0.25
+days = 3
+start_date = 2018-06-01
+signal_shift = 5
+survey_size = 700
+edge_prob = 0.05
+network_groups = 14
+[boosting]
+rounds = 30
+depth = 4
+learning_rate = 0.45
+reg_lambda = 2.0
+min_child_hess = 0.01
+[smoten]
+k = 7
+[calibrate]
+budget = 60
+init_points = 8
+[sqft]
+m = 9
+l = 12
+k = 13
+[pv]
+samples = 10
+[diffusion]
+time_steps = 15
+iterations = 16
+weight_benefit = 0.6
+weight_county = 0.12
+weight_network = 0.28
+cost_per_watt = 2.5
+credit_rate = 0.26
+lmi_extra_credit = 0.1
+capacity_factor = 0.18
+cases = 1a, 3, 5
+[validate]
+hist_bins = 40
+kde_grid = 256
+"""
 
 WRITE_INI = (
     "import sys\n"
@@ -60,18 +119,20 @@ def run_pipelines(tree: Path, work: Path) -> bool:
     work/<name>; False if one failed."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     ok = True
-    for name, flags, workload in RUNS:
-        config = []
-        if workload is not None:
+    work.mkdir(parents=True)
+    for name, flags, config in RUNS:
+        if config is not None:
             ini = work / f"{name}.ini"
-            work.mkdir(parents=True, exist_ok=True)
-            subprocess.run(
-                [sys.executable, "-c", WRITE_INI, str(tree / "perfbench"), workload, str(ini)],
-                check=True,
-            )
-            config = ["--config", str(ini)]
+            if config == EVERY_KEY:
+                ini.write_text(EVERY_KEY_INI)
+            else:
+                subprocess.run(
+                    [sys.executable, "-c", WRITE_INI, str(tree / "perfbench"), config, str(ini)],
+                    check=True,
+                )
+            flags = ["--config", str(ini), *flags]
         out = work / name
-        command = [sys.executable, "-m", "solartwin", "pipeline", *config, *flags]
+        command = [sys.executable, "-m", "solartwin", "pipeline", *flags]
         proc = subprocess.run(
             command + ["--out", str(out)], env=env, cwd=work.parent, capture_output=True, text=True
         )
