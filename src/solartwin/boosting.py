@@ -27,16 +27,13 @@ MODEL_VERSION = 1
 
 @dataclass(frozen=True)
 class LossParams:
-    """Loss weight beta on the negative class and decision threshold tau."""
+    """Loss weight beta on the negative class."""
 
     beta: float = 1.0
-    tau: float = 0.5
 
     def __post_init__(self):
         if not (math.isfinite(self.beta) and self.beta >= 0.0):
             raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
-        if not 0.0 < self.tau < 1.0:
-            raise ValueError(f"tau must be strictly inside (0, 1), got {self.tau}")
 
 
 @dataclass(frozen=True)
@@ -52,10 +49,13 @@ class GbtParams:
             raise ValueError("rounds must be >= 0")
         if self.depth < 1:
             raise ValueError("depth must be >= 1")
-        if self.learning_rate <= 0:
+        # each check also fails NaN and inf
+        if not 0 < self.learning_rate < math.inf:
             raise ValueError("learning_rate must be > 0")
-        if self.reg_lambda < 0:
+        if not 0 <= self.reg_lambda < math.inf:
             raise ValueError("reg_lambda must be >= 0")
+        if not 0 <= self.min_child_hess < math.inf:
+            raise ValueError("min_child_hess must be finite and >= 0")
 
 
 @dataclass
@@ -231,8 +231,7 @@ def train_gbt(
     params : GbtParams
         rounds/depth/learning_rate plus leaf regularization.
     loss : LossParams
-        beta enters the gradient statistics; tau is carried for downstream
-        thresholding only.
+        beta enters the gradient statistics.
     """
     params = params or GbtParams()
     loss = loss or LossParams()
@@ -377,7 +376,7 @@ def train_ovr(
         binary = LabeledDataset(
             data.X, (data.y == cls).astype(np.int64), data.domains
         )
-        members.append(train_gbt(binary, params, LossParams(1.0, 0.5), seed))
+        members.append(train_gbt(binary, params, LossParams(1.0), seed))
     return OvrModel(classes=tuple(classes), members=members)
 
 

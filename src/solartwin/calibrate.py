@@ -218,7 +218,7 @@ def calibrate(
     def probs_for(beta_index: int) -> np.ndarray:
         if beta_index not in prob_cache:
             beta = grid[beta_index * TAU_COUNT, 0]
-            model = train_gbt(train, gbt_params, LossParams(beta=beta, tau=0.5), seed)
+            model = train_gbt(train, gbt_params, LossParams(beta=beta), seed)
             prob_cache[beta_index] = (model, predict_proba(model, apply_X))
         return prob_cache[beta_index][1]
 

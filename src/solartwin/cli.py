@@ -206,7 +206,7 @@ def cmd_estimate_sqft(cfg: RunConfig, args):
     survey = _load_survey(_require(_path(cfg, "survey.csv"), "toygen"))
     classes = pop.labels("sqft_class")
     weights = {
-        k: subclass_weights(survey, sqft_class_range(k), cfg.sqft_k, uniform_fallback=True)
+        k: subclass_weights(survey, sqft_class_range(k), cfg.sqft_k)
         for k in np.unique(classes).tolist()
     }
     values = np.empty(len(pop))

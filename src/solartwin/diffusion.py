@@ -10,6 +10,7 @@ of evaluation order.  Those rates come from integer counts that each step
 updates from its new adopters alone.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -64,9 +65,10 @@ class DiffusionConfig:
             raise ValueError("time_steps must be >= 0")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if self.cost_per_watt <= 0 or self.capacity_factor <= 0:
+        # each check also fails NaN and inf
+        if not (0 < self.cost_per_watt < math.inf and 0 < self.capacity_factor < math.inf):
             raise ValueError("cost_per_watt and capacity_factor must be > 0")
-        if self.credit_rate < 0 or self.lmi_extra_credit < 0:
+        if not (0 <= self.credit_rate < math.inf and 0 <= self.lmi_extra_credit < math.inf):
             raise ValueError("credit rates must be >= 0")
 
 

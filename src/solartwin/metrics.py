@@ -22,9 +22,10 @@ class DiscreteDistribution:
         mass = np.asarray(self.mass, dtype=float)
         if edges.size != mass.size + 1:
             raise ValueError("need len(bin_edges) == len(mass) + 1")
-        if np.any(np.diff(edges) <= 0):
+        # each check also fails NaN
+        if not np.all(np.diff(edges) > 0):
             raise ValueError("bin edges must be strictly ascending")
-        if np.any(mass < 0) or abs(float(mass.sum()) - 1.0) > 1e-9:
+        if not np.all(mass >= 0) or abs(float(mass.sum()) - 1.0) > 1e-9:
             raise ValueError("mass must be non-negative and sum to 1")
 
 

@@ -6,7 +6,9 @@ fixes a solar elevation angle, each hour's horizontal irradiance is
 projected onto the sampled tilted planes with an azimuth degradation
 factor, and energy per sample is area * yield * radiation * ratio, reported
 as the ensemble mean and population standard deviation in kWh.  The result
-is one EnergyProfiles block of (households, dates, 24) arrays.
+is one EnergyProfiles block of (households, dates, 24) arrays.  The weight
+tables and physical constants of the sampling are module constants, and
+the arrays the sampler reads of them are derived once, at import.
 
 The engine is one block function: it reads a block of adopters' id,
 sqft_value, lat and tract columns and returns the block's (mean, std,
@@ -28,18 +30,26 @@ import datetime
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .records import HouseholdTable, IrradianceSeries, read_csv, write_csv
-from .seeds import CHOICE_ERRORS, choice_codes, choice_error, choose, stream_rows
+from .seeds import choose, stream_rows
 
 SQFT_TO_M2 = 0.092903
 AZIMUTH_SECTORS = ("N", "NE", "E", "SE", "S", "SW", "W", "NW")
 
-DEFAULT_DEGRADATION = {
+# the sampling tables and physical constants
+ROOF_FACTOR = 1.5
+SMALL_THRESHOLD_M2 = 464.6
+PANEL_AREA_M2 = 1.64
+YIELD_RANGE = (0.18, 0.22)
+PR_RANGE = (0.5, 0.9)
+N_CANDIDATES = 100
+
+DEGRADATION = {
     "S": 1.00,
     "SE": 0.95,
     "SW": 0.95,
@@ -50,9 +60,9 @@ DEFAULT_DEGRADATION = {
     "N": 0.55,
 }
 
-DEFAULT_PLANE_WEIGHTS = {1: 0.50, 2: 0.30, 3: 0.15, 4: 0.05}
-DEFAULT_TILT_WEIGHTS = {15.0: 0.30, 25.0: 0.45, 35.0: 0.25}
-DEFAULT_AZIMUTH_WEIGHTS = {
+PLANE_WEIGHTS = {1: 0.50, 2: 0.30, 3: 0.15, 4: 0.05}
+TILT_WEIGHTS = {15.0: 0.30, 25.0: 0.45, 35.0: 0.25}
+AZIMUTH_WEIGHTS = {
     "S": 0.30,
     "SE": 0.15,
     "SW": 0.15,
@@ -65,41 +75,35 @@ DEFAULT_AZIMUTH_WEIGHTS = {
 
 # Exponential density parameters (rate, location) for candidate-area
 # weighting, keyed by (building_type, single_plane).
-DEFAULT_AREA_PARAMS = {
+AREA_PARAMS = {
     ("small", True): (0.042, 10.0),
     ("small", False): (0.071, 10.0),
     ("medium", True): (0.002, 300.0),
     ("medium", False): (0.046, 10.0),
 }
 
-
-@dataclass(frozen=True)
-class SamplingTables:
-    """All weight tables and physical constants of the sampling stage."""
-
-    roof_factor: float = 1.5
-    small_threshold_m2: float = 464.6
-    panel_area_m2: float = 1.64
-    yield_range: tuple = (0.18, 0.22)
-    pr_range: tuple = (0.5, 0.9)
-    plane_weights: dict = field(default_factory=lambda: dict(DEFAULT_PLANE_WEIGHTS))
-    tilt_weights: dict = field(default_factory=lambda: dict(DEFAULT_TILT_WEIGHTS))
-    azimuth_weights: dict = field(default_factory=lambda: dict(DEFAULT_AZIMUTH_WEIGHTS))
-    degradation: dict = field(default_factory=lambda: dict(DEFAULT_DEGRADATION))
-    area_params: dict = field(default_factory=lambda: dict(DEFAULT_AREA_PARAMS))
-    n_candidates: int = 100
-
-
-DEFAULT_TABLES = SamplingTables()
+# what the sampler reads of the tables, derived once
+_PLANE_VALUES = np.array(sorted(PLANE_WEIGHTS))
+_PLANE_P = np.array([PLANE_WEIGHTS[v] for v in _PLANE_VALUES], dtype=float)
+_PLANE_P = _PLANE_P / _PLANE_P.sum()
+# [medium, single plane] -> (rate, location)
+_AREA_PARAMS = np.array(
+    [[AREA_PARAMS[kind, one] for one in (False, True)] for kind in ("small", "medium")], float
+)
+_PAIRS = [(t, a) for t in sorted(TILT_WEIGHTS) for a in AZIMUTH_SECTORS]
+_JOINT = np.array([TILT_WEIGHTS[t] * AZIMUTH_WEIGHTS[a] for t, a in _PAIRS])
+_JOINT = _JOINT / _JOINT.sum()
+_PAIR_TILTS = np.array([t for t, _ in _PAIRS])
+_PAIR_AZIMUTHS = np.array([a for _, a in _PAIRS])
+_PAIR_DEGRADATION = np.array([DEGRADATION[a] for _, a in _PAIRS])
 
 
 @dataclass
 class TimeInvariantSamples:
     """Sampled ensembles of the time-invariant variables of H households:
     (H,) household ids, roof areas and building types, and (H, n) arrays
-    of per-sample values (azimuths holds sector names).  degradation holds
-    each sample's azimuth factor from the sampling tables, NaN for a sector
-    they lack."""
+    of per-sample values (azimuths holds sector names, degradation each
+    sample's azimuth factor)."""
 
     household: np.ndarray
     roof_area: np.ndarray
@@ -112,27 +116,10 @@ class TimeInvariantSamples:
     tilts: np.ndarray
     azimuths: np.ndarray
     arpr: np.ndarray
-    degradation: np.ndarray | None = None
-
-    def __post_init__(self):
-        for name in ("areas", "yields", "ratios", "planes", "tilts", "azimuths", "arpr"):
-            if np.shape(getattr(self, name))[-1:] != (self.n,):
-                raise ValueError(f"{name} must have length n={self.n}")
+    degradation: np.ndarray
 
 
-def _uniform_error(span):
-    """The exception Generator.uniform raises for high - low = span, or None."""
-    if not np.isfinite(span):
-        return OverflowError("high - low range exceeds valid bounds")
-    return ValueError("high - low < 0") if span < 0 else None
-
-
-def sample_time_invariant(
-    h,
-    n: int = 20,
-    tables: SamplingTables | None = None,
-    seed: int = 0,
-) -> TimeInvariantSamples:
+def sample_time_invariant(h, n: int = 20, seed: int = 0) -> TimeInvariantSamples:
     """Draw n time-invariant samples for each of a batch of households.
 
     Roof area is 1.5x the house footprint converted to m^2; buildings at or
@@ -146,60 +133,40 @@ def sample_time_invariant(
 
     h is any object with (H,) ``id`` and ``sqft_value`` columns, such as a
     HouseholdTable (one household is a one-row table); a missing footage
-    is masked or NaN.  Each household draws from its own stream
-    rng_for(seed, "pv", id).
-    A household takes n * (n_candidates + 5) doubles in the order of one
+    is masked or NaN.  The first household in table order whose footage is
+    missing or whose roof area is not finite is named in a ValueError.
+    Each household draws from its own stream rng_for(seed, "pv", id).
+    A household takes n * (N_CANDIDATES + 5) doubles in the order of one
     Generator call per draw: n yields, n ratios, n plane counts; per sample,
-    n_candidates candidates and one pick; then n tilt/azimuth picks.  All
-    the math runs on the batch's (H, n, n_candidates + 1) block of doubles,
-    and a failure raises what the per-draw sequence raises for the first
-    household that fails, at its first failing check.
+    N_CANDIDATES candidates and one pick; then n tilt/azimuth picks.  All
+    the math runs on the batch's (H, n, N_CANDIDATES + 1) block of doubles.
     """
-    tables = tables or DEFAULT_TABLES
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     ids = h.id
     sqft = np.ma.filled(h.sqft_value, np.nan)
-    missing = np.isnan(sqft)
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        roof = ROOF_FACTOR * sqft * SQFT_TO_M2
+    bad = ~np.isfinite(roof)  # a missing footage gives a NaN roof
+    if bad.any():
+        row = int(np.argmax(bad))
+        problem = (
+            "has no sqft_value" if np.isnan(sqft[row])
+            else f"has sqft_value {float(sqft[row])!r}, whose roof area is not finite"
+        )
+        raise ValueError(f"household {int(ids[row])} {problem}")
 
-    def no_sqft(row):
-        return ValueError(f"household {int(ids[row])} has no sqft_value")
-
-    if missing[0]:
-        raise no_sqft(0)
-    # checks on the tables alone, which the first household meets next
-    y_lo, y_hi = map(float, tables.yield_range)
-    r_lo, r_hi = map(float, tables.pr_range)
-    plane_values = np.array(sorted(tables.plane_weights))
-    plane_p = np.array([tables.plane_weights[v] for v in plane_values], dtype=float)
-    plane_p = plane_p / plane_p.sum()
-    for error in (_uniform_error(y_hi - y_lo), _uniform_error(r_hi - r_lo), choice_error(plane_p)):
-        if error is not None:
-            raise error
-    area_params = np.array(
-        [[tables.area_params[kind, one] for one in (False, True)] for kind in ("small", "medium")],
-        float,
-    )
-    pairs = [
-        (t, a)
-        for t in sorted(tables.tilt_weights)
-        for a in AZIMUTH_SECTORS
-        if a in tables.azimuth_weights
-    ]
-    joint = np.array([tables.tilt_weights[t] * tables.azimuth_weights[a] for t, a in pairs])
-    joint = joint / joint.sum()
-    joint_error = choice_error(joint)
-
-    C = tables.n_candidates
+    C = N_CANDIDATES
     H, size = ids.size, n * (C + 5)
     u = stream_rows(seed, "pv", ids, size)
     draws = u[:, 3 * n : 3 * n + n * (C + 1)].reshape(H, n, C + 1)
+    y_lo, y_hi = YIELD_RANGE
+    r_lo, r_hi = PR_RANGE
     yields = y_lo + (y_hi - y_lo) * u[:, :n]
     ratios = r_lo + (r_hi - r_lo) * u[:, n : 2 * n]
-    planes = plane_values[choose(plane_p, u[:, 2 * n : 3 * n])]
-    roof = tables.roof_factor * sqft * SQFT_TO_M2
-    medium = ~(roof <= tables.small_threshold_m2)
-    cell = area_params[medium[:, None].astype(int), (planes == 1).astype(int)]
+    planes = _PLANE_VALUES[choose(_PLANE_P, u[:, 2 * n : 3 * n])]
+    medium = ~(roof <= SMALL_THRESHOLD_M2)
+    cell = _AREA_PARAMS[medium[:, None].astype(int), (planes == 1).astype(int)]
     rate, location = cell[..., 0, None], cell[..., 1, None]
     # uniform(0, roof) is 0 + roof * u, which is roof * u
     candidates = roof[:, None, None] * draws[..., :C]
@@ -209,27 +176,9 @@ def sample_time_invariant(
     total = weights.sum(axis=-1)
     flat = total <= 0.0  # all mass below location: uniform weights
     p = np.where(flat[..., None], 1.0, weights) / np.where(flat, float(C), total)[..., None]
-
-    # each sample checks uniform's range, then choice's p; the joint pick is last
-    range_error = [_uniform_error(span) for span in roof.tolist()]
-    p_code = choice_codes(p)
-    bad = np.array([e is not None for e in range_error])[:, None] | (p_code >= 0)
-    fails = missing | bad.any(axis=1)
-    fails[0] |= joint_error is not None
-    if fails.any():
-        row = int(np.argmax(fails))
-        if missing[row]:
-            raise no_sqft(row)
-        if not bad[row].any():
-            raise joint_error
-        raise range_error[row] or ValueError(CHOICE_ERRORS[p_code[row][p_code[row] >= 0][0]])
-
     chosen = np.take_along_axis(candidates, choose(p, draws[..., C])[..., None], axis=-1)
-    areas = np.floor(chosen[..., 0] / tables.panel_area_m2) * tables.panel_area_m2
-    pick = choose(joint, u[:, 3 * n + n * (C + 1) :])
-    tilts = np.array([t for t, _ in pairs])[pick]
-    azimuths = np.array([a for _, a in pairs])[pick]
-    factors = np.array([tables.degradation.get(a, np.nan) for _, a in pairs], dtype=float)
+    areas = np.floor(chosen[..., 0] / PANEL_AREA_M2) * PANEL_AREA_M2
+    pick = choose(_JOINT, u[:, 3 * n + n * (C + 1) :])
     return TimeInvariantSamples(
         household=ids,
         roof_area=roof,
@@ -239,10 +188,10 @@ def sample_time_invariant(
         yields=yields,
         ratios=ratios,
         planes=planes,
-        tilts=tilts,
-        azimuths=azimuths,
+        tilts=_PAIR_TILTS[pick],
+        azimuths=_PAIR_AZIMUTHS[pick],
         arpr=areas * yields * ratios,
-        degradation=factors[pick],
+        degradation=_PAIR_DEGRADATION[pick],
     )
 
 
@@ -268,7 +217,7 @@ def tilted_radiation(
     and the horizontal value ghi * D is returned instead.  Output is clamped
     to >= 0.
     """
-    degradation = degradation if degradation is not None else DEFAULT_DEGRADATION
+    degradation = degradation if degradation is not None else DEGRADATION
     if ghi < 0:
         raise ValueError(f"ghi must be >= 0, got {ghi}")
     if omega not in degradation:
@@ -330,7 +279,7 @@ class _Households(NamedTuple):
     tract: np.ndarray
 
 
-def _profile_block(households, ghi, deltas, seed, tables, n_samples, hourly):
+def _profile_block(households, ghi, deltas, seed, n_samples, hourly):
     """(mean, std, mean_daily) of a block of households: the (H, D, 24)
     hourly ensemble mean and population std kWh, both None unless hourly,
     and the (H,) mean over the dates of each household's daily mean kWh.
@@ -341,7 +290,7 @@ def _profile_block(households, ghi, deltas, seed, tables, n_samples, hourly):
     kWh per sample is reduced before the next chunk is made.
     """
     size, days = households.id.size, deltas.size
-    per_household = max(n_samples, 1) * max(tables.n_candidates + 1, 24 * days)
+    per_household = max(n_samples, 1) * max(N_CANDIDATES + 1, 24 * days)
     rows = max(1, _BLOCK_CELLS // per_household)
     shape = (size, days, 24)
     mean, std = (np.empty(shape), np.empty(shape)) if hourly else (None, None)
@@ -349,10 +298,7 @@ def _profile_block(households, ghi, deltas, seed, tables, n_samples, hourly):
     for start in range(0, size, rows):
         part = slice(start, start + rows)
         chunk = _Households(*(column[part] for column in households))
-        ti = sample_time_invariant(chunk, n_samples, tables, seed)
-        lost = np.isnan(ti.degradation)
-        if lost.any():  # as the per-sample lookup raised it
-            raise KeyError(str(ti.azimuths[np.unravel_index(np.argmax(lost), lost.shape)]))
+        ti = sample_time_invariant(chunk, n_samples, seed)
         lat, tilts, d = chunk.lat[:, None, None], ti.tilts[:, None, :], ti.degradation[:, None, :]
         per_wh = ti.arpr[:, None, :] * _tilt_factors(lat, deltas[:, None], tilts, d)
         # sample i yields ghi / 1000 * per_wh[i] kWh in each hour
@@ -371,7 +317,6 @@ def generate_profiles(
     dates,
     workers: int = 1,
     seed: int = 0,
-    tables: SamplingTables | None = None,
     n_samples: int = 20,
     hourly: bool = True,
 ) -> EnergyProfiles:
@@ -385,7 +330,6 @@ def generate_profiles(
     derived from (seed, household id), so the values are identical for any
     worker count.
     """
-    tables = tables or DEFAULT_TABLES
     dates = list(dates)
     if not dates:
         raise ValueError("no dates in period")
@@ -402,7 +346,7 @@ def generate_profiles(
     households = _Households(
         pop.id[rows], pop.sqft_value.filled(np.nan)[rows], pop.lat[rows], tract
     )
-    args = (ghi.reshape(-1, len(dates), 24), deltas, seed, tables, n_samples, hourly)
+    args = (ghi.reshape(-1, len(dates), 24), deltas, seed, n_samples, hourly)
     workers = max(1, int(workers))
     if workers == 1 or rows.size <= 1:
         mean, std, mean_daily = _profile_block(households, *args)

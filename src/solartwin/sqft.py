@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seeds import choice_error, choose, rng_for
+from .seeds import choose, rng_for
 
 
 @dataclass(frozen=True)
@@ -28,14 +28,14 @@ class SubclassWeights:
         if not low < high:
             raise ValueError(f"class range {self.class_range} must be increasing")
         edges = np.asarray(self.edges, dtype=float)
-        if edges.size < 2 or np.any(np.diff(edges) < 0):
+        if edges.size < 2 or not np.all(np.diff(edges) >= 0):  # fails NaN
             raise ValueError("edges must be ascending")
         if edges[0] != low or edges[-1] != high:
             raise ValueError("edges must span the class range exactly")
         weights = np.asarray(self.weights, dtype=float)
         if weights.size != edges.size - 1:
             raise ValueError("need one weight per sub-interval")
-        if np.any(weights < 0) or abs(float(weights.sum()) - 1.0) > 1e-9:
+        if not np.all(weights >= 0) or abs(float(weights.sum()) - 1.0) > 1e-9:  # fails NaN
             raise ValueError("weights must be non-negative and sum to 1")
 
     @property
@@ -43,14 +43,11 @@ class SubclassWeights:
         return len(self.weights)
 
 
-def subclass_weights(
-    survey, class_range, k: int = 5, uniform_fallback: bool = False
-) -> SubclassWeights:
+def subclass_weights(survey, class_range, k: int = 5) -> SubclassWeights:
     """Frequency weights of k equal-width sub-intervals of a class range.
 
     Counts survey values in [low, high) per sub-interval (internal edges are
-    left-closed).  With no survey mass in range, raises unless
-    uniform_fallback is set, which yields equal weights.
+    left-closed).  With no survey mass in range, the weights are equal.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -61,11 +58,6 @@ def subclass_weights(
     values = np.asarray(list(survey), dtype=float)
     values = values[(values >= low) & (values < high)]
     if values.size == 0:
-        if not uniform_fallback:
-            raise ValueError(
-                f"no survey values inside class range ({low}, {high}); "
-                "pass uniform_fallback=True for equal weights"
-            )
         weights = np.full(k, 1.0 / k)
     else:
         idx = np.searchsorted(edges, values, side="right") - 1
@@ -97,11 +89,8 @@ def estimate_sqft(w: SubclassWeights, M: int = 10, L: int = 10, seed=0):
         draws = rng.random((1, M + M * L))
     if draws.ndim != 2 or draws.shape[1] != M + M * L:
         raise ValueError(f"draws must have shape (H, {M + M * L}), got {draws.shape}")
-    weights = np.asarray(w.weights)
-    if (error := choice_error(weights)) is not None:
-        raise error
     edges = np.asarray(w.edges)
-    idx = choose(weights, draws[:, :M])
+    idx = choose(np.asarray(w.weights), draws[:, :M])
     lows = edges[idx]
     widths = edges[idx + 1] - edges[idx]
     values = lows[..., None] + draws[:, M:].reshape(-1, M, L) * widths[..., None]

@@ -136,8 +136,6 @@ def test_apply_threshold_boundary():
 def test_loss_params_validation():
     with pytest.raises(ValueError, match="beta"):
         LossParams(beta=-0.1)
-    with pytest.raises(ValueError, match="tau"):
-        LossParams(tau=1.0)
 
 
 def test_ensemble_vote_rules():

@@ -4,6 +4,7 @@ import configparser
 import importlib.util
 import os
 import re
+import shutil
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -11,12 +12,14 @@ from datetime import date
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from solartwin.boosting import GbtParams
 from solartwin.cli import main, parse_period, resolve_period
 from solartwin.config import RunConfig, _schema, load_config
 from solartwin.diffusion import CASES, DiffusionConfig
+from solartwin.records import load_households, save_households
 from solartwin.toygen import ToyConfig
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -207,6 +210,18 @@ def test_validate_guards():
         ("toygen", "n_tracts", "201", "n_tracts must not exceed n_households"),
         ("smoten", "k", "0", "smoten k must be >= 1"),
         ("calibrate", "budget", "9", "need budget >= init_points >= 1"),
+    ] + [
+        (section, key, value, message)
+        for section, key, message in (
+            ("boosting", "learning_rate", "learning_rate must be > 0"),
+            ("boosting", "reg_lambda", "reg_lambda must be >= 0"),
+            ("boosting", "min_child_hess", "min_child_hess must be finite and >= 0"),
+            ("diffusion", "cost_per_watt", "cost_per_watt and capacity_factor must be > 0"),
+            ("diffusion", "capacity_factor", "cost_per_watt and capacity_factor must be > 0"),
+            ("diffusion", "credit_rate", "credit rates must be >= 0"),
+            ("diffusion", "lmi_extra_credit", "credit rates must be >= 0"),
+        )
+        for value in ("nan", "inf")
     ],
 )
 def test_config_rejects_stage_settings_before_any_stage(
@@ -359,6 +374,24 @@ def test_generate_single_variant(tiny_run, tmp_path):
         "generate", "--config", str(ini), "--out", str(out), "--variant", "real",
     ])
     assert code == 0
+
+
+@pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
+def test_generate_names_household_with_overflowing_roof(tiny_run, tmp_path, capsys):
+    _, out, ini = tiny_run
+    run = tmp_path / "out"
+    shutil.copytree(out, run)
+    pop = load_households(run / "households_sqft.csv")
+    row = int(np.flatnonzero(pop.solar.filled(False))[0])
+    sqft = pop.sqft_value.copy()
+    sqft[row] = 1.5e308  # finite, but 1.5 times it overflows
+    save_households(pop.replace(sqft_value=sqft), run / "households_sqft.csv")
+    code = main(["generate", "--config", str(ini), "--out", str(run), "--variant", "real"])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: generate: household {pop.id[row]} has sqft_value 1.5e+308,"
+        " whose roof area is not finite"
+    ]
 
 
 def test_missing_input_error_contract(tmp_path, capsys):

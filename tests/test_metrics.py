@@ -61,6 +61,14 @@ def test_distribution_validation():
     assert d.mass == pytest.approx((0.75, 0.25))
 
 
+def test_distribution_rejects_nan():
+    # NaN fails every comparison, so a check written as `x < 0` lets it through
+    with pytest.raises(ValueError, match="mass must be non-negative and sum to 1"):
+        DiscreteDistribution(EDGES, (float("nan"), 1.0))
+    with pytest.raises(ValueError, match="bin edges must be strictly ascending"):
+        DiscreteDistribution((0.0, float("nan"), 1.0), (0.5, 0.5))
+
+
 def test_kld_oracle_and_infinity():
     # KL([.5,.5] || [.25,.75]) = .5*log2(2) + .5*log2(2/3)
     assert kld(dist(0.5, 0.5), dist(0.25, 0.75)) == pytest.approx(

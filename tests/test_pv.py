@@ -12,10 +12,19 @@ from hypothesis import strategies as st
 
 from solartwin import pv
 from solartwin.pv import (
+    AREA_PARAMS,
     AZIMUTH_SECTORS,
-    DEFAULT_TABLES,
+    AZIMUTH_WEIGHTS,
+    DEGRADATION,
+    N_CANDIDATES,
+    PANEL_AREA_M2,
+    PLANE_WEIGHTS,
+    PR_RANGE,
+    ROOF_FACTOR,
+    SMALL_THRESHOLD_M2,
     SQFT_TO_M2,
-    SamplingTables,
+    TILT_WEIGHTS,
+    YIELD_RANGE,
     TimeInvariantSamples,
     declination,
     generate_profiles,
@@ -288,9 +297,9 @@ def test_profiles_horizontal_fallback_across_dates():
     series = flat_series(days=6, start=start)
     dates = [start + datetime.timedelta(days=d) for d in range(6)]
     profiles = generate_profiles(pop, {"t1": series}, dates, seed=5)
-    ti = sample_time_invariant(pop, 20, DEFAULT_TABLES, seed=5)
+    ti = sample_time_invariant(pop, 20, seed=5)
     arpr, tilts = ti.arpr[0], ti.tilts[0]
-    d = np.array([DEFAULT_TABLES.degradation[a] for a in ti.azimuths[0]])
+    d = np.array([DEGRADATION[a] for a in ti.azimuths[0]])
     flat_days = 0
     for j, date in enumerate(dates):
         alpha = 90.0 - 89.5 + declination(date.timetuple().tm_yday)
@@ -334,36 +343,28 @@ def test_profile_csv_roundtrip(tmp_path):
     ]
 
 
-def test_custom_tables_flow_through():
-    tables = SamplingTables(yield_range=(0.5, 0.5), pr_range=(1.0, 1.0))
-    ti = sample_time_invariant(make_households(), n=20, tables=tables, seed=0)
-    assert np.all(ti.yields == 0.5)
-    assert np.all(ti.ratios == 1.0)
-    assert DEFAULT_TABLES.yield_range == (0.18, 0.22)
-
-
 # ------------------------------------------- batched sampler against the loop
 
 
-def _reference_sample_time_invariant(household, sqft_value, n, tables, rng):
+def _reference_sample_time_invariant(household, sqft_value, n, rng):
     """The per-sample sampler the batched kernel replaced: one Generator
     call per draw, one rng.choice per sample, for one household's id and
-    footage (None when missing)."""
+    footage (None when missing), from the module's tables."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if sqft_value is None:
         raise ValueError(f"household {household} has no sqft_value")
-    roof_area = tables.roof_factor * sqft_value * SQFT_TO_M2
-    building_type = "small" if roof_area <= tables.small_threshold_m2 else "medium"
-    yields = rng.uniform(*tables.yield_range, size=n)
-    ratios = rng.uniform(*tables.pr_range, size=n)
-    plane_values = np.array(sorted(tables.plane_weights))
-    plane_p = np.array([tables.plane_weights[v] for v in plane_values], dtype=float)
+    roof_area = ROOF_FACTOR * sqft_value * SQFT_TO_M2
+    building_type = "small" if roof_area <= SMALL_THRESHOLD_M2 else "medium"
+    yields = rng.uniform(*YIELD_RANGE, size=n)
+    ratios = rng.uniform(*PR_RANGE, size=n)
+    plane_values = np.array(sorted(PLANE_WEIGHTS))
+    plane_p = np.array([PLANE_WEIGHTS[v] for v in plane_values], dtype=float)
     planes = rng.choice(plane_values, size=n, p=plane_p / plane_p.sum())
     areas = np.empty(n)
     for i in range(n):
-        rate, location = tables.area_params[(building_type, bool(planes[i] == 1))]
-        candidates = rng.uniform(0.0, roof_area, size=tables.n_candidates)
+        rate, location = AREA_PARAMS[(building_type, bool(planes[i] == 1))]
+        candidates = rng.uniform(0.0, roof_area, size=N_CANDIDATES)
         weights = np.where(
             candidates >= location,
             rate * np.exp(-rate * (candidates - location)),
@@ -371,16 +372,14 @@ def _reference_sample_time_invariant(household, sqft_value, n, tables, rng):
         )
         total = weights.sum()
         if total <= 0.0:
-            weights = np.full(tables.n_candidates, 1.0)
-            total = float(tables.n_candidates)
+            weights = np.full(N_CANDIDATES, 1.0)
+            total = float(N_CANDIDATES)
         chosen = rng.choice(candidates, p=weights / total)
-        areas[i] = math.floor(chosen / tables.panel_area_m2) * tables.panel_area_m2
-    tilt_values = sorted(tables.tilt_weights)
-    azimuth_values = [a for a in AZIMUTH_SECTORS if a in tables.azimuth_weights]
+        areas[i] = math.floor(chosen / PANEL_AREA_M2) * PANEL_AREA_M2
+    tilt_values = sorted(TILT_WEIGHTS)
+    azimuth_values = [a for a in AZIMUTH_SECTORS if a in AZIMUTH_WEIGHTS]
     pairs = [(t, a) for t in tilt_values for a in azimuth_values]
-    joint = np.array(
-        [tables.tilt_weights[t] * tables.azimuth_weights[a] for t, a in pairs]
-    )
+    joint = np.array([TILT_WEIGHTS[t] * AZIMUTH_WEIGHTS[a] for t, a in pairs])
     picks = rng.choice(len(pairs), size=n, p=joint / joint.sum())
     return TimeInvariantSamples(
         household=household,
@@ -394,6 +393,7 @@ def _reference_sample_time_invariant(household, sqft_value, n, tables, rng):
         tilts=np.array([pairs[i][0] for i in picks]),
         azimuths=tuple(pairs[i][1] for i in picks),
         arpr=areas * yields * ratios,
+        degradation=np.array([DEGRADATION[pairs[i][1]] for i in picks]),
     )
 
 
@@ -401,7 +401,7 @@ def _outcome(fn, *args):
     """fn's result, or the (type, message) of what it raised."""
     try:
         return fn(*args)
-    except (ValueError, KeyError, OverflowError) as exc:
+    except ValueError as exc:
         return type(exc), str(exc)
 
 
@@ -410,14 +410,14 @@ def _row_samples(batch, k):
     return TimeInvariantSamples(
         int(batch.household[k]), float(batch.roof_area[k]), str(batch.building_type[k]),
         batch.n, batch.areas[k], batch.yields[k], batch.ratios[k], batch.planes[k],
-        batch.tilts[k], tuple(batch.azimuths[k].tolist()), batch.arpr[k],
+        batch.tilts[k], tuple(batch.azimuths[k].tolist()), batch.arpr[k], batch.degradation[k],
     )
 
 
 def _same_samples(a, b):
     assert a.household == b.household and a.n == b.n
     assert a.roof_area == b.roof_area and a.building_type == b.building_type
-    for name in ("areas", "yields", "ratios", "planes", "tilts", "arpr"):
+    for name in ("areas", "yields", "ratios", "planes", "tilts", "arpr", "degradation"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
     assert a.azimuths == b.azimuths
 
@@ -433,55 +433,17 @@ _FOOTAGES = st.one_of(
     st.sampled_from([float(_EDGE), float(np.nextafter(_EDGE, np.inf))]),
     st.floats(70.0, 12000.0),
 )
-_WEIGHT = st.one_of(st.just(0.0), st.floats(0.05, 5.0))
-_BAD_WEIGHT = st.sampled_from([float("nan"), float("inf"), -0.25])
-
-
-@st.composite
-def _tables(draw):
-    """Default tables, or custom ones with zero-weight entries, other
-    candidate counts and, now and then, a NaN, infinite or negative
-    weight or rate."""
-    if draw(st.booleans()):
-        return DEFAULT_TABLES
-
-    def weights(keys):
-        out = {k: draw(_WEIGHT) for k in keys}
-        out[draw(st.sampled_from(sorted(out)))] = draw(st.floats(0.05, 5.0))
-        if draw(st.integers(0, 9)) == 0:
-            out[draw(st.sampled_from(sorted(out)))] = draw(_BAD_WEIGHT)
-        return out
-
-    planes = draw(st.sets(st.integers(1, 5), min_size=1))
-    tilts = draw(st.sets(st.sampled_from([0.0, 15.0, 25.0, 35.0, 50.0]), min_size=1))
-    azimuths = draw(st.sets(st.sampled_from(AZIMUTH_SECTORS), min_size=1))
-    area = {
-        key: (draw(st.floats(0.0005, 0.2)), draw(st.sampled_from([0.0, 10.0, 300.0])))
-        for key in DEFAULT_TABLES.area_params
-    }
-    if draw(st.integers(0, 9)) == 0:
-        key = draw(st.sampled_from(sorted(area)))
-        area[key] = (draw(_BAD_WEIGHT), area[key][1])
-    return SamplingTables(
-        plane_weights=weights(sorted(planes)),
-        tilt_weights=weights(sorted(tilts)),
-        azimuth_weights=weights(sorted(azimuths)),
-        area_params=area,
-        n_candidates=draw(st.sampled_from([1, 2, 7, 100, 137])),
-    )
 
 
 @settings(max_examples=300, deadline=None)
 @given(
     footages=st.lists(st.one_of(st.none(), _FOOTAGES), min_size=1, max_size=6),
     n=st.integers(1, 30),
-    tables=_tables(),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(footages=[10.0, 4000.0], n=20, tables=DEFAULT_TABLES, seed=0)
-@example(footages=[1800.0, None, 30.0], n=3, tables=DEFAULT_TABLES, seed=1)
-@np.errstate(divide="ignore", invalid="ignore", over="ignore")  # from the invalid tables
-def test_batched_sampler_matches_reference(footages, n, tables, seed):
+@example(footages=[10.0, 4000.0], n=20, seed=0)
+@example(footages=[1800.0, None, 30.0], n=3, seed=1)
+def test_batched_sampler_matches_reference(footages, n, seed):
     """The batched kernel gives every household what the per-call loop
     gives it from the same stream, bit for bit, and raises what the loop
     raises for the first household that fails."""
@@ -490,11 +452,11 @@ def test_batched_sampler_matches_reference(footages, n, tables, seed):
     expected = []
     for household, sqft in zip(ids, footages):
         rng = rng_for(seed, "pv", household)
-        got = _outcome(_reference_sample_time_invariant, household, sqft, n, tables, rng)
+        got = _outcome(_reference_sample_time_invariant, household, sqft, n, rng)
         expected.append(got)
         if isinstance(got, tuple):
             break
-    batch = _outcome(sample_time_invariant, pop, n, tables, seed)
+    batch = _outcome(sample_time_invariant, pop, n, seed)
     if isinstance(expected[-1], tuple):
         assert batch == expected[-1]
     else:
@@ -502,7 +464,8 @@ def test_batched_sampler_matches_reference(footages, n, tables, seed):
         for k, ref in enumerate(expected):
             _same_samples(_row_samples(batch, k), ref)
     # one household is a one-row table: the same kernel, batch-shaped
-    first = _outcome(sample_time_invariant, next(iter(pop)), n, tables, seed)
+    one = make_households(1, sqft=footages[:1], ids=ids[:1])
+    first = _outcome(sample_time_invariant, one, n, seed)
     if isinstance(expected[0], tuple):
         assert first == expected[0]
     else:
@@ -525,15 +488,15 @@ def test_choose_is_the_choice_search_rule():
     assert np.array_equal(choose(p, np.random.default_rng(3).random(200)), picks)
 
 
-def _reference_profiles(pop, irradiance, dates, seed, tables, n):
+def _reference_profiles(pop, irradiance, dates, seed, n):
     """Per-household (D, 24) mean and std from the reference sampler."""
     deltas = np.array([declination(date.timetuple().tm_yday) for date in dates])
     mean, std = [], []
     columns = (pop.id.tolist(), pop.sqft_value.tolist(), pop.tract.tolist(), pop.lat.tolist())
     for household, sqft, tract, lat in zip(*columns):
         rng = rng_for(seed, "pv", household)
-        ti = _reference_sample_time_invariant(household, sqft, n, tables, rng)
-        d = np.array([tables.degradation[a] for a in ti.azimuths])
+        ti = _reference_sample_time_invariant(household, sqft, n, rng)
+        d = np.array([DEGRADATION[a] for a in ti.azimuths])
         ghi = np.stack([irradiance[tract].ghi_for_date(date) for date in dates])
         per_wh = ti.arpr * pv._tilt_factors(lat, deltas[:, None], ti.tilts, d)
         energy = (ghi / 1000.0)[:, :, None] * per_wh[:, None, :]
@@ -569,7 +532,7 @@ def test_profiles_match_reference_per_household(footages, lats, days, n, cells, 
     with mock.patch.object(pv, "_BLOCK_CELLS", cells):
         profiles = generate_profiles(pop, irradiance, dates, seed=seed, n_samples=n)
         daily = generate_profiles(pop, irradiance, dates, seed=seed, n_samples=n, hourly=False)
-    mean, std = _reference_profiles(pop, irradiance, dates, seed, DEFAULT_TABLES, n)
+    mean, std = _reference_profiles(pop, irradiance, dates, seed, n)
     assert np.array_equal(profiles.hourly_mean, mean)
     assert np.array_equal(profiles.hourly_std, std)
     assert np.array_equal(profiles.mean_daily, profiles.daily_mean.mean(axis=1))
@@ -609,21 +572,15 @@ def test_first_adopter_without_sqft_is_named():
             generate_profiles(pop, {"t1": series}, [series.start_date], workers=workers)
 
 
-@pytest.mark.parametrize("field", ["plane_weights", "tilt_weights", "azimuth_weights"])
-@pytest.mark.parametrize(
-    "bad, message",
-    [
-        (float("nan"), "Probabilities contain NaN"),
-        (float("inf"), "Probabilities contain NaN"),
-        (-0.5, "Probabilities are not non-negative"),
-    ],
-)
-@np.errstate(invalid="ignore")
-def test_invalid_table_weights_raise_like_choice(field, bad, message):
-    weights = dict(getattr(DEFAULT_TABLES, field))
-    weights[sorted(weights)[0]] = bad
-    tables = SamplingTables(**{field: weights})
+def test_overflowing_roof_is_named():
+    # 1.5 * 1.5e308 overflows: that household's roof area is inf
+    message = "^household 7 has sqft_value 1.5e\\+308, whose roof area is not finite$"
+    pop = make_households(3, sqft=[1800.0, 1.5e308, None], ids=[5, 7, 9])
     with pytest.raises(ValueError, match=message):
-        sample_time_invariant(make_households(), tables=tables)
-    with pytest.raises(ValueError, match=message):
-        _reference_sample_time_invariant(0, 1800.0, 20, tables, rng_for(0, "pv", 0))
+        sample_time_invariant(pop)
+    # the sixth adopter: in the second block with two workers
+    pop = make_households(7, sqft=[1500.0] * 5 + [1.5e308, 1500.0], ids=list(range(2, 9)))
+    series = flat_series(days=1)
+    for workers in (1, 2):
+        with pytest.raises(ValueError, match=message):
+            generate_profiles(pop, {"t1": series}, [series.start_date], workers=workers)

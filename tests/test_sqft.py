@@ -28,9 +28,7 @@ def test_subclass_weights_boundaries():
 
 
 def test_subclass_weights_empty_range():
-    with pytest.raises(ValueError, match="no survey values inside class range"):
-        subclass_weights([10.0], (1000.0, 2000.0), k=4)
-    w = subclass_weights([10.0], (1000.0, 2000.0), k=4, uniform_fallback=True)
+    w = subclass_weights([10.0], (1000.0, 2000.0), k=4)
     assert w.weights == pytest.approx((0.25, 0.25, 0.25, 0.25))
 
 
@@ -41,6 +39,14 @@ def test_subclass_weights_validation():
         subclass_weights([1.0], (5.0, 5.0), k=2)
     with pytest.raises(ValueError, match="sum to 1"):
         SubclassWeights((0.0, 2.0), (0.0, 1.0, 2.0), (0.7, 0.7))
+
+
+def test_subclass_weights_reject_nan():
+    # NaN fails every comparison, so a check written as `x < 0` lets it through
+    with pytest.raises(ValueError, match="weights must be non-negative and sum to 1"):
+        SubclassWeights((0.0, 100.0), (0.0, 50.0, 100.0), (float("nan"), 1.0))
+    with pytest.raises(ValueError, match="edges must be ascending"):
+        SubclassWeights((0.0, 100.0), (0.0, float("nan"), 100.0), (0.5, 0.5))
 
 
 def test_estimate_within_bounds():
@@ -113,11 +119,7 @@ def test_batched_estimates_match_reference(w, M, L, ids, seed):
     )
 
 
-def test_estimate_rejects_nan_weights_like_choice():
-    # a NaN weight passes the sum check, so the pick must reject it
-    w = SubclassWeights((0.0, 100.0), (0.0, 50.0, 100.0), (float("nan"), 1.0))
-    with pytest.raises(ValueError, match="Probabilities contain NaN"):
-        estimate_sqft(w, M=3, L=2)
+def test_estimate_rejects_bad_draw_shape():
     with pytest.raises(ValueError, match="shape"):
         estimate_sqft(subclass_weights([10.0], (0.0, 100.0), k=2), 3, 2, np.zeros((4, 8)))
 
@@ -135,7 +137,7 @@ def test_estimate_stage_matches_per_household_reference(tmp_path, monkeypatch):
     survey = cli._load_survey(tmp_path / "survey.csv")
     expected = [
         _reference_estimate_sqft(
-            subclass_weights(survey, cli.sqft_class_range(k), cfg.sqft_k, uniform_fallback=True),
+            subclass_weights(survey, cli.sqft_class_range(k), cfg.sqft_k),
             cfg.sqft_m, cfg.sqft_l, rng_for(5, "sqft", i),
         )
         for k, i in zip(pop.sqft_class.tolist(), pop.id.tolist())
