@@ -103,16 +103,14 @@ def weighted_log_loss(y, p, beta: float) -> float:
 def loss_grad_hess(y, p, beta: float):
     """Gradient and hessian of the weighted log loss w.r.t. the logit.
 
-    grad = p*(y + beta*(1-y)) - y, hess = p*(1-p)*(y + beta*(1-y)).
-    Accepts scalars or arrays elementwise.
+    grad = p*(y + beta*(1-y)) - y, hess = p*(1-p)*(y + beta*(1-y)),
+    elementwise as arrays (0-d for scalar inputs).
     """
     y_arr = np.asarray(y, dtype=float)
     p_arr = np.asarray(p, dtype=float)
     w = y_arr + beta * (1.0 - y_arr)
     grad = p_arr * w - y_arr
     hess = p_arr * (1.0 - p_arr) * w
-    if grad.ndim == 0:
-        return float(grad), float(hess)
     return grad, hess
 
 
@@ -216,12 +214,10 @@ def train_gbt(
     data: LabeledDataset,
     params: GbtParams | None = None,
     loss: LossParams | None = None,
-    seed: int = 0,
 ) -> GbtModel:
     """Fit Newton-boosted trees on a binary {0,1} labeled dataset.
 
-    Training is exact and deterministic; seed is accepted for signature
-    stability but no randomness is consumed.
+    Training is exact and deterministic: it draws no random numbers.
 
     Parameters
     ----------
@@ -277,27 +273,22 @@ def _check_domains(model: GbtModel, X: np.ndarray):
             raise ValueError(f"feature {j} code {code} outside training domain")
 
 
-def predict_proba(model: GbtModel, x):
-    """Probability of the positive class for one feature vector or a matrix."""
-    arr = np.asarray(x, dtype=np.int64)
-    single = arr.ndim == 1
-    X = arr[None, :] if single else arr
+def predict_proba(model: GbtModel, X) -> np.ndarray:
+    """Probability of the positive class for each row of a feature matrix."""
+    X = np.asarray(X, dtype=np.int64)
+    if X.ndim != 2:
+        raise ValueError(f"expected a feature matrix, got shape {X.shape}")
     if X.shape[1] != len(model.domains):
         raise ValueError(
             f"expected {len(model.domains)} features, got {X.shape[1]}"
         )
     _check_domains(model, X)
-    probs = expit(model.margin(X))
-    return float(probs[0]) if single else probs
+    return expit(model.margin(X))
 
 
-def apply_threshold(p, tau: float):
-    """Decision rule: 1 iff p >= tau (elementwise on arrays)."""
-    arr = np.asarray(p, dtype=float)
-    decisions = (arr >= tau).astype(np.int64)
-    if arr.ndim == 0:
-        return int(decisions)
-    return decisions
+def apply_threshold(p, tau: float) -> np.ndarray:
+    """Decision rule: 1 iff p >= tau, elementwise (0-d for a scalar p)."""
+    return (np.asarray(p, dtype=float) >= tau).astype(np.int64)
 
 
 def ensemble_votes(class_preds, class_probs) -> np.ndarray:
@@ -358,15 +349,8 @@ class OvrModel:
         raw = np.column_stack([predict_proba(m, X) for m in self.members])
         return raw / raw.sum(axis=1, keepdims=True)
 
-    def predict_class(self, X: np.ndarray) -> np.ndarray:
-        probs = self.predict_probs(X)
-        picks = np.argmax(probs, axis=1)  # first max ties to the lowest class
-        return np.asarray(self.classes)[picks]
 
-
-def train_ovr(
-    data: LabeledDataset, params: GbtParams | None = None, seed: int = 0
-) -> OvrModel:
+def train_ovr(data: LabeledDataset, params: GbtParams | None = None) -> OvrModel:
     """One binary booster per observed class (beta = 1 for each)."""
     classes = sorted(set(np.unique(data.y).tolist()))
     if len(classes) < 2:
@@ -376,12 +360,13 @@ def train_ovr(
         binary = LabeledDataset(
             data.X, (data.y == cls).astype(np.int64), data.domains
         )
-        members.append(train_gbt(binary, params, LossParams(1.0), seed))
+        members.append(train_gbt(binary, params, LossParams(1.0)))
     return OvrModel(classes=tuple(classes), members=members)
 
 
 def save_model(model: GbtModel, path):
-    """Serialize to the versioned text format (round-trips exactly)."""
+    """Write the versioned text format; floats are written with repr, so
+    every value is exact."""
     lines = [f"{MODEL_FORMAT} {MODEL_VERSION}"]
     lines.append(f"base_score {model.base_score!r}")
     lines.append(f"learning_rate {model.learning_rate!r}")
@@ -399,59 +384,3 @@ def save_model(model: GbtModel, path):
                 lines.append(f"split {node.feature} {node.code} {node.left} {node.right}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def load_model(path) -> GbtModel:
-    with open(path) as fh:
-        lines = [line.rstrip("\n") for line in fh]
-    pos = 0
-
-    def take(prefix):
-        nonlocal pos
-        if pos >= len(lines) or not lines[pos].startswith(prefix):
-            raise ValueError(f"malformed model file at line {pos + 1}: expected {prefix}")
-        parts = lines[pos].split()
-        pos += 1
-        return parts
-
-    header = take(MODEL_FORMAT)
-    if int(header[1]) != MODEL_VERSION:
-        raise ValueError(f"unsupported model version {header[1]}")
-    base_score = float(take("base_score")[1])
-    learning_rate = float(take("learning_rate")[1])
-    beta = float(take("beta")[1])
-    n_features = int(take("features")[1])
-    domains = []
-    for _ in range(n_features):
-        parts = take("domain")
-        domains.append(tuple(int(c) for c in parts[2:]))
-    n_trees = int(take("trees")[1])
-    trees = []
-    for _ in range(n_trees):
-        head = take("tree")
-        n_nodes = int(head[2])
-        nodes = []
-        for _ in range(n_nodes):
-            if pos >= len(lines) or lines[pos].split()[0] not in ("leaf", "split"):
-                raise ValueError(f"malformed model file at line {pos + 1}: expected node")
-            parts = lines[pos].split()
-            pos += 1
-            if parts[0] == "leaf":
-                nodes.append(TreeNode(value=float(parts[1])))
-            else:
-                nodes.append(
-                    TreeNode(
-                        feature=int(parts[1]),
-                        code=int(parts[2]),
-                        left=int(parts[3]),
-                        right=int(parts[4]),
-                    )
-                )
-        trees.append(nodes)
-    return GbtModel(
-        trees=trees,
-        learning_rate=learning_rate,
-        base_score=base_score,
-        beta=beta,
-        domains=tuple(domains),
-    )

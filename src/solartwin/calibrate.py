@@ -121,26 +121,24 @@ def gp_fit(points, values, kernel: RbfKernel | None = None) -> GpModel:
     )
 
 
-def gp_predict(gp: GpModel, x):
-    """Posterior (mu, sigma) at one (beta, tau) point or a batch of them."""
+def gp_predict(gp: GpModel, X):
+    """Posterior (mu, sigma) at each row of an (n, 2) matrix of (beta, tau)
+    points."""
     from scipy.linalg import solve_triangular  # see gp_fit
 
-    arr = np.asarray(x, dtype=float)
-    single = arr.ndim == 1
-    X = arr[None, :] if single else arr
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != 2:
+        raise ValueError(f"expected an (n, 2) matrix of points, got shape {X.shape}")
     k_star = gp.kernel.cross(X, gp.points)
     mu = gp.mean + k_star @ gp.alpha
     v = solve_triangular(gp.chol, k_star.T, lower=True)
     var = np.maximum(gp.kernel.signal_var - np.sum(v * v, axis=0), 0.0)
-    sigma = np.sqrt(var)
-    if single:
-        return float(mu[0]), float(sigma[0])
-    return mu, sigma
+    return mu, np.sqrt(var)
 
 
-def expected_improvement(mu, sigma, f_min: float):
-    """EI = (f_min - mu) * Phi(z) + sigma * phi(z); sigma = 0 degenerates to
-    max(f_min - mu, 0)."""
+def expected_improvement(mu, sigma, f_min: float) -> np.ndarray:
+    """EI = (f_min - mu) * Phi(z) + sigma * phi(z), elementwise (0-d for
+    scalar inputs); sigma = 0 degenerates to max(f_min - mu, 0)."""
     mu_arr = np.asarray(mu, dtype=float)
     sigma_arr = np.asarray(sigma, dtype=float)
     improve = f_min - mu_arr
@@ -152,10 +150,7 @@ def expected_improvement(mu, sigma, f_min: float):
         improve * ndtr(z) + sigma_arr * phi,
         np.maximum(improve, 0.0),
     )
-    ei = np.maximum(ei, 0.0)
-    if ei.ndim == 0:
-        return float(ei)
-    return ei
+    return np.maximum(ei, 0.0)
 
 
 @dataclass(frozen=True)
@@ -218,7 +213,7 @@ def calibrate(
     def probs_for(beta_index: int) -> np.ndarray:
         if beta_index not in prob_cache:
             beta = grid[beta_index * TAU_COUNT, 0]
-            model = train_gbt(train, gbt_params, LossParams(beta=beta), seed)
+            model = train_gbt(train, gbt_params, LossParams(beta=beta))
             prob_cache[beta_index] = (model, predict_proba(model, apply_X))
         return prob_cache[beta_index][1]
 

@@ -187,7 +187,7 @@ def cmd_preprocess(cfg: RunConfig, args):
 def cmd_classify_sqft(cfg: RunConfig, args):
     pop = load_households(_require(_path(cfg, "households.csv"), "toygen"))
     data = dataset_from_households(pop, "sqft_class")
-    ovr = train_ovr(data, cfg.gbt_params(), cfg.seed)
+    ovr = train_ovr(data, cfg.gbt_params())
     classes = np.asarray(ovr.classes)
     majority = MajorityBaseline.fit(np.searchsorted(classes, data.y), classes.size)
     ovr_probs = ovr.predict_probs(data.X)

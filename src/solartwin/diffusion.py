@@ -101,17 +101,8 @@ def barrier_flags(features, lmi) -> np.ndarray:
     ))
 
 
-def utility(p: float, c: float, n: float, w) -> float:
-    """u = w1*p + w2*c + w3*n, a convex combination inside [0, 1]."""
-    for name, value in (("p", p), ("c", c), ("n", n)):
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"{name} must be in [0, 1], got {value}")
-    if len(w) != 3 or abs(sum(w) - 1.0) > 1e-9:
-        raise ValueError("weights must be three values summing to 1")
-    return _utility(p, c, n, w)
-
-
 def _utility(p, c, n, w):
+    """u = w1*p + w2*c + w3*n, a convex combination of rates in [0, 1]."""
     return w[0] * p + w[1] * c + w[2] * n
 
 

@@ -57,8 +57,8 @@ def _jsd_mass(pm: np.ndarray, qm: np.ndarray) -> float:
 def _histogram_masses(samples_a, samples_b, bins: int):
     """Each sample set's mass in ``bins`` equal-width bins over the range
     both sets share, or None when every sample on both sides is the same."""
-    a = np.asarray(list(samples_a), dtype=float)
-    b = np.asarray(list(samples_b), dtype=float)
+    a = np.asarray(samples_a, dtype=float)
+    b = np.asarray(samples_b, dtype=float)
     if a.size == 0 or b.size == 0:
         raise ValueError("both sample sets must be non-empty")
     lo = float(min(a.min(), b.min()))
@@ -85,7 +85,7 @@ def kld_histogram(samples_a, samples_b, bins: int = 50) -> float:
 
 def scott_bandwidth(samples) -> float:
     """Scott's rule: n^(-1/5) times the population standard deviation."""
-    arr = np.asarray(list(samples), dtype=float)
+    arr = np.asarray(samples, dtype=float)
     if arr.size == 0:
         raise ValueError("empty sample set")
     return arr.size ** (-1.0 / 5.0) * float(np.std(arr))
@@ -137,11 +137,11 @@ def jsd_kde(samples_a, samples_b, bandwidth_a=None, grid: int = 512) -> float:
     """JSD between Gaussian KDEs evaluated on a shared grid.
 
     Side b always uses Scott's rule.  Side a uses Scott's rule by default;
-    pass a scalar bandwidth or one positive std per point (the synthetic
-    side's per-sample uncertainty) to override.
+    pass one positive bandwidth per sample (side a's per-sample
+    uncertainty) to override.
     """
-    a = np.asarray(list(samples_a), dtype=float)
-    b = np.asarray(list(samples_b), dtype=float)
+    a = np.asarray(samples_a, dtype=float)
+    b = np.asarray(samples_b, dtype=float)
     if a.size < 2 or b.size < 2:
         raise ValueError("need at least 2 samples on each side")
     h_b = scott_bandwidth(b)
@@ -154,8 +154,6 @@ def jsd_kde(samples_a, samples_b, bandwidth_a=None, grid: int = 512) -> float:
         h_a = np.full(a.size, h_a_scalar)
     else:
         h_a = np.asarray(bandwidth_a, dtype=float)
-        if h_a.ndim == 0:
-            h_a = np.full(a.size, float(h_a))
         if h_a.shape != a.shape:
             raise ValueError("need one bandwidth per sample on side a")
         if np.any(h_a <= 0):

@@ -202,27 +202,20 @@ def declination(day_of_year: int) -> float:
     return 23.45 * math.sin(math.radians(360.0 * (284 + day_of_year) / 365.0))
 
 
-def tilted_radiation(
-    ghi: float,
-    lat: float,
-    delta: float,
-    theta: float,
-    omega: str,
-    degradation: dict | None = None,
-) -> float:
+def tilted_radiation(ghi: float, lat: float, delta: float, theta: float, omega: str) -> float:
     """Radiation on a tilted plane: ghi * sin(alpha + theta)/sin(alpha) * D.
 
     alpha = 90 - lat + delta is the solar elevation angle at the given
-    declination.  When sin(alpha) <= 0.01 the projection is ill-conditioned
-    and the horizontal value ghi * D is returned instead.  Output is clamped
-    to >= 0.
+    declination, and D is the DEGRADATION factor of azimuth sector omega.
+    When sin(alpha) <= 0.01 the projection is ill-conditioned and the
+    horizontal value ghi * D is returned instead.  Output is clamped to
+    >= 0.
     """
-    degradation = degradation if degradation is not None else DEGRADATION
     if ghi < 0:
         raise ValueError(f"ghi must be >= 0, got {ghi}")
-    if omega not in degradation:
+    if omega not in DEGRADATION:
         raise ValueError(f"unknown azimuth sector {omega!r}")
-    return float(ghi * _tilt_factors(lat, delta, theta, degradation[omega]))
+    return float(ghi * _tilt_factors(lat, delta, theta, DEGRADATION[omega]))
 
 
 def _tilt_factors(lat: float, delta, tilts, d):
@@ -351,8 +344,9 @@ def generate_profiles(
     if workers == 1 or rows.size <= 1:
         mean, std, mean_daily = _profile_block(households, *args)
     else:
-        blocks = [b for b in np.array_split(np.arange(rows.size), workers) if b.size]
-        # more blocks than CPUs queue on the pool; the blocks fix the output
+        # at most one block per adopter; more blocks than CPUs queue on the
+        # pool, and the blocks fix the output
+        blocks = np.array_split(np.arange(rows.size), min(workers, rows.size))
         with ProcessPoolExecutor(max_workers=min(len(blocks), os.cpu_count() or 1)) as pool:
             futures = [
                 pool.submit(_profile_block, _Households(*(c[block] for c in households)), *args)

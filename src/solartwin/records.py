@@ -58,9 +58,10 @@ FEATURE_DOMAINS = {
 }
 FEATURE_NAMES = tuple(FEATURE_DOMAINS)
 
-# Eight dwelling square-footage classes; edges in ft^2, open-ended on top.
-SQFT_CLASS_EDGES = (0.0, 600.0, 1000.0, 1500.0, 2000.0, 2500.0, 3000.0, 4000.0)
-N_SQFT_CLASSES = 8
+# Eight dwelling square-footage classes; edges in ft^2, the open-ended top
+# class capped at 8 000.
+SQFT_CLASS_EDGES = (0.0, 600.0, 1000.0, 1500.0, 2000.0, 2500.0, 3000.0, 4000.0, 8000.0)
+N_SQFT_CLASSES = len(SQFT_CLASS_EDGES) - 1
 
 _BASE_COLUMNS = ("id", "state", "county", "tract", "lat", "lon") + FEATURE_NAMES
 # HouseholdTable columns and their dtypes; the last five are optional
@@ -77,13 +78,11 @@ class IngestError(ValueError):
     """A CSV row or column failed validation on load."""
 
 
-def sqft_class_range(k: int, edges=SQFT_CLASS_EDGES, top_cap: float = 8000.0):
-    """(low, high) ft^2 bounds of class ``k``; top class capped at ``top_cap``."""
-    if not 0 <= k < len(edges):
+def sqft_class_range(k: int):
+    """(low, high) ft^2 bounds of class ``k``."""
+    if not 0 <= k < N_SQFT_CLASSES:
         raise ValueError(f"class index {k} out of range")
-    low = edges[k]
-    high = edges[k + 1] if k + 1 < len(edges) else top_cap
-    return low, high
+    return SQFT_CLASS_EDGES[k], SQFT_CLASS_EDGES[k + 1]
 
 
 def _optional_column(values, dtype) -> np.ma.MaskedArray:
@@ -127,6 +126,7 @@ class HouseholdTable:
         repeat = np.ones(len(self), dtype=bool)
         repeat[np.unique(self.id, return_index=True)[1]] = False
         checks = [
+            ("id", self.id, self.id < 0, "{} must be >= 0"),
             ("id", self.id, repeat, "duplicate household id {}"),
             ("lat", self.lat, ~(np.abs(self.lat) <= 90.0), "{} out of [-90, 90]"),
             ("lon", self.lon, ~(np.abs(self.lon) <= 180.0), "{} out of [-180, 180]"),
@@ -412,7 +412,7 @@ class IrradianceSeries:
         )
 
 
-def load_irradiance(path, tract: str | None = None) -> IrradianceSeries:
+def load_irradiance(path, tract: str) -> IrradianceSeries:
     """Load irradiance_<tract>.csv, enforcing hour contiguity and non-negativity."""
     columns = read_csv(
         path, {"date": datetime.date.fromisoformat, "hour": int, "ghi_wm2": float}
@@ -437,8 +437,6 @@ def load_irradiance(path, tract: str | None = None) -> IrradianceSeries:
         )
     if len(ghi) % 24 != 0:
         raise IngestError(f"series ends mid-day at {dates[-1]} hour {hours[-1]}")
-    if tract is None:
-        tract = ""
     return IrradianceSeries(tract, start, ghi)
 
 

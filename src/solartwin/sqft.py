@@ -3,16 +3,16 @@
 A class range is split into k equal-width sub-intervals weighted by how
 often survey values land in each.  The estimate draws M sub-intervals with
 replacement by weight, L uniform values from each, and returns the mean of
-all M*L draws, so it always lies inside the class range.  Each household's
-M + M*L draws are one row of doubles, so many households are estimated in
-one batched call on a block of rows.
+all M*L draws, so it always lies inside the class range.  The estimator
+takes a block of draws, one row of M + M*L doubles per household, so many
+households are estimated in one call.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .seeds import choose, rng_for
+from .seeds import choose
 
 
 @dataclass(frozen=True)
@@ -70,23 +70,17 @@ def subclass_weights(survey, class_range, k: int = 5) -> SubclassWeights:
     )
 
 
-def estimate_sqft(w: SubclassWeights, M: int = 10, L: int = 10, seed=0):
+def estimate_sqft(w: SubclassWeights, M: int, L: int, draws: np.ndarray) -> np.ndarray:
     """Mean of M weighted sub-interval draws times L uniform draws each.
 
-    seed may be an integer or a numpy Generator, giving one float (callers
-    running many households derive one stream per household), or an
-    (H, M + M*L) block of uniform doubles, one household's stream per row,
-    giving an (H,) array.  A stream's first M doubles pick sub-intervals as
-    ``Generator.choice(k, M, p=weights)`` does, and its next M*L place the
-    L draws inside each pick, so a block row gives what its Generator would.
+    draws is an (H, M + M*L) block of uniform doubles, one household's
+    stream per row, and the result holds the H estimates.  A stream's first
+    M doubles pick sub-intervals as ``Generator.choice(k, M, p=weights)``
+    does, and its next M*L place the L draws inside each pick, so a row
+    gives what its household's Generator would.
     """
     if M < 1 or L < 1:
         raise ValueError("M and L must be >= 1")
-    if isinstance(seed, np.ndarray):
-        draws = seed
-    else:
-        rng = seed if isinstance(seed, np.random.Generator) else rng_for(seed, "sqft-estimate")
-        draws = rng.random((1, M + M * L))
     if draws.ndim != 2 or draws.shape[1] != M + M * L:
         raise ValueError(f"draws must have shape (H, {M + M * L}), got {draws.shape}")
     edges = np.asarray(w.edges)
@@ -94,5 +88,4 @@ def estimate_sqft(w: SubclassWeights, M: int = 10, L: int = 10, seed=0):
     lows = edges[idx]
     widths = edges[idx + 1] - edges[idx]
     values = lows[..., None] + draws[:, M:].reshape(-1, M, L) * widths[..., None]
-    means = values.reshape(-1, M * L).mean(axis=-1)
-    return means if isinstance(seed, np.ndarray) else float(means[0])
+    return values.reshape(-1, M * L).mean(axis=-1)

@@ -86,17 +86,17 @@ class ToyConfig:
             raise ValueError("signal_shift must be >= 0")
 
 
-def county_id(cfg: ToyConfig, tract_index: int) -> str:
+def county_id(tract_index: int) -> str:
     return f"51{tract_index // 2 + 1:03d}"
 
 
-def tract_id(cfg: ToyConfig, tract_index: int) -> str:
-    return f"{county_id(cfg, tract_index)}{tract_index + 1:06d}"
+def tract_id(tract_index: int) -> str:
+    return f"{county_id(tract_index)}{tract_index + 1:06d}"
 
 
 def tract_ids(cfg: ToyConfig) -> list:
     """All tract FIPS strings the population generator will use."""
-    return [tract_id(cfg, t) for t in range(cfg.n_tracts)]
+    return [tract_id(t) for t in range(cfg.n_tracts)]
 
 
 def _draw(rng, domain, weights, size):
@@ -161,7 +161,7 @@ def gen_population(cfg: ToyConfig) -> HouseholdTable:
     t = np.arange(n) % cfg.n_tracts
     return HouseholdTable(
         id=np.arange(n), state=np.full(n, cfg.state, dtype=object),
-        county=np.array([county_id(cfg, k) for k in range(cfg.n_tracts)], dtype=object)[t],
+        county=np.array([county_id(k) for k in range(cfg.n_tracts)], dtype=object)[t],
         tract=np.array(tract_ids(cfg), dtype=object)[t], lat=lats, lon=lons,
         features=np.column_stack([codes[name] for name in FEATURE_NAMES]),
         sqft_class=sqft_class, solar=adopters, lmi=lmi, rural=t % 2 == 1,
@@ -197,10 +197,8 @@ def gen_irradiance(cfg: ToyConfig, tract: str) -> IrradianceSeries:
     return IrradianceSeries(tract, cfg.start_date, hours)
 
 
-def gen_survey(cfg: ToyConfig, size: int | None = None) -> list:
-    """Square-footage survey values spanning all eight classes."""
-    if size is None:
-        size = cfg.n_households
+def gen_survey(cfg: ToyConfig, size: int) -> list:
+    """``size`` square-footage survey values spanning all eight classes."""
     rng = rng_for(cfg.seed, "survey")
     classes = _draw(rng, np.arange(N_SQFT_CLASSES), SURVEY_CLASS_WEIGHTS, size)
     values = []

@@ -165,7 +165,7 @@ def test_criterion_1_loss_and_unweighted_equivalence():
     data = LabeledDataset(X=X, y=labels, domains=())  # domains derived from X
     params = GbtParams(rounds=8, depth=3, learning_rate=0.3, reg_lambda=1.0,
                        min_child_hess=1e-3)
-    model = train_gbt(data, params=params, loss=LossParams(beta=1.0), seed=0)
+    model = train_gbt(data, params=params, loss=LossParams(beta=1.0))
 
     margins = np.zeros(n)
     y_f = labels.astype(float)
@@ -247,7 +247,8 @@ def test_criterion_4_sqft_estimation():
         edges=(1000.0, 1500.0, 2000.0),
         weights=(2.0 / 3.0, 1.0 / 3.0),
     )
-    estimate = estimate_sqft(w, M=1000, L=100, seed=rng_for(0, "acceptance", "sqft"))
+    rng = rng_for(0, "acceptance", "sqft")
+    estimate = estimate_sqft(w, M=1000, L=100, draws=rng.random((1, 1000 + 1000 * 100)))[0]
     assert estimate == pytest.approx(1416.7, abs=5.0)
 
     rng = rng_for(1, "acceptance", "sqft-bounds")
@@ -262,7 +263,7 @@ def test_criterion_4_sqft_estimation():
             edges=tuple(np.linspace(low, high, k + 1)),
             weights=tuple(weights),
         )
-        est = estimate_sqft(cfg, M=3, L=2, seed=rng)
+        est = estimate_sqft(cfg, M=3, L=2, draws=rng.random((1, 3 + 3 * 2)))[0]
         assert low <= est <= high
 
 

@@ -19,7 +19,6 @@ from solartwin.boosting import (
     _tree_apply,
     apply_threshold,
     ensemble_votes,
-    load_model,
     loss_grad_hess,
     predict_proba,
     save_model,
@@ -84,7 +83,7 @@ def test_single_round_tree_is_exact():
 
 def test_zero_rounds_gives_base_probability():
     model = train_gbt(tiny_dataset(), GbtParams(rounds=0))
-    assert predict_proba(model, np.array([0])) == 0.5
+    assert predict_proba(model, np.array([[0]])).tolist() == [0.5]
 
 
 def test_training_fits_separable_data():
@@ -122,13 +121,16 @@ def test_train_input_validation():
 def test_predict_domain_guard():
     model = train_gbt(tiny_dataset(), GbtParams(rounds=1, depth=1))
     with pytest.raises(ValueError, match="feature 0 code 7 outside training domain"):
-        predict_proba(model, np.array([7]))
+        predict_proba(model, np.array([[7]]))
     with pytest.raises(ValueError, match="expected 1 features"):
-        predict_proba(model, np.array([0, 1]))
+        predict_proba(model, np.array([[0, 1]]))
+    with pytest.raises(ValueError, match=r"expected a feature matrix, got shape \(1,\)"):
+        predict_proba(model, np.array([0]))
 
 
 def test_apply_threshold_boundary():
     assert apply_threshold(0.5, 0.5) == 1
+    assert apply_threshold(0.5, 0.5).shape == ()
     assert apply_threshold(0.4999999, 0.5) == 0
     assert list(apply_threshold(np.array([0.1, 0.9]), 0.5)) == [0, 1]
 
@@ -214,7 +216,7 @@ def test_ovr_multiclass():
     probs = ovr.predict_probs(X)
     assert probs.shape == (150, 4)
     assert np.allclose(probs.sum(axis=1), 1.0)
-    assert np.mean(ovr.predict_class(X) == y) > 0.95
+    assert np.mean(np.asarray(ovr.classes)[np.argmax(probs, axis=1)] == y) > 0.95
 
 
 def test_model_text_roundtrip(tmp_path):
@@ -225,21 +227,15 @@ def test_model_text_roundtrip(tmp_path):
     model = train_gbt(data, GbtParams(rounds=7, depth=3), LossParams(beta=1.7))
     path = tmp_path / "model.txt"
     save_model(model, path)
-    again = load_model(path)
-    assert again.beta == model.beta
-    assert again.domains == model.domains
-    assert len(again.trees) == len(model.trees)
-    # repr round-trip keeps leaf values bit-exact, so margins match exactly
-    assert np.array_equal(again.margin(X), model.margin(X))
-    header = path.read_text().splitlines()[0]
-    assert header == "solartwin-gbt 1"
-
-
-def test_load_model_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("not-a-model 1\n")
-    with pytest.raises(ValueError, match="malformed model file at line 1"):
-        load_model(path)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "solartwin-gbt 1"
+    assert "beta 1.7" in lines
+    assert "trees 7" in lines
+    # floats are written with repr, so the text holds every leaf value exactly
+    leaves = [node.value for nodes in model.trees for node in nodes if node.is_leaf]
+    assert [line for line in lines if line.startswith("leaf ")] == [
+        f"leaf {value!r}" for value in leaves
+    ]
 
 
 def _reference_build_tree(X, g, h, max_depth, lam, min_child_hess):

@@ -37,6 +37,7 @@ def test_expected_improvement_values():
     )
     assert expected_improvement(2.0, 0.0, 1.0) == 0.0  # sigma 0, no improvement
     assert expected_improvement(0.25, 0.0, 1.0) == 0.75  # sigma 0, deterministic gain
+    assert expected_improvement(0.25, 0.0, 1.0).shape == ()
     vec = expected_improvement(np.array([1.0, 2.0]), np.array([1.0, 0.0]), 1.0)
     assert vec.shape == (2,)
     assert np.all(vec >= 0.0)
@@ -62,9 +63,12 @@ def test_gp_reverts_to_prior_far_away():
     values = np.array([5.0])
     kernel = RbfKernel(signal_var=2.0, length_beta=0.1, length_tau=0.05, noise_var=0.0)
     gp = gp_fit(points, values, kernel)
-    mu, sigma = gp_predict(gp, np.array([2.0, 0.95]))
-    assert mu == pytest.approx(5.0)  # prior mean is the observation mean
-    assert sigma == pytest.approx(np.sqrt(2.0), rel=1e-6)
+    mu, sigma = gp_predict(gp, np.array([[2.0, 0.95]]))
+    assert mu[0] == pytest.approx(5.0)  # prior mean is the observation mean
+    assert sigma[0] == pytest.approx(np.sqrt(2.0), rel=1e-6)
+    for shape in ((2,), (1, 3), (1, 1, 2)):
+        with pytest.raises(ValueError, match="expected an \\(n, 2\\) matrix"):
+            gp_predict(gp, np.zeros(shape))
 
 
 def test_default_kernel_scales():

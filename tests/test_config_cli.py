@@ -158,6 +158,15 @@ def test_every_ini_key_reaches_its_field(tmp_path):
     )
 
 
+def test_run_config_defaults_match_settings_defaults():
+    # each default is declared on RunConfig and again on its settings class
+    cfg = RunConfig()
+    assert cfg.toy_config() == ToyConfig()
+    assert cfg.gbt_params() == GbtParams()
+    for case in CASES:
+        assert cfg.diffusion_config(case) == DiffusionConfig(case=case)
+
+
 @pytest.mark.parametrize(
     "text, key",
     [
@@ -391,6 +400,20 @@ def test_generate_names_household_with_overflowing_roof(tiny_run, tmp_path, caps
     assert capsys.readouterr().err.splitlines() == [
         f"error: generate: household {pop.id[row]} has sqft_value 1.5e+308,"
         " whose roof area is not finite"
+    ]
+
+
+def test_preprocess_names_negative_household_id(tiny_run, tmp_path, capsys):
+    _, out, ini = tiny_run
+    run = tmp_path / "out"
+    run.mkdir()
+    lines = (out / "households.csv").read_text().splitlines()
+    lines[1] = "-7" + lines[1][lines[1].index(","):]  # row 2's id
+    (run / "households.csv").write_text("\n".join(lines) + "\n")
+    code = main(["preprocess", "--config", str(ini), "--out", str(run)])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: preprocess: households.csv: row 2, column id: -7 must be >= 0"
     ]
 
 

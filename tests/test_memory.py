@@ -11,6 +11,10 @@ endpoint arrays (32 MB); a dedup sort of them would take about 115 MB.
 keeps only the (20 000,) mean daily kWh and reduces each household chunk
 before the next is made; keeping the (households, dates, 24) mean and std
 would take about 230 MB.
+``generate_profiles`` with ``workers=1_000_000`` on 24 adopters splits
+them into at most one block per adopter, and its pool starts at most
+``os.cpu_count()`` processes; splitting into one block per worker made a
+million mostly empty index arrays, about 150 MB.
 ``simulate`` runs 50 iterations of 20 steps on 30 000 households, as the
 ``energy-policy-90d`` benchmark sweeps: it holds one run's 21 bool adopted
 arrays (0.6 MB) and folds them into integer counts before the next run.
@@ -53,6 +57,18 @@ SETUP = {
         "irradiance = {t: gen_irradiance(toy, t) for t in tract_ids(toy)}\n"
         "dates = [toy.start_date + timedelta(days=d) for d in range(toy.days)]\n"
         "call = lambda: generate_profiles(pop, irradiance, dates, hourly=False)\n"
+    ),
+    "profiles_many_workers": (
+        "from datetime import timedelta\n"
+        "import numpy as np\n"
+        "from solartwin.pv import generate_profiles\n"
+        "from solartwin.toygen import ToyConfig, gen_irradiance, gen_population, tract_ids\n"
+        "toy = ToyConfig(n_households=24, seed=0, days=2)\n"
+        "pop = gen_population(toy)\n"
+        "pop = pop.replace(solar=np.ones(len(pop), bool), sqft_value=np.full(len(pop), 1800.0))\n"
+        "irradiance = {t: gen_irradiance(toy, t) for t in tract_ids(toy)}\n"
+        "dates = [toy.start_date + timedelta(days=d) for d in range(toy.days)]\n"
+        "call = lambda: generate_profiles(pop, irradiance, dates, workers=1_000_000)\n"
     ),
     "simulate_timelines": (
         "import numpy as np\n"

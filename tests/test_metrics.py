@@ -178,10 +178,10 @@ def test_jsd_kde_per_point_bandwidths():
     rng = np.random.default_rng(3)
     a = rng.normal(0.0, 1.0, size=50)
     b = rng.normal(0.2, 1.0, size=60)
-    per_point = np.full(50, 0.4)
-    v = jsd_kde(a, b, bandwidth_a=per_point)
-    w = jsd_kde(a, b, bandwidth_a=0.4)
-    assert v == pytest.approx(w, rel=1e-12)
+    uniform = jsd_kde(a, b, bandwidth_a=np.full(50, 0.4))
+    assert 0.0 < uniform < jsd_kde(a, b, bandwidth_a=np.linspace(0.4, 4.0, 50)) < 1.0
+    with pytest.raises(ValueError, match="one bandwidth per sample"):
+        jsd_kde(a, b, bandwidth_a=0.4)
     with pytest.raises(ValueError, match="bandwidth"):
         jsd_kde(a, b, bandwidth_a=np.zeros(50))
 
@@ -220,7 +220,7 @@ def _kde_cases(draw):
     b = rng.normal(draw(st.floats(-5.0, 5.0)), 1.0, draw(st.integers(2, 80)))
     kind = draw(st.sampled_from(["scott", "scalar", "per-point"]))
     if kind == "scalar":
-        bandwidth_a = draw(st.floats(0.01, 10.0))
+        bandwidth_a = np.full(a.size, draw(st.floats(0.01, 10.0)))
     elif kind == "per-point":
         bandwidth_a = rng.uniform(0.01, 5.0, a.size)
     else:
@@ -235,7 +235,7 @@ def _kde_cases(draw):
 # one grid row per block
 @example((np.linspace(0.0, 1.0, 7), np.linspace(0.5, 2.0, 9), None, 16, 1))
 # three grid rows per block on side a, a grid of 64 rows
-@example((np.linspace(-1.0, 1.0, 10), np.linspace(0.0, 3.0, 40), 0.3, 64, 30))
+@example((np.linspace(-1.0, 1.0, 10), np.linspace(0.0, 3.0, 40), np.full(10, 0.3), 64, 30))
 @example((np.linspace(-1.0, 1.0, 50), np.linspace(0.0, 3.0, 40), np.linspace(0.1, 2.0, 50), 29, 200))
 @example((np.sin(np.arange(2000.0)), np.cos(np.arange(1500.0)), None, 512, 1 << 16))
 # every density of side b underflows, on a grid of 4 and of 512 points

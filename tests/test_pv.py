@@ -81,13 +81,13 @@ def test_declination_oracles():
 
 def test_tilted_radiation_oracle():
     # 500 * sin(82 deg) / sin(52 deg) with no degradation
-    ht = tilted_radiation(500.0, 38.0, 0.0, 30.0, "S", {"S": 1.0})
+    ht = tilted_radiation(500.0, 38.0, 0.0, 30.0, "S")
     assert ht == pytest.approx(628.3341085188987, abs=1e-9)
 
 
 def test_tilted_radiation_identity_at_zero_tilt():
     for ghi in (0.0, 123.456, 987.0):
-        assert tilted_radiation(ghi, 38.0, 11.7, 0.0, "S", {"S": 1.0}) == ghi
+        assert tilted_radiation(ghi, 38.0, 11.7, 0.0, "S") == ghi
 
 
 def test_tilted_radiation_degradation_and_guards():
@@ -95,7 +95,7 @@ def test_tilted_radiation_degradation_and_guards():
     north = tilted_radiation(400.0, 38.0, 0.0, 25.0, "N")
     assert north == pytest.approx(base * 0.55 / 1.00)
     # sun below the numerical horizon falls back to the horizontal value
-    assert tilted_radiation(300.0, 89.9, -23.0, 30.0, "S", {"S": 1.0}) == 300.0
+    assert tilted_radiation(300.0, 89.9, -23.0, 30.0, "S") == 300.0
     with pytest.raises(ValueError, match="ghi"):
         tilted_radiation(-1.0, 38.0, 0.0, 30.0, "S")
     with pytest.raises(ValueError, match="unknown azimuth sector"):

@@ -67,7 +67,6 @@ def test_sqft_class_range():
     assert sqft_class_range(0) == (0.0, 600.0)
     assert sqft_class_range(6) == (3000.0, 4000.0)
     assert sqft_class_range(7) == (4000.0, 8000.0)
-    assert sqft_class_range(7, top_cap=9000.0) == (4000.0, 9000.0)
     with pytest.raises(ValueError):
         sqft_class_range(8)
 
@@ -135,7 +134,7 @@ _OPTIONAL_VALUES = {
 
 @st.composite
 def household_tables(draw):
-    """Tables with unique ids, in-range lat/lon and in-domain codes; each
+    """Tables with unique non-negative ids, in-range lat/lon and in-domain codes; each
     optional column is absent, fully filled or partly empty."""
     n = draw(st.integers(0, 6))
 
@@ -143,8 +142,7 @@ def household_tables(draw):
         return draw(st.lists(values, min_size=n, max_size=n))
 
     columns = {
-        "id": draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n,
-                            unique=True)),
+        "id": draw(st.lists(st.integers(0, 2**63 - 1), min_size=n, max_size=n, unique=True)),
         "state": column(st.text()),
         "county": column(st.text()),
         "tract": column(st.text()),
@@ -385,7 +383,7 @@ TABLES = {
         [_HOUSEHOLD + ["3", "1500.0"], ["1"] + _HOUSEHOLD[1:] + ["", ""]],
     ),
     "irradiance": (
-        load_irradiance, "irradiance_t1.csv", ["date", "hour", "ghi_wm2"],
+        lambda path: load_irradiance(path, "t1"), "irradiance_t1.csv", ["date", "hour", "ghi_wm2"],
         [["2018-01-01", str(h), "10.5"] for h in range(24)],
     ),
     "targets": (load_targets, "targets.csv", ["state", "count"], [["VA", "5"], ["MD", "7"]]),
@@ -420,6 +418,7 @@ TABLES = {
         ("households", 2, "sqft_value", "-10"),
         ("households", 3, "id", "0"),
         ("households", 2, "id", "99999999999999999999"),
+        ("households", 2, "id", "-7"),
         ("irradiance", 5, "ghi_wm2", "inf"),
         ("irradiance", 3, "hour", "1.0"),
         ("targets", 3, "count", "seven"),
@@ -527,15 +526,15 @@ def test_irradiance_validation(tmp_path):
     path = tmp_path / "gap.csv"
     path.write_text("\n".join(rows) + "\n")
     with pytest.raises(IngestError, match=r"expected day 1 \(2018-01-01\) hour 4"):
-        load_irradiance(path)
+        load_irradiance(path, "x")
 
     short = tmp_path / "short.csv"
     short.write_text("date,hour,ghi_wm2\n" + "\n".join(f"2018-01-01,{h},1.0" for h in range(5)) + "\n")
     with pytest.raises(IngestError, match="ends mid-day"):
-        load_irradiance(short)
+        load_irradiance(short, "x")
 
 
-def _reference_load_irradiance(path, tract=None):
+def _reference_load_irradiance(path, tract):
     """load_irradiance checking contiguity one row at a time."""
     columns = read_csv(
         path, {"date": datetime.date.fromisoformat, "hour": int, "ghi_wm2": float}
@@ -558,7 +557,7 @@ def _reference_load_irradiance(path, tract=None):
             )
     if len(ghi) % 24 != 0:
         raise IngestError(f"series ends mid-day at {dates[-1]} hour {hours[-1]}")
-    return IrradianceSeries("" if tract is None else tract, start, np.array(ghi))
+    return IrradianceSeries(tract, start, np.array(ghi))
 
 
 @st.composite

@@ -51,30 +51,22 @@ def test_subclass_weights_reject_nan():
 
 def test_estimate_within_bounds():
     w = subclass_weights([1050.0, 1450.0], (1000.0, 1500.0), k=5)
-    for seed in range(30):
-        est = estimate_sqft(w, M=4, L=3, seed=seed)
-        assert 1000.0 <= est < 1500.0
-
-
-def test_estimate_deterministic_and_generator_seed():
-    w = subclass_weights([1050.0, 1450.0], (1000.0, 1500.0), k=5)
-    assert estimate_sqft(w, seed=7) == estimate_sqft(w, seed=7)
-    a = estimate_sqft(w, seed=rng_for(7, "sqft-estimate"))
-    b = estimate_sqft(w, seed=7)
-    assert a == b  # integer seed is shorthand for the derived stream
+    est = estimate_sqft(w, 4, 3, stream_rows(0, "sqft", range(30), 4 + 4 * 3))
+    assert est.shape == (30,)
+    assert np.all((1000.0 <= est) & (est < 1500.0))
 
 
 def test_estimate_mean_tracks_weights():
     # all mass on one sub-interval pins the expectation to its midpoint
     w = SubclassWeights((0.0, 100.0), (0.0, 50.0, 100.0), (1.0, 0.0))
-    est = estimate_sqft(w, M=200, L=200, seed=0)
-    assert est == pytest.approx(25.0, abs=1.0)
+    est = estimate_sqft(w, 200, 200, rng_for(0, "sqft-estimate").random((1, 200 + 200 * 200)))
+    assert est[0] == pytest.approx(25.0, abs=1.0)
 
 
 def test_estimate_validation():
     w = SubclassWeights((0.0, 100.0), (0.0, 100.0), (1.0,))
     with pytest.raises(ValueError, match="M and L"):
-        estimate_sqft(w, M=0, L=5)
+        estimate_sqft(w, 0, 5, np.zeros((1, 5)))
 
 
 def _reference_estimate_sqft(w, M, L, rng):
@@ -108,15 +100,11 @@ def _subclass_weights(draw):
 )
 def test_batched_estimates_match_reference(w, M, L, ids, seed):
     """Each row of a stream_rows block gives the estimate that household's
-    own Generator gives, bit for bit, and so does the one-household call."""
+    own Generator gives, bit for bit."""
     draws = stream_rows(seed, "sqft", ids, M + M * L)
     batch = estimate_sqft(w, M, L, draws)
     expected = [_reference_estimate_sqft(w, M, L, rng_for(seed, "sqft", i)) for i in ids]
     assert batch.tolist() == expected
-    assert estimate_sqft(w, M, L, rng_for(seed, "sqft", ids[0])) == expected[0]
-    assert estimate_sqft(w, M, L, seed) == _reference_estimate_sqft(
-        w, M, L, rng_for(seed, "sqft-estimate")
-    )
 
 
 def test_estimate_rejects_bad_draw_shape():
