@@ -60,7 +60,7 @@ from .records import (
 )
 from .seeds import stream_rows
 from .sqft import estimate_sqft, subclass_weights
-from .toygen import gen_irradiance, gen_network, gen_population, gen_survey, tract_ids
+from .toygen import STATE, gen_irradiance, gen_network, gen_population, gen_survey, tract_ids
 
 log = logging.getLogger("solartwin")
 
@@ -161,7 +161,7 @@ def cmd_toygen(cfg: RunConfig, args):
     for tract in tract_ids(toy):
         save_irradiance(gen_irradiance(toy, tract), _path(cfg, f"irradiance_{tract}.csv"))
     n_adopters = int(np.count_nonzero(pop.solar.filled(False)))
-    save_targets([AdopterTarget(toy.state, n_adopters)], _path(cfg, "targets.csv"))
+    save_targets([AdopterTarget(STATE, n_adopters)], _path(cfg, "targets.csv"))
     save_network(
         gen_network(len(pop), cfg.edge_prob, cfg.network_groups, cfg.seed),
         _path(cfg, "network.edges"),
@@ -329,7 +329,8 @@ def cmd_simulate(cfg: RunConfig, args):
         everyone, irradiance, dates,
         workers=cfg.workers, seed=cfg.seed, n_samples=cfg.pv_samples, hourly=False,
     ).mean_daily
-    annual_kwh = mean_daily * 365.0
+    with np.errstate(over="ignore"):  # rebate_value rejects an overflow
+        annual_kwh = mean_daily * 365.0
     nodes = build_nodes(pop, graph, mean_daily)
     initial = np.flatnonzero(pop.solar.filled(False))
     rows = []

@@ -145,16 +145,25 @@ def rebate_value(
     """Dollar rebate: credit on the install cost of a system sized to the
     household's annual generation at the given capacity factor.
 
-    annual_kwh and credit_rate may be per-household arrays.
+    annual_kwh and credit_rate may be per-household arrays.  A household
+    that generates nothing gets a rebate of 0; a negative or NaN annual_kwh,
+    or a rebate too large for a float, is an error.
     """
     kwh = np.asarray(annual_kwh, dtype=float)
     rate = np.asarray(credit_rate, dtype=float)
-    if np.any(kwh <= 0) or cost_per_watt <= 0 or capacity_factor <= 0:
-        raise ValueError("annual_kwh, cost_per_watt, capacity_factor must be > 0")
+    if not np.all(kwh >= 0):  # fails NaN
+        raise ValueError("annual_kwh must be >= 0")
+    if cost_per_watt <= 0 or capacity_factor <= 0:
+        raise ValueError("cost_per_watt and capacity_factor must be > 0")
     if np.any(rate < 0):
         raise ValueError("credit_rate must be >= 0")
-    watts = kwh * 1000.0 / (capacity_factor * HOURS_PER_YEAR)
-    return rate * cost_per_watt * watts
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        rebate = rate * cost_per_watt * (kwh * 1000.0 / (capacity_factor * HOURS_PER_YEAR))
+    bad = ~np.isfinite(rebate)
+    if bad.any():
+        first = float(np.broadcast_to(kwh, bad.shape)[bad][0])
+        raise ValueError(f"annual_kwh {first!r} gives a rebate that is not finite")
+    return rebate
 
 
 def rebate_bins(rebates) -> np.ndarray:

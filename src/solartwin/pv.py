@@ -21,9 +21,9 @@ households the more dates there are, so every intermediate is bounded by
 household-days.  Households are independent, so with several workers
 each contiguous household block runs in a pool process and returns its
 whole-block arrays, joined in block order; outputs are identical for any
-worker count and any chunk size.  The sampler takes the same columns, so
-one household is a one-row table and gets (1, n) samples.  The CSV
-loaders return whole parsed columns.
+worker count and any chunk size.  The sampler returns only what the
+projection reads: area * yield * ratio, tilt and azimuth degradation, as
+(households, n) arrays.  The CSV loaders return whole parsed columns.
 """
 
 import datetime
@@ -31,7 +31,6 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -74,7 +73,7 @@ AZIMUTH_WEIGHTS = {
 }
 
 # Exponential density parameters (rate, location) for candidate-area
-# weighting, keyed by (building_type, single_plane).
+# weighting, keyed by (building kind, single plane).
 AREA_PARAMS = {
     ("small", True): (0.042, 10.0),
     ("small", False): (0.071, 10.0),
@@ -94,32 +93,10 @@ _PAIRS = [(t, a) for t in sorted(TILT_WEIGHTS) for a in AZIMUTH_SECTORS]
 _JOINT = np.array([TILT_WEIGHTS[t] * AZIMUTH_WEIGHTS[a] for t, a in _PAIRS])
 _JOINT = _JOINT / _JOINT.sum()
 _PAIR_TILTS = np.array([t for t, _ in _PAIRS])
-_PAIR_AZIMUTHS = np.array([a for _, a in _PAIRS])
 _PAIR_DEGRADATION = np.array([DEGRADATION[a] for _, a in _PAIRS])
 
 
-@dataclass
-class TimeInvariantSamples:
-    """Sampled ensembles of the time-invariant variables of H households:
-    (H,) household ids, roof areas and building types, and (H, n) arrays
-    of per-sample values (azimuths holds sector names, degradation each
-    sample's azimuth factor)."""
-
-    household: np.ndarray
-    roof_area: np.ndarray
-    building_type: np.ndarray
-    n: int
-    areas: np.ndarray
-    yields: np.ndarray
-    ratios: np.ndarray
-    planes: np.ndarray
-    tilts: np.ndarray
-    azimuths: np.ndarray
-    arpr: np.ndarray
-    degradation: np.ndarray
-
-
-def sample_time_invariant(h, n: int = 20, seed: int = 0) -> TimeInvariantSamples:
+def sample_time_invariant(ids, sqft, n, seed):
     """Draw n time-invariant samples for each of a batch of households.
 
     Roof area is 1.5x the house footprint converted to m^2; buildings at or
@@ -131,20 +108,18 @@ def sample_time_invariant(h, n: int = 20, seed: int = 0) -> TimeInvariantSamples
     to a whole number of 1.64 m^2 panels.  Tilt/azimuth pairs come from the
     joint weight table.
 
-    h is any object with (H,) ``id`` and ``sqft_value`` columns, such as a
-    HouseholdTable (one household is a one-row table); a missing footage
-    is masked or NaN.  The first household in table order whose footage is
-    missing or whose roof area is not finite is named in a ValueError.
-    Each household draws from its own stream rng_for(seed, "pv", id).
-    A household takes n * (N_CANDIDATES + 5) doubles in the order of one
-    Generator call per draw: n yields, n ratios, n plane counts; per sample,
-    N_CANDIDATES candidates and one pick; then n tilt/azimuth picks.  All
-    the math runs on the batch's (H, n, N_CANDIDATES + 1) block of doubles.
+    ids and sqft are (H,) household ids and footages, NaN when missing; the
+    first household whose footage is missing or whose roof area is not
+    finite is named in a ValueError.  Returns the (H, n) arrays of
+    area * yield * ratio, tilt and azimuth degradation.  Each household draws
+    from its own stream rng_for(seed, "pv", id), and takes n *
+    (N_CANDIDATES + 5) doubles in the order of one Generator call per draw:
+    n yields, n ratios, n plane counts; per sample, N_CANDIDATES candidates
+    and one pick; then n tilt/azimuth picks.  All the math runs on the
+    batch's (H, n, N_CANDIDATES + 1) block of doubles.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    ids = h.id
-    sqft = np.ma.filled(h.sqft_value, np.nan)
     with np.errstate(over="ignore"):  # an overflow is reported below
         roof = ROOF_FACTOR * sqft * SQFT_TO_M2
     bad = ~np.isfinite(roof)  # a missing footage gives a NaN roof
@@ -179,20 +154,7 @@ def sample_time_invariant(h, n: int = 20, seed: int = 0) -> TimeInvariantSamples
     chosen = np.take_along_axis(candidates, choose(p, draws[..., C])[..., None], axis=-1)
     areas = np.floor(chosen[..., 0] / PANEL_AREA_M2) * PANEL_AREA_M2
     pick = choose(_JOINT, u[:, 3 * n + n * (C + 1) :])
-    return TimeInvariantSamples(
-        household=ids,
-        roof_area=roof,
-        building_type=np.where(medium, "medium", "small"),
-        n=n,
-        areas=areas,
-        yields=yields,
-        ratios=ratios,
-        planes=planes,
-        tilts=_PAIR_TILTS[pick],
-        azimuths=_PAIR_AZIMUTHS[pick],
-        arpr=areas * yields * ratios,
-        degradation=_PAIR_DEGRADATION[pick],
-    )
+    return areas * yields * ratios, _PAIR_TILTS[pick], _PAIR_DEGRADATION[pick]
 
 
 def declination(day_of_year: int) -> float:
@@ -263,26 +225,21 @@ class EnergyProfiles:
 _BLOCK_CELLS = 1 << 18
 
 
-class _Households(NamedTuple):
-    """The columns of the adopters the profile kernel reads."""
-
-    id: np.ndarray
-    sqft_value: np.ndarray
-    lat: np.ndarray
-    tract: np.ndarray
-
-
-def _profile_block(households, ghi, deltas, seed, n_samples, hourly):
+def _profile_block(households, ghi, dates, seed, n_samples, hourly):
     """(mean, std, mean_daily) of a block of households: the (H, D, 24)
     hourly ensemble mean and population std kWh, both None unless hourly,
     and the (H,) mean over the dates of each household's daily mean kWh.
 
-    households.tract indexes the (tracts, D, 24) GHI stack ghi, and deltas
-    holds the D declinations.  Each household chunk is sampled in one call
-    and projected in one _tilt_factors call, and its (households, D, 24, n)
-    kWh per sample is reduced before the next chunk is made.
+    households holds the block's (id, sqft_value, lat, tract) columns, and
+    tract indexes the (tracts, D, 24) GHI stack ghi of the D dates.  Each
+    household chunk is sampled in one call and projected in one
+    _tilt_factors call, and its (households, D, 24, n) kWh per sample is
+    reduced before the next chunk is made.  The first household whose daily
+    mean or daily std is not finite is named with that date in a ValueError.
     """
-    size, days = households.id.size, deltas.size
+    ids, sqft, lats, tracts = households
+    deltas = np.array([declination(date.timetuple().tm_yday) for date in dates])[:, None]
+    size, days = ids.size, len(dates)
     per_household = max(n_samples, 1) * max(N_CANDIDATES + 1, 24 * days)
     rows = max(1, _BLOCK_CELLS // per_household)
     shape = (size, days, 24)
@@ -290,16 +247,22 @@ def _profile_block(households, ghi, deltas, seed, n_samples, hourly):
     mean_daily = np.empty(size)
     for start in range(0, size, rows):
         part = slice(start, start + rows)
-        chunk = _Households(*(column[part] for column in households))
-        ti = sample_time_invariant(chunk, n_samples, seed)
-        lat, tilts, d = chunk.lat[:, None, None], ti.tilts[:, None, :], ti.degradation[:, None, :]
-        per_wh = ti.arpr[:, None, :] * _tilt_factors(lat, deltas[:, None], tilts, d)
-        # sample i yields ghi / 1000 * per_wh[i] kWh in each hour
-        energy = (ghi[chunk.tract] / 1000.0)[..., None] * per_wh[:, :, None, :]
-        hour_mean = energy.mean(axis=-1)
-        if hourly:
-            mean[part], std[part] = hour_mean, energy.std(axis=-1)
-        mean_daily[part] = hour_mean.sum(axis=-1).mean(axis=1)
+        arpr, tilts, d = sample_time_invariant(ids[part], sqft[part], n_samples, seed)
+        factors = _tilt_factors(lats[part, None, None], deltas, tilts[:, None], d[:, None])
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below
+            per_wh = arpr[:, None, :] * factors
+            # sample i yields ghi / 1000 * per_wh[i] kWh in each hour
+            energy = (ghi[tracts[part]] / 1000.0)[..., None] * per_wh[:, :, None, :]
+            hour_mean = energy.mean(axis=-1)
+            daily = hour_mean.sum(axis=-1)
+            finite = np.isfinite(daily)
+            if hourly:
+                mean[part], std[part] = hour_mean, energy.std(axis=-1)
+                finite &= np.isfinite((std[part] ** 2).sum(axis=-1))
+            mean_daily[part] = daily.mean(axis=1)
+        if not finite.all():
+            k, j = np.unravel_index(np.argmin(finite), finite.shape)
+            raise ValueError(f"household {ids[start + k]} has non-finite energy on {dates[j]}")
         del energy, hour_mean  # free before the next chunk's are made
     return mean, std, mean_daily
 
@@ -335,11 +298,8 @@ def generate_profiles(
             if not irradiance[name].covers(date):
                 raise ValueError(f"no irradiance for tract {name} on {date.isoformat()}")
     ghi = np.array([[irradiance[name].ghi_for_date(date) for date in dates] for name in names])
-    deltas = np.array([declination(date.timetuple().tm_yday) for date in dates])
-    households = _Households(
-        pop.id[rows], pop.sqft_value.filled(np.nan)[rows], pop.lat[rows], tract
-    )
-    args = (ghi.reshape(-1, len(dates), 24), deltas, seed, n_samples, hourly)
+    households = (pop.id[rows], pop.sqft_value.filled(np.nan)[rows], pop.lat[rows], tract)
+    args = (ghi.reshape(-1, len(dates), 24), dates, seed, n_samples, hourly)
     workers = max(1, int(workers))
     if workers == 1 or rows.size <= 1:
         mean, std, mean_daily = _profile_block(households, *args)
@@ -349,7 +309,7 @@ def generate_profiles(
         blocks = np.array_split(np.arange(rows.size), min(workers, rows.size))
         with ProcessPoolExecutor(max_workers=min(len(blocks), os.cpu_count() or 1)) as pool:
             futures = [
-                pool.submit(_profile_block, _Households(*(c[block] for c in households)), *args)
+                pool.submit(_profile_block, tuple(c[block] for c in households), *args)
                 for block in blocks
             ]
             parts = zip(*(future.result() for future in futures))

@@ -418,11 +418,12 @@ def load_irradiance(path, tract: str) -> IrradianceSeries:
         path, {"date": datetime.date.fromisoformat, "hour": int, "ghi_wm2": float}
     )
     dates, hours, ghi = columns["date"], columns["hour"], np.array(columns["ghi_wm2"])
+    name = os.path.basename(path)
     if not ghi.size:
-        raise IngestError("irradiance file has no rows")
+        raise IngestError(f"{name}: no rows")
     if (ghi < 0).any():
         i = int((ghi < 0).argmax())
-        raise IngestError(f"negative GHI at {dates[i]} hour {hours[i]}")
+        raise IngestError(f"{name}: row {i + 2}, column ghi_wm2: negative GHI {float(ghi[i])!r}")
     # row i holds hour i % 24 of day i // 24, counted from the first row's date
     start = dates[0]
     row = np.arange(ghi.size)
@@ -431,12 +432,16 @@ def load_irradiance(path, tract: str) -> IrradianceSeries:
     if gap.any():
         i = int(gap.argmax())
         raise IngestError(
+            f"{name}: row {i + 2}, column {'hour' if day[i] == i // 24 else 'date'}: "
             f"gap in hours: expected day {i // 24 + 1} "
             f"({start + datetime.timedelta(days=i // 24)}) "
             f"hour {i % 24}, found {dates[i]} hour {hours[i]}"
         )
     if len(ghi) % 24 != 0:
-        raise IngestError(f"series ends mid-day at {dates[-1]} hour {hours[-1]}")
+        raise IngestError(
+            f"{name}: row {len(ghi) + 1}, column hour: "
+            f"series ends mid-day at {dates[-1]} hour {hours[-1]}"
+        )
     return IrradianceSeries(tract, start, ghi)
 
 
@@ -470,6 +475,10 @@ class AdopterTarget:
 def load_targets(path) -> list[AdopterTarget]:
     """Load targets.csv (state,count)."""
     columns = read_csv(path, {"state": str, "count": int})
+    name = os.path.basename(path)
+    for number, count in enumerate(columns["count"], start=2):
+        if count < 0:
+            raise IngestError(f"{name}: row {number}, column count: negative adopter count {count}")
     return [AdopterTarget(*row) for row in zip(columns["state"], columns["count"])]
 
 

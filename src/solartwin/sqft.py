@@ -38,10 +38,6 @@ class SubclassWeights:
         if not np.all(weights >= 0) or abs(float(weights.sum()) - 1.0) > 1e-9:  # fails NaN
             raise ValueError("weights must be non-negative and sum to 1")
 
-    @property
-    def k(self) -> int:
-        return len(self.weights)
-
 
 def subclass_weights(survey, class_range, k: int = 5) -> SubclassWeights:
     """Frequency weights of k equal-width sub-intervals of a class range.

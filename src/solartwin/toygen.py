@@ -50,6 +50,10 @@ ADOPTER_KOWNRENT = (0.90, 0.08, 0.02)
 # Survey square-footage mass per class, low to high.
 SURVEY_CLASS_WEIGHTS = (0.05, 0.10, 0.20, 0.25, 0.18, 0.12, 0.06, 0.04)
 
+# Every toy household lies in one state, at a latitude drawn from this band.
+STATE = "VA"
+LATITUDE_BAND = (36.0, 40.0)
+
 
 @dataclass(frozen=True)
 class ToyConfig:
@@ -61,10 +65,8 @@ class ToyConfig:
     lmi_fraction: float = 0.3
     seed: int = 0
     days: int = 7
-    latitude_band: tuple = (36.0, 40.0)
     start_date: datetime.date = datetime.date(2018, 1, 1)
     signal_shift: int = 4
-    state: str = "VA"
 
     def __post_init__(self):
         if self.n_households <= 0:
@@ -79,9 +81,6 @@ class ToyConfig:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
         if self.days <= 0:
             raise ValueError(f"days must be > 0, got {self.days}")
-        lo, hi = self.latitude_band
-        if not (-90.0 <= lo <= hi <= 90.0):
-            raise ValueError(f"latitude_band {self.latitude_band} invalid")
         if self.signal_shift < 0:
             raise ValueError("signal_shift must be >= 0")
 
@@ -150,8 +149,7 @@ def gen_population(cfg: ToyConfig) -> HouseholdTable:
         N_SQFT_CLASSES - 1,
     )
 
-    lat_lo, lat_hi = cfg.latitude_band
-    lats = rng.uniform(lat_lo, lat_hi, size=n)
+    lats = rng.uniform(*LATITUDE_BAND, size=n)
     lons = rng.uniform(-80.0, -76.0, size=n)
 
     n_lmi = int(round(n * cfg.lmi_fraction))
@@ -160,7 +158,7 @@ def gen_population(cfg: ToyConfig) -> HouseholdTable:
 
     t = np.arange(n) % cfg.n_tracts
     return HouseholdTable(
-        id=np.arange(n), state=np.full(n, cfg.state, dtype=object),
+        id=np.arange(n), state=np.full(n, STATE, dtype=object),
         county=np.array([county_id(k) for k in range(cfg.n_tracts)], dtype=object)[t],
         tract=np.array(tract_ids(cfg), dtype=object)[t], lat=lats, lon=lons,
         features=np.column_stack([codes[name] for name in FEATURE_NAMES]),

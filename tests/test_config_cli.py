@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from dataclasses import fields, replace
 from datetime import date
 from pathlib import Path
@@ -415,6 +416,53 @@ def test_preprocess_names_negative_household_id(tiny_run, tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == [
         "error: preprocess: households.csv: row 2, column id: -7 must be >= 0"
     ]
+
+
+def test_simulate_ranks_a_household_that_generates_nothing(tiny_run, tmp_path):
+    # 10 sq ft gives a 1.4 m^2 roof, which fits no 1.64 m^2 panel, so that
+    # household's annual kWh and rebate are 0
+    _, out, ini = tiny_run
+    run = tmp_path / "out"
+    shutil.copytree(out, run)
+    pop = load_households(run / "households_twin.csv")
+    sqft = pop.sqft_value.copy()
+    sqft[0] = 10.0
+    save_households(pop.replace(sqft_value=sqft), run / "households_twin.csv")
+    code = main(["simulate", "--config", str(ini), "--out", str(run), "--cases", "4,5"])
+    assert code == 0
+    lines = (run / "adoption_timeline.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == ["4"] * 3 + ["5"] * 3
+
+
+def test_huge_ghi_fails_generate_and_simulate_with_one_line(tiny_run, tmp_path, capsys):
+    # a finite GHI of 1e308 makes the energy, or the rebate, overflow
+    _, out, ini = tiny_run
+    run = tmp_path / "out"
+    shutil.copytree(out, run)
+    tract = "51001000001"
+    path = run / f"irradiance_{tract}.csv"
+    lines = path.read_text().splitlines()
+    lines[13] = "2018-01-01,12,1e308"  # row 14: the first day's hour 12
+    path.write_text("\n".join(lines) + "\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        generate = main(["generate", "--config", str(ini), "--out", str(run)])
+        generate_err = capsys.readouterr().err.splitlines()
+        simulate = main(["simulate", "--config", str(ini), "--out", str(run), "--cases", "4"])
+        simulate_err = capsys.readouterr().err.splitlines()
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert generate == 1 and len(generate_err) == 1
+    match = re.fullmatch(
+        r"error: generate: household (\d+) has non-finite energy on 2018-01-01", generate_err[0]
+    )
+    assert match, generate_err
+    pop = load_households(run / "households_sqft.csv")
+    row = int(np.flatnonzero(pop.id == int(match[1]))[0])
+    assert pop.solar[row] and pop.tract[row] == tract
+    assert simulate == 1 and len(simulate_err) == 1
+    assert re.fullmatch(
+        r"error: simulate: annual_kwh \S+ gives a rebate that is not finite", simulate_err[0]
+    ), simulate_err
 
 
 def test_missing_input_error_contract(tmp_path, capsys):

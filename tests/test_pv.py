@@ -3,6 +3,7 @@
 import datetime
 import math
 from concurrent.futures import Future
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -25,7 +26,6 @@ from solartwin.pv import (
     SQFT_TO_M2,
     TILT_WEIGHTS,
     YIELD_RANGE,
-    TimeInvariantSamples,
     declination,
     generate_profiles,
     load_daily,
@@ -102,43 +102,51 @@ def test_tilted_radiation_degradation_and_guards():
         tilted_radiation(1.0, 38.0, 0.0, 30.0, "XX")
 
 
+def sample(pop, n, seed):
+    """The sampler's (arpr, tilts, degradation) for a table's households."""
+    return sample_time_invariant(pop.id, pop.sqft_value.filled(np.nan), n, seed)
+
+
 def test_sample_time_invariant_ranges():
-    ti = sample_time_invariant(make_households(sqft=2000.0), n=200, seed=1)
-    assert ti.n == 200
-    assert ti.areas.shape == ti.azimuths.shape == (1, 200)
+    # the variables the sampler does not return are checked on the
+    # reference, whose returned three it matches bit for bit
+    ti = _reference_sample_time_invariant(0, 2000.0, 200, rng_for(1, "pv", 0))
+    arpr, tilts, degradation = sample(make_households(sqft=2000.0), 200, 1)
+    assert arpr.shape == tilts.shape == degradation.shape == (1, 200)
+    assert np.array_equal(arpr[0], ti.arpr) and np.array_equal(tilts[0], ti.tilts)
+    assert np.array_equal(degradation[0], ti.degradation)
     roof = 1.5 * 2000.0 * 0.092903
-    assert ti.roof_area.tolist() == pytest.approx([roof])
-    assert ti.building_type.tolist() == ["small"]
+    assert ti.roof_area == pytest.approx(roof)
+    assert ti.building_type == "small"
     assert np.all((ti.yields >= 0.18) & (ti.yields <= 0.22))
     assert np.all((ti.ratios >= 0.5) & (ti.ratios <= 0.9))
     assert np.all((ti.planes >= 1) & (ti.planes <= 4))
-    assert set(np.unique(ti.tilts)) <= {15.0, 25.0, 35.0}
-    assert set(ti.azimuths.ravel().tolist()) <= {"N", "NE", "E", "SE", "S", "SW", "W", "NW"}
+    assert set(np.unique(tilts)) <= {15.0, 25.0, 35.0}
+    assert set(ti.azimuths) <= {"N", "NE", "E", "SE", "S", "SW", "W", "NW"}
     assert np.all(ti.areas >= 0.0) and np.all(ti.areas <= roof)
     # areas snap to whole 1.64 m^2 panels
     panels = ti.areas / 1.64
     assert np.allclose(panels, np.round(panels), atol=1e-9)
     # arpr is the elementwise product of area, yield, and performance ratio
-    assert np.allclose(ti.arpr, ti.areas * ti.yields * ti.ratios, atol=1e-12)
+    assert np.allclose(arpr[0], ti.areas * ti.yields * ti.ratios, atol=1e-12)
 
 
 def test_building_type_threshold():
-    big = sample_time_invariant(make_households(sqft=4000.0), n=10, seed=0)
-    assert big.building_type.tolist() == ["medium"]  # 1.5 * 4000 * 0.092903 > 464.6
-    small = sample_time_invariant(make_households(sqft=3000.0), n=10, seed=0)
-    assert small.building_type.tolist() == ["small"]
+    big = _reference_sample_time_invariant(0, 4000.0, 10, rng_for(0, "pv", 0))
+    assert big.building_type == "medium"  # 1.5 * 4000 * 0.092903 > 464.6
+    small = _reference_sample_time_invariant(0, 3000.0, 10, rng_for(0, "pv", 0))
+    assert small.building_type == "small"
 
 
 def test_sample_requires_sqft():
     with pytest.raises(ValueError, match="household 0 has no sqft_value"):
-        sample_time_invariant(make_households(sqft=None))
+        sample(make_households(sqft=None), 20, 0)
 
 
 def test_sample_deterministic():
-    a = sample_time_invariant(make_households(), n=50, seed=9)
-    b = sample_time_invariant(make_households(), n=50, seed=9)
-    assert np.array_equal(a.areas, b.areas)
-    assert np.array_equal(a.azimuths, b.azimuths)
+    a = sample(make_households(), 50, 9)
+    b = sample(make_households(), 50, 9)
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 def test_hourly_energy_matches_manual():
@@ -148,13 +156,13 @@ def test_hourly_energy_matches_manual():
     series = flat_series(days=1, value=500.0)
     date = series.start_date
     profiles = generate_profiles(pop, {"t1": series}, [date], seed=2, n_samples=30)
-    ti = sample_time_invariant(pop, n=30, seed=2)
+    ti = _reference_sample_time_invariant(0, 1800.0, 30, rng_for(2, "pv", 0))
     delta = declination(date.timetuple().tm_yday)
     ht = [
         tilted_radiation(500.0, 38.0, delta, tilt, azimuth)
-        for tilt, azimuth in zip(ti.tilts[0], ti.azimuths[0])
+        for tilt, azimuth in zip(ti.tilts, ti.azimuths)
     ]
-    kwh = ti.arpr[0] * np.array(ht) / 1000.0
+    kwh = ti.arpr * np.array(ht) / 1000.0
     assert profiles.hourly_mean[0, 0, 12] == pytest.approx(float(kwh.mean()), rel=1e-12)
     assert profiles.hourly_std[0, 0, 12] == pytest.approx(float(kwh.std()), rel=1e-12)
 
@@ -297,9 +305,7 @@ def test_profiles_horizontal_fallback_across_dates():
     series = flat_series(days=6, start=start)
     dates = [start + datetime.timedelta(days=d) for d in range(6)]
     profiles = generate_profiles(pop, {"t1": series}, dates, seed=5)
-    ti = sample_time_invariant(pop, 20, seed=5)
-    arpr, tilts = ti.arpr[0], ti.tilts[0]
-    d = np.array([DEGRADATION[a] for a in ti.azimuths[0]])
+    arpr, tilts, d = (column[0] for column in sample(pop, 20, 5))
     flat_days = 0
     for j, date in enumerate(dates):
         alpha = 90.0 - 89.5 + declination(date.timetuple().tm_yday)
@@ -349,7 +355,8 @@ def test_profile_csv_roundtrip(tmp_path):
 def _reference_sample_time_invariant(household, sqft_value, n, rng):
     """The per-sample sampler the batched kernel replaced: one Generator
     call per draw, one rng.choice per sample, for one household's id and
-    footage (None when missing), from the module's tables."""
+    footage (None when missing), from the module's tables.  It returns
+    every sampled variable, not only the three the kernel reads."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if sqft_value is None:
@@ -381,7 +388,7 @@ def _reference_sample_time_invariant(household, sqft_value, n, rng):
     pairs = [(t, a) for t in tilt_values for a in azimuth_values]
     joint = np.array([TILT_WEIGHTS[t] * AZIMUTH_WEIGHTS[a] for t, a in pairs])
     picks = rng.choice(len(pairs), size=n, p=joint / joint.sum())
-    return TimeInvariantSamples(
+    return SimpleNamespace(
         household=household,
         roof_area=roof_area,
         building_type=building_type,
@@ -405,21 +412,12 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
-def _row_samples(batch, k):
-    """Household k of a batch, in the reference sampler's one-household form."""
-    return TimeInvariantSamples(
-        int(batch.household[k]), float(batch.roof_area[k]), str(batch.building_type[k]),
-        batch.n, batch.areas[k], batch.yields[k], batch.ratios[k], batch.planes[k],
-        batch.tilts[k], tuple(batch.azimuths[k].tolist()), batch.arpr[k], batch.degradation[k],
-    )
-
-
-def _same_samples(a, b):
-    assert a.household == b.household and a.n == b.n
-    assert a.roof_area == b.roof_area and a.building_type == b.building_type
-    for name in ("areas", "yields", "ratios", "planes", "tilts", "arpr", "degradation"):
-        assert np.array_equal(getattr(a, name), getattr(b, name)), name
-    assert a.azimuths == b.azimuths
+def _same_samples(batch, k, ref):
+    """Row k of the sampler's arrays is the reference's arpr, tilts and
+    degradation, bit for bit."""
+    assert all(column.shape[1] == ref.n for column in batch)
+    for column, name in zip(batch, ("arpr", "tilts", "degradation")):
+        assert np.array_equal(column[k], getattr(ref, name)), name
 
 
 # small/medium edge: the largest footage whose roof is <= 464.6 m^2, and the next
@@ -456,21 +454,21 @@ def test_batched_sampler_matches_reference(footages, n, seed):
         expected.append(got)
         if isinstance(got, tuple):
             break
-    batch = _outcome(sample_time_invariant, pop, n, seed)
+    batch = _outcome(sample, pop, n, seed)
     if isinstance(expected[-1], tuple):
         assert batch == expected[-1]
     else:
-        assert batch.areas.shape == (len(footages), n)
+        assert batch[0].shape == (len(footages), n)
         for k, ref in enumerate(expected):
-            _same_samples(_row_samples(batch, k), ref)
-    # one household is a one-row table: the same kernel, batch-shaped
+            _same_samples(batch, k, ref)
+    # one household alone: the same kernel, batch-shaped
     one = make_households(1, sqft=footages[:1], ids=ids[:1])
-    first = _outcome(sample_time_invariant, one, n, seed)
+    first = _outcome(sample, one, n, seed)
     if isinstance(expected[0], tuple):
         assert first == expected[0]
     else:
-        assert first.areas.shape == (1, n)
-        _same_samples(_row_samples(first, 0), expected[0])
+        assert first[0].shape == (1, n)
+        _same_samples(first, 0, expected[0])
 
 
 def test_choose_is_the_choice_search_rule():
@@ -577,10 +575,23 @@ def test_overflowing_roof_is_named():
     message = "^household 7 has sqft_value 1.5e\\+308, whose roof area is not finite$"
     pop = make_households(3, sqft=[1800.0, 1.5e308, None], ids=[5, 7, 9])
     with pytest.raises(ValueError, match=message):
-        sample_time_invariant(pop)
+        sample(pop, 20, 0)
     # the sixth adopter: in the second block with two workers
     pop = make_households(7, sqft=[1500.0] * 5 + [1.5e308, 1500.0], ids=list(range(2, 9)))
     series = flat_series(days=1)
     for workers in (1, 2):
         with pytest.raises(ValueError, match=message):
             generate_profiles(pop, {"t1": series}, [series.start_date], workers=workers)
+
+
+def test_non_finite_energy_is_named():
+    # a finite 1e308 W/m^2 at noon of the second day in tract t2: the
+    # ensemble std of that hour overflows for both of t2's households
+    pop = make_households(3, tract=["t1", "t2", "t2"], ids=[4, 6, 8])
+    huge = flat_series("t2", days=2)
+    huge.hours[24 + 12] = 1e308
+    irradiance = {"t1": flat_series(days=2), "t2": huge}
+    dates = [huge.start_date, huge.start_date + datetime.timedelta(days=1)]
+    for workers in (1, 2):
+        with pytest.raises(ValueError, match="^household 6 has non-finite energy on 2018-06-02$"):
+            generate_profiles(pop, irradiance, dates, workers=workers)

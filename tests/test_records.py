@@ -421,7 +421,12 @@ TABLES = {
         ("households", 2, "id", "-7"),
         ("irradiance", 5, "ghi_wm2", "inf"),
         ("irradiance", 3, "hour", "1.0"),
+        ("irradiance", 14, "ghi_wm2", "-1.0"),
+        ("irradiance", 6, "hour", "7"),
+        ("irradiance", 4, "date", "2018-01-02"),
+        ("irradiance", 24, "hour", None),
         ("targets", 3, "count", "seven"),
+        ("targets", 2, "count", "-1"),
         ("survey", 3, "sqft", "nan"),
         ("dataset", 3, "label", "x"),
         ("daily", 2, "daily_mean_kwh", "-inf"),
@@ -431,12 +436,17 @@ TABLES = {
     ],
 )
 def test_loaders_name_bad_cell(tmp_path, table, row, column, cell):
+    """A bad cell, or with cell None a table that ends at that row, fails
+    naming the file, row and column."""
     loader, name, header, rows = TABLES[table]
     path = tmp_path / name
     path.write_text("\n".join(",".join(r) for r in [header] + rows) + "\n")
     loader(path)  # the untouched table loads
     rows = [list(r) for r in rows]
-    rows[row - 2][header.index(column)] = cell
+    if cell is None:
+        del rows[row - 1 :]
+    else:
+        rows[row - 2][header.index(column)] = cell
     path.write_text("\n".join(",".join(r) for r in [header] + rows) + "\n")
     with pytest.raises(IngestError, match=re.escape(f"{name}: row {row}, column {column}: ")):
         loader(path)
@@ -540,23 +550,31 @@ def _reference_load_irradiance(path, tract):
         path, {"date": datetime.date.fromisoformat, "hour": int, "ghi_wm2": float}
     )
     dates, hours, ghi = columns["date"], columns["hour"], columns["ghi_wm2"]
+    name = Path(path).name
     if not ghi:
-        raise IngestError("irradiance file has no rows")
+        raise IngestError(f"{name}: no rows")
     negative = next((i for i, value in enumerate(ghi) if value < 0), None)
     if negative is not None:
-        raise IngestError(f"negative GHI at {dates[negative]} hour {hours[negative]}")
+        raise IngestError(
+            f"{name}: row {negative + 2}, column ghi_wm2: negative GHI {ghi[negative]!r}"
+        )
     start = dates[0]
     for i, (date, hour) in enumerate(zip(dates, hours)):
         expect_date = start + datetime.timedelta(days=i // 24)
         expect_hour = i % 24
         if date != expect_date or hour != expect_hour:
             day_index = (expect_date - start).days + 1
+            column = "date" if date != expect_date else "hour"
             raise IngestError(
+                f"{name}: row {i + 2}, column {column}: "
                 f"gap in hours: expected day {day_index} ({expect_date}) "
                 f"hour {expect_hour}, found {date} hour {hour}"
             )
     if len(ghi) % 24 != 0:
-        raise IngestError(f"series ends mid-day at {dates[-1]} hour {hours[-1]}")
+        raise IngestError(
+            f"{name}: row {len(ghi) + 1}, column hour: "
+            f"series ends mid-day at {dates[-1]} hour {hours[-1]}"
+        )
     return IrradianceSeries(tract, start, np.array(ghi))
 
 

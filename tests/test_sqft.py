@@ -18,7 +18,7 @@ def test_subclass_weights_counts():
     assert w.edges == (1000.0, 1100.0, 1200.0, 1300.0, 1400.0, 1500.0)
     # 1600 is outside; 1000 -> bin 0, both 1200s -> bin 2, 1400 -> bin 4
     assert w.weights == pytest.approx((0.25, 0.0, 0.5, 0.0, 0.25))
-    assert w.k == 5
+    assert len(w.weights) == 5
 
 
 def test_subclass_weights_boundaries():
@@ -72,7 +72,7 @@ def test_estimate_validation():
 def _reference_estimate_sqft(w, M, L, rng):
     """The per-household estimator the batched rows replaced."""
     edges = np.asarray(w.edges)
-    idx = rng.choice(w.k, size=M, p=np.asarray(w.weights))
+    idx = rng.choice(len(w.weights), size=M, p=np.asarray(w.weights))
     lows = edges[idx]
     widths = edges[idx + 1] - edges[idx]
     return float((lows[:, None] + rng.random((M, L)) * widths[:, None]).mean())

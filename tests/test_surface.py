@@ -1,12 +1,16 @@
-"""Every public module-level function and class of the library has a caller.
+"""Every public name of the library has a caller.
 
-A name counts as used when the library itself, a demo, a benchmark, a tool
-or perfbench refers to it outside its own definition, or when an
-acceptance criterion names it.  The unit tests do not count: a function
-that only its own tests call is not part of the pipeline.
+A module-level function or class counts as used when the library itself, a
+demo, a benchmark, a tool or perfbench refers to it outside its own
+definition, or when an acceptance criterion names it.  A public method,
+property or annotated field of a public class counts as used when, in the
+same places, its name is read as an attribute or appears as a string
+constant outside its own definition.  The unit tests do not count: a name
+that only its own tests use is not part of the pipeline.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -18,17 +22,29 @@ USERS = [
 ] + [ROOT / "tests" / "test_acceptance.py"]
 
 
-def _names(nodes) -> set:
-    """Every name the nodes refer to: bare names, attributes and imports."""
-    found = set()
-    for node in nodes:
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Name):
-                found.add(sub.id)
-            elif isinstance(sub, ast.Attribute):
-                found.add(sub.attr)
-            elif isinstance(sub, ast.alias):
-                found.add(sub.name)
+def _names(node) -> Counter:
+    """How often the node's subtree refers to each name: bare names,
+    attributes and imports."""
+    found = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            found[sub.attr] += 1
+        elif isinstance(sub, ast.alias):
+            found[sub.name] += 1
+    return found
+
+
+def _reads(node) -> Counter:
+    """How often the node's subtree reads each attribute name or holds each
+    string constant."""
+    found = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            found[sub.attr] += 1
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            found[sub.value] += 1
     return found
 
 
@@ -40,14 +56,44 @@ def _public_definitions(tree: ast.Module) -> list:
     ]
 
 
+def _public_members(cls: ast.ClassDef) -> list:
+    """(name, node) of each public method, property and annotated field."""
+    members = []
+    for node in cls.body:
+        if isinstance(node, ast.FunctionDef):
+            members.append((node.name, node))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            members.append((node.target.id, node))
+    return [(name, node) for name, node in members if not name.startswith("_")]
+
+
+def _unused(count, definitions) -> list:
+    """The label of each (label, name, node) definition whose name count
+    finds in no file except inside node."""
+    trees = [ast.parse(path.read_text(), str(path)) for path in LIBRARY + USERS]
+    everywhere = sum(map(count, trees), Counter())
+    return [
+        label
+        for label, name, node in definitions(trees[: len(LIBRARY)])
+        if everywhere[name] <= count(node)[name]
+    ]
+
+
 def test_every_public_definition_has_a_caller():
-    trees = {path: ast.parse(path.read_text(), str(path)) for path in LIBRARY + USERS}
-    unused = []
-    for path in LIBRARY:
-        for definition in _public_definitions(trees[path]):
-            # the module itself, less the definition, then every other file
-            rest = [node for node in trees[path].body if node is not definition]
-            others = [trees[other] for other in trees if other != path]
-            if definition.name not in _names(rest + others):
-                unused.append(f"{path.stem}.{definition.name}")
-    assert unused == []
+    def definitions(library):
+        for path, tree in zip(LIBRARY, library):
+            for node in _public_definitions(tree):
+                yield f"{path.stem}.{node.name}", node.name, node
+
+    assert _unused(_names, definitions) == []
+
+
+def test_every_public_member_has_a_reader():
+    def members(library):
+        for path, tree in zip(LIBRARY, library):
+            for cls in _public_definitions(tree):
+                if isinstance(cls, ast.ClassDef):
+                    for name, node in _public_members(cls):
+                        yield f"{path.stem}.{cls.name}.{name}", name, node
+
+    assert _unused(_reads, members) == []
