@@ -111,12 +111,12 @@ ACCEPTED_KEYS = {
 }
 
 
-def _every_key_ini() -> str:
-    """The identity tool's INI, which sets every key."""
+def _identity():
+    """The identity tool, which defines the standard runs' INI texts."""
     spec = importlib.util.spec_from_file_location("identity", ROOT / "tools" / "identity.py")
     identity = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(identity)
-    return identity.EVERY_KEY_INI
+    return identity
 
 
 def test_every_ini_key_reaches_its_field(tmp_path):
@@ -125,7 +125,7 @@ def test_every_ini_key_reaches_its_field(tmp_path):
     assert [(section, key) for section, key, _, _ in _schema()] == pairs
     assert sorted(name for _, _, name, _ in _schema()) == sorted(f.name for f in fields(RunConfig))
     ini = tmp_path / "every.ini"
-    ini.write_text(_every_key_ini())
+    ini.write_text(_identity().EVERY_KEY_INI)
     written = configparser.ConfigParser(interpolation=None)
     written.read(ini)
     assert [(section, key) for section in written.sections() for key in written[section]] == pairs
@@ -289,28 +289,7 @@ def test_resolve_period_default_and_flag():
     assert label == "2018-06-01"
 
 
-TINY_INI = """\
-[run]
-seed = 3
-[toygen]
-n_households = 60
-n_tracts = 2
-days = 2
-survey_size = 200
-edge_prob = 0.05
-[boosting]
-rounds = 20
-[smoten]
-k = 3
-[calibrate]
-budget = 40
-init_points = 5
-[pv]
-samples = 5
-[diffusion]
-time_steps = 2
-cases = 1a
-"""
+TINY_INI = _identity().TINY_INI
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,7 @@
 """Byte-identity check of the pipeline's outputs against a git revision.
 
     python3 tools/identity.py REV
+    python3 tools/identity.py --write-golden
 
 Exports ``src/`` and ``perfbench/`` at REV with ``git archive`` into a
 temporary directory, then runs the seven standard pipelines on that tree and
@@ -18,16 +19,27 @@ on this checkout (working tree included):
 Every output file is compared byte for byte.  Each differing or missing
 path is printed, and the exit status is 1 if any file differs, is missing
 or a pipeline fails.  The temporary directory is removed afterwards.
+
+``--write-golden`` instead runs the three small GOLDEN_RUNS in this process
+through ``solartwin.cli.main`` on this checkout's ``src/`` and writes the
+SHA-256 of every output file, with the Python and numpy versions, to
+GOLDEN.  ``tests/test_golden.py`` runs the same pipelines through
+``golden_digests`` and compares.  A change that must alter an output
+rewrites the file, so its diff names the changed files.
 """
 
 import argparse
+import hashlib
+import json
 import os
+import platform
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden_digests.json"
 
 EVERY_KEY = "every-key"
 
@@ -94,6 +106,39 @@ cases = 1a, 3, 5
 hist_bins = 40
 kde_grid = 256
 """
+
+# 60 households over 2 days: the smallest config that runs every stage.
+TINY_INI = """\
+[run]
+seed = 3
+[toygen]
+n_households = 60
+n_tracts = 2
+days = 2
+survey_size = 200
+edge_prob = 0.05
+[boosting]
+rounds = 20
+[smoten]
+k = 3
+[calibrate]
+budget = 40
+init_points = 5
+[pv]
+samples = 5
+[diffusion]
+time_steps = 2
+cases = 1a
+"""
+
+# (name, INI text, pipeline flags) of the runs whose digests GOLDEN holds;
+# EVERY_KEY is the only one that reaches calibration's expected-improvement
+# rounds
+GOLDEN_RUNS = (
+    ("tiny", TINY_INI, []),
+    ("tiny-workers2", TINY_INI, ["--workers", "2"]),
+    (EVERY_KEY, EVERY_KEY_INI, []),
+)
 
 WRITE_INI = (
     "import sys\n"
@@ -165,10 +210,47 @@ def compare(old: Path, new: Path) -> int:
     return bad
 
 
+def golden_digests(work: Path) -> dict:
+    """Run GOLDEN_RUNS in this process, each into work/<name>, and return
+    the versions and each output file's SHA-256 in GOLDEN's layout."""
+    import numpy as np
+    from solartwin.cli import main
+
+    runs = {}
+    for name, ini_text, flags in GOLDEN_RUNS:
+        ini, out = work / f"{name}.ini", work / name
+        ini.write_text(ini_text)
+        if main(["pipeline", "--config", str(ini), "--out", str(out), *flags]):
+            raise RuntimeError(f"golden run {name} failed")
+        runs[name] = {
+            path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(out.rglob("*")) if path.is_file()
+        }
+    return {"python": platform.python_version(), "numpy": np.__version__, "runs": runs}
+
+
+def write_golden() -> int:
+    sys.path.insert(0, str(ROOT / "src"))
+    with tempfile.TemporaryDirectory(prefix="solartwin-golden-") as tmp:
+        digests = golden_digests(Path(tmp))
+    GOLDEN.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {GOLDEN}")
+    return 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Compare pipeline outputs with a revision's.")
-    parser.add_argument("rev", help="the revision to compare with, such as HEAD~")
-    rev = parser.parse_args(argv).rev
+    parser.add_argument("rev", nargs="?", help="the revision to compare with, such as HEAD~")
+    parser.add_argument(
+        "--write-golden", action="store_true",
+        help=f"write the golden runs' digests to {GOLDEN.relative_to(ROOT)} instead",
+    )
+    args = parser.parse_args(argv)
+    if args.write_golden:
+        return write_golden()
+    if args.rev is None:
+        parser.error("give a revision, or --write-golden")
+    rev = args.rev
     with tempfile.TemporaryDirectory(prefix="solartwin-identity-") as tmp:
         tmp = Path(tmp)
         export(rev, tmp / "rev")
