@@ -1,11 +1,13 @@
 """Bayesian search over (beta, tau) to match a ground-truth adopter count.
 
-A Gaussian process with a fixed RBF kernel models the discrepancy
-|target - predicted| over a discrete (beta, tau) grid; expected improvement
-picks the next point, the booster is retrained there, and the loop stops
-once the discrepancy falls within 15% of the target or the round budget
-runs out.  Training depends on beta only, so models and predicted
-probabilities are memoized per beta column of the grid.
+One loop builds the trace over a discrete (beta, tau) grid.  Each round
+takes the next of a few random starting points or, once they are used, the
+point of maximum expected improvement under a Gaussian process with a
+fixed RBF kernel fit to the discrepancies |target - predicted| so far.  The
+loop stops once a discrepancy falls within 15% of the target, the round
+budget runs out or the grid is used up; the winner is the trace's first
+minimum.  Training depends on beta only, so models and predicted
+probabilities are memoized per beta.
 """
 
 import math
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr
 
-from .boosting import GbtParams, LossParams, predict_proba, train_gbt
+from .boosting import GbtParams, LossParams, apply_threshold, predict_proba, train_gbt
 from .preprocess import LabeledDataset
 from .records import AdopterTarget, HouseholdTable, write_csv
 from .seeds import rng_for
@@ -60,7 +62,6 @@ class RbfKernel:
 @dataclass
 class GpModel:
     points: np.ndarray
-    values: np.ndarray
     kernel: RbfKernel
     mean: float
     chol: np.ndarray
@@ -83,7 +84,7 @@ def default_kernel(values) -> RbfKernel:
     )
 
 
-def gp_fit(points, values, kernel: RbfKernel | None = None) -> GpModel:
+def gp_fit(points, values, kernel: RbfKernel) -> GpModel:
     """Cholesky-factorized GP posterior over observed (beta, tau) points.
 
     The prior mean is the mean of the observations.  If the noisy kernel
@@ -94,7 +95,6 @@ def gp_fit(points, values, kernel: RbfKernel | None = None) -> GpModel:
     vals = np.asarray(values, dtype=float).ravel()
     if pts.shape[0] != vals.size or pts.shape[0] == 0:
         raise ValueError("points and values must be non-empty and equal length")
-    kernel = kernel or default_kernel(vals)
     base = kernel.cross(pts, pts) + kernel.noise_var * np.eye(pts.shape[0])
     jitter = 0.0
     while True:
@@ -116,9 +116,7 @@ def gp_fit(points, values, kernel: RbfKernel | None = None) -> GpModel:
     alpha = solve_triangular(
         chol.T, solve_triangular(chol, centered, lower=True), lower=False
     )
-    return GpModel(
-        points=pts, values=vals, kernel=kernel, mean=mean, chol=chol, alpha=alpha
-    )
+    return GpModel(points=pts, kernel=kernel, mean=mean, chol=chol, alpha=alpha)
 
 
 def gp_predict(gp: GpModel, X):
@@ -188,13 +186,13 @@ def calibrate(
 ) -> CalibrationResult:
     """Search (beta, tau) so the booster's adopter count matches the target.
 
-    Evaluates ``init`` random grid points, then repeatedly fits the GP on
-    all observations and evaluates the grid point of maximum expected
-    improvement (ties to the lowest beta, then lowest tau).  Each
-    evaluation trains with that beta, thresholds the predicted
-    probabilities at that tau over ``apply``, and records
-    |target - predicted|.  Stops as soon as the discrepancy is within 15%
-    of the target count, or after ``budget`` evaluations.
+    Each round evaluates one grid point: the next of ``init`` random
+    points, then the unevaluated point of maximum expected improvement.
+    It trains the booster with that beta (once per beta), thresholds the
+    predicted probabilities at that tau over ``apply``, and appends
+    |target - predicted| to the trace.  The search stops once a round is
+    within 15% of the target count, after ``budget`` rounds, or when the
+    grid is used up; the winner is the trace's first minimum.
     """
     if init < 1 or budget < init:
         raise ValueError("need budget >= init >= 1")
@@ -204,61 +202,25 @@ def calibrate(
         )
     grid = parameter_grid()
     n_grid = grid.shape[0]
-    stop_at = STOP_BAND * target.count
-    apply_X = apply.features
     gbt_params = gbt_params or GbtParams()
-
-    prob_cache = {}
-
-    def probs_for(beta_index: int) -> np.ndarray:
-        if beta_index not in prob_cache:
-            beta = grid[beta_index * TAU_COUNT, 0]
-            model = train_gbt(train, gbt_params, LossParams(beta=beta))
-            prob_cache[beta_index] = (model, predict_proba(model, apply_X))
-        return prob_cache[beta_index][1]
-
-    trace = []
+    starts = rng_for(seed, "calibrate").choice(n_grid, size=min(init, n_grid), replace=False)
     evaluated = np.zeros(n_grid, dtype=bool)
-
-    def evaluate(grid_index: int) -> TraceEntry:
-        beta, tau = grid[grid_index]
-        probs = probs_for(grid_index // TAU_COUNT)
-        predicted = int(np.count_nonzero(probs >= tau))
-        entry = TraceEntry(
-            round=len(trace) + 1,
-            beta=float(beta),
-            tau=float(tau),
-            predicted=predicted,
-            discrepancy=abs(predicted - target.count),
-        )
-        trace.append(entry)
-        evaluated[grid_index] = True
-        return entry
-
-    rng = rng_for(seed, "calibrate")
-    best = None
-    best_index = None
-    for grid_index in rng.choice(n_grid, size=min(init, n_grid), replace=False):
-        entry = evaluate(int(grid_index))
-        if best is None or entry.discrepancy < best.discrepancy:
-            best, best_index = entry, int(grid_index)
-        if entry.discrepancy <= stop_at:
+    fits = {}  # beta -> (model, probabilities over apply)
+    trace = []
+    while True:
+        rounds = len(trace)
+        pick = int(starts[rounds]) if rounds < starts.size else _max_ei(grid, evaluated, trace)
+        evaluated[pick] = True
+        beta, tau = grid[pick]
+        if beta not in fits:
+            model = train_gbt(train, gbt_params, LossParams(beta=beta))
+            fits[beta] = (model, predict_proba(model, apply.features))
+        predicted = int(np.count_nonzero(apply_threshold(fits[beta][1], tau)))
+        discrepancy = abs(predicted - target.count)
+        trace.append(TraceEntry(len(trace) + 1, float(beta), float(tau), predicted, discrepancy))
+        if discrepancy <= STOP_BAND * target.count or len(trace) >= budget or evaluated.all():
             break
-
-    while best.discrepancy > stop_at and len(trace) < budget and not evaluated.all():
-        points = np.array([(e.beta, e.tau) for e in trace])
-        values = np.array([float(e.discrepancy) for e in trace])
-        gp = gp_fit(points, values, default_kernel(values))
-        f_min = float(values.min())
-        ei = np.empty(n_grid)
-        for start in range(0, n_grid, EI_CHUNK):
-            chunk = slice(start, start + EI_CHUNK)
-            ei[chunk] = expected_improvement(*gp_predict(gp, grid[chunk]), f_min)
-        ei[evaluated] = -np.inf
-        pick = int(np.argmax(ei))
-        entry = evaluate(pick)
-        if entry.discrepancy < best.discrepancy:
-            best, best_index = entry, pick
+    best = min(trace, key=lambda entry: entry.discrepancy)
     return CalibrationResult(
         beta_star=best.beta,
         tau_star=best.tau,
@@ -266,8 +228,23 @@ def calibrate(
         trace=trace,
         rounds_used=len(trace),
         target_count=target.count,
-        model=prob_cache[best_index // TAU_COUNT][0],
+        model=fits[best.beta][0],
     )
+
+
+def _max_ei(grid: np.ndarray, evaluated: np.ndarray, trace) -> int:
+    """The unevaluated grid index of maximum expected improvement under a GP
+    fit to the trace's discrepancies (ties to the lowest index)."""
+    points = np.array([(e.beta, e.tau) for e in trace])
+    values = np.array([float(e.discrepancy) for e in trace])
+    gp = gp_fit(points, values, default_kernel(values))
+    f_min = float(values.min())
+    ei = np.empty(len(grid))
+    for start in range(0, len(grid), EI_CHUNK):
+        chunk = slice(start, start + EI_CHUNK)
+        ei[chunk] = expected_improvement(*gp_predict(gp, grid[chunk]), f_min)
+    ei[evaluated] = -np.inf
+    return int(np.argmax(ei))
 
 
 def save_trace(result: CalibrationResult, path):

@@ -46,6 +46,8 @@ from .records import (
     FEATURE_DOMAINS,
     FEATURE_NAMES,
     AdopterTarget,
+    check_cells,
+    feature_code_checks,
     load_households,
     load_irradiance,
     load_network,
@@ -123,7 +125,10 @@ def _save_survey(values, path):
 
 
 def _load_survey(path) -> list:
-    return read_csv(path, {"sqft": float})["sqft"]
+    values = read_csv(path, {"sqft": float})["sqft"]
+    sqft = np.array(values)
+    check_cells(f"{os.path.basename(path)}: ", [("sqft", sqft, ~(sqft > 0), "{} must be > 0")])
+    return values
 
 
 def _save_dataset(data: LabeledDataset, path):
@@ -134,8 +139,13 @@ def _save_dataset(data: LabeledDataset, path):
 def _load_dataset(path) -> LabeledDataset:
     columns = read_csv(path, dict.fromkeys(list(FEATURE_NAMES) + ["label"], int))
     X = np.array([columns[f] for f in FEATURE_NAMES], dtype=np.int64).T.copy()
+    y = np.array(columns["label"], dtype=np.int64)
+    check_cells(
+        f"{os.path.basename(path)}: ",
+        feature_code_checks(X) + [("label", y, (y != 0) & (y != 1), "{} must be 0 or 1")],
+    )
     domains = tuple(tuple(FEATURE_DOMAINS[name]) for name in FEATURE_NAMES)
-    return LabeledDataset(X, np.array(columns["label"], dtype=np.int64), domains)
+    return LabeledDataset(X, y, domains)
 
 
 def _save_matrix(matrix: np.ndarray, names, path):

@@ -130,19 +130,12 @@ class HouseholdTable:
             ("id", self.id, repeat, "duplicate household id {}"),
             ("lat", self.lat, ~(np.abs(self.lat) <= 90.0), "{} out of [-90, 90]"),
             ("lon", self.lon, ~(np.abs(self.lon) <= 180.0), "{} out of [-180, 180]"),
-        ] + [
-            (name, codes, ~np.isin(codes, FEATURE_DOMAINS[name]), "code {} outside domain")
-            for name, codes in zip(FEATURE_NAMES, self.features.T)
-        ] + [
+        ] + feature_code_checks(self.features) + [
             ("sqft_class", sqft_class, ((sqft_class < 0) | (sqft_class >= N_SQFT_CLASSES)),
              f"{{}} out of [0, {N_SQFT_CLASSES - 1}]"),
             ("sqft_value", sqft_value, ~(sqft_value > 0), "{} must be > 0"),
         ]
-        for column, values, bad, problem in checks:
-            bad = np.ma.filled(bad, False)
-            if bad.any():
-                row = int(np.argmax(bad))
-                raise IngestError(f"row {row + 2}, column {column}: " + problem.format(values[row]))
+        check_cells("", checks)
 
     def __len__(self):
         return self.id.size
@@ -173,6 +166,31 @@ class HouseholdTable:
     def replace(self, **columns) -> "HouseholdTable":
         """A new table with the named columns swapped for ``columns``."""
         return HouseholdTable(**{c: getattr(self, c) for c in _DTYPES} | columns)
+
+
+def check_cells(source: str, checks):
+    """Raise IngestError ``<source>row R, column C: <problem>`` for the
+    first bad row of the first bad column, rows numbered as in a CSV file
+    (the header is row 1).
+
+    ``checks`` holds (column, values, bad, problem) tuples: ``bad`` masks
+    the bad values, and ``problem`` is formatted with the bad value.
+    """
+    for column, values, bad, problem in checks:
+        bad = np.ma.filled(bad, False)
+        if bad.any():
+            row = int(np.argmax(bad))
+            raise IngestError(f"{source}row {row + 2}, column {column}: "
+                              + problem.format(values[row]))
+
+
+def feature_code_checks(features) -> list:
+    """check_cells's checks that each column of an (n, 8) feature
+    matrix holds codes of its feature's domain."""
+    return [
+        (name, codes, ~np.isin(codes, FEATURE_DOMAINS[name]), "code {} outside domain")
+        for name, codes in zip(FEATURE_NAMES, features.T)
+    ]
 
 
 def _same_column(a, b) -> bool:
@@ -539,8 +557,9 @@ class Graph:
 _SAVED_EDGES = re.compile(rb"(?:[0-9]{1,18} [0-9]{1,18}\n)*")
 
 
-def load_network(path, node_count: int | None = None) -> Graph:
-    """Load an edge list (whitespace or comma separated integer pairs).
+def load_network(path, node_count: int) -> Graph:
+    """Load an edge list (whitespace or comma separated integer pairs) on
+    nodes 0..node_count-1.
 
     A file in save_network's format is parsed whole; any other file, or one
     whose edges fail a check, goes through the line scan, which accepts
@@ -550,16 +569,14 @@ def load_network(path, node_count: int | None = None) -> Graph:
         data = fh.read()
     if _SAVED_EDGES.fullmatch(data):
         pairs = np.fromstring(data, dtype=np.int64, sep=" ").reshape(-1, 2)
-        count = node_count if node_count is not None else int(pairs.max(initial=-1)) + 1
-        if not (pairs[:, 0] == pairs[:, 1]).any() and not (pairs >= count).any():
-            return Graph(count, pairs)
+        if not (pairs[:, 0] == pairs[:, 1]).any() and not (pairs >= node_count).any():
+            return Graph(node_count, pairs)
     return _scan_network(path, node_count)
 
 
-def _scan_network(path, node_count: int | None) -> Graph:
+def _scan_network(path, node_count: int) -> Graph:
     """load_network one line at a time."""
     edges = []
-    max_node = -1
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -574,12 +591,9 @@ def _scan_network(path, node_count: int | None) -> Graph:
                 raise IngestError(f"line {lineno}: non-integer endpoint in {line!r}") from None
             if u == v:
                 raise IngestError(f"line {lineno}: self-loop at node {u}")
-            if min(u, v) < 0 or node_count is not None and max(u, v) >= node_count:
+            if min(u, v) < 0 or max(u, v) >= node_count:
                 raise IngestError(f"line {lineno}: edge ({u}, {v}) outside node range")
             edges.append((u, v))
-            max_node = max(max_node, u, v)
-    if node_count is None:
-        node_count = max_node + 1
     return Graph(node_count, edges)
 
 

@@ -21,7 +21,7 @@ from .records import (
     HouseholdTable,
     IrradianceSeries,
     N_SQFT_CLASSES,
-    sqft_class_range,
+    SQFT_CLASS_EDGES,
 )
 from .seeds import rng_for
 
@@ -184,26 +184,21 @@ def gen_irradiance(cfg: ToyConfig, tract: str) -> IrradianceSeries:
     hours at or outside the sunrise/sunset bounds are exactly zero.
     """
     span = SUNSET_HOUR - SUNRISE_HOUR
-    hours = np.zeros(cfg.days * 24)
-    for d in range(cfg.days):
-        date = cfg.start_date + datetime.timedelta(days=d)
-        peak = peak_ghi(date, tract)
-        for w in range(24):
-            frac = (w - SUNRISE_HOUR) / span
-            if 0.0 < frac < 1.0:
-                hours[d * 24 + w] = peak * math.sin(math.pi * frac)
-    return IrradianceSeries(tract, cfg.start_date, hours)
+    daylight = [w for w in range(24) if 0.0 < (w - SUNRISE_HOUR) / span < 1.0]
+    shape = np.array([math.sin(math.pi * ((w - SUNRISE_HOUR) / span)) for w in daylight])
+    peaks = [peak_ghi(cfg.start_date + datetime.timedelta(days=d), tract) for d in range(cfg.days)]
+    hours = np.zeros((cfg.days, 24))
+    hours[:, daylight] = np.array(peaks)[:, None] * shape
+    return IrradianceSeries(tract, cfg.start_date, hours.ravel())
 
 
 def gen_survey(cfg: ToyConfig, size: int) -> list:
     """``size`` square-footage survey values spanning all eight classes."""
     rng = rng_for(cfg.seed, "survey")
     classes = _draw(rng, np.arange(N_SQFT_CLASSES), SURVEY_CLASS_WEIGHTS, size)
-    values = []
-    for k in classes:
-        lo, hi = sqft_class_range(k)
-        values.append(float(lo + rng.random() * (hi - lo)))
-    return values
+    edges = np.array(SQFT_CLASS_EDGES)
+    lo, hi = edges[classes], edges[classes + 1]
+    return (lo + rng.random(size) * (hi - lo)).tolist()
 
 
 # Within-group pairs drawn per rng.random call in gen_network.

@@ -3,9 +3,14 @@
 import numpy as np
 import pytest
 
-from solartwin.boosting import GbtParams
+from solartwin.boosting import GbtParams, LossParams, predict_proba, save_model, train_gbt
 from solartwin.calibrate import (
+    EI_CHUNK,
+    STOP_BAND,
+    TAU_COUNT,
+    CalibrationResult,
     RbfKernel,
+    TraceEntry,
     calibrate,
     default_kernel,
     expected_improvement,
@@ -14,6 +19,7 @@ from solartwin.calibrate import (
     parameter_grid,
     save_trace,
 )
+from solartwin.seeds import rng_for
 from solartwin.preprocess import dataset_from_households, smoten_oversample
 from solartwin.records import AdopterTarget
 from solartwin.toygen import ToyConfig, gen_population
@@ -164,3 +170,91 @@ def test_save_trace_format(tmp_path, toy_calibration):
     assert first[1] == f"{result.trace[0].beta:.2f}"
     assert first[4] == str(target.count)
     assert int(first[5]) == abs(int(first[3]) - target.count)
+
+
+def _reference_calibrate(train, apply, target, budget, init, seed, gbt_params):
+    """calibrate as an init loop and a GP loop that each track the best
+    entry, before the search became one loop over the trace."""
+    grid = parameter_grid()
+    n_grid = grid.shape[0]
+    stop_at = STOP_BAND * target.count
+    prob_cache = {}
+
+    def probs_for(beta_index):
+        if beta_index not in prob_cache:
+            beta = grid[beta_index * TAU_COUNT, 0]
+            model = train_gbt(train, gbt_params, LossParams(beta=beta))
+            prob_cache[beta_index] = (model, predict_proba(model, apply.features))
+        return prob_cache[beta_index][1]
+
+    trace = []
+    evaluated = np.zeros(n_grid, dtype=bool)
+
+    def evaluate(grid_index):
+        beta, tau = grid[grid_index]
+        predicted = int(np.count_nonzero(probs_for(grid_index // TAU_COUNT) >= tau))
+        entry = TraceEntry(len(trace) + 1, float(beta), float(tau), predicted,
+                           abs(predicted - target.count))
+        trace.append(entry)
+        evaluated[grid_index] = True
+        return entry
+
+    rng = rng_for(seed, "calibrate")
+    best = best_index = None
+    for grid_index in rng.choice(n_grid, size=min(init, n_grid), replace=False):
+        entry = evaluate(int(grid_index))
+        if best is None or entry.discrepancy < best.discrepancy:
+            best, best_index = entry, int(grid_index)
+        if entry.discrepancy <= stop_at:
+            break
+    while best.discrepancy > stop_at and len(trace) < budget and not evaluated.all():
+        points = np.array([(e.beta, e.tau) for e in trace])
+        values = np.array([float(e.discrepancy) for e in trace])
+        gp = gp_fit(points, values, default_kernel(values))
+        f_min = float(values.min())
+        ei = np.empty(n_grid)
+        for start in range(0, n_grid, EI_CHUNK):
+            chunk = slice(start, start + EI_CHUNK)
+            ei[chunk] = expected_improvement(*gp_predict(gp, grid[chunk]), f_min)
+        ei[evaluated] = -np.inf
+        pick = int(np.argmax(ei))
+        entry = evaluate(pick)
+        if entry.discrepancy < best.discrepancy:
+            best, best_index = entry, pick
+    return CalibrationResult(
+        beta_star=best.beta, tau_star=best.tau, discrepancy=best.discrepancy, trace=trace,
+        rounds_used=len(trace), target_count=target.count,
+        model=prob_cache[best_index // TAU_COUNT][0],
+    )
+
+
+@pytest.fixture(scope="module")
+def search_world():
+    pop = gen_population(ToyConfig(n_households=200, seed=5))
+    return pop, smoten_oversample(dataset_from_households(pop, "solar"), k=5, seed=5)
+
+
+@pytest.mark.parametrize(
+    "count, budget, rows, converged",
+    [
+        (40, 12, 1, True),  # the first init point is in the band
+        (14, 12, 3, True),  # the third of four init points is
+        (30, 12, 7, True),  # the third expected-improvement round is
+        (5, 8, 8, False),  # the budget runs out; rounds 5 and 7 tie at the minimum
+    ],
+)
+def test_calibrate_matches_reference_search(search_world, tmp_path, count, budget, rows, converged):
+    pop, data = search_world
+    target = AdopterTarget("VA", count)
+    kw = dict(budget=budget, init=4, seed=2, gbt_params=GbtParams(rounds=5))
+    got, want = calibrate(data, pop, target, **kw), _reference_calibrate(data, pop, target, **kw)
+    assert (len(want.trace), want.converged) == (rows, converged)
+    assert [(e.round, e.beta, e.tau, e.predicted, e.discrepancy) for e in got.trace] == [
+        (e.round, e.beta, e.tau, e.predicted, e.discrepancy) for e in want.trace
+    ]
+    assert (got.beta_star, got.tau_star, got.discrepancy, got.rounds_used) == (
+        want.beta_star, want.tau_star, want.discrepancy, want.rounds_used
+    )
+    save_model(got.model, tmp_path / "got.txt")
+    save_model(want.model, tmp_path / "want.txt")
+    assert (tmp_path / "got.txt").read_text() == (tmp_path / "want.txt").read_text()

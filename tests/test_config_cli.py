@@ -397,6 +397,49 @@ def test_preprocess_names_negative_household_id(tiny_run, tmp_path, capsys):
     ]
 
 
+def _set_cell(path, row, column, value):
+    """Rewrite one cell of a CSV file; rows are numbered from the header's 1."""
+    lines = [line.split(",") for line in path.read_text().splitlines()]
+    lines[row - 1][lines[0].index(column)] = value
+    path.write_text("".join(",".join(line) + "\n" for line in lines))
+
+
+@pytest.mark.parametrize(
+    "column, value, message",
+    [
+        ("NHSLDMEM", "-1", "code -1 outside domain"),
+        ("label", "99", "99 must be 0 or 1"),
+    ],
+)
+def test_calibrate_names_bad_training_cell(tiny_run, tmp_path, capsys, column, value, message):
+    _, out, ini = tiny_run
+    run = tmp_path / "out"
+    shutil.copytree(out, run)
+    _set_cell(run / "train_solar.csv", 4, column, value)
+    code = main(["calibrate", "--config", str(ini), "--out", str(run)])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: calibrate: train_solar.csv: row 4, column {column}: {message}"
+    ]
+
+
+def test_estimate_sqft_rejects_footage_below_zero_only(tiny_run, tmp_path, capsys):
+    # a finite footage above the top class is in no class range, so it
+    # weighs nothing and loads as before
+    _, out, ini = tiny_run
+    run = tmp_path / "out"
+    shutil.copytree(out, run)
+    args = ["estimate-sqft", "--config", str(ini), "--out", str(run)]
+    for value in ("-1", "-1e308"):
+        _set_cell(run / "survey.csv", 4, "sqft", value)
+        assert main(args) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: estimate-sqft: survey.csv: row 4, column sqft: {float(value)} must be > 0"
+        ]
+    _set_cell(run / "survey.csv", 4, "sqft", "1e308")
+    assert main(args) == 0
+
+
 def test_simulate_ranks_a_household_that_generates_nothing(tiny_run, tmp_path):
     # 10 sq ft gives a 1.4 m^2 roof, which fits no 1.64 m^2 panel, so that
     # household's annual kWh and rebate are 0

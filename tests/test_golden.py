@@ -34,11 +34,14 @@ def test_pipeline_outputs_match_golden_digests(tmp_path):
         " outputs may differ: rewrite them with python3 tools/identity.py --write-golden"
         " on a commit whose outputs are known good"
     )
-    runs = identity.golden_digests(tmp_path)["runs"]
-    changed = [
-        f"{run}/{path}"
-        for run in sorted(golden["runs"].keys() | runs.keys())
-        for path in sorted(golden["runs"].get(run, {}).keys() | runs.get(run, {}).keys())
-        if golden["runs"].get(run, {}).get(path) != runs.get(run, {}).get(path)
-    ]
+    want = _by_path(golden["runs"])
+    got = _by_path(identity.golden_digests(tmp_path)["runs"])
+    changed = sorted(path for path in want.keys() | got.keys() if want.get(path) != got.get(path))
     assert not changed, "outputs differ from the golden digests: " + ", ".join(changed)
+
+
+def _by_path(runs) -> dict:
+    """{run/file: digest} over every run's files."""
+    return {
+        f"{run}/{path}": digest for run, files in runs.items() for path, digest in files.items()
+    }

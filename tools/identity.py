@@ -223,8 +223,8 @@ def golden_digests(work: Path) -> dict:
         if main(["pipeline", "--config", str(ini), "--out", str(out), *flags]):
             raise RuntimeError(f"golden run {name} failed")
         runs[name] = {
-            path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
-            for path in sorted(out.rglob("*")) if path.is_file()
+            path.as_posix(): hashlib.sha256((out / path).read_bytes()).hexdigest()
+            for path in sorted(files(out))
         }
     return {"python": platform.python_version(), "numpy": np.__version__, "runs": runs}
 
@@ -250,10 +250,9 @@ def main(argv=None) -> int:
         return write_golden()
     if args.rev is None:
         parser.error("give a revision, or --write-golden")
-    rev = args.rev
     with tempfile.TemporaryDirectory(prefix="solartwin-identity-") as tmp:
         tmp = Path(tmp)
-        export(rev, tmp / "rev")
+        export(args.rev, tmp / "rev")
         ok = run_pipelines(tmp / "rev", tmp / "rev-out")
         ok = run_pipelines(ROOT, tmp / "checkout-out") and ok
         bad = compare(tmp / "rev-out", tmp / "checkout-out")
