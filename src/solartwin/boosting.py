@@ -8,8 +8,8 @@ codes, treated as ordinal (split "code <= c"): the highest gain wins, ties
 go to the first feature and then the lowest code, and a split must gain
 more than 1e-12.  Leaf values are second-order (Newton) steps; training
 updates its margins from the leaf values as each tree is built.  A
-plurality/soft voting combinator and a majority-class baseline member
-round out the classifier stack.
+one-vs-rest stack of boosters labels multi-class data, voting with the
+training class frequencies.
 """
 
 import math
@@ -210,11 +210,7 @@ def _build_tree(X, keys, codes, g, h, max_depth, lam, min_child_hess, leaf):
     return nodes
 
 
-def train_gbt(
-    data: LabeledDataset,
-    params: GbtParams | None = None,
-    loss: LossParams | None = None,
-) -> GbtModel:
+def train_gbt(data: LabeledDataset, params: GbtParams, loss: LossParams) -> GbtModel:
     """Fit Newton-boosted trees on a binary {0,1} labeled dataset.
 
     Training is exact and deterministic: it draws no random numbers.
@@ -229,8 +225,6 @@ def train_gbt(
     loss : LossParams
         beta enters the gradient statistics.
     """
-    params = params or GbtParams()
-    loss = loss or LossParams()
     y = data.y
     labels = set(np.unique(y).tolist())
     if not labels <= {0, 1}:
@@ -291,77 +285,48 @@ def apply_threshold(p, tau: float) -> np.ndarray:
     return (np.asarray(p, dtype=float) >= tau).astype(np.int64)
 
 
-def ensemble_votes(class_preds, class_probs) -> np.ndarray:
-    """Combine members row by row: plurality when >= 2 agree, else soft vote.
-
-    class_preds is (n, m): each of m members' predicted class index per row;
-    class_probs is (n, m, k): the matching probability vectors over a shared
-    list of k classes.  A plurality tie between classes that each got >= 2
-    votes goes to the tied class with the highest summed probability; pure
-    soft-vote ties go to the lowest class index.  Returns n class indices.
-    """
-    preds = np.asarray(class_preds, dtype=np.int64)
-    probs = np.asarray(class_probs, dtype=float)
-    if preds.ndim != 2 or preds.shape[1] < 2:
-        raise ValueError("need at least two ensemble members")
-    if probs.ndim != 3 or probs.shape[:2] != preds.shape:
-        raise ValueError("one probability vector per member required")
-    if not np.all(np.abs(probs.sum(axis=2) - 1.0) <= 1e-9):
-        raise ValueError("member probability vectors must sum to 1")
-    if preds.size and not (preds.min() >= 0 and preds.max() < probs.shape[2]):
-        raise ValueError("predicted class index outside the probability vectors")
-    counts = (preds[:, :, None] == np.arange(probs.shape[2])).sum(axis=1)
-    top = counts.max(axis=1)[:, None]
-    candidates = (counts == top) | (top < 2)
-    summed = probs.sum(axis=1)
-    return np.argmax(np.where(candidates, summed, -np.inf), axis=1)
-
-
-@dataclass
-class MajorityBaseline:
-    """Trivial ensemble member: constant class-frequency probabilities."""
-
-    freqs: np.ndarray
-
-    @classmethod
-    def fit(cls, y, n_classes: int) -> "MajorityBaseline":
-        counts = np.bincount(np.asarray(y, dtype=np.int64), minlength=n_classes)
-        if counts.sum() == 0:
-            raise ValueError("empty training labels")
-        return cls(freqs=counts / counts.sum())
-
-    def predict_class(self) -> int:
-        return int(np.argmax(self.freqs))
-
-    def predict_probs(self) -> np.ndarray:
-        return self.freqs.copy()
+def _vote(probs: np.ndarray, freqs: np.ndarray) -> np.ndarray:
+    """Per row, the boosters' top class if it is the majority class, else argmax(probs + freqs)."""
+    top = np.argmax(probs, axis=1)
+    return np.where(top == np.argmax(freqs), top, np.argmax(probs + freqs, axis=1))
 
 
 @dataclass
 class OvrModel:
-    """One-vs-rest stack of binary boosters over the observed class set."""
+    """One-vs-rest stack of binary boosters over the observed class set,
+    with the class frequencies of its training labels."""
 
     classes: tuple
     members: list
+    freqs: np.ndarray
 
     def predict_probs(self, X: np.ndarray) -> np.ndarray:
         """(n, len(classes)) matrix of normalized per-class probabilities."""
         raw = np.column_stack([predict_proba(m, X) for m in self.members])
-        return raw / raw.sum(axis=1, keepdims=True)
+        total = raw.sum(axis=1, keepdims=True)
+        if not np.all(total > 0):
+            row = int(np.argmin(total > 0))
+            raise ValueError(
+                f"feature row {row}: no one-vs-rest member gives it a positive probability"
+            )
+        return raw / total
+
+    def predict_labels(self, X: np.ndarray) -> np.ndarray:
+        """Class label of each row, voted by the boosters and a member that
+        always predicts the training class frequencies."""
+        return np.asarray(self.classes)[_vote(self.predict_probs(X), self.freqs)]
 
 
-def train_ovr(data: LabeledDataset, params: GbtParams | None = None) -> OvrModel:
+def train_ovr(data: LabeledDataset, params: GbtParams) -> OvrModel:
     """One binary booster per observed class (beta = 1 for each)."""
-    classes = sorted(set(np.unique(data.y).tolist()))
-    if len(classes) < 2:
+    classes, counts = np.unique(data.y, return_counts=True)
+    if classes.size < 2:
         raise ValueError("training data contains a single class")
     members = []
-    for cls in classes:
-        binary = LabeledDataset(
-            data.X, (data.y == cls).astype(np.int64), data.domains
-        )
+    for cls in classes.tolist():
+        binary = LabeledDataset(data.X, (data.y == cls).astype(np.int64), data.domains)
         members.append(train_gbt(binary, params, LossParams(1.0)))
-    return OvrModel(classes=tuple(classes), members=members)
+    return OvrModel(tuple(classes.tolist()), members, counts / counts.sum())
 
 
 def save_model(model: GbtModel, path):

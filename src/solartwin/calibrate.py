@@ -179,9 +179,9 @@ def calibrate(
     train: LabeledDataset,
     apply: HouseholdTable,
     target: AdopterTarget,
-    budget: int = 2000,
-    init: int = 10,
-    seed: int = 0,
+    budget: int,
+    init: int,
+    seed: int,
     gbt_params: GbtParams | None = None,
 ) -> CalibrationResult:
     """Search (beta, tau) so the booster's adopter count matches the target.

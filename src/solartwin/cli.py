@@ -22,14 +22,7 @@ from datetime import date, timedelta
 
 import numpy as np
 
-from .boosting import (
-    MajorityBaseline,
-    apply_threshold,
-    ensemble_votes,
-    predict_proba,
-    save_model,
-    train_ovr,
-)
+from .boosting import apply_threshold, predict_proba, save_model, train_ovr
 from .calibrate import calibrate, save_trace
 from .config import RunConfig, load_config, parse_cases
 from .diffusion import build_nodes, save_timeline, simulate
@@ -46,6 +39,7 @@ from .records import (
     FEATURE_DOMAINS,
     FEATURE_NAMES,
     AdopterTarget,
+    IngestError,
     check_cells,
     feature_code_checks,
     load_households,
@@ -140,10 +134,14 @@ def _load_dataset(path) -> LabeledDataset:
     columns = read_csv(path, dict.fromkeys(list(FEATURE_NAMES) + ["label"], int))
     X = np.array([columns[f] for f in FEATURE_NAMES], dtype=np.int64).T.copy()
     y = np.array(columns["label"], dtype=np.int64)
+    source = f"{os.path.basename(path)}: "
     check_cells(
-        f"{os.path.basename(path)}: ",
+        source,
         feature_code_checks(X) + [("label", y, (y != 0) & (y != 1), "{} must be 0 or 1")],
     )
+    classes = np.unique(y).tolist()
+    if classes != [0, 1]:
+        raise IngestError(f"{source}column label: needs both classes 0 and 1, found {classes}")
     domains = tuple(tuple(FEATURE_DOMAINS[name]) for name in FEATURE_NAMES)
     return LabeledDataset(X, y, domains)
 
@@ -197,15 +195,7 @@ def cmd_preprocess(cfg: RunConfig, args):
 def cmd_classify_sqft(cfg: RunConfig, args):
     pop = load_households(_require(_path(cfg, "households.csv"), "toygen"))
     data = dataset_from_households(pop, "sqft_class")
-    ovr = train_ovr(data, cfg.gbt_params())
-    classes = np.asarray(ovr.classes)
-    majority = MajorityBaseline.fit(np.searchsorted(classes, data.y), classes.size)
-    ovr_probs = ovr.predict_probs(data.X)
-    base_probs = np.broadcast_to(majority.predict_probs(), ovr_probs.shape)
-    preds = np.column_stack(
-        [np.argmax(ovr_probs, axis=1), np.full(len(pop), majority.predict_class())]
-    )
-    predicted = classes[ensemble_votes(preds, np.stack([ovr_probs, base_probs], axis=1))]
+    predicted = train_ovr(data, cfg.gbt_params()).predict_labels(data.X)
     agree = int(np.count_nonzero(predicted == pop.sqft_class.filled(-1)))
     save_households(pop.replace(sqft_class=predicted), _path(cfg, "households_classified.csv"))
     log.info("classify-sqft: %d/%d match the planted class", agree, len(pop))

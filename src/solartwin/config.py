@@ -150,7 +150,7 @@ def _schema():
             yield section, name.removeprefix(section + "_"), name, parse
 
 
-def load_config(path=None) -> RunConfig:
+def load_config(path) -> RunConfig:
     """Defaults, overridden by any keys present in the INI file at path."""
     if path is None:
         return RunConfig()

@@ -136,12 +136,7 @@ def _gate(case: str, lmi, step: int, rebate_bin):
     return np.where(lmi, lmi_prob, other_prob)
 
 
-def rebate_value(
-    annual_kwh,
-    cost_per_watt: float,
-    credit_rate,
-    capacity_factor: float = 0.15,
-):
+def rebate_value(annual_kwh, cost_per_watt: float, credit_rate, capacity_factor: float):
     """Dollar rebate: credit on the install cost of a system sized to the
     household's annual generation at the given capacity factor.
 
@@ -282,7 +277,7 @@ def build_nodes(pop: HouseholdTable, graph: Graph, benefit_values) -> NodeData:
     )
 
 
-def case_nodes(nodes: NodeData, config: DiffusionConfig, annual_kwh=None) -> NodeData:
+def case_nodes(nodes: NodeData, config: DiffusionConfig, annual_kwh) -> NodeData:
     """The nodes under config's case.  Cases 4 and 5 add each household's
     rebate bin, ranked on its annual_kwh; case 5 uprates the credit rate for
     LMI households by the extra credit before ranking.  Other cases take the

@@ -76,7 +76,7 @@ def jsd_histogram(samples_a, samples_b, bins: int = 50) -> float:
     return 0.0 if masses is None else _jsd_mass(*masses)
 
 
-def kld_histogram(samples_a, samples_b, bins: int = 50) -> float:
+def kld_histogram(samples_a, samples_b, bins: int) -> float:
     """KL divergence D(a || b) in bits on jsd_histogram's histograms;
     +inf when a bin holds samples of a but none of b."""
     masses = _histogram_masses(samples_a, samples_b, bins)
@@ -138,7 +138,7 @@ def jsd_kde(samples_a, samples_b, bandwidth_a=None, grid: int = 512) -> float:
 
     Side b always uses Scott's rule.  Side a uses Scott's rule by default;
     pass one positive bandwidth per sample (side a's per-sample
-    uncertainty) to override.
+    uncertainty) to override.  A grid whose span is not finite is an error.
     """
     a = np.asarray(samples_a, dtype=float)
     b = np.asarray(samples_b, dtype=float)
@@ -163,6 +163,8 @@ def jsd_kde(samples_a, samples_b, bandwidth_a=None, grid: int = 512) -> float:
     pad = 3.0 * max(float(h_a.max()), h_b)
     lo = min(float(a.min()), float(b.min())) - pad
     hi = max(float(a.max()), float(b.max())) + pad
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"KDE grid from {lo} to {hi} is not finite")
     xs = np.linspace(lo, hi, grid)
     return _jsd_mass(_kde_mass(a, h_a, xs), _kde_mass(b, np.full(b.size, h_b), xs))
 

@@ -71,7 +71,7 @@ def dataset_from_households(table: HouseholdTable, label: str) -> LabeledDataset
     return LabeledDataset(table.features, table.labels(label).astype(np.int64), domains)
 
 
-def smoten_oversample(data: LabeledDataset, k: int = 5, seed: int = 0) -> LabeledDataset:
+def smoten_oversample(data: LabeledDataset, k: int, seed: int) -> LabeledDataset:
     """Upsample every minority class to the majority count.
 
     Each synthetic row takes a uniformly chosen minority seed row and sets

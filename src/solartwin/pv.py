@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .records import HouseholdTable, IrradianceSeries, read_csv, write_csv
+from .records import HouseholdTable, IrradianceSeries, check_cells, read_csv, write_csv
 from .seeds import choose, stream_rows
 
 SQFT_TO_M2 = 0.092903
@@ -271,8 +271,8 @@ def generate_profiles(
     pop: HouseholdTable,
     irradiance: dict,
     dates,
-    workers: int = 1,
-    seed: int = 0,
+    workers: int,
+    seed: int,
     n_samples: int = 20,
     hourly: bool = True,
 ) -> EnergyProfiles:
@@ -356,10 +356,15 @@ def save_daily(profiles: EnergyProfiles, path):
     )
 
 
+def _at_least_zero(columns, names) -> list:
+    """check_cells's checks that each named column holds no negative value."""
+    return [(name, columns[name], np.array(columns[name]) < 0, "{} must be >= 0") for name in names]
+
+
 def load_daily(path) -> dict:
     """Read a daily CSV back as its household_id, date, daily_mean_kwh and
-    daily_std_kwh columns, keyed by name."""
-    return read_csv(
+    daily_std_kwh columns, keyed by name.  The kWh columns must be >= 0."""
+    columns = read_csv(
         path,
         {
             "household_id": int,
@@ -368,20 +373,34 @@ def load_daily(path) -> dict:
             "daily_std_kwh": float,
         },
     )
+    check_cells(
+        f"{os.path.basename(path)}: ",
+        _at_least_zero(columns, ("daily_mean_kwh", "daily_std_kwh")),
+    )
+    return columns
 
 
 def load_profile_rows(path) -> dict:
     """Read a profiles_<date>.csv back as its household_id, date, hour,
     mean_kwh and std_kwh columns, keyed by name, the date as text.  Every
-    row's date must be the one in the file name."""
-    day = os.path.basename(path)[len("profiles_"):-len(".csv")]
+    row's date must be the one in the file name, each hour in [0, 23], and
+    the kWh columns >= 0."""
+    name = os.path.basename(path)
+    day = name[len("profiles_"):-len(".csv")]
 
     def same_day(cell):
         if cell != day:
             raise ValueError(f"date is not {day}")
         return cell
 
-    return read_csv(
+    columns = read_csv(
         path,
         {"household_id": int, "date": same_day, "hour": int, "mean_kwh": float, "std_kwh": float},
     )
+    hours = np.array(columns["hour"])
+    check_cells(
+        f"{name}: ",
+        [("hour", columns["hour"], (hours < 0) | (hours > 23), "{} out of [0, 23]")]
+        + _at_least_zero(columns, ("mean_kwh", "std_kwh")),
+    )
+    return columns

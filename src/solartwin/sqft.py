@@ -39,7 +39,7 @@ class SubclassWeights:
             raise ValueError("weights must be non-negative and sum to 1")
 
 
-def subclass_weights(survey, class_range, k: int = 5) -> SubclassWeights:
+def subclass_weights(survey, class_range, k: int) -> SubclassWeights:
     """Frequency weights of k equal-width sub-intervals of a class range.
 
     Counts survey values in [low, high) per sub-interval (internal edges are

@@ -153,9 +153,9 @@ def test_calibrate_argument_guards():
     pop = gen_population(ToyConfig(n_households=50, seed=0))
     data = smoten_oversample(dataset_from_households(pop, "solar"), k=3, seed=0)
     with pytest.raises(ValueError, match="budget"):
-        calibrate(data, pop, AdopterTarget("VA", 5), budget=2, init=5)
+        calibrate(data, pop, AdopterTarget("VA", 5), budget=2, init=5, seed=0)
     with pytest.raises(ValueError, match="exceeds population"):
-        calibrate(data, pop, AdopterTarget("VA", 500))
+        calibrate(data, pop, AdopterTarget("VA", 500), budget=2000, init=10, seed=0)
 
 
 def test_save_trace_format(tmp_path, toy_calibration):

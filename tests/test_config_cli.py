@@ -47,7 +47,7 @@ def test_cli_import_leaves_out_scipy_linalg_and_sparse():
 
 
 def test_defaults():
-    cfg = load_config()
+    cfg = load_config(None)
     assert cfg.seed == 0
     assert cfg.workers == 1
     assert cfg.n_households == 500
@@ -420,6 +420,85 @@ def test_calibrate_names_bad_training_cell(tiny_run, tmp_path, capsys, column, v
     assert code == 1
     assert capsys.readouterr().err.splitlines() == [
         f"error: calibrate: train_solar.csv: row 4, column {column}: {message}"
+    ]
+
+
+@pytest.mark.parametrize(
+    "keep, label, found",
+    [(0, None, []), (1, "1", [1]), (None, "0", [0]), (None, "1", [1])],
+)
+def test_calibrate_needs_both_label_classes(tiny_run, tmp_path, capsys, keep, label, found):
+    # keep the first `keep` data rows, then set every label
+    _, out, ini = tiny_run
+    run = tmp_path / "out"
+    shutil.copytree(out, run)
+    path = run / "train_solar.csv"
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    if keep is not None:
+        rows = rows[: keep + 1]
+    if label is not None:
+        for row in rows[1:]:
+            row[-1] = label
+    path.write_text("".join(",".join(row) + "\n" for row in rows))
+    assert main(["calibrate", "--config", str(ini), "--out", str(run)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: calibrate: train_solar.csv: column label: needs both classes 0 and 1,"
+        f" found {found}"
+    ]
+
+
+@pytest.mark.parametrize(
+    "name, column, value, message",
+    [
+        ("profiles_2018-01-02.csv", "hour", "99", "99 out of [0, 23]"),
+        ("profiles_2018-01-01.csv", "mean_kwh", "-3", "-3.0 must be >= 0"),
+        ("daily_2018-01-01_2d.csv", "daily_mean_kwh", "-5", "-5.0 must be >= 0"),
+    ],
+)
+def test_validate_names_bad_generation_cell(
+    tiny_run, tmp_path, capsys, name, column, value, message
+):
+    _, out, ini = tiny_run
+    run = tmp_path / "out"
+    shutil.copytree(out, run)
+    _set_cell(run / "twin" / name, 4, column, value)
+    assert main(["validate", "--config", str(ini), "--out", str(run)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: validate: {name}: row 4, column {column}: {message}"
+    ]
+
+
+def test_validate_rejects_a_kde_grid_that_is_not_finite(tiny_run, tmp_path, capsys):
+    # side a's bandwidths are its daily_std_kwh; 3 * 1e308 pads the grid to inf
+    _, out, ini = tiny_run
+    run = tmp_path / "out"
+    shutil.copytree(out, run)
+    _set_cell(run / "real" / "daily_2018-01-01_2d.csv", 4, "daily_std_kwh", "1e308")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["validate", "--config", str(ini), "--out", str(run)])
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: validate: KDE grid from -inf to inf is not finite"
+    ]
+
+
+def test_classify_sqft_names_a_row_no_member_scores(tmp_path, capsys):
+    # at this learning rate every booster's margin saturates, and some row
+    # gets probability 0 from every one-vs-rest member
+    ini = tmp_path / "steep.ini"
+    ini.write_text(
+        TINY_INI.replace("n_households = 60", "n_households = 300")
+        .replace("rounds = 20", "rounds = 5\nlearning_rate = 1e6")
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["pipeline", "--config", str(ini), "--out", str(tmp_path / "out")])
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: pipeline: feature row 0: no one-vs-rest member gives it a positive probability"
     ]
 
 

@@ -117,13 +117,14 @@ def test_rebate_value_oracle():
     assert rebate_value(6570.0, 3.04, 0.30, 0.15) == pytest.approx(4560.0, rel=1e-9)
     assert rebate_value(6570.0, 3.04, 0.0, 0.15) == 0.0
     # a household that generates nothing gets nothing, and is ranked
-    assert rebate_value(0.0, 3.04, 0.3) == 0.0
-    assert rebate_bins(rebate_value(np.array([5.0, 0.0, 9.0]), 3.04, 0.3)).tolist() == [4, 1, 7]
+    assert rebate_value(0.0, 3.04, 0.3, 0.15) == 0.0
+    rebates = rebate_value(np.array([5.0, 0.0, 9.0]), 3.04, 0.3, 0.15)
+    assert rebate_bins(rebates).tolist() == [4, 1, 7]
     for kwh in (-1.0, float("nan")):
         with pytest.raises(ValueError, match="^annual_kwh must be >= 0$"):
-            rebate_value(kwh, 3.04, 0.3)
+            rebate_value(kwh, 3.04, 0.3, 0.15)
     with pytest.raises(ValueError, match="^annual_kwh 1e\\+306 gives a rebate that is not finite$"):
-        rebate_value(np.array([1.0, 1e306]), 3.04, 0.3)
+        rebate_value(np.array([1.0, 1e306]), 3.04, 0.3, 0.15)
 
 
 def test_rebate_bins_equal_population():

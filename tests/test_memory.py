@@ -56,7 +56,7 @@ SETUP = {
         "pop = pop.replace(solar=np.ones(len(pop), bool), sqft_value=np.full(len(pop), 1800.0))\n"
         "irradiance = {t: gen_irradiance(toy, t) for t in tract_ids(toy)}\n"
         "dates = [toy.start_date + timedelta(days=d) for d in range(toy.days)]\n"
-        "call = lambda: generate_profiles(pop, irradiance, dates, hourly=False)\n"
+        "call = lambda: generate_profiles(pop, irradiance, dates, workers=1, seed=0, hourly=False)\n"
     ),
     "profiles_many_workers": (
         "from datetime import timedelta\n"
@@ -68,7 +68,7 @@ SETUP = {
         "pop = pop.replace(solar=np.ones(len(pop), bool), sqft_value=np.full(len(pop), 1800.0))\n"
         "irradiance = {t: gen_irradiance(toy, t) for t in tract_ids(toy)}\n"
         "dates = [toy.start_date + timedelta(days=d) for d in range(toy.days)]\n"
-        "call = lambda: generate_profiles(pop, irradiance, dates, workers=1_000_000)\n"
+        "call = lambda: generate_profiles(pop, irradiance, dates, workers=1_000_000, seed=0)\n"
     ),
     "simulate_timelines": (
         "import numpy as np\n"

@@ -149,12 +149,12 @@ def test_kld_histogram_matches_reference(samples):
 def test_kld_histogram_behavior():
     assert kld_histogram([1.0, 2.0], [1.0, 2.0], 4) == 0.0
     assert kld_histogram([1.0, 2.0], [1.0, 1.0], 4) == math.inf
-    assert kld_histogram([3.0], [3.0, 3.0]) == 0.0  # degenerate range
+    assert kld_histogram([3.0], [3.0, 3.0], 50) == 0.0  # degenerate range
     assert kld_histogram([1.0, 1.0, 2.0], [1.0, 2.0], 2) == pytest.approx(
         kld(dist(2 / 3, 1 / 3), dist(0.5, 0.5)), rel=1e-15
     )
     with pytest.raises(ValueError, match="non-empty"):
-        kld_histogram([], [1.0])
+        kld_histogram([], [1.0], 50)
 
 
 def test_scott_bandwidth_exact_values():

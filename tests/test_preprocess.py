@@ -85,7 +85,7 @@ def test_smoten_balanced_input_is_copied():
     X = np.array([[0], [1], [0], [1]])
     y = np.array([0, 0, 1, 1])
     data = LabeledDataset(X, y)
-    out = smoten_oversample(data, k=1)
+    out = smoten_oversample(data, k=1, seed=0)
     assert out == data
     assert out.X is not data.X
 
@@ -93,7 +93,7 @@ def test_smoten_balanced_input_is_copied():
 def test_smoten_single_class_rejected():
     data = LabeledDataset(np.zeros((5, 2), dtype=int), np.zeros(5, dtype=int))
     with pytest.raises(ValueError, match="two classes"):
-        smoten_oversample(data)
+        smoten_oversample(data, k=5, seed=0)
 
 
 def _reference_smoten_oversample(data, k=5, seed=0):

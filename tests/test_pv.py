@@ -155,7 +155,7 @@ def test_hourly_energy_matches_manual():
     pop = make_households()
     series = flat_series(days=1, value=500.0)
     date = series.start_date
-    profiles = generate_profiles(pop, {"t1": series}, [date], seed=2, n_samples=30)
+    profiles = generate_profiles(pop, {"t1": series}, [date], workers=1, seed=2, n_samples=30)
     ti = _reference_sample_time_invariant(0, 1800.0, 30, rng_for(2, "pv", 0))
     delta = declination(date.timetuple().tm_yday)
     ht = [
@@ -176,7 +176,7 @@ def profiles_setup(n_households=6, days=2):
 
 def test_profiles_shape_and_order():
     pop, irr, dates = profiles_setup()
-    profiles = generate_profiles(pop, irr, dates, seed=4)
+    profiles = generate_profiles(pop, irr, dates, workers=1, seed=4)
     assert len(profiles) == 6 * 2
     assert profiles.hourly_mean.shape == profiles.hourly_std.shape == (6, 2, 24)
     # ordered by household table order, then date
@@ -186,7 +186,7 @@ def test_profiles_shape_and_order():
 
 def test_profiles_identities_and_night_zeros():
     pop, irr, dates = profiles_setup()
-    profiles = generate_profiles(pop, irr, dates, seed=4)
+    profiles = generate_profiles(pop, irr, dates, workers=1, seed=4)
     daily_mean, daily_std = profiles.daily_mean, profiles.daily_std
     for k in range(len(pop)):
         for j in range(len(dates)):
@@ -209,8 +209,8 @@ def test_profiles_ghi_doubling_is_exact():
     doubled = {
         "t1": IrradianceSeries("t1", irr["t1"].start_date, irr["t1"].hours * 2.0)
     }
-    base = generate_profiles(pop, irr, dates, seed=4)
-    twice = generate_profiles(pop, doubled, dates, seed=4)
+    base = generate_profiles(pop, irr, dates, workers=1, seed=4)
+    twice = generate_profiles(pop, doubled, dates, workers=1, seed=4)
     assert np.array_equal(twice.hourly_mean, base.hourly_mean * 2.0)
     assert np.array_equal(twice.hourly_std, base.hourly_std * 2.0)
 
@@ -259,7 +259,7 @@ def test_profile_pool_capped_at_cpu_count(monkeypatch):
 def test_profiles_only_for_adopters():
     pop = make_households(2, solar=[True, False])
     series = flat_series(days=1)
-    profiles = generate_profiles(pop, {"t1": series}, [series.start_date], seed=0)
+    profiles = generate_profiles(pop, {"t1": series}, [series.start_date], workers=1, seed=0)
     assert profiles.household.tolist() == [0]
     assert len(profiles) == 1
 
@@ -281,21 +281,21 @@ def test_profiles_empty_side(tmp_path):
 def test_profiles_input_guards():
     pop, irr, dates = profiles_setup()
     with pytest.raises(ValueError, match="no dates"):
-        generate_profiles(pop, irr, [], seed=0)
+        generate_profiles(pop, irr, [], workers=1, seed=0)
     with pytest.raises(ValueError, match="no irradiance series for tract t1"):
-        generate_profiles(pop, {}, dates, seed=0)
+        generate_profiles(pop, {}, dates, workers=1, seed=0)
     late = [dates[-1] + datetime.timedelta(days=30)]
     with pytest.raises(ValueError, match="no irradiance for tract t1 on"):
-        generate_profiles(pop, irr, late, seed=0)
+        generate_profiles(pop, irr, late, workers=1, seed=0)
     # two tracts: only the second one's series ends early, so it is named
     # with the first date it lacks
     two = make_households(3, tract=["t1", "t2", "t2"])
     short = {"t1": flat_series(days=3), "t2": flat_series("t2", days=1)}
     days3 = [dates[0] + datetime.timedelta(days=d) for d in range(3)]
     with pytest.raises(ValueError, match="^no irradiance for tract t2 on 2018-06-02$"):
-        generate_profiles(two, short, days3, seed=0)
+        generate_profiles(two, short, days3, workers=1, seed=0)
     with pytest.raises(ValueError, match="^no irradiance series for tract t2$"):
-        generate_profiles(two, {"t1": short["t1"]}, days3, seed=0)
+        generate_profiles(two, {"t1": short["t1"]}, days3, workers=1, seed=0)
 
 
 def test_profiles_horizontal_fallback_across_dates():
@@ -304,7 +304,7 @@ def test_profiles_horizontal_fallback_across_dates():
     start = datetime.date(2018, 3, 20)
     series = flat_series(days=6, start=start)
     dates = [start + datetime.timedelta(days=d) for d in range(6)]
-    profiles = generate_profiles(pop, {"t1": series}, dates, seed=5)
+    profiles = generate_profiles(pop, {"t1": series}, dates, workers=1, seed=5)
     arpr, tilts, d = (column[0] for column in sample(pop, 20, 5))
     flat_days = 0
     for j, date in enumerate(dates):
@@ -325,7 +325,7 @@ def test_profiles_horizontal_fallback_across_dates():
 
 def test_profile_csv_roundtrip(tmp_path):
     pop, irr, dates = profiles_setup(n_households=3, days=2)
-    profiles = generate_profiles(pop, irr, dates, seed=6)
+    profiles = generate_profiles(pop, irr, dates, workers=1, seed=6)
     paths = save_profiles(profiles, tmp_path)
     assert [p.split("profiles_")[-1] for p in paths] == [
         "2018-06-01.csv", "2018-06-02.csv"
@@ -528,8 +528,10 @@ def test_profiles_match_reference_per_household(footages, lats, days, n, cells, 
         tract=[f"t{1 + k % 2}" for k in range(n_households)],
     )
     with mock.patch.object(pv, "_BLOCK_CELLS", cells):
-        profiles = generate_profiles(pop, irradiance, dates, seed=seed, n_samples=n)
-        daily = generate_profiles(pop, irradiance, dates, seed=seed, n_samples=n, hourly=False)
+        profiles = generate_profiles(pop, irradiance, dates, workers=1, seed=seed, n_samples=n)
+        daily = generate_profiles(
+            pop, irradiance, dates, workers=1, seed=seed, n_samples=n, hourly=False
+        )
     mean, std = _reference_profiles(pop, irradiance, dates, seed, n)
     assert np.array_equal(profiles.hourly_mean, mean)
     assert np.array_equal(profiles.hourly_std, std)
@@ -544,7 +546,7 @@ def test_mean_daily_matches_whole_block_across_workers():
     blocks of 1 (12 workers leave 3 blocks empty), give the arrays of one
     whole-block chunk."""
     pop, irr, dates = profiles_setup(n_households=9, days=2)
-    whole = generate_profiles(pop, irr, dates, seed=11)
+    whole = generate_profiles(pop, irr, dates, workers=1, seed=11)
     assert np.array_equal(whole.mean_daily, whole.daily_mean.mean(axis=1))
     for workers in (1, 2, 12):
         with mock.patch.object(pv, "_BLOCK_CELLS", 1):
@@ -567,7 +569,7 @@ def test_first_adopter_without_sqft_is_named():
     series = flat_series(days=1)
     for workers in (1, 2):
         with pytest.raises(ValueError, match="^household 4 has no sqft_value$"):
-            generate_profiles(pop, {"t1": series}, [series.start_date], workers=workers)
+            generate_profiles(pop, {"t1": series}, [series.start_date], workers=workers, seed=0)
 
 
 def test_overflowing_roof_is_named():
@@ -581,7 +583,7 @@ def test_overflowing_roof_is_named():
     series = flat_series(days=1)
     for workers in (1, 2):
         with pytest.raises(ValueError, match=message):
-            generate_profiles(pop, {"t1": series}, [series.start_date], workers=workers)
+            generate_profiles(pop, {"t1": series}, [series.start_date], workers=workers, seed=0)
 
 
 def test_non_finite_energy_is_named():
@@ -594,4 +596,4 @@ def test_non_finite_energy_is_named():
     dates = [huge.start_date, huge.start_date + datetime.timedelta(days=1)]
     for workers in (1, 2):
         with pytest.raises(ValueError, match="^household 6 has non-finite energy on 2018-06-02$"):
-            generate_profiles(pop, irradiance, dates, workers=workers)
+            generate_profiles(pop, irradiance, dates, workers=workers, seed=0)

@@ -437,6 +437,12 @@ TABLES = {
         ("daily", 3, "date", "2018-13-01"),
         ("profiles", 3, "date", "2018-01-02"),
         ("profiles", 2, "mean_kwh", "NaN"),
+        ("daily", 3, "daily_mean_kwh", "-5"),
+        ("daily", 2, "daily_std_kwh", "-1e-9"),
+        ("profiles", 3, "hour", "99"),
+        ("profiles", 2, "hour", "-1"),
+        ("profiles", 3, "mean_kwh", "-3"),
+        ("profiles", 2, "std_kwh", "-0.5"),
     ],
 )
 def test_loaders_name_bad_cell(tmp_path, table, row, column, cell):
@@ -822,13 +828,15 @@ def test_survey_roundtrip_property(values):
 
 @st.composite
 def labeled_datasets(draw):
-    """0-8 rows of in-domain feature codes with labels 0 and 1."""
-    n = draw(st.integers(0, 8))
+    """2-8 rows of in-domain feature codes, labelled with both 0 and 1 (the
+    loader rejects a label column without both classes)."""
+    n = draw(st.integers(2, 8))
     X = np.array(
         [draw(st.lists(st.sampled_from(FEATURE_DOMAINS[f]), min_size=n, max_size=n))
          for f in FEATURE_NAMES], dtype=np.int64,
     ).T.reshape(n, len(FEATURE_NAMES))
-    y = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    labels = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    y = draw(labels.filter(lambda y: len(set(y)) == 2))
     return LabeledDataset(X, y, tuple(tuple(FEATURE_DOMAINS[f]) for f in FEATURE_NAMES))
 
 

@@ -97,3 +97,61 @@ def test_every_public_member_has_a_reader():
                         yield f"{path.stem}.{cls.name}.{name}", name, node
 
     assert _unused(_reads, members) == []
+
+
+def _aliases(trees) -> dict:
+    """Imported name of each ``import ... as`` alias in any file."""
+    return {
+        alias.asname: alias.name
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+        if alias.asname
+    }
+
+
+def _calls(trees, aliases):
+    """(callee name, positional args, keyword names) of every call in the
+    trees; ``benchmark(f, *args, **kwargs)`` counts as a call of f."""
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func, args = node.func, node.args
+            if isinstance(func, ast.Name) and func.id == "benchmark" and args:
+                func, args = args[0], args[1:]
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            yield aliases.get(name, name), args, [kw.arg for kw in node.keywords]
+
+
+def _omits(call, params, name) -> bool:
+    """Whether the call leaves parameter name to its default; a starred
+    argument could fill any parameter, so it omits none."""
+    _, args, keywords = call
+    if None in keywords or any(isinstance(arg, ast.Starred) for arg in args):
+        return False
+    return name not in keywords and name not in params[: len(args)]
+
+
+def test_every_parameter_default_is_omitted_by_a_caller():
+    trees = [ast.parse(path.read_text(), str(path)) for path in LIBRARY + USERS]
+    calls = list(_calls(trees, _aliases(trees)))
+    overridden = []
+    for path, tree in zip(LIBRARY, trees):
+        for fn in _public_definitions(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            params = [arg.arg for arg in fn.args.posonlyargs + fn.args.args]
+            defaulted = params[len(params) - len(fn.args.defaults):] + [
+                arg.arg
+                for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                if default is not None
+            ]
+            own = [call for call in calls if call[0] == fn.name]
+            overridden += [
+                f"{path.stem}.{fn.name}({name})"
+                for name in defaulted
+                if own and not any(_omits(call, params, name) for call in own)
+            ]
+    assert overridden == []
