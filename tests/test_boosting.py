@@ -337,7 +337,7 @@ def _duplicate_columns():
     return LabeledDataset(X, np.array([0, 1, 1, 0, 1, 1]))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(small_datasets(), TRAIN_PARAMS, BETAS)
 @example(_duplicate_columns(), GbtParams(rounds=2, depth=2), 1.7)
 @example(LabeledDataset(np.zeros((4, 0), dtype=np.int64), np.array([0, 1, 1, 0])),
