@@ -38,4 +38,4 @@ def test_bench_profile_round_trip(benchmark, tmp_path, households, days):
     profiles = _profiles(households, days)
     loaded = benchmark(_round_trip, profiles, tmp_path)
     assert len(loaded) == days
-    assert loaded[0]["mean_kwh"] == profiles.hourly_mean[:, 0].ravel().tolist()
+    assert loaded[0]["mean_kwh"].tolist() == profiles.hourly_mean[:, 0].ravel().tolist()

@@ -36,12 +36,10 @@ from .preprocess import (
 )
 from .pv import generate_profiles, load_daily, load_profile_rows, save_daily, save_profiles
 from .records import (
+    FEATURE_CODE_RULES,
     FEATURE_DOMAINS,
     FEATURE_NAMES,
     AdopterTarget,
-    IngestError,
-    check_cells,
-    feature_code_checks,
     load_households,
     load_irradiance,
     load_network,
@@ -118,11 +116,9 @@ def _save_survey(values, path):
     write_csv(path, ["sqft"], [[repr(float(v)) for v in values]])
 
 
-def _load_survey(path) -> list:
-    values = read_csv(path, {"sqft": float})["sqft"]
-    sqft = np.array(values)
-    check_cells(f"{os.path.basename(path)}: ", [("sqft", sqft, ~(sqft > 0), "{} must be > 0")])
-    return values
+def _load_survey(path) -> np.ndarray:
+    rules = [("sqft", lambda sqft: ~(sqft > 0), "{} must be > 0")]
+    return read_csv(path, {"sqft": float}, rules=rules)["sqft"]
 
 
 def _save_dataset(data: LabeledDataset, path):
@@ -130,20 +126,24 @@ def _save_dataset(data: LabeledDataset, path):
     write_csv(path, list(FEATURE_NAMES) + ["label"], [list(map(str, c)) for c in columns])
 
 
-def _load_dataset(path) -> LabeledDataset:
-    columns = read_csv(path, dict.fromkeys(list(FEATURE_NAMES) + ["label"], int))
-    X = np.array([columns[f] for f in FEATURE_NAMES], dtype=np.int64).T.copy()
-    y = np.array(columns["label"], dtype=np.int64)
-    source = f"{os.path.basename(path)}: "
-    check_cells(
-        source,
-        feature_code_checks(X) + [("label", y, (y != 0) & (y != 1), "{} must be 0 or 1")],
-    )
+def _label_cells(y):
+    """The label cells other than 0 or 1; with none, both classes must appear."""
+    bad = (y != 0) & (y != 1)
     classes = np.unique(y).tolist()
-    if classes != [0, 1]:
-        raise IngestError(f"{source}column label: needs both classes 0 and 1, found {classes}")
+    if not bad.any() and classes != [0, 1]:
+        raise ValueError(f"needs both classes 0 and 1, found {classes}")
+    return bad
+
+
+def _load_dataset(path) -> LabeledDataset:
+    columns = read_csv(
+        path,
+        dict.fromkeys([*FEATURE_NAMES, "label"], int),
+        rules=[*FEATURE_CODE_RULES, ("label", _label_cells, "{} must be 0 or 1")],
+    )
+    X = np.column_stack([columns[f] for f in FEATURE_NAMES])
     domains = tuple(tuple(FEATURE_DOMAINS[name]) for name in FEATURE_NAMES)
-    return LabeledDataset(X, y, domains)
+    return LabeledDataset(X, columns["label"], domains)
 
 
 def _save_matrix(matrix: np.ndarray, names, path):
@@ -278,10 +278,9 @@ def cmd_validate(cfg: RunConfig, args):
     twin = load_daily(_require(_path(cfg, "twin", f"daily_{label}.csv"), "generate"))
     if len(real["household_id"]) < 2 or len(twin["household_id"]) < 2:
         raise ValueError("not enough household-days on one side to validate")
-    real_daily = np.array(real["daily_mean_kwh"])
-    twin_daily = np.array(twin["daily_mean_kwh"])
+    real_daily, twin_daily = real["daily_mean_kwh"], twin["daily_mean_kwh"]
     rows = [("jsd_histogram", "daily_kwh", jsd_histogram(real_daily, twin_daily, cfg.hist_bins))]
-    real_stds = np.array(real["daily_std_kwh"])
+    real_stds = real["daily_std_kwh"]
     bandwidth = real_stds if np.all(real_stds > 0) else None
     rows.append(("jsd_kde", "daily_kwh", jsd_kde(real_daily, twin_daily, bandwidth, cfg.kde_grid)))
     rows.append(("kld", "daily_kwh", kld(real_daily, twin_daily, cfg.hist_bins)))
@@ -291,14 +290,14 @@ def cmd_validate(cfg: RunConfig, args):
         for d in dates:
             path = _require(_path(cfg, side, f"profiles_{d.isoformat()}.csv"), "generate")
             columns = load_profile_rows(path)  # checks each row is dated d
-            months.append(np.full(len(columns["hour"]), d.isoformat()[:7]))
-            hours += columns["hour"]
-            means += columns["mean_kwh"]
-        hourly.append((np.concatenate(months), hours, means))
+            months.append(np.full(columns["hour"].size, d.isoformat()[:7]))
+            hours.append(columns["hour"])
+            means.append(columns["mean_kwh"])
+        hourly.append(tuple(map(np.concatenate, (months, hours, means))))
     for month, r in pearson_monthly(*hourly).items():
         rows.append(("pearson", month, r))
-    n_real = len(set(real["household_id"]))
-    n_twin = len(set(twin["household_id"]))
+    n_real = np.unique(real["household_id"]).size
+    n_twin = np.unique(twin["household_id"]).size
     rows.append(("adopter_pct_diff", "count", relative_pct_diff(n_real, n_twin)))
     write_csv(
         _path(cfg, "metrics_report.csv"),

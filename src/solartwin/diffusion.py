@@ -142,16 +142,13 @@ def rebate_value(annual_kwh, cost_per_watt: float, credit_rate, capacity_factor:
 
     annual_kwh and credit_rate may be per-household arrays.  A household
     that generates nothing gets a rebate of 0; a negative or NaN annual_kwh,
-    or a rebate too large for a float, is an error.
+    or a rebate too large for a float, is an error.  The price, rate and
+    capacity factor come from a DiffusionConfig, which checks them.
     """
     kwh = np.asarray(annual_kwh, dtype=float)
     rate = np.asarray(credit_rate, dtype=float)
     if not np.all(kwh >= 0):  # fails NaN
         raise ValueError("annual_kwh must be >= 0")
-    if cost_per_watt <= 0 or capacity_factor <= 0:
-        raise ValueError("cost_per_watt and capacity_factor must be > 0")
-    if np.any(rate < 0):
-        raise ValueError("credit_rate must be >= 0")
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         rebate = rate * cost_per_watt * (kwh * 1000.0 / (capacity_factor * HOURS_PER_YEAR))
     bad = ~np.isfinite(rebate)

@@ -109,16 +109,16 @@ def _kde_mass(samples: np.ndarray, bandwidths: np.ndarray, xs: np.ndarray) -> np
     """
     density = np.empty(xs.size)
     norm = bandwidths * math.sqrt(2.0 * math.pi)
-    for block, z in _kernel_blocks(samples, bandwidths, xs):
-        density[block] = (np.exp(-0.5 * z**2) / norm).mean(axis=1)
+    for block, z2 in _kernel_blocks(samples, bandwidths, xs):
+        density[block] = (np.exp(-0.5 * z2) / norm).mean(axis=1)
     total = density.sum()
     if 0.0 < total < math.inf:
         return density / total
     log_norm = np.log(norm)
     log_density = np.empty(xs.size)
-    for block, z in _kernel_blocks(samples, bandwidths, xs):
+    for block, z2 in _kernel_blocks(samples, bandwidths, xs):
         # log-sum-exp of each point's kernels, the mean's 1/n left out
-        terms = -0.5 * z**2 - log_norm
+        terms = -0.5 * z2 - log_norm
         peak = terms.max(axis=1)
         log_density[block] = peak + np.log(np.exp(terms - peak[:, None]).sum(axis=1))
     mass = np.exp(log_density - log_density.max())
@@ -126,11 +126,14 @@ def _kde_mass(samples: np.ndarray, bandwidths: np.ndarray, xs: np.ndarray) -> np
 
 
 def _kernel_blocks(samples, bandwidths, xs):
-    """(grid slice, standardised distances) for each block of grid rows."""
+    """(grid slice, squared standardised distances) for each block of grid
+    rows.  A square that overflows to inf is where the kernel is exactly 0."""
     rows = max(1, _KDE_BLOCK_CELLS // samples.size)
     for start in range(0, xs.size, rows):
         block = slice(start, start + rows)
-        yield block, (xs[block, None] - samples) / bandwidths
+        with np.errstate(over="ignore"):
+            z2 = ((xs[block, None] - samples) / bandwidths) ** 2
+        yield block, z2
 
 
 def jsd_kde(samples_a, samples_b, bandwidth_a=None, grid: int = 512) -> float:
@@ -175,7 +178,8 @@ def pearson_monthly(a, b) -> dict:
     Each side is a (months, hours, values) triple of equal-length columns,
     one entry per row; values are averaged per (month, hour) into 24-point
     shapes first.  Both sides must cover the same months and all 24 hours
-    of each.  Months where either shape has zero variance map to None.
+    of each.  Months where either shape has zero variance map to None; a
+    month whose arithmetic overflows is an error.
     """
     months_a, shapes_a = _monthly_shapes(*a, "a")
     months_b, shapes_b = _monthly_shapes(*b, "b")
@@ -183,10 +187,12 @@ def pearson_monthly(a, b) -> dict:
         raise ValueError("the two series cover different months")
     out = {}
     for month, va, vb in zip(months_a, shapes_a, shapes_b):
-        if float(np.std(va)) == 0.0 or float(np.std(vb)) == 0.0:
-            out[month] = None
-        else:
-            out[month] = float(np.corrcoef(va, vb)[0, 1])
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                flat = float(np.std(va)) == 0.0 or float(np.std(vb)) == 0.0
+                out[month] = None if flat else float(np.corrcoef(va, vb)[0, 1])
+        except FloatingPointError as exc:
+            raise ValueError(f"pearson for month {month}: {exc}") from None
     return out
 
 

@@ -23,7 +23,8 @@ each contiguous household block runs in a pool process and returns its
 whole-block arrays, joined in block order; outputs are identical for any
 worker count and any chunk size.  The sampler returns only what the
 projection reads: area * yield * ratio, tilt and azimuth degradation, as
-(households, n) arrays.  The CSV loaders return whole parsed columns.
+(households, n) arrays.  The CSV loaders return whole numpy columns,
+checked by the rules they pass to read_csv.
 """
 
 import datetime
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .records import HouseholdTable, IrradianceSeries, check_cells, read_csv, write_csv
+from .records import HouseholdTable, IrradianceSeries, read_csv, write_csv
 from .seeds import choose, stream_rows
 
 SQFT_TO_M2 = 0.092903
@@ -291,15 +292,15 @@ def generate_profiles(
         raise ValueError("no dates in period")
     rows = np.flatnonzero(pop.solar.filled(False))
     names, first, tract = np.unique(pop.tract[rows], return_index=True, return_inverse=True)
-    for name in names[np.argsort(first)].tolist():
-        if name not in irradiance:
-            raise ValueError(f"no irradiance series for tract {name}")
-        for date in dates:
-            if not irradiance[name].covers(date):
-                raise ValueError(f"no irradiance for tract {name} on {date.isoformat()}")
-    ghi = np.array([[irradiance[name].ghi_for_date(date) for date in dates] for name in names])
+    # the (tracts, D, 24) GHI stack, filled in order of first appearance so
+    # that a missing series or date names the first such tract
+    ghi = np.empty((names.size, len(dates), 24))
+    for k in np.argsort(first).tolist():
+        if names[k] not in irradiance:
+            raise ValueError(f"no irradiance series for tract {names[k]}")
+        ghi[k] = [irradiance[names[k]].ghi_for_date(date) for date in dates]
     households = (pop.id[rows], pop.sqft_value.filled(np.nan)[rows], pop.lat[rows], tract)
-    args = (ghi.reshape(-1, len(dates), 24), dates, seed, n_samples, hourly)
+    args = (ghi, dates, seed, n_samples, hourly)
     workers = max(1, int(workers))
     if workers == 1 or rows.size <= 1:
         mean, std, mean_daily = _profile_block(households, *args)
@@ -356,15 +357,15 @@ def save_daily(profiles: EnergyProfiles, path):
     )
 
 
-def _at_least_zero(columns, names) -> list:
-    """check_cells's checks that each named column holds no negative value."""
-    return [(name, columns[name], np.array(columns[name]) < 0, "{} must be >= 0") for name in names]
+def _at_least_zero(*names) -> list:
+    """read_csv's rules that each named column holds no negative value."""
+    return [(name, lambda values: values < 0, "{} must be >= 0") for name in names]
 
 
 def load_daily(path) -> dict:
     """Read a daily CSV back as its household_id, date, daily_mean_kwh and
     daily_std_kwh columns, keyed by name.  The kWh columns must be >= 0."""
-    columns = read_csv(
+    return read_csv(
         path,
         {
             "household_id": int,
@@ -372,12 +373,8 @@ def load_daily(path) -> dict:
             "daily_mean_kwh": float,
             "daily_std_kwh": float,
         },
+        rules=_at_least_zero("daily_mean_kwh", "daily_std_kwh"),
     )
-    check_cells(
-        f"{os.path.basename(path)}: ",
-        _at_least_zero(columns, ("daily_mean_kwh", "daily_std_kwh")),
-    )
-    return columns
 
 
 def load_profile_rows(path) -> dict:
@@ -385,22 +382,13 @@ def load_profile_rows(path) -> dict:
     mean_kwh and std_kwh columns, keyed by name, the date as text.  Every
     row's date must be the one in the file name, each hour in [0, 23], and
     the kWh columns >= 0."""
-    name = os.path.basename(path)
-    day = name[len("profiles_"):-len(".csv")]
-
-    def same_day(cell):
-        if cell != day:
-            raise ValueError(f"date is not {day}")
-        return cell
-
-    columns = read_csv(
+    day = os.path.basename(path)[len("profiles_"):-len(".csv")]
+    return read_csv(
         path,
-        {"household_id": int, "date": same_day, "hour": int, "mean_kwh": float, "std_kwh": float},
+        {"household_id": int, "date": str, "hour": int, "mean_kwh": float, "std_kwh": float},
+        rules=[
+            ("date", lambda dates: dates != day, "bad value {!r}"),
+            ("hour", lambda hours: (hours < 0) | (hours > 23), "{} out of [0, 23]"),
+            *_at_least_zero("mean_kwh", "std_kwh"),
+        ],
     )
-    hours = np.array(columns["hour"])
-    check_cells(
-        f"{name}: ",
-        [("hour", columns["hour"], (hours < 0) | (hours > 23), "{} out of [0, 23]")]
-        + _at_least_zero(columns, ("mean_kwh", "std_kwh")),
-    )
-    return columns

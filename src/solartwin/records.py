@@ -30,9 +30,9 @@ household is a one-row table, and iterating a table yields its rows as
 one-row tables.  :class:`Graph` holds its edges as two int64 endpoint
 arrays.
 
-Loaders validate on ingestion and raise :class:`IngestError` naming the
-offending file, row and column; loading identical bytes always yields
-identical tables.
+Loaders validate on ingestion: each passes its cell rules to ``read_csv``,
+which raises :class:`IngestError` naming the offending file, row and
+column; loading identical bytes always yields identical tables.
 """
 
 import csv
@@ -125,12 +125,13 @@ class HouseholdTable:
         sqft_class, sqft_value = self.sqft_class, self.sqft_value
         repeat = np.ones(len(self), dtype=bool)
         repeat[np.unique(self.id, return_index=True)[1]] = False
+        codes = dict(zip(FEATURE_NAMES, self.features.T))
         checks = [
             ("id", self.id, self.id < 0, "{} must be >= 0"),
             ("id", self.id, repeat, "duplicate household id {}"),
             ("lat", self.lat, ~(np.abs(self.lat) <= 90.0), "{} out of [-90, 90]"),
             ("lon", self.lon, ~(np.abs(self.lon) <= 180.0), "{} out of [-180, 180]"),
-        ] + feature_code_checks(self.features) + [
+        ] + [(c, codes[c], bad(codes[c]), problem) for c, bad, problem in FEATURE_CODE_RULES] + [
             ("sqft_class", sqft_class, ((sqft_class < 0) | (sqft_class >= N_SQFT_CLASSES)),
              f"{{}} out of [0, {N_SQFT_CLASSES - 1}]"),
             ("sqft_value", sqft_value, ~(sqft_value > 0), "{} must be > 0"),
@@ -174,23 +175,22 @@ def check_cells(source: str, checks):
     (the header is row 1).
 
     ``checks`` holds (column, values, bad, problem) tuples: ``bad`` masks
-    the bad values, and ``problem`` is formatted with the bad value.
+    the bad values of array ``values``, and ``problem`` is formatted with
+    the bad value as a Python scalar (``{!r}`` of a float prints ``1.0``).
     """
     for column, values, bad, problem in checks:
         bad = np.ma.filled(bad, False)
         if bad.any():
             row = int(np.argmax(bad))
             raise IngestError(f"{source}row {row + 2}, column {column}: "
-                              + problem.format(values[row]))
+                              + problem.format(values[row : row + 1].tolist()[0]))
 
 
-def feature_code_checks(features) -> list:
-    """check_cells's checks that each column of an (n, 8) feature
-    matrix holds codes of its feature's domain."""
-    return [
-        (name, codes, ~np.isin(codes, FEATURE_DOMAINS[name]), "code {} outside domain")
-        for name, codes in zip(FEATURE_NAMES, features.T)
-    ]
+# read_csv's rules that each feature column holds codes of its feature's domain
+FEATURE_CODE_RULES = [
+    (name, lambda codes, domain=domain: ~np.isin(codes, domain), "code {} outside domain")
+    for name, domain in FEATURE_DOMAINS.items()
+]
 
 
 def _same_column(a, b) -> bool:
@@ -234,15 +234,20 @@ def write_csv(path, header, columns):
             writer.writerows(zip(*columns))
 
 
-def read_csv(path, columns: dict, optional: dict | None = None) -> dict:
+def read_csv(path, columns: dict, optional: dict | None = None, rules=()) -> dict:
     """Read a table as whole parsed columns, keyed by column name.
 
     ``columns`` maps each required column to its cell parser (``str``,
     ``int``, ``float`` or any callable that raises ValueError on a bad
-    cell); ``optional`` maps columns that may be absent, or hold empty
-    cells, to theirs, and those read as None.  Float cells must be finite.
-    A missing or repeated column, a row of the wrong width or a bad cell
-    raises IngestError naming the file, row and column.
+    cell); each reads as an int64, float64 (for ``int``, ``float``) or
+    object array.  ``optional`` maps columns that may be absent, or hold
+    empty cells, to theirs, and those read as lists with None.  Float cells
+    must be finite.  ``rules`` holds check_cells's (column, bad, problem)
+    tuples, ``bad`` a function of a parsed required column that masks its
+    bad cells or raises ValueError about the whole column; each column is
+    checked before the next is parsed.  A missing or repeated column, a row
+    of the wrong width, a bad cell or a broken rule raises IngestError
+    naming the file, row and column.
     """
     name = os.path.basename(path)
     with open(path, newline="") as fh:
@@ -271,10 +276,16 @@ def read_csv(path, columns: dict, optional: dict | None = None) -> dict:
     count = len(cells[0]) if cells else 0
     cells = dict(zip(header, cells))
     numbers = range(2, count + 2)
-    out = {
-        column: _parse_column(name, column, cells[column], numbers, parse)
-        for column, parse in columns.items()
-    }
+    out = {}
+    for column, parse in columns.items():
+        parsed = _parse_column(name, column, cells[column], numbers, parse)
+        values = np.array(parsed, {int: np.int64, float: np.float64}.get(parse, object))
+        try:
+            checks = [(c, values, bad(values), problem) for c, bad, problem in rules if c == column]
+        except ValueError as exc:
+            raise IngestError(f"{name}: column {column}: {exc}") from None
+        check_cells(f"{name}: ", checks)
+        out[column] = values
     for column, parse in (optional or {}).items():
         values = [None] * count
         present = [i for i, cell in enumerate(cells.get(column, ())) if cell != ""]
@@ -360,7 +371,7 @@ def load_households(path) -> HouseholdTable:
     optional = {"sqft_class": int, "sqft_value": float}
     optional.update(dict.fromkeys(("solar", "lmi", "rural"), _parse_bool))
     columns = read_csv(path, parsers, optional)
-    features = np.array([columns.pop(f) for f in FEATURE_NAMES], dtype=np.int64).T
+    features = np.column_stack([columns.pop(f) for f in FEATURE_NAMES])
     try:
         return HouseholdTable(features=features, **columns)
     except IngestError as exc:
@@ -410,15 +421,11 @@ class IrradianceSeries:
     def days(self) -> int:
         return self.hours.size // 24
 
-    def covers(self, date: datetime.date) -> bool:
-        offset = (date - self.start_date).days
-        return 0 <= offset < self.days
-
     def ghi_for_date(self, date: datetime.date) -> np.ndarray:
         """24 GHI values for a calendar date inside the series."""
         offset = (date - self.start_date).days
         if not 0 <= offset < self.days:
-            raise KeyError(f"tract {self.tract} has no irradiance for {date}")
+            raise ValueError(f"no irradiance for tract {self.tract} on {date}")
         return self.hours[offset * 24 : (offset + 1) * 24]
 
     def __eq__(self, other):
@@ -433,20 +440,19 @@ class IrradianceSeries:
 def load_irradiance(path, tract: str) -> IrradianceSeries:
     """Load irradiance_<tract>.csv, enforcing hour contiguity and non-negativity."""
     columns = read_csv(
-        path, {"date": datetime.date.fromisoformat, "hour": int, "ghi_wm2": float}
+        path,
+        {"date": datetime.date.fromisoformat, "hour": int, "ghi_wm2": float},
+        rules=[("ghi_wm2", lambda ghi: ghi < 0, "negative GHI {!r}")],
     )
-    dates, hours, ghi = columns["date"], columns["hour"], np.array(columns["ghi_wm2"])
+    dates, hours, ghi = columns["date"], columns["hour"], columns["ghi_wm2"]
     name = os.path.basename(path)
     if not ghi.size:
         raise IngestError(f"{name}: no rows")
-    if (ghi < 0).any():
-        i = int((ghi < 0).argmax())
-        raise IngestError(f"{name}: row {i + 2}, column ghi_wm2: negative GHI {float(ghi[i])!r}")
     # row i holds hour i % 24 of day i // 24, counted from the first row's date
     start = dates[0]
     row = np.arange(ghi.size)
     day = np.fromiter(map(datetime.date.toordinal, dates), np.int64, ghi.size) - start.toordinal()
-    gap = (day != row // 24) | (np.array(hours) != row % 24)
+    gap = (day != row // 24) | (hours != row % 24)
     if gap.any():
         i = int(gap.argmax())
         raise IngestError(
@@ -492,12 +498,12 @@ class AdopterTarget:
 
 def load_targets(path) -> list[AdopterTarget]:
     """Load targets.csv (state,count)."""
-    columns = read_csv(path, {"state": str, "count": int})
-    name = os.path.basename(path)
-    for number, count in enumerate(columns["count"], start=2):
-        if count < 0:
-            raise IngestError(f"{name}: row {number}, column count: negative adopter count {count}")
-    return [AdopterTarget(*row) for row in zip(columns["state"], columns["count"])]
+    columns = read_csv(
+        path,
+        {"state": str, "count": int},
+        rules=[("count", lambda counts: counts < 0, "negative adopter count {}")],
+    )
+    return list(map(AdopterTarget, columns["state"].tolist(), columns["count"].tolist()))
 
 
 def save_targets(targets, path):

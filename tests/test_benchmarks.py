@@ -1,7 +1,9 @@
-"""The benchmark suite under benchmarks/ runs against the package sources.
+"""The suites outside the default test paths run against the package sources.
 
-benchmarks/ lies outside the default test paths, so this runs it once with
-timing disabled: an API change that breaks a benchmark fails here.
+benchmarks/ and perfbench/tests/ lie outside the default test paths, so
+each runs here once in a subprocess, benchmarks with timing disabled: an
+API change that breaks a benchmark, or a name perfbench's tracer wraps, or
+one of perfbench's output checks, fails here.
 """
 
 import os
@@ -14,14 +16,10 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_benchmarks_run():
-    pytest.importorskip("pytest_benchmark")
+def _run_pytest(*args):
     pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [
-            sys.executable, "-m", "pytest", "benchmarks",
-            "--benchmark-disable", "-q", "-p", "no:cacheprovider",
-        ],
+        [sys.executable, "-m", "pytest", *args, "-q", "-p", "no:cacheprovider"],
         cwd=ROOT,
         env={**os.environ, "PYTHONPATH": pythonpath},
         capture_output=True,
@@ -29,3 +27,12 @@ def test_benchmarks_run():
         timeout=600,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_benchmarks_run():
+    pytest.importorskip("pytest_benchmark")
+    _run_pytest("benchmarks", "--benchmark-disable")
+
+
+def test_perfbench_tests_pass():
+    _run_pytest("perfbench/tests")

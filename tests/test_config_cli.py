@@ -484,6 +484,43 @@ def test_validate_rejects_a_kde_grid_that_is_not_finite(tiny_run, tmp_path, caps
     ]
 
 
+def test_validate_rejects_an_overflowing_load_shape(tiny_run, tmp_path, capsys):
+    # row 14 is the first household's hour 12; 1e308 there overflows the
+    # month's correlation
+    _, out, ini = tiny_run
+    run = tmp_path / "out"
+    shutil.copytree(out, run)
+    _set_cell(run / "twin" / "profiles_2018-01-01.csv", 14, "mean_kwh", "1e308")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["validate", "--config", str(ini), "--out", str(run)])
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: validate: pearson for month 2018-01: overflow encountered in square"
+    ]
+
+
+def test_validate_accepts_a_kde_kernel_that_underflows(tiny_run, tmp_path, capsys):
+    # a bandwidth of 1e-300 makes that sample's kernel 0 away from its
+    # mean, where z**2 overflows; the value is the one computed with the
+    # overflow warning shown
+    _, out, ini = tiny_run
+    run = tmp_path / "out"
+    shutil.copytree(out, run)
+    _set_cell(run / "real" / "daily_2018-01-01_2d.csv", 4, "daily_std_kwh", "1e-300")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["validate", "--config", str(ini), "--out", str(run)])
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    report = (run / "metrics_report.csv").read_text().splitlines()
+    assert [line for line in report if line.startswith("jsd_kde,")] == [
+        "jsd_kde,daily_kwh,0.07996675876582349"
+    ]
+
+
 def test_classify_sqft_names_a_row_no_member_scores(tmp_path, capsys):
     # at this learning rate every booster's margin saturates, and some row
     # gets probability 0 from every one-vs-rest member

@@ -192,10 +192,10 @@ def test_daily_roundtrip_property(profiles):
         save_daily(profiles, path)
         columns = load_daily(path)
     n, days = len(profiles.household), len(profiles.dates)
-    assert columns["household_id"] == np.repeat(profiles.household, days).tolist()
-    assert columns["date"] == profiles.dates * n
-    assert columns["daily_mean_kwh"] == profiles.daily_mean.ravel().tolist()
-    assert columns["daily_std_kwh"] == profiles.daily_std.ravel().tolist()
+    assert columns["household_id"].tolist() == np.repeat(profiles.household, days).tolist()
+    assert columns["date"].tolist() == profiles.dates * n
+    assert columns["daily_mean_kwh"].tolist() == profiles.daily_mean.ravel().tolist()
+    assert columns["daily_std_kwh"].tolist() == profiles.daily_std.ravel().tolist()
 
 
 @settings(max_examples=50, deadline=None)
@@ -210,11 +210,11 @@ def test_profiles_roundtrip_property(profiles):
         f"profiles_{profiles.dates[j].isoformat()}.csv" for j in order
     ]
     for j, columns in zip(order, loaded):
-        assert columns["household_id"] == np.repeat(profiles.household, 24).tolist()
-        assert columns["date"] == [profiles.dates[j].isoformat()] * n * 24
-        assert columns["hour"] == list(range(24)) * n
-        assert columns["mean_kwh"] == profiles.hourly_mean[:, j].ravel().tolist()
-        assert columns["std_kwh"] == profiles.hourly_std[:, j].ravel().tolist()
+        assert columns["household_id"].tolist() == np.repeat(profiles.household, 24).tolist()
+        assert columns["date"].tolist() == [profiles.dates[j].isoformat()] * n * 24
+        assert columns["hour"].tolist() == list(range(24)) * n
+        assert columns["mean_kwh"].tolist() == profiles.hourly_mean[:, j].ravel().tolist()
+        assert columns["std_kwh"].tolist() == profiles.hourly_std[:, j].ravel().tolist()
 
 
 def _reference_write_csv(path, header, rows):
@@ -258,6 +258,12 @@ def _reference_read_csv(path, columns, optional=None):
             values[i] = value
         out[column] = values
     return out
+
+
+def _read_csv_lists(path, columns, optional=None):
+    """read_csv with its required columns as lists."""
+    out = read_csv(path, columns, optional)
+    return out | {column: out[column].tolist() for column in columns}
 
 
 # cells the parsers accept or reject, and characters outside the plain dialect
@@ -319,7 +325,7 @@ def test_read_csv_matches_csv_reader(text, parsers, field_limit):
             path = Path(scratch, "table.csv")
             path.write_bytes(text.encode())
             outcomes = []
-            for read in (read_csv, _reference_read_csv):
+            for read in (_read_csv_lists, _reference_read_csv):
                 try:
                     outcomes.append(read(path, *parsers))
                 except Exception as exc:  # noqa: BLE001 - the error itself is compared
@@ -327,6 +333,43 @@ def test_read_csv_matches_csv_reader(text, parsers, field_limit):
     finally:
         csv.field_size_limit(limit)
     assert outcomes[0] == outcomes[1]
+
+
+# cells each parser accepts
+_CELLS_OF = {
+    int: st.integers(-(2**63), 2**63 - 1).map(str),
+    float: st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    str: st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters=',"\r\n\0')),
+    datetime.date.fromisoformat: st.dates().map(datetime.date.isoformat),
+}
+
+
+@st.composite
+def typed_tables(draw):
+    """(parsers, header, columns) of 1-4 columns of cells their parsers
+    accept, 0-5 rows."""
+    parsers = draw(st.lists(st.sampled_from(list(_CELLS_OF)), min_size=1, max_size=4))
+    rows = draw(st.integers(0, 5))
+    header = [f"c{j}" for j in range(len(parsers))]
+    columns = [draw(st.lists(_CELLS_OF[p], min_size=rows, max_size=rows)) for p in parsers]
+    return dict(zip(header, parsers)), header, columns
+
+
+@settings(max_examples=200, deadline=None)
+@given(typed_tables())
+def test_read_csv_columns_are_typed_arrays(table):
+    """Each required column is an int64, float64 or object array of the
+    reference's cells."""
+    parsers, header, columns = table
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch, "table.csv")
+        write_csv(path, header, columns)
+        got, want = read_csv(path, parsers), _reference_read_csv(path, parsers)
+    for column, parse in parsers.items():
+        expected = np.array(want[column], {int: np.int64, float: np.float64}.get(parse, object))
+        assert got[column].dtype == expected.dtype
+        assert got[column].shape == expected.shape == (len(columns[0]),)
+        assert np.array_equal(got[column], expected)
 
 
 @st.composite
@@ -479,13 +522,38 @@ def test_profile_rows_name_date_before_hour(tmp_path, date_row, hour_row):
         loader(path)
 
 
+@pytest.mark.parametrize(
+    "table, rule_cell, parse_cell, message",
+    [
+        ("dataset", ("NHSLDMEM", "-1"), ("BEDROOMS", "x"), "code -1 outside domain"),
+        ("dataset", ("NHSLDMEM", "-1"), ("label", "x"), "code -1 outside domain"),
+        ("daily", ("daily_mean_kwh", "-5"), ("daily_std_kwh", "x"), "-5.0 must be >= 0"),
+        ("profiles", ("hour", "99"), ("mean_kwh", "x"), "99 out of [0, 23]"),
+        ("profiles", ("mean_kwh", "-3"), ("std_kwh", "nan"), "-3.0 must be >= 0"),
+    ],
+)
+def test_rule_of_an_earlier_column_wins(tmp_path, table, rule_cell, parse_cell, message):
+    # a column is parsed and checked before the next is parsed, so a cell
+    # that breaks a rule in row 3 is named before a later column's
+    # unparsable cell in row 2
+    loader, name, header, rows = TABLES[table]
+    rows = [list(r) for r in rows]
+    rows[1][header.index(rule_cell[0])] = rule_cell[1]
+    rows[0][header.index(parse_cell[0])] = parse_cell[1]
+    path = tmp_path / name
+    path.write_text("\n".join(",".join(r) for r in [header] + rows) + "\n")
+    with pytest.raises(IngestError) as error:
+        loader(path)
+    assert str(error.value) == f"{name}: row 3, column {rule_cell[0]}: {message}"
+
+
 def test_irradiance_roundtrip(tmp_path):
     hours = np.arange(48, dtype=float)
     series = IrradianceSeries("t1", datetime.date(2018, 1, 1), hours)
     assert series.days == 2
-    assert series.covers(datetime.date(2018, 1, 2))
-    assert not series.covers(datetime.date(2018, 1, 3))
     assert list(series.ghi_for_date(datetime.date(2018, 1, 2))) == list(hours[24:])
+    with pytest.raises(ValueError, match="^no irradiance for tract t1 on 2018-01-03$"):
+        series.ghi_for_date(datetime.date(2018, 1, 3))
     path = tmp_path / "irr.csv"
     save_irradiance(series, path)
     assert load_irradiance(path, "t1") == series
@@ -529,7 +597,7 @@ def test_matrix_roundtrip_property(named):
         path = Path(scratch, "corr_after.csv")
         _save_matrix(matrix, names, path)
         columns = read_csv(path, {"feature": str, **dict.fromkeys(names, float)})
-    assert columns["feature"] == names
+    assert columns["feature"].tolist() == names
     loaded = np.array([columns[name] for name in names]).T.reshape(matrix.shape)
     assert loaded.tobytes() == matrix.tobytes()
 
@@ -559,7 +627,7 @@ def _reference_load_irradiance(path, tract):
     columns = read_csv(
         path, {"date": datetime.date.fromisoformat, "hour": int, "ghi_wm2": float}
     )
-    dates, hours, ghi = columns["date"], columns["hour"], columns["ghi_wm2"]
+    dates, hours, ghi = (columns[c].tolist() for c in ("date", "hour", "ghi_wm2"))
     name = Path(path).name
     if not ghi:
         raise IngestError(f"{name}: no rows")
@@ -823,7 +891,7 @@ def test_survey_roundtrip_property(values):
     with tempfile.TemporaryDirectory() as scratch:
         path = Path(scratch, "survey.csv")
         _save_survey(values, path)
-        assert list(map(repr, _load_survey(path))) == list(map(repr, values))
+        assert list(map(repr, _load_survey(path).tolist())) == list(map(repr, values))
 
 
 @st.composite
