@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .preprocess import LabeledDataset
 
@@ -241,7 +240,7 @@ def train_gbt(data: LabeledDataset, params: GbtParams, loss: LossParams) -> GbtM
     leaf = np.empty(X.shape[0])
     trees = []
     for _ in range(params.rounds):
-        p = expit(margins)
+        p = _sigmoid(margins)
         grad, hess = loss_grad_hess(y_f, p, loss.beta)
         trees.append(
             _build_tree(
@@ -257,6 +256,17 @@ def train_gbt(data: LabeledDataset, params: GbtParams, loss: LossParams) -> GbtM
         beta=loss.beta,
         domains=data.domains,
     )
+
+
+def _sigmoid(m: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-m)) elementwise, in one new array."""
+    p = np.negative(m)
+    # an overflowing exp gives inf and so exactly 0, which is what scipy's
+    # expit gives
+    with np.errstate(over="ignore"):
+        np.exp(p, out=p)
+    p += 1.0
+    return np.divide(1.0, p, out=p)
 
 
 def _check_domains(model: GbtModel, X: np.ndarray):
@@ -277,7 +287,7 @@ def predict_proba(model: GbtModel, X) -> np.ndarray:
             f"expected {len(model.domains)} features, got {X.shape[1]}"
         )
     _check_domains(model, X)
-    return expit(model.margin(X))
+    return _sigmoid(model.margin(X))
 
 
 def apply_threshold(p, tau: float) -> np.ndarray:

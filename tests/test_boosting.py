@@ -1,6 +1,7 @@
 """Weighted loss, Newton trees, voting, and the text model format."""
 
 import tempfile
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from solartwin.boosting import (
     GbtParams,
     LossParams,
     TreeNode,
+    _sigmoid,
     _tree_apply,
     _vote,
     apply_threshold,
@@ -57,6 +59,36 @@ def test_grad_hess_vectorized():
     g, h = loss_grad_hess(y, p, beta=2.0)
     assert g == pytest.approx([0.6, -0.7])
     assert h == pytest.approx([0.42, 0.21])
+
+
+def _sigmoid_quietly(m):
+    """_sigmoid of m, and the RuntimeWarnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        p = _sigmoid(m)
+    return p, [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(-1e308, 1e308), min_size=1, max_size=64))
+def test_sigmoid_within_4_ulp_of_expit(margins):
+    m = np.array(margins)
+    p, caught = _sigmoid_quietly(m)
+    want = expit(m)
+    assert caught == []
+    assert np.all(np.abs(p - want) <= 4 * np.spacing(want))
+
+
+def test_sigmoid_exact_at_the_edges():
+    # exp(-m) overflows for m below -709.78, giving 0, and underflows for
+    # large m, giving 1
+    edges = [np.inf, 1e308, 1000.0, 745.0, 709.8, 0.0]
+    m = np.array(edges + [-e for e in edges])
+    p, caught = _sigmoid_quietly(m)
+    assert caught == []
+    assert p.tobytes() == expit(m).tobytes()
+    p, caught = _sigmoid_quietly(np.array([np.nan]))
+    assert caught == [] and np.isnan(p[0])
 
 
 def tiny_dataset():
@@ -286,7 +318,9 @@ def _reference_train(data, params, loss):
     y = data.y.astype(float)
     trees = []
     for _ in range(params.rounds):
-        grad, hess = loss_grad_hess(y, expit(margins), loss.beta)
+        with np.errstate(over="ignore"):
+            p = 1.0 / (1.0 + np.exp(-margins))
+        grad, hess = loss_grad_hess(y, p, loss.beta)
         nodes = _reference_build_tree(
             data.X, grad, hess, params.depth, params.reg_lambda, params.min_child_hess
         )

@@ -26,16 +26,16 @@ from solartwin.toygen import ToyConfig
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_cli_import_leaves_out_scipy_linalg_and_sparse():
-    # the contagion step needs no scipy.sparse, and the GP imports
-    # scipy.linalg when it first runs; neither is paid for at CLI start
+def test_cli_import_leaves_out_scipy():
+    # the booster's sigmoid is numpy's and the GP imports scipy when it
+    # first runs, so no scipy module is paid for at CLI start
     src = str(ROOT / "src")
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [
             sys.executable, "-c",
             "import sys, solartwin.cli; "
-            "print(sorted(m for m in ('scipy.linalg', 'scipy.sparse') if m in sys.modules))",
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
         ],
         env={**os.environ, "PYTHONPATH": pythonpath},
         capture_output=True,
@@ -117,6 +117,22 @@ def _identity():
     identity = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(identity)
     return identity
+
+
+def test_identity_names_first_differing_line(tmp_path, capsys):
+    old, new = tmp_path / "old", tmp_path / "new"
+    for side, texts in ((old, (b"a\nb\nc\n", b"x\n", b"\xff", b"same")),
+                        (new, (b"a\nB\nc\n", b"x\ny\n", b"\xfe", b"same"))):
+        side.mkdir()
+        for name, data in zip(("model.txt", "short.csv", "blob.bin", "same.csv"), texts):
+            (side / name).write_bytes(data)
+    assert _identity().compare(old, new) == 3
+    assert capsys.readouterr().out.splitlines() == [
+        "differs: blob.bin",
+        "differs: model.txt (line 2)",
+        "differs: short.csv (line 2)",
+        "4 files compared, 3 differ or are missing",
+    ]
 
 
 def test_every_ini_key_reaches_its_field(tmp_path):

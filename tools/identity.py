@@ -17,7 +17,8 @@ on this checkout (working tree included):
   shows up as a differing file.
 
 Every output file is compared byte for byte.  Each differing or missing
-path is printed, and the exit status is 1 if any file differs, is missing
+path is printed, a differing text file with the 1-based number of its first
+differing line, and the exit status is 1 if any file differs, is missing
 or a pipeline fails.  The temporary directory is removed afterwards.
 
 ``--write-golden`` instead runs the three small GOLDEN_RUNS in this process
@@ -191,6 +192,20 @@ def files(top: Path) -> set:
     return {path.relative_to(top) for path in top.rglob("*") if path.is_file()}
 
 
+def first_differing_line(old: bytes, new: bytes):
+    """1-based number of the first line where two differing files differ,
+    or None if either is not UTF-8 text."""
+    try:
+        old_lines = old.decode().splitlines(keepends=True)
+        new_lines = new.decode().splitlines(keepends=True)
+    except UnicodeDecodeError:
+        return None
+    for number, (a, b) in enumerate(zip(old_lines, new_lines), 1):
+        if a != b:
+            return number
+    return min(len(old_lines), len(new_lines)) + 1
+
+
 def compare(old: Path, new: Path) -> int:
     """Print each file, outputs and workload configs, that differs or
     exists on one side only; return how many there were."""
@@ -202,7 +217,8 @@ def compare(old: Path, new: Path) -> int:
         elif path not in old_files:
             print(f"missing at revision: {path}")
         elif (old / path).read_bytes() != (new / path).read_bytes():
-            print(f"differs: {path}")
+            line = first_differing_line((old / path).read_bytes(), (new / path).read_bytes())
+            print(f"differs: {path}" + ("" if line is None else f" (line {line})"))
         else:
             continue
         bad += 1
