@@ -216,8 +216,8 @@ def compare(old: Path, new: Path) -> int:
             print(f"missing in checkout: {path}")
         elif path not in old_files:
             print(f"missing at revision: {path}")
-        elif (old / path).read_bytes() != (new / path).read_bytes():
-            line = first_differing_line((old / path).read_bytes(), (new / path).read_bytes())
+        elif (old_bytes := (old / path).read_bytes()) != (new_bytes := (new / path).read_bytes()):
+            line = first_differing_line(old_bytes, new_bytes)
             print(f"differs: {path}" + ("" if line is None else f" (line {line})"))
         else:
             continue
