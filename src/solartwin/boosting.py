@@ -2,14 +2,24 @@
 
 The binary objective is -(1/T) * sum(y*ln(p) + beta*(1-y)*ln(1-p)): beta
 scales the penalty on negatives, so beta > 1 suppresses false positives and
-beta < 1 tolerates them.  Trees are grown depth-first; each node's split
-is found from exact gradient/hessian histograms over the integer feature
-codes, treated as ordinal (split "code <= c"): the highest gain wins, ties
-go to the first feature and then the lowest code, and a split must gain
-more than 1e-12.  Leaf values are second-order (Newton) steps; training
-updates its margins from the leaf values as each tree is built.  A
-one-vs-rest stack of boosters labels multi-class data, voting with the
-training class frequencies.
+beta < 1 tolerates them.  Each node's split is found from exact
+gradient/hessian histograms over the integer feature codes, treated as
+ordinal (split "code <= c"): the highest gain wins, ties go to the first
+feature and then the lowest code, and a split must gain more than 1e-12.
+Leaf values are second-order (Newton) steps; training updates its margins
+from the leaf values after each round.
+
+One training fits one binary target per class (label == class) and grows
+each round's trees of all its targets in lockstep, one level at a time:
+one bincount each for g, h and the row count covers every (target, node)
+pair of the level, so a histogram's fixed cost is paid once per level, not
+once per node.  Each node's rows stay contiguous and in ascending order,
+and its keys are shifted into a block of F * C bins of its own, so every
+bin still adds its node's rows in row order, and each target's trees are
+bit for bit the ones it grows alone.  Targets go in groups of at most
+GROUP_CELLS (target, row, feature) cells, which bounds each level's
+buffers.  A one-vs-rest booster labels multi-class data this way, voting
+with the training class frequencies.
 """
 
 import math
@@ -20,6 +30,10 @@ import numpy as np
 from .preprocess import LabeledDataset
 
 PROB_EPS = 1e-12
+# Most (target, row, feature) cells that one lockstep group holds.  Each
+# costs about 32 bytes (its root key, its key at the current level, and its
+# g and h weights), so a group's buffers stay near 16 MB.
+GROUP_CELLS = 1 << 19
 MODEL_FORMAT = "solartwin-gbt"
 MODEL_VERSION = 1
 
@@ -74,19 +88,24 @@ class TreeNode:
 
 @dataclass
 class GbtModel:
-    """Boosted-tree binary classifier: probability = sigmoid(margin)."""
+    """Boosted-tree classifier, one binary target per class: probability =
+    sigmoid(margin).  The trees are stored round-major: tree t belongs to
+    class t % len(classes)."""
 
     trees: list
     learning_rate: float
     base_score: float
     beta: float
     domains: tuple
+    classes: tuple = (1,)
 
     def margin(self, X: np.ndarray) -> np.ndarray:
-        total = np.full(X.shape[0], self.base_score)
-        for nodes in self.trees:
-            total += self.learning_rate * _tree_apply(nodes, X)
-        return total
+        """Each row's margin: (n,) for one class, (len(classes), n) for more."""
+        n_classes = len(self.classes)
+        total = np.full((n_classes, X.shape[0]), self.base_score)
+        for t, nodes in enumerate(self.trees):
+            total[t % n_classes] += self.learning_rate * _tree_apply(nodes, X)
+        return total[0] if n_classes == 1 else total
 
 
 def weighted_log_loss(y, p, beta: float) -> float:
@@ -142,119 +161,220 @@ def _histogram_keys(X: np.ndarray):
     return ranks + np.arange(X.shape[1]) * codes.size, codes
 
 
-def _best_split(node_keys, g_rows, h_rows, g_sum, h_sum, codes, lam, min_child_hess):
-    """Best (feature, code) split of one node, or None.
-
-    One weighted bincount each for g and h, and one for the count, over the
-    node's keys; g and h are repeated per feature in row-major order, so
-    each bin sums its rows in row order.  The row-major argmax over the
-    (F, C) gains breaks ties to the first feature, then the lowest code;
-    the gain must exceed 1e-12.
-    """
-    n_rows, n_features = node_keys.shape
-    keys = node_keys.ravel()
-    shape = (n_features, codes.size)
-    size = n_features * codes.size
-    gl = np.bincount(keys, np.repeat(g_rows, n_features), size).reshape(shape).cumsum(axis=1)
-    hl = np.bincount(keys, np.repeat(h_rows, n_features), size).reshape(shape).cumsum(axis=1)
-    cl = np.bincount(keys, minlength=size).reshape(shape).cumsum(axis=1)
-    gr = g_sum - gl
-    hr = h_sum - hl
-    valid = (cl > 0) & (cl < n_rows) & (hl >= min_child_hess) & (hr >= min_child_hess)
-    gains = np.where(
-        valid,
-        gl * gl / (hl + lam) + gr * gr / (hr + lam) - g_sum * g_sum / (h_sum + lam),
-        -np.inf,
-    )
-    k = int(np.argmax(gains))
-    if math.isnan(gains.flat[k]):
-        # a NaN gain (0/0 at lambda = 0) voids every split of its feature
-        gains[np.isnan(gains).any(axis=1)] = -np.inf
-        k = int(np.argmax(gains))
-    if not gains.flat[k] > 1e-12:
-        return None
-    f, r = divmod(k, codes.size)
-    return f, int(codes[r])
+def _leaf_values(g_sum, h_sum, lam):
+    """Newton step -G / (H + lambda) of each node."""
+    den = h_sum + lam
+    if not den.all():  # lambda = 0 with a zero hessian sum
+        raise ZeroDivisionError("float division by zero")
+    return -g_sum / den
 
 
-def _build_tree(X, keys, codes, g, h, max_depth, lam, min_child_hess, leaf):
-    """Grow one tree in preorder; write each row's leaf value into leaf."""
-    nodes = []
+def _new_node() -> list:
+    """A node under construction: [feature, code, left, right, value]."""
+    return [-1, 0, None, None, 0.0]
 
-    def grow(rows, depth):
-        nid = len(nodes)
-        nodes.append(None)
-        g_rows = g[rows]
-        h_rows = h[rows]
-        g_sum = float(g_rows.sum())
-        h_sum = float(h_rows.sum())
-        split = None
-        if depth < max_depth and rows.size >= 2 and X.shape[1]:
-            split = _best_split(
-                keys[rows], g_rows, h_rows, g_sum, h_sum, codes, lam, min_child_hess
-            )
-        if split is None:
-            value = -g_sum / (h_sum + lam)
-            nodes[nid] = TreeNode(value=value)
-            leaf[rows] = value
-            return nid
-        f, c = split
-        mask = X[rows, f] <= c
-        left = grow(rows[mask], depth + 1)
-        right = grow(rows[~mask], depth + 1)
-        nodes[nid] = TreeNode(feature=f, code=c, left=left, right=right)
-        return nid
 
-    grow(np.arange(X.shape[0]), 0)
+def _preorder(node, nodes) -> list:
+    """Append node's subtree to nodes as TreeNodes, numbered in preorder."""
+    feature, code, left, right, value = node
+    if feature < 0:
+        nodes.append(TreeNode(value=value))
+        return nodes
+    split = TreeNode(feature, code, len(nodes) + 1)
+    nodes.append(split)
+    _preorder(left, nodes)
+    split.right = len(nodes)
+    _preorder(right, nodes)
     return nodes
 
 
-def train_gbt(data: LabeledDataset, params: GbtParams, loss: LossParams) -> GbtModel:
-    """Fit Newton-boosted trees on a binary {0,1} labeled dataset.
+class _Lockstep:
+    """Grows one round's trees of several binary targets together, level by
+    level.
 
-    Training is exact and deterministic: it draws no random numbers.
+    A level's elements are the (target, row) pairs of its nodes, node by
+    node, each node's rows in ascending order.  Node i's keys are shifted
+    into bins i * F * C onwards, so one bincount per statistic covers every
+    node of the level, and each bin still sums its node's rows in row
+    order, exactly as a bincount over that node alone does.  The buffers
+    are allocated once per training.
+    """
+
+    def __init__(self, keys, codes, n_targets, params):
+        n, n_features = keys.shape
+        self.codes, self.params = codes, params
+        self.n, self.hist = n, (n_features, codes.size)
+        self.width = n_features * codes.size
+        # a tree over no features is a single leaf
+        self.levels = params.depth if n_features else 0
+        # element t * n + i is row i of target t, its keys shifted into target t's bins
+        offsets = np.arange(n_targets) * self.width
+        self.root_keys = (keys + offsets[:, None, None]).reshape(n_targets * n, n_features)
+        # the root counts are the same for every target and round
+        counts = np.bincount(keys.ravel(), minlength=self.width).reshape(self.hist).cumsum(axis=1)
+        self.root_counts = np.broadcast_to(counts, (n_targets,) + self.hist)
+        self.key_buf = np.empty(self.root_keys.size, dtype=np.int64)
+        self.gh_buf = np.empty((2, n_targets * n))
+        self.cell_starts = np.arange(0, self.root_keys.size, max(n_features, 1))
+
+    def grow(self, G, H, leaf):
+        """One tree per target from its row of gradients G and hessians H;
+        writes each (target, row)'s leaf value into leaf."""
+        n_targets = G.shape[0]
+        G_flat, H_flat, leaf_flat = G.ravel(), H.ravel(), leaf.ravel()
+        roots = [_new_node() for _ in range(n_targets)]
+        level = roots
+        counts = np.full(n_targets, self.n)
+        targets = np.arange(n_targets)
+        # each element's (target, row) position in G, node by node
+        pos = np.arange(G.size)
+        keys, cl = self.root_keys.ravel(), self.root_counts
+        gv, hv = G_flat, H_flat
+        g_sum, h_sum = G.sum(axis=1), H.sum(axis=1)
+        for depth in range(self.levels + 1):
+            value = _leaf_values(g_sum, h_sum, self.params.reg_lambda)
+            for node, v in zip(level, value.tolist()):
+                node[4] = v  # a split node ignores it
+            if depth == self.levels:
+                leaf_flat[pos] = np.repeat(value, counts)
+                break
+            k, split = self._best(keys, gv, hv, cl, g_sum, h_sum, counts)
+            if not split.all():
+                leaf_flat[pos] = np.repeat(value, counts)
+            if not split.any():
+                break
+            feature, rank = np.divmod(k, self.codes.size)
+            n_left = cl[np.arange(counts.size), feature, rank]
+            goes_left = keys[self.cell_starts[: pos.size] + np.repeat(feature, counts)] <= np.repeat(
+                np.arange(counts.size) * self.width + k, counts
+            )
+            keep = np.repeat(split, counts)
+            lefts, rights = pos[keep & goes_left], pos[keep & ~goes_left]
+            pos = np.concatenate((lefts, rights))
+            parents = np.flatnonzero(split)
+            codes = self.codes[rank[parents]].tolist()
+            for i, f, c in zip(parents.tolist(), feature[parents].tolist(), codes):
+                level[i][:4] = f, c, _new_node(), _new_node()
+            level = [level[i][2] for i in parents] + [level[i][3] for i in parents]
+            counts = np.concatenate((n_left[split], (counts - n_left)[split]))
+            targets = np.concatenate((targets[split], targets[split]))
+            gh = self.gh_buf[:, : pos.size]
+            np.take(G_flat, pos, out=gh[0])
+            np.take(H_flat, pos, out=gh[1])
+            gv, hv = gh
+            # each node's pairwise sum over its own contiguous slice
+            ends = np.cumsum(counts).tolist()
+            sums = np.array([gh[:, a:b].sum(axis=1) for a, b in zip([0] + ends[:-1], ends)])
+            g_sum, h_sum = sums[:, 0], sums[:, 1]
+            if depth + 1 < self.levels:
+                keys, cl = self._level_keys(pos, counts, targets, lefts.size, cl[split])
+        return [_preorder(root, []) for root in roots]
+
+    def _level_keys(self, pos, counts, targets, n_left, parent_counts):
+        """Shifted keys of a level below the root, and its prefix counts.
+
+        The root's keys sit in their target's bins; node i's move to bins
+        i * F * C onwards.  The left children come first; a right child's
+        counts are its parent's minus its left sibling's, which is exact
+        for integers.
+        """
+        n_features = self.hist[0]
+        keys = self.key_buf[: pos.size * n_features]
+        np.take(self.root_keys, pos, axis=0, out=keys.reshape(pos.size, n_features))
+        keys += np.repeat((np.arange(counts.size) - targets) * self.width, counts * n_features)
+        n_pairs = parent_counts.shape[0]
+        left = np.bincount(keys[: n_left * n_features], minlength=n_pairs * self.width)
+        left = left.reshape((n_pairs,) + self.hist).cumsum(axis=2)
+        return keys, np.concatenate((left, parent_counts - left))
+
+    def _best(self, keys, gv, hv, cl, g_sum, h_sum, counts):
+        """Each node's best split from its (F, C) prefix histograms: its flat
+        argmax k = feature * C + rank, and whether it gains more than 1e-12.
+
+        g and h are repeated per feature in row-major order, as the keys
+        are.  The row-major argmax breaks ties to the first feature, then
+        the lowest code.  A NaN gain (0/0 at lambda = 0) voids every split
+        of its feature; argmax lands on a NaN whenever one exists, so
+        voiding them all up front picks the same split.
+        """
+        n_features = self.hist[0]
+        lam, min_child_hess = self.params.reg_lambda, self.params.min_child_hess
+        size = counts.size * self.width
+        shape = (counts.size,) + self.hist
+        gl = np.bincount(keys, np.repeat(gv, n_features), size).reshape(shape).cumsum(axis=2)
+        hl = np.bincount(keys, np.repeat(hv, n_features), size).reshape(shape).cumsum(axis=2)
+        g_sum = g_sum[:, None, None]
+        h_sum = h_sum[:, None, None]
+        gr = g_sum - gl
+        hr = h_sum - hl
+        valid = (cl > 0) & (cl < counts[:, None, None])
+        valid &= (hl >= min_child_hess) & (hr >= min_child_hess)
+        gains = np.where(
+            valid,
+            gl * gl / (hl + lam) + gr * gr / (hr + lam) - g_sum * g_sum / (h_sum + lam),
+            -np.inf,
+        )
+        gains[np.isnan(gains).any(axis=2)] = -np.inf
+        gains = gains.reshape(counts.size, -1)
+        k = np.argmax(gains, axis=1)
+        return k, gains[np.arange(k.size), k] > 1e-12
+
+
+def train_gbt(data: LabeledDataset, params: GbtParams, loss: LossParams, classes=(1,)) -> GbtModel:
+    """Fit Newton-boosted trees, one binary target per class: label == class.
+
+    Training is exact and deterministic: it draws no random numbers.  The
+    targets grow in lockstep, in groups of at most GROUP_CELLS (target,
+    row, feature) cells; each target's trees are the ones it would grow
+    alone.
 
     Parameters
     ----------
     data : LabeledDataset
-        Integer feature codes (all >= 0) with labels in {0, 1}; both classes
-        must be present.
+        Integer feature codes (all >= 0); labels in {0} and ``classes``,
+        and every target must hold both of its classes.
     params : GbtParams
         rounds/depth/learning_rate plus leaf regularization.
     loss : LossParams
         beta enters the gradient statistics.
+    classes : tuple
+        The positive class of each target; the model stores its trees
+        round-major, one per class per round.
     """
     y = data.y
     labels = set(np.unique(y).tolist())
-    if not labels <= {0, 1}:
-        raise ValueError(f"labels must be in {{0, 1}}, got {sorted(labels)}")
-    if len(labels) < 2:
+    allowed = sorted({0, *classes})
+    if not labels <= set(allowed):
+        raise ValueError(
+            "labels must be in {" + ", ".join(map(str, allowed)) + f"}}, got {sorted(labels)}"
+        )
+    Y = np.equal.outer(classes, y).astype(float)
+    positives = Y.sum(axis=1)
+    if not np.all((positives > 0) & (positives < y.size)):
         raise ValueError("training data contains a single class")
     X = data.X
     if X.size and X.min() < 0:
         raise ValueError("feature codes must be non-negative")
-    base_score = 0.0
-    margins = np.full(X.shape[0], base_score)
-    y_f = y.astype(float)
     keys, codes = _histogram_keys(X)
-    leaf = np.empty(X.shape[0])
-    trees = []
-    for _ in range(params.rounds):
-        p = _sigmoid(margins)
-        grad, hess = loss_grad_hess(y_f, p, loss.beta)
-        trees.append(
-            _build_tree(
-                X, keys, codes, grad, hess, params.depth, params.reg_lambda,
-                params.min_child_hess, leaf,
-            )
-        )
-        margins += params.learning_rate * leaf
+    group = max(1, GROUP_CELLS // max(1, X.size))
+    trees = [None] * (params.rounds * len(classes))
+    for start in range(0, len(classes), group):
+        targets = Y[start : start + group]
+        grower = _Lockstep(keys, codes, len(targets), params)
+        margins = np.zeros(targets.shape)
+        leaf = np.empty(targets.shape)
+        for r in range(params.rounds):
+            grad, hess = loss_grad_hess(targets, _sigmoid(margins), loss.beta)
+            first = r * len(classes) + start
+            trees[first : first + len(targets)] = grower.grow(grad, hess, leaf)
+            margins += params.learning_rate * leaf
     return GbtModel(
         trees=trees,
         learning_rate=params.learning_rate,
-        base_score=base_score,
+        base_score=0.0,
         beta=loss.beta,
         domains=data.domains,
+        classes=tuple(classes),
     )
 
 
@@ -278,7 +398,8 @@ def _check_domains(model: GbtModel, X: np.ndarray):
 
 
 def predict_proba(model: GbtModel, X) -> np.ndarray:
-    """Probability of the positive class for each row of a feature matrix."""
+    """Positive-class probability of each row of a feature matrix: (n,) for
+    a one-class model, a C-contiguous (n, len(classes)) matrix for more."""
     X = np.asarray(X, dtype=np.int64)
     if X.ndim != 2:
         raise ValueError(f"expected a feature matrix, got shape {X.shape}")
@@ -287,7 +408,8 @@ def predict_proba(model: GbtModel, X) -> np.ndarray:
             f"expected {len(model.domains)} features, got {X.shape[1]}"
         )
     _check_domains(model, X)
-    return _sigmoid(model.margin(X))
+    p = _sigmoid(model.margin(X))
+    return p if p.ndim == 1 else np.ascontiguousarray(p.T)
 
 
 def apply_threshold(p, tau: float) -> np.ndarray:
@@ -303,16 +425,19 @@ def _vote(probs: np.ndarray, freqs: np.ndarray) -> np.ndarray:
 
 @dataclass
 class OvrModel:
-    """One-vs-rest stack of binary boosters over the observed class set,
-    with the class frequencies of its training labels."""
+    """One-vs-rest booster over the observed class set, with the class
+    frequencies of its training labels."""
 
-    classes: tuple
-    members: list
+    model: GbtModel
     freqs: np.ndarray
+
+    @property
+    def classes(self) -> tuple:
+        return self.model.classes
 
     def predict_probs(self, X: np.ndarray) -> np.ndarray:
         """(n, len(classes)) matrix of normalized per-class probabilities."""
-        raw = np.column_stack([predict_proba(m, X) for m in self.members])
+        raw = predict_proba(self.model, X)
         total = raw.sum(axis=1, keepdims=True)
         if not np.all(total > 0):
             row = int(np.argmin(total > 0))
@@ -328,20 +453,20 @@ class OvrModel:
 
 
 def train_ovr(data: LabeledDataset, params: GbtParams) -> OvrModel:
-    """One binary booster per observed class (beta = 1 for each)."""
+    """One binary target per observed class (beta = 1 for each), trained
+    together by one train_gbt call."""
     classes, counts = np.unique(data.y, return_counts=True)
     if classes.size < 2:
         raise ValueError("training data contains a single class")
-    members = []
-    for cls in classes.tolist():
-        binary = LabeledDataset(data.X, (data.y == cls).astype(np.int64), data.domains)
-        members.append(train_gbt(binary, params, LossParams(1.0)))
-    return OvrModel(tuple(classes.tolist()), members, counts / counts.sum())
+    model = train_gbt(data, params, LossParams(1.0), tuple(classes.tolist()))
+    return OvrModel(model, counts / counts.sum())
 
 
 def save_model(model: GbtModel, path):
     """Write the versioned text format; floats are written with repr, so
-    every value is exact."""
+    every value is exact.  The format holds one class."""
+    if len(model.classes) != 1:
+        raise ValueError(f"model.txt holds one class, got {len(model.classes)}")
     lines = [f"{MODEL_FORMAT} {MODEL_VERSION}"]
     lines.append(f"base_score {model.base_score!r}")
     lines.append(f"learning_rate {model.learning_rate!r}")

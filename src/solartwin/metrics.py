@@ -56,14 +56,17 @@ def _jsd_mass(pm: np.ndarray, qm: np.ndarray) -> float:
 
 def _histogram_masses(samples_a, samples_b, bins: int):
     """Each sample set's mass in ``bins`` equal-width bins over the range
-    both sets share, or None when every sample on both sides is the same."""
+    both sets share, or None when that range holds no ``bins`` finite-sized
+    bins: every sample on both sides is the same, or the range is a few ulps
+    wide.  This is numpy's own condition: np.linspace(lo, hi, bins + 1)
+    does not strictly increase."""
     a = np.asarray(samples_a, dtype=float)
     b = np.asarray(samples_b, dtype=float)
     if a.size == 0 or b.size == 0:
         raise ValueError("both sample sets must be non-empty")
     lo = float(min(a.min(), b.min()))
     hi = float(max(a.max(), b.max()))
-    if lo == hi:
+    if not np.all(np.diff(np.linspace(lo, hi, bins + 1)) > 0):
         return None
     counts_a, _ = np.histogram(a, bins=bins, range=(lo, hi))
     counts_b, _ = np.histogram(b, bins=bins, range=(lo, hi))

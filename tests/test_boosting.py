@@ -4,6 +4,7 @@ import tempfile
 import warnings
 from collections import Counter
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
+from solartwin import boosting
 from solartwin.boosting import (
     GbtModel,
     GbtParams,
@@ -396,3 +398,81 @@ def test_train_matches_reference_search(data, params, beta):
             train_gbt(data, params, loss)
         return
     assert _model_text(train_gbt(data, params, loss)) == expected
+
+
+@st.composite
+def stacked_datasets(draw):
+    """Labels in {0} and 1 to 9 classes, each target with both of its
+    classes; one feature holds a single code, and few rows leave nodes of
+    one row."""
+    n_classes = draw(st.integers(1, 9))
+    first = draw(st.integers(0, 1)) if n_classes > 1 else 1
+    classes = tuple(range(first, first + n_classes))
+    labels = sorted({0, *classes})
+    n_features = draw(st.integers(1, 4))
+    n_rows = draw(st.integers(len(labels), 30))
+    sets = [draw(st.sampled_from(CODE_SETS)) for _ in range(n_features)]
+    X = np.array(
+        [[draw(st.sampled_from(codes)) for codes in sets] for _ in range(n_rows)],
+        dtype=np.int64,
+    ).reshape(n_rows, n_features)
+    X = np.insert(X, draw(st.integers(0, n_features)), draw(st.sampled_from([0, 3])), axis=1)
+    y = draw(st.lists(st.sampled_from(labels), min_size=n_rows, max_size=n_rows))
+    y[: len(labels)] = labels
+    return LabeledDataset(X, np.array(y)), classes
+
+
+STACK_PARAMS = st.builds(
+    GbtParams,
+    rounds=st.integers(1, 3),
+    depth=st.integers(1, 4),
+    learning_rate=st.sampled_from([0.3, 20.0]),
+    reg_lambda=st.sampled_from([0.0, 1.0]),
+    # every hessian is at most 0.25 * max(1, beta), so no split meets 1e9
+    min_child_hess=st.sampled_from([0.0, 1e-3, 0.25, 1e9]),
+)
+
+
+def _single_texts(data, classes, params, loss):
+    """Each target's model text from its own training, or None when one
+    raises ZeroDivisionError."""
+    texts = []
+    for cls in classes:
+        binary = LabeledDataset(data.X, (data.y == cls).astype(np.int64), data.domains)
+        try:
+            texts.append(_model_text(train_gbt(binary, params, loss)))
+        except ZeroDivisionError:  # lambda = 0 with a zero hessian sum
+            return None
+    return texts
+
+
+@settings(max_examples=200, deadline=None)
+@given(stacked_datasets(), STACK_PARAMS, BETAS, st.sampled_from([1, 40, 1 << 19]))
+# row 0 alone has code 0, so the first split leaves it in a node of one row
+@example(
+    (LabeledDataset(np.array([[0, 5], [1, 5], [1, 5], [1, 5], [1, 5]]), np.array([1, 0, 2, 0, 2])),
+     (1, 2)),
+    GbtParams(rounds=2, depth=3), 1.0, 1 << 19,
+)
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_stack_matches_single_trainings(stack, params, beta, group_cells):
+    # group_cells puts each target in its own group, a few in each, or all in one
+    data, classes = stack
+    loss = LossParams(beta=beta)
+    expected = _single_texts(data, classes, params, loss)
+    with patch.object(boosting, "GROUP_CELLS", group_cells):
+        if expected is None:
+            with pytest.raises(ZeroDivisionError):
+                train_gbt(data, params, loss, classes)
+            return
+        model = train_gbt(data, params, loss, classes)
+    K = len(classes)
+    assert len(model.trees) == params.rounds * K
+    probs = predict_proba(model, data.X)
+    assert probs.shape == ((data.X.shape[0],) if K == 1 else (data.X.shape[0], K))
+    for k, text in enumerate(expected):
+        member = GbtModel(model.trees[k::K], model.learning_rate, 0.0, beta, data.domains)
+        assert _model_text(member) == text
+        column = probs if K == 1 else probs[:, k]
+        assert column.tobytes() == predict_proba(member, data.X).tobytes()

@@ -22,6 +22,11 @@ Keeping every run's states, as a stack of 50 x 21 adopted arrays (31.5 MB)
 held about three times over while the rows are counted, grew it by about
 94 MB; keeping the int64 counts that ``step`` carries in every state would
 add about 250 MB more.
+``train_ovr`` on 40 000 rows x 8 features x 8 classes (2 rounds) grows
+its classes in lockstep groups of at most ``GROUP_CELLS`` (class, row,
+feature) cells, here one class per group: about 20 MB.  Growing all 8
+classes in one group holds each level's keys, weights and histograms for
+the whole stack at once, about 99 MB.
 """
 
 import os
@@ -82,6 +87,14 @@ SETUP = {
         "initial = np.flatnonzero(pop.solar.filled(False))\n"
         "nodes = build_nodes(pop, graph, np.linspace(1.0, 2.0, n))\n"
         "call = lambda: simulate(nodes, cfg, initial)\n"
+    ),
+    "train_ovr_groups": (
+        "import numpy as np\n"
+        "from solartwin.boosting import GbtParams, train_ovr\n"
+        "from solartwin.preprocess import LabeledDataset\n"
+        "rng = np.random.default_rng(0)\n"
+        "data = LabeledDataset(rng.integers(0, 16, size=(40_000, 8)), rng.integers(0, 8, size=40_000))\n"
+        "call = lambda: train_ovr(data, GbtParams(rounds=2))\n"
     ),
     "jsd_kde": (
         "import numpy as np\n"

@@ -113,11 +113,13 @@ def test_jsd_histogram_behavior():
 def _reference_kld_histogram(a, b, bins):
     """The KL route the validate stage took before kld_histogram: explicit
     linspace edges over the shared range, from_counts on each side's counts,
-    then kld."""
+    then kld.  A range whose edges do not strictly increase is one bin."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     lo = min(a.min(), b.min())
     hi = max(a.max(), b.max())
-    edges = np.linspace(lo, hi, bins + 1) if hi > lo else np.array([lo, lo + 1.0])
+    edges = np.linspace(lo, hi, bins + 1)
+    if not np.all(np.diff(edges) > 0):
+        edges = np.array([lo, lo + 1.0])
     p = from_counts(edges, np.histogram(a, edges)[0])
     q = from_counts(edges, np.histogram(b, edges)[0])
     return kld(p, q)
@@ -141,6 +143,8 @@ def _kl_samples(draw):
 @given(_kl_samples())
 @example(([5.0, 5.0], [5.0], 50))
 @example(([0.0, 1.0], [0.0, 0.0, 0.5], 2))
+# a range one ulp wide has no 2 finite-sized bins
+@example(([1000.0], [1000.0000000000001], 2))
 def test_kld_histogram_matches_reference(samples):
     a, b, bins = samples
     assert kld_histogram(a, b, bins) == _reference_kld_histogram(a, b, bins)
@@ -150,6 +154,9 @@ def test_kld_histogram_behavior():
     assert kld_histogram([1.0, 2.0], [1.0, 2.0], 4) == 0.0
     assert kld_histogram([1.0, 2.0], [1.0, 1.0], 4) == math.inf
     assert kld_histogram([3.0], [3.0, 3.0], 50) == 0.0  # degenerate range
+    # a range one ulp wide is degenerate too: numpy makes no 2 finite bins of it
+    assert kld_histogram([1000.0], [1000.0000000000001], 2) == 0.0
+    assert jsd_histogram([1000.0], [1000.0000000000001], 2) == 0.0
     assert kld_histogram([1.0, 1.0, 2.0], [1.0, 2.0], 2) == pytest.approx(
         kld(dist(2 / 3, 1 / 3), dist(0.5, 0.5)), rel=1e-15
     )
