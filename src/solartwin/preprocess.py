@@ -15,7 +15,7 @@ from .records import FEATURE_DOMAINS, FEATURE_NAMES, HouseholdTable
 from .seeds import rng_for
 
 
-@dataclass
+@dataclass(eq=False)
 class LabeledDataset:
     """Integer feature matrix with one class label per row.
 
@@ -47,13 +47,6 @@ class LabeledDataset:
 
     def __len__(self):
         return self.X.shape[0]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LabeledDataset)
-            and np.array_equal(self.X, other.X)
-            and np.array_equal(self.y, other.y)
-        )
 
     def class_counts(self) -> dict:
         classes, counts = np.unique(self.y, return_counts=True)

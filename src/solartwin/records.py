@@ -1,25 +1,23 @@
 r"""Domain records and CSV interchange.
 
-This module owns the CSV dialect of every table the pipeline reads or
+This module owns the one CSV dialect of every table the pipeline reads or
 writes, and every loader and saver in the package is built on
-:func:`write_csv` and :func:`read_csv`.  The pipeline's own tables are in
-the plain dialect: unquoted cells with no ``,``, ``"``, CR, LF or NUL,
-``\r\n`` (or ``\n``) line ends including a final one, the header's width
-on every line, and no blank line.  ``write_csv`` joins a plain table's
-columns into one string; ``read_csv`` splits a plain file's text whole
-with ``str.split`` into per-column cell lists.  A table or file outside
-the plain dialect (quoted cells, a bare ``\r``, blank lines, ragged rows,
-...) goes through ``csv.writer`` or ``csv.reader``, which are the only
-uses of the csv module and give the same bytes and cells on plain input.
-Either way, cells are parsed by the same column parsers, so a bad cell
-raises the same error.  The four input formats are:
+:func:`write_csv` and :func:`read_csv`.  The dialect: UTF-8 text of
+unquoted cells with no ``,``, ``"``, CR, LF or NUL, ``\r\n`` or ``\n``
+line ends (``write_csv`` writes ``\r\n`` and a final one), the header's
+width on every line, and no blank line.  ``write_csv`` joins a table's
+columns into one string and raises ValueError on a cell it could not
+read back; ``read_csv`` splits a file's text whole with ``str.split``
+into per-column cell lists, and raises IngestError naming the first row
+off the dialect.  The four input formats are:
 
 * ``households.csv`` -- one row per household, categorical feature codes
   plus optional label/flag columns
 * ``irradiance_<tract>.csv`` -- hourly global horizontal irradiance for
   one census tract, dense 24 rows per day
 * ``targets.csv`` -- ground-truth adopter count per state
-* ``network.edges`` -- undirected edge list, one ``u v`` pair per line
+* ``network.edges`` -- undirected edge list, one ``u v`` pair per line:
+  two decimal node ids, one space and ``\n``, as ``save_network`` writes
 
 A :class:`HouseholdTable` holds households as numpy columns: int64 ``id``,
 object arrays of ``state``/``county``/``tract`` text, float64 ``lat`` and
@@ -35,8 +33,8 @@ which raises :class:`IngestError` naming the offending file, row and
 column; loading identical bytes always yields identical tables.
 """
 
-import csv
 import datetime
+import io
 import itertools
 import math
 import os
@@ -152,11 +150,6 @@ class HouseholdTable:
     def __iter__(self):
         return map(self._row, range(len(self)))
 
-    def __eq__(self, other):
-        return isinstance(other, HouseholdTable) and all(
-            _same_column(getattr(self, c), getattr(other, c)) for c in _DTYPES
-        )
-
     def labels(self, name: str) -> np.ndarray:
         """Optional column ``name`` as a plain array; every row must hold a value."""
         missing = np.ma.getmaskarray(getattr(self, name))
@@ -193,24 +186,14 @@ FEATURE_CODE_RULES = [
 ]
 
 
-def _same_column(a, b) -> bool:
-    """Equal shapes, equal masks, and equal values in the unmasked cells."""
-    missing = np.ma.getmaskarray(a)
-    return (
-        a.shape == b.shape
-        and np.array_equal(missing, np.ma.getmaskarray(b))
-        and np.array_equal(np.ma.getdata(a)[~missing], np.ma.getdata(b)[~missing])
-    )
-
-
 def write_csv(path, header, columns):
-    r"""Write one table: a header row, then one row per index of
-    ``columns``, equal-length sequences of cells the caller has already
-    formatted as str.
+    r"""Write one table as UTF-8 in the dialect of the module docstring: a
+    header row, then one row per index of ``columns``, equal-length
+    sequences of cells the caller has already formatted as str.
 
-    A table in the plain dialect is joined and written in one call.  A cell
-    holding ``,``, ``"``, ``\r`` or ``\n``, or an empty cell of a one-column
-    table, sends the whole table through csv.writer, which quotes it.
+    The table is joined and written in one call.  A cell read_csv could not
+    read back (one holding ``,``, ``"``, CR, LF or NUL, or an empty cell of
+    a one-column table) raises ValueError, and nothing is written.
     """
     header = list(header)
     if len(columns) != len(header) or len(set(map(len, columns))) > 1:
@@ -218,24 +201,23 @@ def write_csv(path, header, columns):
     lines = 1 + len(columns[0]) if columns else 1
     text = "\r\n".join([",".join(header), *map(",".join, zip(*columns)), ""])
     # the joins put `lines` of each line-end character and `lines * (width - 1)`
-    # commas in the text; any more come from a cell that csv.writer would quote
-    plain = (
+    # commas in the text; any more come from a cell
+    if not (
         text.count("\n") == text.count("\r") == lines
         and text.count(",") == lines * (len(header) - 1)
         and '"' not in text
+        and "\0" not in text
         and not (len(header) == 1 and "" in [*header, *columns[0]])
-    )
-    with open(path, "w", newline="") as fh:
-        if plain:
-            fh.write(text)
-        else:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(zip(*columns))
+    ):
+        bad = next((c for c in itertools.chain(header, *columns) if re.search('[,"\r\n\0]', c)), "")
+        raise ValueError(f"{os.path.basename(path)}: cell {bad!r} is not in the CSV dialect")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
 
 
 def read_csv(path, columns: dict, optional: dict | None = None, rules=()) -> dict:
-    """Read a table as whole parsed columns, keyed by column name.
+    """Read a table in the dialect of the module docstring as whole parsed
+    columns, keyed by column name.
 
     ``columns`` maps each required column to its cell parser (``str``,
     ``int``, ``float`` or any callable that raises ValueError on a bad
@@ -245,35 +227,28 @@ def read_csv(path, columns: dict, optional: dict | None = None, rules=()) -> dic
     must be finite.  ``rules`` holds check_cells's (column, bad, problem)
     tuples, ``bad`` a function of a parsed required column that masks its
     bad cells or raises ValueError about the whole column; each column is
-    checked before the next is parsed.  A missing or repeated column, a row
-    of the wrong width, a bad cell or a broken rule raises IngestError
-    naming the file, row and column.
+    checked before the next is parsed.  A byte that is not UTF-8, a row off
+    the dialect, a missing or repeated column, a bad cell or a broken rule
+    raises IngestError naming the file, and the row and column if any.
     """
     name = os.path.basename(path)
-    with open(path, newline="") as fh:
-        text = fh.read()
-    table = _split_plain(text)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as exc:
+        row = data.count(b"\n", 0, exc.start) + 1
+        raise IngestError(f"{name}: row {row}: byte {data[exc.start]:#04x} is not UTF-8") from None
+    del data
+    header, cells = _split(name, text)
     del text
-    if table is None:
-        with open(path, newline="") as fh:
-            rows = [row for row in csv.reader(fh) if row]
-        header, body = (rows[0], rows[1:]) if rows else ([], [])
-    else:
-        header, cells = table
     if len(set(header)) < len(header):
         repeated = next(column for column in header if header.count(column) > 1)
         raise IngestError(f"{name}: repeated column {repeated}")
     for column in columns:
         if column not in header:
             raise IngestError(f"{name}: missing column {column}")
-    if table is None:
-        for number, row in enumerate(body, start=2):
-            if len(row) != len(header):
-                raise IngestError(
-                    f"{name}: row {number}: expected {len(header)} fields, got {len(row)}"
-                )
-        cells = list(zip(*body)) if body else [()] * len(header)
-    count = len(cells[0]) if cells else 0
+    count = len(cells[0])
     cells = dict(zip(header, cells))
     numbers = range(2, count + 2)
     out = {}
@@ -298,28 +273,35 @@ def read_csv(path, columns: dict, optional: dict | None = None, rules=()) -> dic
     return out
 
 
-def _split_plain(text: str):
-    r"""(header, one list of cells per header column) of ``text``, or None
-    when it is not in the plain dialect write_csv emits: no ``"``, no NUL,
-    no blank line, every ``\r`` part of a ``\r\n``, a final newline, the
-    header's width on every line and no line longer than
-    ``csv.field_size_limit()``.  On plain text csv.reader yields these cells.
+# a row's first fault besides its width, and what an error calls it
+_FAULT = re.compile('["\0\r]|^$')
+_FAULTS = {'"': 'a quote (")', "\0": "a NUL", "\r": "a CR that ends no line", "": "a blank line"}
+
+
+def _split(name, text: str):
+    r"""(header, one list of cells per header column) of a file's ``text``.
+
+    The dialect is checked on the whole text, and only if that fails is it
+    scanned for the first row off the dialect, which raises IngestError.
+    A missing final line end is accepted.
     """
     crlf = text.count("\r\n")
-    if not text.endswith("\n") or '"' in text or "\0" in text or text.count("\r") != crlf:
-        return None
     if crlf == text.count("\n"):
         lines = text.split("\r\n")
     else:
         lines = text.replace("\r\n", "\n").split("\n")
-    lines.pop()
+    if len(lines) > 1 and not lines[-1]:
+        lines.pop()  # what follows the final line end
     commas = lines[0].count(",")
-    if (
-        "" in lines
-        or max(map(len, lines)) > csv.field_size_limit()
-        or set(map(str.count, lines, itertools.repeat(","))) != {commas}
-    ):
-        return None
+    widths = set(map(str.count, lines, itertools.repeat(",")))  # in commas
+    if '"' in text or "\0" in text or text.count("\r") != crlf or "" in lines or widths != {commas}:
+        for number, line in enumerate(lines, start=1):
+            fault = _FAULT.search(line)
+            if fault:
+                raise IngestError(f"{name}: row {number}: {_FAULTS[fault[0]]} is not allowed")
+            if line.count(",") != commas:
+                got = line.count(",") + 1
+                raise IngestError(f"{name}: row {number}: expected {commas + 1} fields, got {got}")
     width = commas + 1
     body = ",".join(lines[1:]).split(",") if len(lines) > 1 else []
     return lines[0].split(","), [body[j::width] for j in range(width)]
@@ -398,7 +380,7 @@ def save_households(table: HouseholdTable, path):
     write_csv(path, list(_BASE_COLUMNS) + optional, cells)
 
 
-@dataclass
+@dataclass(eq=False)
 class IrradianceSeries:
     """Dense hourly GHI (W/m^2) for one census tract starting at start_date."""
 
@@ -427,14 +409,6 @@ class IrradianceSeries:
         if not 0 <= offset < self.days:
             raise ValueError(f"no irradiance for tract {self.tract} on {date}")
         return self.hours[offset * 24 : (offset + 1) * 24]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, IrradianceSeries)
-            and self.tract == other.tract
-            and self.start_date == other.start_date
-            and np.array_equal(self.hours, other.hours)
-        )
 
 
 def load_irradiance(path, tract: str) -> IrradianceSeries:
@@ -545,62 +519,41 @@ class Graph:
         first = np.sort(order[new])
         self.edge_u, self.edge_v = lo[first], hi[first]
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Graph)
-            and self.node_count == other.node_count
-            and set(zip(self.edge_u.tolist(), self.edge_v.tolist()))
-            == set(zip(other.edge_u.tolist(), other.edge_v.tolist()))
-        )
-
     @property
     def edge_count(self) -> int:
         return self.edge_u.size
 
 
-# the lines save_network writes: two unsigned decimal endpoints and one
-# space; at most 18 digits, so every value fits in int64
-_SAVED_EDGES = re.compile(rb"(?:[0-9]{1,18} [0-9]{1,18}\n)*")
+# one line as save_network writes it: two unsigned decimal endpoints, one
+# space and LF; at most 18 digits, so every value fits in int64
+_EDGE_LINE = re.compile(rb"[0-9]{1,18} [0-9]{1,18}\n")
+_SAVED_EDGES = re.compile(rb"(?:%s)*" % _EDGE_LINE.pattern)
 
 
 def load_network(path, node_count: int) -> Graph:
-    """Load an edge list (whitespace or comma separated integer pairs) on
-    nodes 0..node_count-1.
+    """Load an edge list in save_network's format on nodes 0..node_count-1:
+    one line per edge of two decimal node ids, one space and LF.
 
-    A file in save_network's format is parsed whole; any other file, or one
-    whose edges fail a check, goes through the line scan, which accepts
-    blanks, ``#`` comments and commas and names the line of an error.
+    The file is parsed whole.  A line off the format, a self-loop or an
+    endpoint outside the node range raises IngestError naming the file
+    and the line.
     """
+    name = os.path.basename(path)
     with open(path, "rb") as fh:
         data = fh.read()
-    if _SAVED_EDGES.fullmatch(data):
-        pairs = np.fromstring(data, dtype=np.int64, sep=" ").reshape(-1, 2)
-        if not (pairs[:, 0] == pairs[:, 1]).any() and not (pairs >= node_count).any():
-            return Graph(node_count, pairs)
-    return _scan_network(path, node_count)
-
-
-def _scan_network(path, node_count: int) -> Graph:
-    """load_network one line at a time."""
-    edges = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.replace(",", " ").split()
-            if len(parts) != 2:
-                raise IngestError(f"line {lineno}: expected two endpoints, got {line!r}")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise IngestError(f"line {lineno}: non-integer endpoint in {line!r}") from None
-            if u == v:
-                raise IngestError(f"line {lineno}: self-loop at node {u}")
-            if min(u, v) < 0 or max(u, v) >= node_count:
-                raise IngestError(f"line {lineno}: edge ({u}, {v}) outside node range")
-            edges.append((u, v))
-    return Graph(node_count, edges)
+    if not _SAVED_EDGES.fullmatch(data):
+        for number, line in enumerate(io.BytesIO(data), start=1):
+            if not _EDGE_LINE.fullmatch(line):
+                got = line.decode(errors="backslashreplace")
+                raise IngestError(f"{name}: line {number}: expected two node ids, one space "
+                                  f"and LF, got {got!r}")
+    pairs = np.fromstring(data, dtype=np.int64, sep=" ").reshape(-1, 2)
+    bad = (pairs[:, 0] == pairs[:, 1]) | (pairs >= node_count).any(axis=1)
+    if bad.any():
+        u, v = pairs[bad.argmax()].tolist()
+        problem = f"self-loop at node {u}" if u == v else f"edge ({u}, {v}) outside node range"
+        raise IngestError(f"{name}: line {bad.argmax() + 1}: {problem}")
+    return Graph(node_count, pairs)
 
 
 def save_network(graph: Graph, path):

@@ -26,16 +26,18 @@ from solartwin.toygen import ToyConfig
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_cli_import_leaves_out_scipy():
+def test_cli_import_leaves_out_scipy_and_csv():
     # the booster's sigmoid is numpy's and the GP imports scipy when it
-    # first runs, so no scipy module is paid for at CLI start
+    # first runs, so no scipy module is paid for at CLI start; records
+    # reads and writes its one CSV dialect without the csv module
     src = str(ROOT / "src")
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [
             sys.executable, "-c",
             "import sys, solartwin.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+            "print(sorted(m for m in sys.modules"
+            " if m.split('.')[0] == 'scipy' or m in ('csv', '_csv')))",
         ],
         env={**os.environ, "PYTHONPATH": pythonpath},
         capture_output=True,
@@ -617,6 +619,73 @@ def test_huge_ghi_fails_generate_and_simulate_with_one_line(tiny_run, tmp_path, 
     assert re.fullmatch(
         r"error: simulate: annual_kwh \S+ gives a rebate that is not finite", simulate_err[0]
     ), simulate_err
+
+
+def _rewrite_line(path, number, edit):
+    """Rewrite line ``number`` (from 1) of a file, its line end included, with ``edit``."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[number - 1] = edit(lines[number - 1])
+    path.write_bytes(b"".join(lines))
+
+
+_NOT_EDGE = "expected two node ids, one space and LF, got "
+
+
+@pytest.mark.parametrize(
+    "stage, name, number, edit, message",
+    [
+        pytest.param("preprocess", "households.csv", 3, lambda line: b'"' + line,
+                     'row 3: a quote (") is not allowed', id="quote"),
+        pytest.param("estimate-sqft", "survey.csv", 3, lambda line: b"\0" + line,
+                     "row 3: a NUL is not allowed", id="nul"),
+        pytest.param("calibrate", "train_solar.csv", 3, lambda line: line.replace(b",", b"\r", 1),
+                     "row 3: a CR that ends no line is not allowed", id="bare-cr"),
+        pytest.param("calibrate", "targets.csv", 2, lambda line: b"\r\n" + line,
+                     "row 2: a blank line is not allowed", id="blank-line"),
+        pytest.param("validate", "twin/profiles_2018-01-01.csv", 3,
+                     lambda line: line.split(b",", 1)[1],
+                     "row 3: expected 5 fields, got 4", id="ragged-row"),
+        pytest.param("simulate", "network.edges", 1, lambda line: b"# comment\n" + line,
+                     f"line 1: {_NOT_EDGE}'# comment\\n'", id="edge-comment"),
+        pytest.param("simulate", "network.edges", 2, lambda line: line.replace(b" ", b","),
+                     f"line 2: {_NOT_EDGE}'", id="edge-comma"),
+        pytest.param("simulate", "network.edges", 3, lambda line: line.replace(b"\n", b"\r\n"),
+                     f"line 3: {_NOT_EDGE}'", id="edge-crlf"),
+        pytest.param("simulate", "network.edges", 2, lambda line: b"\xff" + line,
+                     f"line 2: {_NOT_EDGE}'\\\\xff", id="edge-utf8"),
+        pytest.param("simulate", "households_twin.csv", 3,
+                     lambda line: line.replace(b"VA", b"V\xedA", 1),
+                     "row 3: byte 0xed is not UTF-8", id="households-utf8"),
+        pytest.param("simulate", "irradiance_*.csv", 4, lambda line: b"\xff" + line,
+                     "row 4: byte 0xff is not UTF-8", id="irradiance-utf8"),
+        pytest.param("validate", "real/daily_*.csv", 2, lambda line: line[:-2] + b"\xc3\r\n",
+                     "row 2: byte 0xc3 is not UTF-8", id="daily-utf8"),
+    ],
+)
+def test_stages_name_the_line_of_input_off_its_format(
+    tiny_run, tmp_path, capsys, stage, name, number, edit, message
+):
+    # a CSV input must be UTF-8 in the one dialect, and network.edges in
+    # save_network's format; anything else fails with one line naming the
+    # file and its first line off the format
+    _, out, ini = tiny_run
+    run = tmp_path / "out"
+    shutil.copytree(out, run)
+    path = sorted(run.glob(name))[0]
+    _rewrite_line(path, number, edit)
+    assert main([stage, "--config", str(ini), "--out", str(run)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {stage}: {path.name}: {message}"), err
+
+
+def test_a_cell_longer_than_the_csv_module_limit_loads(tiny_run, tmp_path, capsys):
+    # csv.reader refuses a field longer than 131 072 characters by default
+    _, out, ini = tiny_run
+    run = tmp_path / "out"
+    shutil.copytree(out, run)
+    _set_cell(run / "households.csv", 3, "county", "5" * 200_000)
+    assert main(["preprocess", "--config", str(ini), "--out", str(run)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_missing_input_error_contract(tmp_path, capsys):

@@ -2,7 +2,11 @@
 
 import csv
 import datetime
+import itertools
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -11,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from equality import same_dataset, same_graph, same_households, same_series
 from solartwin.cli import _load_dataset, _load_survey, _save_dataset, _save_matrix, _save_survey
 from solartwin.preprocess import LabeledDataset
 from solartwin.pv import EnergyProfiles, load_daily, load_profile_rows, save_daily, save_profiles
@@ -24,7 +29,6 @@ from solartwin.records import (
     IngestError,
     IrradianceSeries,
     _parse_column,
-    _split_plain,
     load_households,
     load_irradiance,
     load_network,
@@ -37,6 +41,8 @@ from solartwin.records import (
     sqft_class_range,
     write_csv,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 FEATURES = {
     "NHSLDMEM": 2,
@@ -106,7 +112,7 @@ def test_households_roundtrip(tmp_path):
     path = tmp_path / "households.csv"
     save_households(table, path)
     again = load_households(path)
-    assert again == table
+    assert same_households(again, table)
     assert again.solar.tolist() == [True, False]
     assert again.sqft_value.tolist() == [None, 1234.5]
 
@@ -116,12 +122,19 @@ def test_rows_and_equality():
     rows = list(table)
     assert [len(row) for row in rows] == [1, 1, 1]
     assert [bool(row.solar) for row in rows] == [True, False, False]
-    assert rows[2] == make_table(id=2, sqft_value=1234.5, solar=False)
-    assert rows[1] != make_table(id=1, sqft_value=900.0, solar=False)  # missing is not False
-    assert rows[1] != make_table(id=1, sqft_value=900.5)
-    assert table != make_table(2, sqft_value=[None, 900.0], solar=[True, None])
-    assert table == table.replace(lat=table.lat.copy())
+    assert same_households(rows[2], make_table(id=2, sqft_value=1234.5, solar=False))
+    # missing is not False
+    assert not same_households(rows[1], make_table(id=1, sqft_value=900.0, solar=False))
+    assert not same_households(rows[1], make_table(id=1, sqft_value=900.5))
+    assert not same_households(table, make_table(2, sqft_value=[None, 900.0], solar=[True, None]))
+    assert same_households(table, table.replace(lat=table.lat.copy()))
 
+
+# text cells in the CSV dialect, and the characters the dialect leaves out
+_OFF_DIALECT = ',"\r\n\0'
+_DIALECT_TEXT = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters=_OFF_DIALECT)
+)
 
 _OPTIONAL_VALUES = {
     "sqft_class": st.integers(0, N_SQFT_CLASSES - 1),
@@ -134,8 +147,9 @@ _OPTIONAL_VALUES = {
 
 @st.composite
 def household_tables(draw):
-    """Tables with unique non-negative ids, in-range lat/lon and in-domain codes; each
-    optional column is absent, fully filled or partly empty."""
+    """Tables with unique non-negative ids, text in the CSV dialect, in-range
+    lat/lon and in-domain codes; each optional column is absent, fully
+    filled or partly empty."""
     n = draw(st.integers(0, 6))
 
     def column(values):
@@ -143,9 +157,9 @@ def household_tables(draw):
 
     columns = {
         "id": draw(st.lists(st.integers(0, 2**63 - 1), min_size=n, max_size=n, unique=True)),
-        "state": column(st.text()),
-        "county": column(st.text()),
-        "tract": column(st.text()),
+        "state": column(_DIALECT_TEXT),
+        "county": column(_DIALECT_TEXT),
+        "tract": column(_DIALECT_TEXT),
         "lat": column(st.floats(-90.0, 90.0)),
         "lon": column(st.floats(-180.0, 180.0)),
         "features": np.array(
@@ -166,7 +180,7 @@ def test_households_roundtrip_property(table):
         first, second = Path(scratch, "a.csv"), Path(scratch, "b.csv")
         save_households(table, first)
         again = load_households(first)
-        assert again == table
+        assert same_households(again, table)
         save_households(again, second)
         assert second.read_bytes() == first.read_bytes()
 
@@ -219,7 +233,7 @@ def test_profiles_roundtrip_property(profiles):
 
 def _reference_write_csv(path, header, rows):
     """write_csv as csv.writer rows, before the columnar join."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -228,7 +242,7 @@ def _reference_write_csv(path, header, rows):
 def _reference_read_csv(path, columns, optional=None):
     """read_csv as csv.reader rows, before the whole-text split."""
     name = Path(path).name
-    with open(path, newline="") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         rows = [row for row in csv.reader(fh) if row]
     header, body = (rows[0], rows[1:]) if rows else ([], [])
     for column in header:
@@ -266,7 +280,37 @@ def _read_csv_lists(path, columns, optional=None):
     return out | {column: out[column].tolist() for column in columns}
 
 
-# cells the parsers accept or reject, and characters outside the plain dialect
+def _outcome(load, *args):
+    """What ``load(*args)`` returns, or the type and text of what it raises."""
+    try:
+        return load(*args)
+    except Exception as exc:  # noqa: BLE001 - the error itself is compared
+        return type(exc), str(exc)
+
+
+def _reference_dialect_fault(text):
+    """The IngestError text read_csv gives for ``text`` off the dialect,
+    found one line at a time, or None for text in the dialect."""
+    lines = text.split("\n")
+    ended = len(lines) - 1  # the lines a LF ends
+    if text.endswith("\n"):
+        lines.pop()
+    # a CR right before a LF is part of the line end; any other is a fault
+    lines = [line[:-1] if i < ended and line.endswith("\r") else line
+             for i, line in enumerate(lines)]
+    faults = {'"': 'a quote (")', "\0": "a NUL", "\r": "a CR that ends no line"}
+    width = lines[0].count(",") + 1
+    for row, line in enumerate(lines, start=1):
+        found = sorted((line.index(char), what) for char, what in faults.items() if char in line)
+        if found or not line:
+            fault = found[0][1] if found else "a blank line"
+            return f"table.csv: row {row}: {fault} is not allowed"
+        if line.count(",") + 1 != width:
+            return f"table.csv: row {row}: expected {width} fields, got {line.count(',') + 1}"
+    return None
+
+
+# cells the parsers accept or reject, and characters outside the dialect
 _PLAIN_CELLS = st.sampled_from(
     ["0", "7", "-3", "1_0", " 2", "4 ", "0.5", "1e3", "nan", "inf", "-infinity", "", "x",
      "2018-01-01", "99999999999999999999", "\x85", "\u2028", "\x0b"]
@@ -279,8 +323,9 @@ _ENDINGS = st.sampled_from(["\n", "\r\n"])
 @st.composite
 def csv_texts(draw):
     """Text of a table whose header mixes required, optional, unknown and
-    duplicate names.  Half are in the plain dialect (LF, CRLF or mixed
-    endings); the rest may also have blank lines, ragged rows, odd cells
+    duplicate names.  Half have rows of plain cells at the header's width
+    (LF, CRLF or mixed endings), in the dialect unless a one-column row is
+    empty; the rest may also have blank lines, ragged rows, odd cells
     (quotes, NUL, stray CR, commas) and no final newline."""
     header = draw(st.lists(st.sampled_from(["a", "b", "c", "d", "e"]), min_size=1, max_size=5))
     width = len(header)
@@ -305,41 +350,68 @@ _READ_PARSERS = [
 
 
 @settings(max_examples=400, deadline=None)
-@given(csv_texts(), st.sampled_from(_READ_PARSERS), st.sampled_from([131072, 3]))
-@example("a,b\r\n1,2.5\r\n3,nan\r\n", _READ_PARSERS[0], 131072)
-@example("a,b\n1_0, 2\n\n", _READ_PARSERS[0], 131072)
-@example("a,b\n1,2\r3,4\n", _READ_PARSERS[0], 131072)
-@example("a\n1\r2\n", _READ_PARSERS[2], 131072)
-@example("a,b\n1,2\n3\n", _READ_PARSERS[0], 131072)
-@example("a,b\n1,\"2\"\n", _READ_PARSERS[0], 131072)
-@example("a,b,a\n1,2,x\n", _READ_PARSERS[0], 131072)
-@example("a,b\n1,2", _READ_PARSERS[0], 131072)
-@example("a,b\n1,2222\n", _READ_PARSERS[0], 3)
-@example("a,b\n1\x002,2\n", _READ_PARSERS[0], 131072)
-@example("", _READ_PARSERS[2], 131072)
-def test_read_csv_matches_csv_reader(text, parsers, field_limit):
-    """The whole-text split gives csv.reader's columns, or the same error."""
-    limit = csv.field_size_limit(field_limit)
-    try:
-        with tempfile.TemporaryDirectory() as scratch:
-            path = Path(scratch, "table.csv")
-            path.write_bytes(text.encode())
-            outcomes = []
-            for read in (_read_csv_lists, _reference_read_csv):
-                try:
-                    outcomes.append(read(path, *parsers))
-                except Exception as exc:  # noqa: BLE001 - the error itself is compared
-                    outcomes.append((type(exc), str(exc)))
-    finally:
-        csv.field_size_limit(limit)
-    assert outcomes[0] == outcomes[1]
+@given(csv_texts(), st.sampled_from(_READ_PARSERS))
+@example("a,b\r\n1,2.5\r\n3,nan\r\n", _READ_PARSERS[0])
+@example("a,b\n1_0, 2\n\n", _READ_PARSERS[0])
+@example("a,b\n1,2\r3,4\n", _READ_PARSERS[0])
+@example("a\n1\r2\n", _READ_PARSERS[2])
+@example("a,b\n1,2\n3\n", _READ_PARSERS[0])
+@example("a,b\n1,\"2\"\n", _READ_PARSERS[0])
+@example("a,b,a\n1,2,x\n", _READ_PARSERS[0])
+@example("a,b\n1,2", _READ_PARSERS[0])
+@example("a,b\n1,2222\n", _READ_PARSERS[0])
+@example("a,b\n1\x002,2\n", _READ_PARSERS[0])
+@example("", _READ_PARSERS[2])
+def test_read_csv_matches_csv_reader(text, parsers):
+    """On text in the dialect the whole-text split gives csv.reader's
+    columns, or the same error; text off it fails naming its first row off
+    the dialect."""
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch, "table.csv")
+        path.write_bytes(text.encode())
+        fault = _reference_dialect_fault(text)
+        want = (IngestError, fault) if fault else _outcome(_reference_read_csv, path, *parsers)
+        assert _outcome(_read_csv_lists, path, *parsers) == want
+
+
+def test_read_csv_names_the_row_of_a_byte_that_is_not_utf8(tmp_path):
+    header = ["id", "state", "county", "tract", "lat", "lon", *FEATURES]
+    rows = [header, _HOUSEHOLD, ["1", "VirgXnia", *_HOUSEHOLD[2:]]]
+    path = tmp_path / "households.csv"
+    path.write_bytes("".join(",".join(row) + "\n" for row in rows).encode().replace(b"X", b"\xed"))
+    with pytest.raises(IngestError, match="^households.csv: row 3: byte 0xed is not UTF-8$"):
+        load_households(path)
+
+
+def test_tables_are_utf8_under_any_locale(tmp_path):
+    # a table reads and writes as UTF-8 whatever the locale's encoding
+    code = (
+        "import sys; from solartwin.records import read_csv, write_csv; "
+        "write_csv(sys.argv[1], ['state'], [['Virg\\u00ednia']]); "
+        "print(ascii(read_csv(sys.argv[1], {'state': str})['state'].tolist()))"
+    )
+    env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    path = tmp_path / "targets.csv"
+    proc = subprocess.run([sys.executable, "-X", "utf8=0", "-c", code, str(path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "['Virg\\xednia']\n"
+    assert path.read_bytes() == "state\r\nVirgínia\r\n".encode()
+
+
+def test_read_csv_loads_a_cell_longer_than_the_csv_module_limit(tmp_path):
+    # csv.reader refuses a field longer than field_size_limit(), 131 072 by default
+    path = tmp_path / "targets.csv"
+    save_targets([AdopterTarget("x" * 200_000, 5)], path)
+    assert load_targets(path) == [AdopterTarget("x" * 200_000, 5)]
 
 
 # cells each parser accepts
 _CELLS_OF = {
     int: st.integers(-(2**63), 2**63 - 1).map(str),
     float: st.floats(allow_nan=False, allow_infinity=False).map(repr),
-    str: st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters=',"\r\n\0')),
+    str: _DIALECT_TEXT,
     datetime.date.fromisoformat: st.dates().map(datetime.date.isoformat),
 }
 
@@ -347,11 +419,13 @@ _CELLS_OF = {
 @st.composite
 def typed_tables(draw):
     """(parsers, header, columns) of 1-4 columns of cells their parsers
-    accept, 0-5 rows."""
+    accept, 0-5 rows; a one-column table has no empty cell, which the
+    dialect leaves out."""
     parsers = draw(st.lists(st.sampled_from(list(_CELLS_OF)), min_size=1, max_size=4))
     rows = draw(st.integers(0, 5))
     header = [f"c{j}" for j in range(len(parsers))]
-    columns = [draw(st.lists(_CELLS_OF[p], min_size=rows, max_size=rows)) for p in parsers]
+    cells = {p: _CELLS_OF[p] if len(parsers) > 1 else _CELLS_OF[p].filter(bool) for p in parsers}
+    columns = [draw(st.lists(cells[p], min_size=rows, max_size=rows)) for p in parsers]
     return dict(zip(header, parsers)), header, columns
 
 
@@ -374,8 +448,8 @@ def test_read_csv_columns_are_typed_arrays(table):
 
 @st.composite
 def csv_tables(draw):
-    """(header, columns) of 1-4 columns and 0-5 rows; cells are plain or
-    hold commas, quotes, CR, LF or nothing."""
+    """(header, columns) of 1-4 columns and 0-5 rows; cells are in the
+    dialect or hold commas, quotes, CR, LF, NUL or nothing."""
     width = draw(st.integers(1, 4))
     rows = draw(st.integers(0, 5))
     cells = st.one_of(_PLAIN_CELLS, _ODD_CELLS, st.text(max_size=3))
@@ -392,12 +466,81 @@ def csv_tables(draw):
 @example((["a", "b"], [["1\r", "2"], ["\n", "3"]]))
 @example((["a"], [[]]))
 def test_write_csv_matches_csv_writer(table):
+    """A table in the dialect is written as csv.writer writes it; any other
+    raises ValueError and writes nothing."""
     header, columns = table
     with tempfile.TemporaryDirectory() as scratch:
         got, want = Path(scratch, "got.csv"), Path(scratch, "want.csv")
+        if not _in_dialect(header, columns):
+            with pytest.raises(ValueError, match="is not in the CSV dialect"):
+                write_csv(got, header, columns)
+            assert not got.exists()
+            return
         write_csv(got, header, columns)
         _reference_write_csv(want, header, zip(*columns))
         assert got.read_bytes() == want.read_bytes()
+
+
+def _in_dialect(header, columns) -> bool:
+    """Whether read_csv could read back every cell of a table: none holds a
+    character the dialect leaves out, and a one-column table has no empty
+    cell (its line would be blank)."""
+    cells = [*header, *itertools.chain(*columns)]
+    return (
+        len(header) > 0
+        and not any(char in cell for cell in cells for char in _OFF_DIALECT)
+        and not (len(header) == 1 and "" in cells)
+    )
+
+
+@st.composite
+def text_tables(draw):
+    """(header, columns) of 1-4 uniquely named columns and 0-5 rows of any
+    text, often holding characters the dialect leaves out."""
+    cells = st.one_of(st.text(), _ODD_CELLS)
+    width = draw(st.integers(1, 4))
+    rows = draw(st.integers(0, 5))
+    header = draw(st.lists(cells, min_size=width, max_size=width, unique=True))
+    columns = [draw(st.lists(cells, min_size=rows, max_size=rows)) for _ in range(width)]
+    return header, columns
+
+
+@settings(max_examples=400, deadline=None)
+@given(text_tables())
+@example((["a", "b"], [["1\0"], ["2"]]))
+@example((["a"], [["x", ""]]))
+@example((["a", "b"], [["\x85\u2028\x0b", ""], ["", " "]]))
+def test_csv_dialect_roundtrip_property(table):
+    """write_csv raises ValueError exactly on a table off the dialect, and
+    read_csv with str parsers reads back every cell of any other."""
+    header, columns = table
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch, "table.csv")
+        try:
+            write_csv(path, header, columns)
+        except ValueError:
+            assert not _in_dialect(header, columns)
+            return
+        assert _in_dialect(header, columns)
+        got = read_csv(path, dict.fromkeys(header, str))
+    assert [got[name].tolist() for name in header] == columns
+
+
+@pytest.mark.parametrize("char", list(_OFF_DIALECT))
+@pytest.mark.parametrize("saver", ["state", "county", "tract", "targets", "matrix"])
+def test_savers_refuse_text_off_the_dialect(tmp_path, saver, char):
+    # the round-trip properties draw text in the dialect only; text holding
+    # any other character fails to save, and no file is written
+    text = f"V{char}A"
+    path = tmp_path / "table.csv"
+    with pytest.raises(ValueError, match="is not in the CSV dialect"):
+        if saver == "targets":
+            save_targets([AdopterTarget(text, 1)], path)
+        elif saver == "matrix":
+            _save_matrix(np.eye(1), [text], path)
+        else:
+            save_households(make_table(2, **{saver: ["VA", text]}), path)
+    assert not path.exists()
 
 
 def test_write_csv_needs_one_column_per_header_name(tmp_path):
@@ -556,7 +699,7 @@ def test_irradiance_roundtrip(tmp_path):
         series.ghi_for_date(datetime.date(2018, 1, 3))
     path = tmp_path / "irr.csv"
     save_irradiance(series, path)
-    assert load_irradiance(path, "t1") == series
+    assert same_series(load_irradiance(path, "t1"), series)
 
 
 @settings(max_examples=50, deadline=None)
@@ -575,14 +718,15 @@ def test_irradiance_roundtrip_property(tract, start, hours):
         path = Path(scratch, "irradiance.csv")
         save_irradiance(series, path)
         loaded = load_irradiance(path, tract)
-    assert loaded == series
+    assert same_series(loaded, series)
     assert list(map(repr, loaded.hours.tolist())) == list(map(repr, hours))
 
 
 @st.composite
 def _named_matrices(draw):
     names = draw(
-        st.lists(st.text().filter(lambda name: name != "feature"), min_size=1, max_size=6, unique=True)
+        st.lists(_DIALECT_TEXT.filter(lambda name: name != "feature"), min_size=1, max_size=6,
+                 unique=True)
     )
     cells = st.floats(allow_nan=False, allow_infinity=False)
     values = draw(st.lists(cells, min_size=len(names) ** 2, max_size=len(names) ** 2))
@@ -695,13 +839,12 @@ def test_load_irradiance_matches_row_scan(rows):
     with tempfile.TemporaryDirectory() as scratch:
         path = Path(scratch, "irradiance_t1.csv")
         write_csv(path, ["date", "hour", "ghi_wm2"], [[row[j] for row in rows] for j in range(3)])
-        outcomes = []
-        for load in (load_irradiance, _reference_load_irradiance):
-            try:
-                outcomes.append(load(path, "t1"))
-            except Exception as exc:  # noqa: BLE001 - the error itself is compared
-                outcomes.append((type(exc), str(exc)))
-    assert outcomes[0] == outcomes[1]
+        got, want = (_outcome(load, path, "t1")
+                     for load in (load_irradiance, _reference_load_irradiance))
+    if isinstance(got, IrradianceSeries) and isinstance(want, IrradianceSeries):
+        assert same_series(got, want)
+    else:
+        assert got == want
 
 
 def test_targets_roundtrip(tmp_path):
@@ -715,14 +858,15 @@ def test_targets_roundtrip(tmp_path):
 
 @pytest.mark.parametrize("plain", [True, False])
 def test_read_csv_rejects_repeated_column(tmp_path, plain):
-    # a repeated name is an error on both read paths, not the last column
+    # a repeated name is an error, not the last column; in a file off the
+    # dialect, the row off it is named first
     text = "state,count,count\nVA,5,7\n" if plain else 'state,count,count\nVA,5,"7"\n'
-    assert (_split_plain(text) is not None) == plain
+    message = "repeated column count" if plain else 'row 2: a quote (") is not allowed'
     path = tmp_path / "targets.csv"
     path.write_text(text)
-    with pytest.raises(IngestError, match="^targets.csv: repeated column count$"):
+    with pytest.raises(IngestError, match=f"^targets.csv: {re.escape(message)}$"):
         load_targets(path)
-    with pytest.raises(IngestError, match="^targets.csv: repeated column count$"):
+    with pytest.raises(IngestError, match=f"^targets.csv: {re.escape(message)}$"):
         read_csv(path, {"state": str})
 
 
@@ -751,27 +895,43 @@ def test_network_roundtrip(tmp_path):
     g = Graph(5, [(0, 1), (3, 4)])
     path = tmp_path / "network.edges"
     save_network(g, path)
-    assert load_network(path, 5) == g
+    assert same_graph(load_network(path, 5), g)
 
 
 def test_network_parsing(tmp_path):
+    # save_network's format is the only one: a comment, a blank line, a
+    # comma, a tab, a CR, a sign, a third endpoint or a missing final LF is
+    # off it, and the error names the file and the first such line
     path = tmp_path / "net.edges"
-    path.write_text("# comment\n0 1\n2,3\n\n")
-    g = load_network(path, 4)
-    assert g.node_count == 4 and g.edge_count == 2
-    bad = tmp_path / "bad.edges"
-    bad.write_text("0 0\n")
-    with pytest.raises(IngestError, match="line 1: self-loop at node 0"):
-        load_network(bad, 2)
-    trio = tmp_path / "trio.edges"
-    trio.write_text("0 1 2\n")
-    with pytest.raises(IngestError, match="expected two endpoints"):
-        load_network(trio, 3)
-    for edge in ("1 7", "-1 2"):
-        outside = tmp_path / "outside.edges"
-        outside.write_text(f"# three nodes\n0 1\n{edge}\n")
-        with pytest.raises(IngestError, match=rf"line 3: edge \({edge.replace(' ', ', ')}\) outside"):
-            load_network(outside, 3)
+    path.write_text("0 1\n2 3\n")
+    assert load_network(path, 4).edge_count == 2
+    for text, line, got in [
+        ("# comment\n0 1\n", 1, "# comment\n"), ("0 1\n2,3\n", 2, "2,3\n"), ("0 1\n\n", 2, "\n"),
+        ("0\t1\n", 1, "0\t1\n"), ("0 1\r\n", 1, "0 1\r\n"), ("0 1\n-1 2\n", 2, "-1 2\n"),
+        ("0 1 2\n", 1, "0 1 2\n"), ("0 1\n2 3", 2, "2 3"),
+    ]:
+        path.write_bytes(text.encode())
+        with pytest.raises(IngestError) as error:
+            load_network(path, 4)
+        assert str(error.value) == (
+            f"net.edges: line {line}: expected two node ids, one space and LF, got {got!r}"
+        )
+    for text, message in [("0 1\n0 0\n", "line 2: self-loop at node 0"),
+                          ("0 1\n1 7\n", "line 2: edge (1, 7) outside node range"),
+                          ("3 3\n", "line 1: self-loop at node 3")]:
+        path.write_text(text)
+        with pytest.raises(IngestError, match=f"^net.edges: {re.escape(message)}$"):
+            load_network(path, 3)
+
+
+def test_load_network_names_the_line_of_a_byte_that_is_not_utf8(tmp_path):
+    path = tmp_path / "network.edges"
+    path.write_bytes(b"0 1\n0 \xff\n")
+    with pytest.raises(IngestError) as error:
+        load_network(path, 3)
+    assert str(error.value) == (
+        r"network.edges: line 2: expected two node ids, one space and LF, got '0 \\xff\n'"
+    )
 
 
 @st.composite
@@ -797,8 +957,9 @@ def test_network_roundtrip_property(graph):
 def _reference_load_network(path, node_count):
     """load_network as a scan of one line at a time, before the whole-file
     parse of save_network's format."""
+    name = Path(path).name
     edges = []
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -811,9 +972,9 @@ def _reference_load_network(path, node_count):
             except ValueError:
                 raise IngestError(f"line {lineno}: non-integer endpoint in {line!r}") from None
             if u == v:
-                raise IngestError(f"line {lineno}: self-loop at node {u}")
+                raise IngestError(f"{name}: line {lineno}: self-loop at node {u}")
             if min(u, v) < 0 or max(u, v) >= node_count:
-                raise IngestError(f"line {lineno}: edge ({u}, {v}) outside node range")
+                raise IngestError(f"{name}: line {lineno}: edge ({u}, {v}) outside node range")
             edges.append((u, v))
     return Graph(node_count, edges)
 
@@ -852,6 +1013,21 @@ def edge_files(draw):
     return text + ending if draw(st.booleans()) else text
 
 
+def _reference_format_fault(text):
+    """load_network's error for ``text`` off save_network's format, found
+    one line at a time, or None for text in the format."""
+    lines = text.split("\n")
+    last = lines.pop()  # what follows the final LF, a line only if not empty
+    bad = [(n, line + "\n") for n, line in enumerate(lines, start=1)
+           if not re.fullmatch("[0-9]{1,18} [0-9]{1,18}", line)]
+    if last:
+        bad.append((len(lines) + 1, last))
+    if not bad:
+        return None
+    number, got = bad[0]
+    return f"network.edges: line {number}: expected two node ids, one space and LF, got {got!r}"
+
+
 @settings(max_examples=400, deadline=None)
 @given(edge_files(), st.integers(0, 16))
 @example("0 1\n2 3\n", 4)
@@ -862,22 +1038,23 @@ def edge_files(draw):
 @example("9223372036854775808 1\n", 16)
 @example("0 1\n0000000000000000002 1\n", 3)
 def test_load_network_matches_line_scan(text, node_count):
+    """A file in save_network's format loads as the line scan loads it, or
+    fails as the scan does on the same line; any other file fails naming
+    its first line off the format."""
+    def load(load_graph):
+        graph = load_graph(path, node_count)
+        return graph.node_count, graph.edge_u.tolist(), graph.edge_v.tolist()
+
     with tempfile.TemporaryDirectory() as scratch:
         path = Path(scratch, "network.edges")
         path.write_bytes(text.encode())
-        outcomes = []
-        for load in (load_network, _reference_load_network):
-            try:
-                graph = load(path, node_count)
-            except Exception as exc:  # noqa: BLE001 - the error itself is compared
-                outcomes.append((type(exc), str(exc)))
-            else:
-                outcomes.append((graph.node_count, graph.edge_u.tolist(), graph.edge_v.tolist()))
-    assert outcomes[0] == outcomes[1]
+        fault = _reference_format_fault(text)
+        want = (IngestError, fault) if fault else _outcome(load, _reference_load_network)
+        assert _outcome(load, load_network) == want
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.lists(st.builds(AdopterTarget, st.text(), st.integers(0, 2**63 - 1)), max_size=6))
+@given(st.lists(st.builds(AdopterTarget, _DIALECT_TEXT, st.integers(0, 2**63 - 1)), max_size=6))
 def test_targets_roundtrip_property(targets):
     with tempfile.TemporaryDirectory() as scratch:
         path = Path(scratch, "targets.csv")
@@ -915,5 +1092,5 @@ def test_dataset_roundtrip_property(data):
         path = Path(scratch, "train_solar.csv")
         _save_dataset(data, path)
         again = _load_dataset(path)
-    assert again == data
+    assert same_dataset(again, data)
     assert again.domains == data.domains
