@@ -4,10 +4,12 @@
 
 ``save_profiles`` then ``load_profile_rows`` on every file written, for
 200 adopters over 7 days (the generate stage's per-side output on the
-``pipeline-2k`` workload) and for 10 000 adopters over 1 day (one day of
-the 100 000-household run).  The kWh cells are random doubles, zero at
-night as PV output is, so each daytime cell prints about 18 digits.
-Outside the tier-1 ``testpaths``.
+``pipeline-2k`` workload), 25 adopters over 90 days (the same on
+``energy-policy-90d``) and 10 000 adopters over 1 day (one day of the
+100 000-household run).  ``load_profile_rows`` alone reads that one
+10 000-adopter day again, so the parse shows apart from ``save_profiles``.
+The kWh cells are random doubles, zero at night as PV output is, so each
+daytime cell prints about 18 digits.  Outside the tier-1 ``testpaths``.
 """
 
 import datetime
@@ -33,9 +35,16 @@ def _round_trip(profiles, out_dir):
     return [load_profile_rows(path) for path in save_profiles(profiles, out_dir)]
 
 
-@pytest.mark.parametrize("households, days", [(200, 7), (10_000, 1)])
+@pytest.mark.parametrize("households, days", [(200, 7), (25, 90), (10_000, 1)])
 def test_bench_profile_round_trip(benchmark, tmp_path, households, days):
     profiles = _profiles(households, days)
     loaded = benchmark(_round_trip, profiles, tmp_path)
     assert len(loaded) == days
     assert loaded[0]["mean_kwh"].tolist() == profiles.hourly_mean[:, 0].ravel().tolist()
+
+
+def test_bench_profile_load(benchmark, tmp_path):
+    profiles = _profiles(10_000, 1)
+    [path] = save_profiles(profiles, tmp_path)
+    loaded = benchmark(load_profile_rows, path)
+    assert loaded["mean_kwh"].tolist() == profiles.hourly_mean[:, 0].ravel().tolist()

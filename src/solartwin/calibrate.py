@@ -172,6 +172,8 @@ class CalibrationResult:
     rounds_used: int
     target_count: int
     model: object = field(default=None, repr=False)
+    # the model's probabilities over the households calibrate was given
+    probabilities: np.ndarray = field(default=None, repr=False, compare=False)
 
     @property
     def converged(self) -> bool:
@@ -232,6 +234,7 @@ def calibrate(
         rounds_used=len(trace),
         target_count=target.count,
         model=fits[best.beta][0],
+        probabilities=fits[best.beta][1],
     )
 
 

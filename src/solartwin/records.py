@@ -5,11 +5,12 @@ writes, and every loader and saver in the package is built on
 :func:`write_csv` and :func:`read_csv`.  The dialect: UTF-8 text of
 unquoted cells with no ``,``, ``"``, CR, LF or NUL, ``\r\n`` or ``\n``
 line ends (``write_csv`` writes ``\r\n`` and a final one), the header's
-width on every line, and no blank line.  ``write_csv`` joins a table's
-columns into one string and raises ValueError on a cell it could not
-read back; ``read_csv`` splits a file's text whole with ``str.split``
-into per-column cell lists, and raises IngestError naming the first row
-off the dialect.  The four input formats are:
+width on every line, no blank line and no leading byte-order mark.
+``write_csv`` joins a table's columns into one string and raises
+ValueError on a cell it could not read back; ``read_csv`` parses a table
+in one ``np.loadtxt`` pass, or else splits its text whole with
+``str.split`` into per-column cell lists, and raises IngestError naming
+the first row off the dialect.  The four input formats are:
 
 * ``households.csv`` -- one row per household, categorical feature codes
   plus optional label/flag columns
@@ -33,12 +34,14 @@ which raises :class:`IngestError` naming the offending file, row and
 column; loading identical bytes always yields identical tables.
 """
 
+import codecs
 import datetime
 import io
 import itertools
 import math
 import os
 import re
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,8 +195,9 @@ def write_csv(path, header, columns):
     sequences of cells the caller has already formatted as str.
 
     The table is joined and written in one call.  A cell read_csv could not
-    read back (one holding ``,``, ``"``, CR, LF or NUL, or an empty cell of
-    a one-column table) raises ValueError, and nothing is written.
+    read back (one holding ``,``, ``"``, CR, LF or NUL, an empty cell of a
+    one-column table, or a first header cell that starts with a byte-order
+    mark) raises ValueError, and nothing is written.
     """
     header = list(header)
     if len(columns) != len(header) or len(set(map(len, columns))) > 1:
@@ -208,8 +212,11 @@ def write_csv(path, header, columns):
         and '"' not in text
         and "\0" not in text
         and not (len(header) == 1 and "" in [*header, *columns[0]])
+        and not text.startswith("\ufeff")
     ):
-        bad = next((c for c in itertools.chain(header, *columns) if re.search('[,"\r\n\0]', c)), "")
+        bom = text.startswith("\ufeff")
+        bad = next((c for c in itertools.chain(header, *columns) if re.search('[,"\r\n\0]', c)),
+                   header[0] if bom else "")
         raise ValueError(f"{os.path.basename(path)}: cell {bad!r} is not in the CSV dialect")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
@@ -227,34 +234,49 @@ def read_csv(path, columns: dict, optional: dict | None = None, rules=()) -> dic
     must be finite.  ``rules`` holds check_cells's (column, bad, problem)
     tuples, ``bad`` a function of a parsed required column that masks its
     bad cells or raises ValueError about the whole column; each column is
-    checked before the next is parsed.  A byte that is not UTF-8, a row off
-    the dialect, a missing or repeated column, a bad cell or a broken rule
-    raises IngestError naming the file, and the row and column if any.
+    checked before the next is parsed.  A leading byte-order mark, a byte
+    that is not UTF-8, a row off the dialect, a missing or repeated column,
+    a bad cell or a broken rule raises IngestError naming the file, and the
+    row and column if any.
+
+    A table with no optional columns is parsed in one ``np.loadtxt`` pass
+    (:func:`_load_whole`); any table that pass does not take is split and
+    parsed cell by cell, which gives the same values and names the first
+    fault.
     """
     name = os.path.basename(path)
     with open(path, "rb") as fh:
         data = fh.read()
-    try:
-        text = data.decode()
-    except UnicodeDecodeError as exc:
-        row = data.count(b"\n", 0, exc.start) + 1
-        raise IngestError(f"{name}: row {row}: byte {data[exc.start]:#04x} is not UTF-8") from None
-    del data
-    header, cells = _split(name, text)
-    del text
-    if len(set(header)) < len(header):
-        repeated = next(column for column in header if header.count(column) > 1)
-        raise IngestError(f"{name}: repeated column {repeated}")
-    for column in columns:
-        if column not in header:
-            raise IngestError(f"{name}: missing column {column}")
-    count = len(cells[0])
-    cells = dict(zip(header, cells))
+    if data.startswith(codecs.BOM_UTF8):
+        raise IngestError(f"{name}: row 1: a UTF-8 byte-order mark is not allowed")
+    cells = None if optional else _load_whole(path, data, columns)
+    typed = cells is not None
+    if typed:
+        del data
+    else:
+        try:
+            text = data.decode()
+        except UnicodeDecodeError as exc:
+            row = data.count(b"\n", 0, exc.start) + 1
+            raise IngestError(f"{name}: row {row}: byte {data[exc.start]:#04x} is not UTF-8") from None
+        del data
+        header, split = _split(name, text)
+        del text
+        if len(set(header)) < len(header):
+            repeated = next(column for column in header if header.count(column) > 1)
+            raise IngestError(f"{name}: repeated column {repeated}")
+        for column in columns:
+            if column not in header:
+                raise IngestError(f"{name}: missing column {column}")
+        cells = dict(zip(header, split))
+    count = len(next(iter(cells.values())))
     numbers = range(2, count + 2)
     out = {}
     for column, parse in columns.items():
-        parsed = _parse_column(name, column, cells[column], numbers, parse)
-        values = np.array(parsed, {int: np.int64, float: np.float64}.get(parse, object))
+        values = cells[column]
+        if not (typed and parse in _TYPED):
+            parsed = _parse_column(name, column, values, numbers, parse)
+            values = np.array(parsed, _TYPED.get(parse, object))
         try:
             checks = [(c, values, bad(values), problem) for c, bad, problem in rules if c == column]
         except ValueError as exc:
@@ -270,6 +292,59 @@ def read_csv(path, columns: dict, optional: dict | None = None, rules=()) -> dic
         for i, value in zip(present, parsed):
             values[i] = value
         out[column] = values
+    return out
+
+
+# the array dtype of each parser's column, and of the columns _load_whole
+# returns parsed; any other column reads as an object array of its cells
+_TYPED = {int: np.int64, float: np.float64, str: object}
+# bytes _load_whole leaves to _split: a quote, a NUL, and the separator
+# controls that np.loadtxt strips from a number as whitespace and
+# int()/float() do not
+_NOT_WHOLE = b'"\0\x1c\x1d\x1e\x1f'
+
+
+def _load_whole(path, data: bytes, columns: dict) -> dict | None:
+    """The columns of file ``path``, whose bytes are ``data``, in one
+    ``np.loadtxt`` pass: int and float columns parsed, the rest as object
+    arrays of their cells.
+
+    None when the file has no data row, holds a byte of ``_NOT_WHOLE``, a
+    CR that ends no line, a blank line (which loadtxt skips) or a byte that
+    is not UTF-8, lacks a column of ``columns`` or repeats one, or has a
+    row or cell loadtxt does not take as int()/float() would: a ragged row,
+    a spelling it refuses (``1_0``, ``٣``), a non-finite float or an int64
+    overflow.  read_csv then decodes, splits and parses the table cell by
+    cell, and names its first fault.
+    """
+    end = data.find(b"\n")
+    if end < 0 or end + 1 == len(data) or any(byte in data for byte in _NOT_WHOLE):
+        return None
+    try:
+        header = data[:end].decode().removesuffix("\r").split(",")
+    except UnicodeDecodeError:
+        return None
+    if header == [""] or len(set(header)) < len(header) or not set(columns) <= set(header):
+        return None
+    codes = np.frombuffer(data, np.uint8)
+    crs, lfs = codes == ord("\r"), codes == ord("\n")
+    rows = np.count_nonzero(lfs) - data.endswith(b"\n")
+    if np.count_nonzero(crs) != np.count_nonzero(crs[:-1] & lfs[1:]):
+        return None  # a CR that ends no line
+    del crs, lfs
+    fields = [(f"f{j}", _TYPED.get(columns.get(column), object)) for j, column in enumerate(header)]
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # that of a table of blank lines
+            table = np.loadtxt(path, fields, delimiter=",", comments=None, quotechar=None,
+                               skiprows=1, ndmin=1, encoding="utf-8")
+    except ValueError:  # UnicodeDecodeError included
+        return None
+    if table.size != rows:
+        return None  # loadtxt skipped a blank line
+    out = {column: np.ascontiguousarray(table[f"f{j}"]) for j, column in enumerate(header)}
+    if not all(np.isfinite(out[c]).all() for c, parse in columns.items() if parse is float):
+        return None
     return out
 
 

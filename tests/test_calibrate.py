@@ -135,6 +135,8 @@ def test_calibrate_model_reproduces_prediction(toy_calibration):
     winner = [e for e in result.trace if e.discrepancy == result.discrepancy][0]
     assert predicted == winner.predicted
     assert result.model.beta == pytest.approx(result.beta_star)
+    # the probabilities calibrate returns are the model's, bit for bit
+    assert result.probabilities.tobytes() == probs.tobytes()
 
 
 def test_calibrate_is_deterministic():

@@ -642,6 +642,8 @@ _NOT_EDGE = "expected two node ids, one space and LF, got "
                      "row 3: a CR that ends no line is not allowed", id="bare-cr"),
         pytest.param("calibrate", "targets.csv", 2, lambda line: b"\r\n" + line,
                      "row 2: a blank line is not allowed", id="blank-line"),
+        pytest.param("calibrate", "targets.csv", 1, lambda line: b"\xef\xbb\xbf" + line,
+                     "row 1: a UTF-8 byte-order mark is not allowed", id="byte-order-mark"),
         pytest.param("validate", "twin/profiles_2018-01-01.csv", 3,
                      lambda line: line.split(b",", 1)[1],
                      "row 3: expected 5 fields, got 4", id="ragged-row"),

@@ -27,6 +27,11 @@ its classes in lockstep groups of at most ``GROUP_CELLS`` (class, row,
 feature) cells, here one class per group: about 20 MB.  Growing all 8
 classes in one group holds each level's keys, weights and histograms for
 the whole stack at once, about 99 MB.
+``cmd_validate`` over 250 adopters x 120 days per side folds each
+``profiles_<date>.csv`` into (month, hour) sums as it reads it, so it holds
+one day's rows at a time.  Holding every day's hour, value and month
+columns of both sides, then their concatenations and a sort of the months,
+grew it by about 130 MB.
 """
 
 import os
@@ -95,6 +100,31 @@ SETUP = {
         "rng = np.random.default_rng(0)\n"
         "data = LabeledDataset(rng.integers(0, 16, size=(40_000, 8)), rng.integers(0, 8, size=40_000))\n"
         "call = lambda: train_ovr(data, GbtParams(rounds=2))\n"
+    ),
+    "validate_profile_days": (
+        "import datetime, os, tempfile\n"
+        "import numpy as np\n"
+        "from solartwin.cli import main\n"
+        "from solartwin.pv import EnergyProfiles, save_daily, save_profiles\n"
+        "households, days = 250, 120\n"
+        "rng = np.random.default_rng(0)\n"
+        "out = tempfile.mkdtemp()\n"
+        "dates = [datetime.date(2018, 1, 1) + datetime.timedelta(days=d) for d in range(days)]\n"
+        "ids = np.arange(households)\n"
+        "for side in ('real', 'twin'):\n"
+        "    os.makedirs(os.path.join(out, side))\n"
+        "    mean = rng.random((households, days, 24))\n"
+        "    for d, day in enumerate(dates):  # one day's rows in memory at a time\n"
+        "        day_mean = mean[:, d : d + 1]\n"
+        "        save_profiles(EnergyProfiles(ids, [day], day_mean, 0.1 * day_mean, None),\n"
+        "                      os.path.join(out, side))\n"
+        "    save_daily(EnergyProfiles(ids, dates, mean, 0.1 * mean, None),\n"
+        "               os.path.join(out, side, f'daily_2018-01-01_{days}d.csv'))\n"
+        "ini = os.path.join(out, 'run.ini')\n"
+        "open(ini, 'w').write(f'[toygen]\\ndays = {days}\\n')\n"
+        "del mean, day_mean\n"
+        "def call():\n"
+        "    assert main(['validate', '--config', ini, '--out', out]) == 0\n"
     ),
     "jsd_kde": (
         "import numpy as np\n"

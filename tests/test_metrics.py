@@ -1,5 +1,6 @@
 """Divergences, KDE comparison, and shape correlation."""
 
+import itertools
 import math
 import warnings
 from unittest.mock import patch
@@ -13,6 +14,7 @@ from scipy.special import logsumexp
 from solartwin import metrics
 from solartwin.metrics import (
     DiscreteDistribution,
+    MonthlyFold,
     _kde_mass,
     _kld_mass,
     _monthly_shapes,
@@ -441,7 +443,7 @@ def _hourly_pair(draw):
 @given(_hourly_pair())
 @example(([("m", h, 1.0) for h in range(24)], []))
 def test_pearson_monthly_matches_dict_fold(pair):
-    """The bincount fold gives the dict fold's shapes bit for bit, and the
+    """The running fold gives the dict fold's shapes bit for bit, and the
     same correlations or the same error."""
     rows_a, rows_b = pair
     for side, rows in (("a", rows_a), ("b", rows_b)):
@@ -462,6 +464,34 @@ def test_pearson_monthly_matches_dict_fold(pair):
         )
     else:
         assert got == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(_hourly_side(_MONTHS[:2]), st.data())
+def test_fold_by_file_matches_dict_fold(rows, data):
+    """Folding rows file by file, each file one month's rows as validate
+    reads them, gives the dict fold's shapes of the files' rows in file
+    order bit for bit, or its error.  A file with no rows adds no month."""
+    files = []
+    for month, group in itertools.groupby(rows, key=lambda row: row[0]):
+        group = list(group)
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(group)), max_size=2)))
+        files += [(month, group[i:j]) for i, j in zip([0, *cuts], [*cuts, len(group)])]
+    files.insert(data.draw(st.integers(0, len(files))), ("2018-12", []))
+    fold = MonthlyFold("a")
+
+    def fold_files():
+        for month, file in files:
+            fold.add(month, [hour for _, hour, _ in file], [value for _, _, value in file])
+        return fold.shapes()
+
+    expected = _outcome(_reference_monthly_shapes, [row for _, file in files for row in file], "a")
+    got = _outcome(fold_files)
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert got[0] == sorted(expected)
+        assert got[1].tobytes() == np.array([expected[m] for m in got[0]]).tobytes()
 
 
 def test_relative_pct_diff_oracle():

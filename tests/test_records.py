@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -446,6 +447,115 @@ def test_read_csv_columns_are_typed_arrays(table):
         assert np.array_equal(got[column], expected)
 
 
+# hostile cells: -1 ... 1e-320 must keep reading as int()/float() read them,
+# whether np.loadtxt takes the spelling (" 1", "+5", "\x0b2") or the cell
+# falls back to the per-cell parse ("1_0", "٣", "3\x1f", overflows,
+# non-finite floats)
+_HOSTILE_CELLS = st.one_of(
+    st.sampled_from(
+        ["-1", "0", "1e308", "-1e308", "nan", "inf", "", "1_0", " 1", "٣",
+         "9223372036854775808", "1e-320", "-9223372036854775809", "+5", "1.0", "2 ", "\x0b2",
+         "3\x1f", "\x1c4", "-infinity", "1e999", "x", "0x10", "1,5"]
+    ),
+    st.integers(-(2**63), 2**63 - 1).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+)
+
+
+@st.composite
+def hostile_tables(draw):
+    """(text, parsers) of a table of int, float and str columns c0, c1, ...
+    of hostile cells, the parsers in any column order.  Some tables also
+    have a blank line, a quote, a bare CR, a ragged row or no final line
+    end."""
+    kinds = draw(st.lists(st.sampled_from([int, float, str]), min_size=1, max_size=4))
+    header = [f"c{j}" for j in range(len(kinds))]
+    order = draw(st.permutations(range(len(kinds))))
+    rows = draw(st.lists(st.lists(_HOSTILE_CELLS, min_size=len(kinds), max_size=len(kinds)),
+                         max_size=6))
+    lines = [",".join(header)] + [",".join(row) for row in rows]
+    for fault in draw(st.lists(st.sampled_from(["blank", "quote", "cr", "long", "short"]),
+                               max_size=2)):
+        at = draw(st.integers(0, len(lines) - 1))
+        if fault == "blank":
+            lines.insert(at, "")
+        else:
+            edit = {"quote": '"{}', "cr": "\r{}", "long": "{},1", "short": "{}"}[fault]
+            line = lines[at].rpartition(",")[0] if fault == "short" else lines[at]
+            lines[at] = edit.format(line)
+    ending = draw(_ENDINGS)
+    text = ending.join(lines) + (ending if draw(st.booleans()) else "")
+    return text, {header[j]: kinds[j] for j in order}
+
+
+def _reference_cells(text, parsers):
+    """read_csv of ``text`` with ``parsers``, cell by cell: for each column
+    in parser order, int() or float() of each cell in row order, and the
+    first cell either rejects, or that gives a non-finite float or an int
+    outside int64, named."""
+    fault = _reference_dialect_fault(text)
+    if fault:
+        raise IngestError(fault)
+    lines = text.replace("\r\n", "\n").removesuffix("\n").split("\n")
+    header = lines[0].split(",")
+    for column in header:
+        if header.count(column) > 1:
+            raise IngestError(f"table.csv: repeated column {column}")
+    for column in parsers:
+        if column not in header:
+            raise IngestError(f"table.csv: missing column {column}")
+    out = {}
+    for column, parse in parsers.items():
+        values = []
+        for number, line in enumerate(lines[1:], start=2):
+            cell = line.split(",")[header.index(column)]
+            try:
+                value = parse(cell)
+                problem = ""
+            except ValueError:
+                problem = "bad value"
+            if not problem and parse is float and not np.isfinite(value):
+                problem = "non-finite value"
+            if not problem and parse is int and not -(2**63) <= value < 2**63:
+                problem = "int64 overflow in value"
+            if problem:
+                raise IngestError(f"table.csv: row {number}, column {column}: {problem} {cell!r}")
+            values.append(value)
+        out[column] = np.array(values, {int: np.int64, float: np.float64}.get(parse, object))
+    return out
+
+
+@settings(max_examples=400, deadline=None)
+@given(hostile_tables())
+@example(("c0,c1\r\n1_0,x\r\n٣,y\r\n", {"c0": int, "c1": str}))
+@example(("c0,c1\n 1,1e-320\n+5,-0.0\n", {"c1": float, "c0": int}))
+@example(("c0,c1\n1,nan\n9223372036854775808,1\n", {"c0": int, "c1": float}))
+@example(("c0,c1\n3\x1f,1\n", {"c0": int, "c1": float}))
+@example(("c0,c1\n1,2\r\r\n", {"c0": int, "c1": int}))
+@example(("c0\n1\n\n2\n", {"c0": float}))
+def test_read_csv_matches_per_cell_reference(table):
+    """read_csv, whose one np.loadtxt pass parses most tables whole, gives
+    the per-cell parse's values bit for bit, or its error."""
+    text, parsers = table
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch, "table.csv")
+        path.write_bytes(text.encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a stage's load must not warn
+            got = _outcome(read_csv, path, parsers)
+        want = _outcome(_reference_cells, text, parsers)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert list(got) == list(want)
+    for column in want:
+        assert got[column].dtype == want[column].dtype
+        if want[column].dtype == object:
+            assert got[column].tolist() == want[column].tolist()
+        else:
+            assert got[column].tobytes() == want[column].tobytes()
+
+
 @st.composite
 def csv_tables(draw):
     """(header, columns) of 1-4 columns and 0-5 rows; cells are in the
@@ -483,13 +593,15 @@ def test_write_csv_matches_csv_writer(table):
 
 def _in_dialect(header, columns) -> bool:
     """Whether read_csv could read back every cell of a table: none holds a
-    character the dialect leaves out, and a one-column table has no empty
-    cell (its line would be blank)."""
+    character the dialect leaves out, a one-column table has no empty cell
+    (its line would be blank), and the file does not start with a
+    byte-order mark."""
     cells = [*header, *itertools.chain(*columns)]
     return (
         len(header) > 0
         and not any(char in cell for cell in cells for char in _OFF_DIALECT)
         and not (len(header) == 1 and "" in cells)
+        and not header[0].startswith("\ufeff")
     )
 
 
@@ -510,6 +622,7 @@ def text_tables(draw):
 @example((["a", "b"], [["1\0"], ["2"]]))
 @example((["a"], [["x", ""]]))
 @example((["a", "b"], [["\x85\u2028\x0b", ""], ["", " "]]))
+@example((["\ufeffa", "\ufeff"], [["\ufeff"], ["x"]]))
 def test_csv_dialect_roundtrip_property(table):
     """write_csv raises ValueError exactly on a table off the dialect, and
     read_csv with str parsers reads back every cell of any other."""
