@@ -309,11 +309,12 @@ class _Lockstep:
         hr = h_sum - hl
         valid = (cl > 0) & (cl < counts[:, None, None])
         valid &= (hl >= min_child_hess) & (hr >= min_child_hess)
-        gains = np.where(
-            valid,
-            gl * gl / (hl + lam) + gr * gr / (hr + lam) - g_sum * g_sum / (h_sum + lam),
-            -np.inf,
-        )
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gains = np.where(
+                valid,
+                gl * gl / (hl + lam) + gr * gr / (hr + lam) - g_sum * g_sum / (h_sum + lam),
+                -np.inf,
+            )
         gains[np.isnan(gains).any(axis=2)] = -np.inf
         gains = gains.reshape(counts.size, -1)
         k = np.argmax(gains, axis=1)

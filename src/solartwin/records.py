@@ -8,9 +8,9 @@ line ends (``write_csv`` writes ``\r\n`` and a final one), the header's
 width on every line, no blank line and no leading byte-order mark.
 ``write_csv`` joins a table's columns into one string and raises
 ValueError on a cell it could not read back; ``read_csv`` parses a table
-in one ``np.loadtxt`` pass, or else splits its text whole with
-``str.split`` into per-column cell lists, and raises IngestError naming
-the first row off the dialect.  The four input formats are:
+in one ``np.loadtxt`` pass, its optional number columns in one more each,
+and only when a pass refuses its input scans the rows or cells for the
+first fault, which raises IngestError.  The four input formats are:
 
 * ``households.csv`` -- one row per household, categorical feature codes
   plus optional label/flag columns
@@ -38,7 +38,6 @@ import codecs
 import datetime
 import io
 import itertools
-import math
 import os
 import re
 import warnings
@@ -72,7 +71,6 @@ _DTYPES = {
     "sqft_class": np.int64, "sqft_value": np.float64, "solar": bool, "lmi": bool, "rural": bool,
 }
 _OPTIONAL_COLUMNS = tuple(_DTYPES)[7:]
-_INT64 = (-(2**63), 2**63 - 1)
 
 
 class IngestError(ValueError):
@@ -226,57 +224,40 @@ def read_csv(path, columns: dict, optional: dict | None = None, rules=()) -> dic
     """Read a table in the dialect of the module docstring as whole parsed
     columns, keyed by column name.
 
-    ``columns`` maps each required column to its cell parser (``str``,
-    ``int``, ``float`` or any callable that raises ValueError on a bad
-    cell); each reads as an int64, float64 (for ``int``, ``float``) or
+    ``columns`` maps each required column to its cell parser: ``int`` and
+    ``float`` read as int64 and float64 arrays, ``bool`` as a bool array of
+    the cells ``1``, ``true``, ``True`` and ``0``, ``false``, ``False``, and
+    ``str``, or any callable that raises ValueError on a bad cell, as an
     object array.  ``optional`` maps columns that may be absent, or hold
-    empty cells, to theirs, and those read as lists with None.  Float cells
-    must be finite.  ``rules`` holds check_cells's (column, bad, problem)
-    tuples, ``bad`` a function of a parsed required column that masks its
-    bad cells or raises ValueError about the whole column; each column is
-    checked before the next is parsed.  A leading byte-order mark, a byte
-    that is not UTF-8, a row off the dialect, a missing or repeated column,
-    a bad cell or a broken rule raises IngestError naming the file, and the
-    row and column if any.
+    empty cells, to theirs, and those read as masked arrays whose masked
+    cells are the empty ones.  Number cells take ``np.loadtxt``'s spellings,
+    which leave out ``1_0`` and non-ASCII digits, and float cells must be
+    finite.  ``rules`` holds check_cells's (column, bad, problem) tuples,
+    ``bad`` a function of a parsed required column that masks its bad cells
+    or raises ValueError about the whole column; each column is checked
+    before the next is parsed.  A leading byte-order mark, a byte that is not
+    UTF-8, a row off the dialect, a missing or repeated column, a bad cell or
+    a broken rule raises IngestError naming the file, and the row and column
+    if any.
 
-    A table with no optional columns is parsed in one ``np.loadtxt`` pass
-    (:func:`_load_whole`); any table that pass does not take is split and
-    parsed cell by cell, which gives the same values and names the first
-    fault.
+    The table is read in one ``np.loadtxt`` pass (:func:`_load_whole`), and
+    the number cells of each optional column in one more.  Only where a pass
+    refuses its input are the rows or cells scanned, to name the first fault.
     """
     name = os.path.basename(path)
     with open(path, "rb") as fh:
         data = fh.read()
     if data.startswith(codecs.BOM_UTF8):
         raise IngestError(f"{name}: row 1: a UTF-8 byte-order mark is not allowed")
-    cells = None if optional else _load_whole(path, data, columns)
-    typed = cells is not None
-    if typed:
-        del data
-    else:
-        try:
-            text = data.decode()
-        except UnicodeDecodeError as exc:
-            row = data.count(b"\n", 0, exc.start) + 1
-            raise IngestError(f"{name}: row {row}: byte {data[exc.start]:#04x} is not UTF-8") from None
-        del data
-        header, split = _split(name, text)
-        del text
-        if len(set(header)) < len(header):
-            repeated = next(column for column in header if header.count(column) > 1)
-            raise IngestError(f"{name}: repeated column {repeated}")
-        for column in columns:
-            if column not in header:
-                raise IngestError(f"{name}: missing column {column}")
-        cells = dict(zip(header, split))
+    cells = _load_whole(path, data, columns)
+    if cells is None:
+        _locate_fault(name, data, columns)
+    del data
     count = len(next(iter(cells.values())))
-    numbers = range(2, count + 2)
+    numbers = np.arange(2, count + 2)
     out = {}
     for column, parse in columns.items():
-        values = cells[column]
-        if not (typed and parse in _TYPED):
-            parsed = _parse_column(name, column, values, numbers, parse)
-            values = np.array(parsed, _TYPED.get(parse, object))
+        values = _parse_column(name, column, cells[column], numbers, parse)
         try:
             checks = [(c, values, bad(values), problem) for c, bad, problem in rules if c == column]
         except ValueError as exc:
@@ -284,44 +265,51 @@ def read_csv(path, columns: dict, optional: dict | None = None, rules=()) -> dic
         check_cells(f"{name}: ", checks)
         out[column] = values
     for column, parse in (optional or {}).items():
-        values = [None] * count
-        present = [i for i, cell in enumerate(cells.get(column, ())) if cell != ""]
-        parsed = _parse_column(
-            name, column, [cells[column][i] for i in present], [i + 2 for i in present], parse
-        )
-        for i, value in zip(present, parsed):
-            values[i] = value
-        out[column] = values
+        column_cells = cells[column] if column in cells else np.full(count, "", object)
+        present = column_cells != ""
+        parsed = _parse_column(name, column, column_cells[present], numbers[present], parse)
+        values = np.zeros(count, parsed.dtype)
+        values[present] = parsed
+        out[column] = np.ma.array(values, mask=~present)
     return out
 
 
-# the array dtype of each parser's column, and of the columns _load_whole
-# returns parsed; any other column reads as an object array of its cells
-_TYPED = {int: np.int64, float: np.float64, str: object}
-# bytes _load_whole leaves to _split: a quote, a NUL, and the separator
-# controls that np.loadtxt strips from a number as whitespace and
-# int()/float() do not
-_NOT_WHOLE = b'"\0\x1c\x1d\x1e\x1f'
+# the np.loadtxt dtype of each number parser's column
+_NUMBERS = {int: np.int64, float: np.float64}
+# the separator controls, which np.loadtxt strips from a number as
+# whitespace; a number cell holding one is a bad value
+_SEPARATORS = "\x1c\x1d\x1e\x1f"
+_BOOLS = {"1": True, "true": True, "True": True, "0": False, "false": False, "False": False}
+# an int cell loadtxt refuses only because it overflows int64
+_INT_SPELLING = re.compile(r"\s*[+-]?[0-9]+\s*")
+
+
+def _loadtxt(source, dtype, **options) -> np.ndarray:
+    """``np.loadtxt`` of comma-separated ``source`` at least 1-d, with no
+    comments or quoting, and without the warning of no data rows."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return np.loadtxt(source, dtype, delimiter=",", comments=None, quotechar=None, ndmin=1,
+                          encoding="utf-8", **options)
 
 
 def _load_whole(path, data: bytes, columns: dict) -> dict | None:
-    """The columns of file ``path``, whose bytes are ``data``, in one
-    ``np.loadtxt`` pass: int and float columns parsed, the rest as object
-    arrays of their cells.
+    r"""The columns of file ``path``, whose bytes are ``data``, in one
+    ``np.loadtxt`` pass: the int and float columns of ``columns`` parsed, and
+    every other column an object array of its cells.
 
-    None when the file has no data row, holds a byte of ``_NOT_WHOLE``, a
-    CR that ends no line, a blank line (which loadtxt skips) or a byte that
-    is not UTF-8, lacks a column of ``columns`` or repeats one, or has a
-    row or cell loadtxt does not take as int()/float() would: a ragged row,
-    a spelling it refuses (``1_0``, ``٣``), a non-finite float or an int64
-    overflow.  read_csv then decodes, splits and parses the table cell by
-    cell, and names its first fault.
+    If loadtxt refuses a number cell or reads a non-finite float, or the
+    file holds a separator control (``\x1c``-``\x1f``), the number columns
+    are read as cells too, and :func:`_parse_column` names the bad cell.
+    None when the file is off the dialect (a quote, a NUL, a CR that ends
+    no line, a blank line, a ragged row or a byte that is not UTF-8), or its
+    header lacks a column of ``columns`` or repeats one.
     """
     end = data.find(b"\n")
-    if end < 0 or end + 1 == len(data) or any(byte in data for byte in _NOT_WHOLE):
+    if b'"' in data or b"\0" in data:
         return None
     try:
-        header = data[:end].decode().removesuffix("\r").split(",")
+        header = (data[:end] if end >= 0 else data).decode().removesuffix("\r").split(",")
     except UnicodeDecodeError:
         return None
     if header == [""] or len(set(header)) < len(header) or not set(columns) <= set(header):
@@ -332,20 +320,20 @@ def _load_whole(path, data: bytes, columns: dict) -> dict | None:
     if np.count_nonzero(crs) != np.count_nonzero(crs[:-1] & lfs[1:]):
         return None  # a CR that ends no line
     del crs, lfs
-    fields = [(f"f{j}", _TYPED.get(columns.get(column), object)) for j, column in enumerate(header)]
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # that of a table of blank lines
-            table = np.loadtxt(path, fields, delimiter=",", comments=None, quotechar=None,
-                               skiprows=1, ndmin=1, encoding="utf-8")
-    except ValueError:  # UnicodeDecodeError included
+    separators = any(byte in data for byte in _SEPARATORS.encode())
+    for typed in ({} if separators else _NUMBERS, {}):
+        fields = [(f"f{j}", typed.get(columns.get(c), object)) for j, c in enumerate(header)]
+        try:
+            table = _loadtxt(path, fields, skiprows=1)
+        except ValueError:  # UnicodeDecodeError included
+            continue
+        if all(np.isfinite(table[f]).all() for f, kind in fields if kind is np.float64):
+            break
+    else:
         return None
     if table.size != rows:
         return None  # loadtxt skipped a blank line
-    out = {column: np.ascontiguousarray(table[f"f{j}"]) for j, column in enumerate(header)}
-    if not all(np.isfinite(out[c]).all() for c, parse in columns.items() if parse is float):
-        return None
-    return out
+    return {column: np.ascontiguousarray(table[f"f{j}"]) for j, column in enumerate(header)}
 
 
 # a row's first fault besides its width, and what an error calls it
@@ -353,80 +341,73 @@ _FAULT = re.compile('["\0\r]|^$')
 _FAULTS = {'"': 'a quote (")', "\0": "a NUL", "\r": "a CR that ends no line", "": "a blank line"}
 
 
-def _split(name, text: str):
-    r"""(header, one list of cells per header column) of a file's ``text``.
-
-    The dialect is checked on the whole text, and only if that fails is it
-    scanned for the first row off the dialect, which raises IngestError.
-    A missing final line end is accepted.
-    """
-    crlf = text.count("\r\n")
-    if crlf == text.count("\n"):
-        lines = text.split("\r\n")
-    else:
-        lines = text.replace("\r\n", "\n").split("\n")
+def _locate_fault(name, data: bytes, columns: dict):
+    """Raise IngestError for the first fault of a file that _load_whole
+    refused: a byte that is not UTF-8, then the first row off the dialect
+    (a missing final line end is allowed), then a repeated or missing
+    column."""
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as exc:
+        row = data.count(b"\n", 0, exc.start) + 1
+        raise IngestError(f"{name}: row {row}: byte {data[exc.start]:#04x} is not UTF-8") from None
+    lines = text.replace("\r\n", "\n").split("\n")
     if len(lines) > 1 and not lines[-1]:
         lines.pop()  # what follows the final line end
     commas = lines[0].count(",")
-    widths = set(map(str.count, lines, itertools.repeat(",")))  # in commas
-    if '"' in text or "\0" in text or text.count("\r") != crlf or "" in lines or widths != {commas}:
-        for number, line in enumerate(lines, start=1):
-            fault = _FAULT.search(line)
-            if fault:
-                raise IngestError(f"{name}: row {number}: {_FAULTS[fault[0]]} is not allowed")
-            if line.count(",") != commas:
-                got = line.count(",") + 1
-                raise IngestError(f"{name}: row {number}: expected {commas + 1} fields, got {got}")
-    width = commas + 1
-    body = ",".join(lines[1:]).split(",") if len(lines) > 1 else []
-    return lines[0].split(","), [body[j::width] for j in range(width)]
+    for number, line in enumerate(lines, start=1):
+        fault = _FAULT.search(line)
+        if fault:
+            raise IngestError(f"{name}: row {number}: {_FAULTS[fault[0]]} is not allowed")
+        if line.count(",") != commas:
+            got = line.count(",") + 1
+            raise IngestError(f"{name}: row {number}: expected {commas + 1} fields, got {got}")
+    header = lines[0].split(",")
+    for column in header:
+        if header.count(column) > 1:
+            raise IngestError(f"{name}: repeated column {column}")
+    for column in columns:
+        if column not in header:
+            raise IngestError(f"{name}: missing column {column}")
+    raise AssertionError(f"{name}: np.loadtxt refused a table in the dialect")
 
 
-def _parse_column(name, column, cells, numbers, parse) -> list:
-    """Parse a column in one pass; only if that fails, scan for the bad cell.
-
-    ``numbers`` gives each cell's row number for the error message.
-    """
+def _parse_column(name, column, cells, numbers, parse) -> np.ndarray:
+    """Column ``cells`` parsed by ``parse`` at once (see read_csv); a column
+    _load_whole already parsed is returned as it is.  A column that fails
+    is parsed again one cell at a time, and its first bad cell raises
+    IngestError; ``numbers`` gives each cell's row number."""
+    if cells.dtype != object or parse is str:
+        return cells
+    problem = "bad value"
     try:
-        values = list(map(parse, cells))
-        if not _out_of_bounds(parse, values):
-            return values
-    except ValueError:
+        if parse is bool:
+            return np.fromiter(map(_BOOLS.__getitem__, cells), bool, cells.size)
+        if parse not in _NUMBERS:
+            return np.array(list(map(parse, cells)), object)
+        # loadtxt would skip an empty cell's line, and strip a separator from a number
+        text = "".join(cells)
+        if "" not in cells and not any(c in text for c in _SEPARATORS):
+            if parse is int and cells.size == 1 and _INT_SPELLING.fullmatch(text):
+                problem = "int64 overflow in value"  # if loadtxt refuses it
+            values = _loadtxt(cells, _NUMBERS[parse])
+            if np.isfinite(values).all():
+                return values
+            problem = "non-finite value"
+    except (KeyError, ValueError):
         pass
-    for number, cell in zip(numbers, cells):
-        try:
-            problem = _out_of_bounds(parse, [parse(cell)])
-        except ValueError:
-            problem = "bad value"
-        if problem:
-            raise IngestError(f"{name}: row {number}, column {column}: {problem} {cell!r}")
-    raise AssertionError("a column that failed to parse has no bad cell")
-
-
-def _out_of_bounds(parse, values) -> str:
-    """What is wrong with parsed cells, if anything: floats must be finite
-    and ints must fit in int64."""
-    if parse is float and not all(map(math.isfinite, values)):
-        return "non-finite value"
-    if parse is int and values and not _INT64[0] <= min(values) <= max(values) <= _INT64[1]:
-        return "int64 overflow in value"
-    return ""
-
-
-def _parse_bool(value):
-    if value in ("1", "true", "True"):
-        return True
-    if value in ("0", "false", "False"):
-        return False
-    raise IngestError(f"cannot parse boolean value {value!r}")
+    if cells.size == 1:
+        raise IngestError(f"{name}: row {numbers[0]}, column {column}: {problem} {cells[0]!r}")
+    for i in range(cells.size):
+        _parse_column(name, column, cells[i : i + 1], numbers[i : i + 1], parse)
+    raise AssertionError(f"{name}: column {column} failed to parse, but no cell is bad")
 
 
 def load_households(path) -> HouseholdTable:
     """Load households.csv, validating schema, domains, and id uniqueness."""
     parsers = {"id": int, "state": str, "county": str, "tract": str, "lat": float, "lon": float}
     parsers.update(dict.fromkeys(FEATURE_NAMES, int))
-    optional = {"sqft_class": int, "sqft_value": float}
-    optional.update(dict.fromkeys(("solar", "lmi", "rural"), _parse_bool))
+    optional = {"sqft_class": int, "sqft_value": float, "solar": bool, "lmi": bool, "rural": bool}
     columns = read_csv(path, parsers, optional)
     features = np.column_stack([columns.pop(f) for f in FEATURE_NAMES])
     try:
@@ -435,23 +416,21 @@ def load_households(path) -> HouseholdTable:
         raise IngestError(f"{os.path.basename(path)}: {exc}") from None
 
 
-def _format_optional(value):
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    return str(value)
-
-
 def save_households(table: HouseholdTable, path):
-    """Write households.csv; optional columns are emitted when any row has them."""
+    """Write households.csv; optional columns are emitted when any row has
+    them, a missing value as an empty cell and a bool as 1 or 0."""
     optional = [
         c for c in _OPTIONAL_COLUMNS if not np.ma.getmaskarray(getattr(table, c)).all()
     ]
     base = [table.id, table.state, table.county, table.tract, table.lat, table.lon]
-    # tolist() gives Python scalars: an np.bool_ would print as True, not 1
+    # tolist() gives Python scalars, whose str is the cell
     cells = [list(map(str, column.tolist())) for column in base + list(table.features.T)]
-    cells += [list(map(_format_optional, getattr(table, c).tolist())) for c in optional]
+    for column in (getattr(table, c) for c in optional):
+        if column.dtype == bool:
+            text = np.where(column.data, "1", "0")
+        else:
+            text = list(map(str, column.data.tolist()))
+        cells.append(np.where(np.ma.getmaskarray(column), "", text).tolist())
     write_csv(path, list(_BASE_COLUMNS) + optional, cells)
 
 

@@ -81,6 +81,9 @@ class ToyConfig:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
         if self.days <= 0:
             raise ValueError(f"days must be > 0, got {self.days}")
+        if self.days - 1 > (datetime.date.max - self.start_date).days:
+            raise ValueError(f"start_date {self.start_date} plus days = {self.days} "
+                             f"runs past {datetime.date.max}")
         if self.signal_shift < 0:
             raise ValueError("signal_shift must be >= 0")
 

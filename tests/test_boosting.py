@@ -1,5 +1,6 @@
 """Weighted loss, Newton trees, voting, and the text model format."""
 
+import hashlib
 import tempfile
 import warnings
 from collections import Counter
@@ -140,6 +141,23 @@ def test_beta_suppresses_positives():
         counts.append(int(apply_threshold(predict_proba(model, X), 0.5).sum()))
     assert counts[0] >= counts[1] >= counts[2]
     assert counts[0] > counts[2]
+
+
+def test_zero_lambda_trains_without_warnings():
+    # at lambda = 0 the gain of a split with an empty side is 0/0, a NaN
+    # that voids it on purpose; training must not warn about it, and the
+    # model is the one trained with those warnings shown
+    rng = np.random.default_rng(5)
+    X = rng.integers(0, 4, size=(300, 3))
+    y = (X[:, 0] + rng.integers(0, 3, size=300) >= 3).astype(int)
+    params = GbtParams(rounds=10, depth=3, reg_lambda=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = train_gbt(LabeledDataset(X, y), params, LossParams(beta=2.0))
+    text = _model_text(model)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "9fb1d4f95060bfcde4e5507fd96bf39be2df026947ce37a9417a33f6bcb11b41"
+    )
 
 
 def test_train_input_validation():

@@ -628,6 +628,15 @@ def _rewrite_line(path, number, edit):
     path.write_bytes(b"".join(lines))
 
 
+def _with_cell(index, cell):
+    """An edit of a CSV line that sets its cell ``index``, not the last, to ``cell``."""
+    def edit(line):
+        cells = line.split(b",")
+        cells[index] = cell
+        return b",".join(cells)
+    return edit
+
+
 _NOT_EDGE = "expected two node ids, one space and LF, got "
 
 
@@ -662,6 +671,11 @@ _NOT_EDGE = "expected two node ids, one space and LF, got "
                      "row 4: byte 0xff is not UTF-8", id="irradiance-utf8"),
         pytest.param("validate", "real/daily_*.csv", 2, lambda line: line[:-2] + b"\xc3\r\n",
                      "row 2: byte 0xc3 is not UTF-8", id="daily-utf8"),
+        # int() reads 1_0 as 10; np.loadtxt, which parses every number cell, refuses it
+        pytest.param("preprocess", "households.csv", 3, _with_cell(12, b"1_0"),
+                     "row 3, column MONEYPY: bad value '1_0'", id="feature-underscore"),
+        pytest.param("classify-sqft", "households.csv", 4, _with_cell(14, b"1_0"),
+                     "row 4, column sqft_class: bad value '1_0'", id="sqft-class-underscore"),
     ],
 )
 def test_stages_name_the_line_of_input_off_its_format(
@@ -789,6 +803,28 @@ def test_pipeline_accepts_period_on_last_toygen_day(tmp_path):
     flags = ["--config", str(ini), "--out", str(out), "--period", "date:2018-01-02"]
     assert main(["pipeline", *flags]) == 0
     assert (out / "twin" / "profiles_2018-01-02.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "start, days, code",
+    [("9999-12-30", 5, 1), ("9999-12-31", 2, 1), ("9999-12-30", 2, 0)],
+)
+def test_pipeline_checks_the_date_span_at_config_load(tmp_path, capsys, start, days, code):
+    # the toygen span's last day is start_date + days - 1, and it may be
+    # date.max but not later
+    ini = tmp_path / "tiny.ini"
+    ini.write_text(TINY_INI.replace("days = 2", f"days = {days}\nstart_date = {start}"))
+    out = tmp_path / "out"
+    assert main(["pipeline", "--config", str(ini), "--out", str(out)]) == code
+    err = capsys.readouterr().err.splitlines()
+    if code:
+        assert err == [
+            f"error: pipeline: start_date {start} plus days = {days} runs past 9999-12-31"
+        ]
+        assert not out.exists()
+    else:
+        assert err == []
+        assert (out / "twin" / "profiles_9999-12-31.csv").exists()
 
 
 @pytest.mark.parametrize("cases", ["9z", "1a,9z"])

@@ -3,6 +3,7 @@
 import csv
 import datetime
 import itertools
+import math
 import os
 import re
 import subprocess
@@ -29,7 +30,6 @@ from solartwin.records import (
     HouseholdTable,
     IngestError,
     IrradianceSeries,
-    _parse_column,
     load_households,
     load_irradiance,
     load_network,
@@ -240,8 +240,45 @@ def _reference_write_csv(path, header, rows):
         writer.writerows(rows)
 
 
+_BOOL_CELLS = {"1": True, "true": True, "True": True, "0": False, "false": False, "False": False}
+
+
+def _reference_value(parse, cell):
+    """(value, problem) of one cell as read_csv reads it: ``parse`` of the
+    cell, where ``bool`` reads 1/true/True and 0/false/False, a number cell
+    may hold no ``_`` and no non-ASCII character but whitespace, a float
+    must be finite and an int must fit in int64."""
+    if parse is bool:
+        return _BOOL_CELLS.get(cell), "" if cell in _BOOL_CELLS else "bad value"
+    spelled = "_" not in cell and all(c.isascii() or c.isspace() for c in cell)
+    if parse in (int, float) and not spelled:
+        return None, "bad value"
+    try:
+        value = parse(cell)
+    except ValueError:
+        return None, "bad value"
+    if parse is float and not math.isfinite(value):
+        return None, "non-finite value"
+    if parse is int and not -(2**63) <= value < 2**63:
+        return None, "int64 overflow in value"
+    return value, ""
+
+
+def _reference_column(name, column, cells, numbers, parse) -> list:
+    """The values of ``cells`` one cell at a time, or the IngestError naming
+    the first bad one; ``numbers`` gives each cell's row number."""
+    values = []
+    for number, cell in zip(numbers, cells):
+        value, problem = _reference_value(parse, cell)
+        if problem:
+            raise IngestError(f"{name}: row {number}, column {column}: {problem} {cell!r}")
+        values.append(value)
+    return values
+
+
 def _reference_read_csv(path, columns, optional=None):
-    """read_csv as csv.reader rows, before the whole-text split."""
+    """read_csv as csv.reader rows, before the whole-text split, with its
+    columns as lists and a missing optional value as None."""
     name = Path(path).name
     with open(path, encoding="utf-8", newline="") as fh:
         rows = [row for row in csv.reader(fh) if row]
@@ -260,13 +297,13 @@ def _reference_read_csv(path, columns, optional=None):
     cells = dict(zip(header, zip(*body))) if body else dict.fromkeys(header, ())
     numbers = range(2, len(body) + 2)
     out = {
-        column: _parse_column(name, column, cells[column], numbers, parse)
+        column: _reference_column(name, column, cells[column], numbers, parse)
         for column, parse in columns.items()
     }
     for column, parse in (optional or {}).items():
         values = [None] * len(body)
         present = [i for i, cell in enumerate(cells.get(column, ())) if cell != ""]
-        parsed = _parse_column(
+        parsed = _reference_column(
             name, column, [cells[column][i] for i in present], [i + 2 for i in present], parse
         )
         for i, value in zip(present, parsed):
@@ -276,9 +313,8 @@ def _reference_read_csv(path, columns, optional=None):
 
 
 def _read_csv_lists(path, columns, optional=None):
-    """read_csv with its required columns as lists."""
-    out = read_csv(path, columns, optional)
-    return out | {column: out[column].tolist() for column in columns}
+    """read_csv with its columns as lists, a masked optional cell as None."""
+    return {column: values.tolist() for column, values in read_csv(path, columns, optional).items()}
 
 
 def _outcome(load, *args):
@@ -314,7 +350,7 @@ def _reference_dialect_fault(text):
 # cells the parsers accept or reject, and characters outside the dialect
 _PLAIN_CELLS = st.sampled_from(
     ["0", "7", "-3", "1_0", " 2", "4 ", "0.5", "1e3", "nan", "inf", "-infinity", "", "x",
-     "2018-01-01", "99999999999999999999", "\x85", "\u2028", "\x0b"]
+     "2018-01-01", "99999999999999999999", "\x85", "\u2028", "\x0b", "\u0663", "true", "False"]
 )
 _ODD_CELLS = st.text(st.sampled_from('a1., "\r\n\0\t'), max_size=4)
 _CELLS = st.one_of(_PLAIN_CELLS, _PLAIN_CELLS, _ODD_CELLS)
@@ -347,6 +383,7 @@ _READ_PARSERS = [
     ({"a": int, "b": float}, {"c": int, "d": float}),
     ({"a": str, "c": datetime.date.fromisoformat}, {"b": str}),
     ({}, {"a": int}),
+    ({"a": bool, "b": int}, {"c": bool, "d": str}),
 ]
 
 
@@ -447,30 +484,35 @@ def test_read_csv_columns_are_typed_arrays(table):
         assert np.array_equal(got[column], expected)
 
 
-# hostile cells: -1 ... 1e-320 must keep reading as int()/float() read them,
-# whether np.loadtxt takes the spelling (" 1", "+5", "\x0b2") or the cell
-# falls back to the per-cell parse ("1_0", "٣", "3\x1f", overflows,
-# non-finite floats)
+# hostile cells: -1 ... 1e-320 must read as int()/float() read them,
+# except the spellings np.loadtxt refuses ("1_0", "\u0663", "\uff11"), in a
+# required or an optional column, whether the table's loadtxt pass takes the
+# spelling (" 1", "+5", "\x0b2") or not ("3\x1f", overflows, non-finite
+# floats)
 _HOSTILE_CELLS = st.one_of(
     st.sampled_from(
-        ["-1", "0", "1e308", "-1e308", "nan", "inf", "", "1_0", " 1", "٣",
+        ["-1", "0", "1e308", "-1e308", "nan", "inf", "", "1_0", " 1", "\u0663", "\uff11",
          "9223372036854775808", "1e-320", "-9223372036854775809", "+5", "1.0", "2 ", "\x0b2",
-         "3\x1f", "\x1c4", "-infinity", "1e999", "x", "0x10", "1,5"]
+         "3\x1f", "\x1c4", "-infinity", "1e999", "x", "0x10", "1,5", "\xa01", "1_0.5", "true",
+         "False", "TRUE", "1 "]
     ),
     st.integers(-(2**63), 2**63 - 1).map(str),
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
 )
+_KINDS = [int, float, bool, str]
 
 
 @st.composite
 def hostile_tables(draw):
-    """(text, parsers) of a table of int, float and str columns c0, c1, ...
-    of hostile cells, the parsers in any column order.  Some tables also
-    have a blank line, a quote, a bare CR, a ragged row or no final line
-    end."""
-    kinds = draw(st.lists(st.sampled_from([int, float, str]), min_size=1, max_size=4))
+    """(text, parsers, optional) of a table of int, float, bool and str
+    columns c0, c1, ... of hostile cells, each one required or optional, the
+    parsers in any column order; an optional column may also be absent.
+    Some tables also have a blank line, a quote, a bare CR, a ragged row or
+    no final line end."""
+    kinds = draw(st.lists(st.sampled_from(_KINDS), min_size=1, max_size=4))
     header = [f"c{j}" for j in range(len(kinds))]
     order = draw(st.permutations(range(len(kinds))))
+    required = draw(st.lists(st.booleans(), min_size=len(kinds), max_size=len(kinds)))
     rows = draw(st.lists(st.lists(_HOSTILE_CELLS, min_size=len(kinds), max_size=len(kinds)),
                          max_size=6))
     lines = [",".join(header)] + [",".join(row) for row in rows]
@@ -485,14 +527,42 @@ def hostile_tables(draw):
             lines[at] = edit.format(line)
     ending = draw(_ENDINGS)
     text = ending.join(lines) + (ending if draw(st.booleans()) else "")
-    return text, {header[j]: kinds[j] for j in order}
+    optional = {header[j]: kinds[j] for j in order if not required[j]}
+    if draw(st.booleans()):
+        optional["absent"] = draw(st.sampled_from(_KINDS))
+    return text, {header[j]: kinds[j] for j in order if required[j]}, optional
 
 
-def _reference_cells(text, parsers):
-    """read_csv of ``text`` with ``parsers``, cell by cell: for each column
-    in parser order, int() or float() of each cell in row order, and the
-    first cell either rejects, or that gives a non-finite float or an int
-    outside int64, named."""
+# load_households's required and optional parsers
+_HOUSEHOLD_PARSERS = (
+    {"id": int, "state": str, "county": str, "tract": str, "lat": float, "lon": float,
+     **dict.fromkeys(FEATURE_NAMES, int)},
+    {"sqft_class": int, "sqft_value": float, "solar": bool, "lmi": bool, "rural": bool},
+)
+
+
+@st.composite
+def hostile_households(draw):
+    """(text, parsers, optional) of a saved household table with up to
+    three cells swapped for hostile ones, and load_households's parsers."""
+    table = draw(household_tables())
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch, "households.csv")
+        save_households(table, path)
+        rows = [line.split(",") for line in path.read_bytes().decode().split("\r\n")[:-1]]
+    if len(rows) > 1:
+        for _ in range(draw(st.integers(0, 3))):
+            row = draw(st.integers(1, len(rows) - 1))
+            rows[row][draw(st.integers(0, len(rows[0]) - 1))] = draw(_HOSTILE_CELLS)
+    return "".join(",".join(row) + "\r\n" for row in rows), *_HOUSEHOLD_PARSERS
+
+
+def _reference_cells(text, parsers, optional):
+    """read_csv of ``text`` one cell at a time: each required column in
+    parser order, then each optional one, each read cell by cell in row
+    order, and the first bad cell named (see _reference_value).  Required
+    columns read as arrays, optional ones as masked arrays whose masked
+    cells are the empty ones."""
     fault = _reference_dialect_fault(text)
     if fault:
         raise IngestError(fault)
@@ -504,56 +574,60 @@ def _reference_cells(text, parsers):
     for column in parsers:
         if column not in header:
             raise IngestError(f"table.csv: missing column {column}")
+    rows = [line.split(",") for line in lines[1:]]
     out = {}
-    for column, parse in parsers.items():
-        values = []
-        for number, line in enumerate(lines[1:], start=2):
-            cell = line.split(",")[header.index(column)]
-            try:
-                value = parse(cell)
-                problem = ""
-            except ValueError:
-                problem = "bad value"
-            if not problem and parse is float and not np.isfinite(value):
-                problem = "non-finite value"
-            if not problem and parse is int and not -(2**63) <= value < 2**63:
-                problem = "int64 overflow in value"
-            if problem:
-                raise IngestError(f"table.csv: row {number}, column {column}: {problem} {cell!r}")
-            values.append(value)
-        out[column] = np.array(values, {int: np.int64, float: np.float64}.get(parse, object))
+    for column, parse in [*parsers.items(), *optional.items()]:
+        cells = [dict(zip(header, row)).get(column, "") for row in rows]
+        missing = [column in optional and cell == "" for cell in cells]
+        kept = [(n, cell) for n, (cell, gap) in enumerate(zip(cells, missing), 2) if not gap]
+        values = iter(_reference_column("table.csv", column, [c for _, c in kept],
+                                        [n for n, _ in kept], parse))
+        dtype = {int: np.int64, float: np.float64, bool: bool}.get(parse, object)
+        array = np.array([0 if gap else next(values) for gap in missing], dtype)
+        out[column] = np.ma.array(array, mask=missing) if column in optional else array
     return out
 
 
 @settings(max_examples=400, deadline=None)
-@given(hostile_tables())
-@example(("c0,c1\r\n1_0,x\r\n٣,y\r\n", {"c0": int, "c1": str}))
-@example(("c0,c1\n 1,1e-320\n+5,-0.0\n", {"c1": float, "c0": int}))
-@example(("c0,c1\n1,nan\n9223372036854775808,1\n", {"c0": int, "c1": float}))
-@example(("c0,c1\n3\x1f,1\n", {"c0": int, "c1": float}))
-@example(("c0,c1\n1,2\r\r\n", {"c0": int, "c1": int}))
-@example(("c0\n1\n\n2\n", {"c0": float}))
+@given(st.one_of(hostile_tables(), hostile_households()))
+@example(("c0,c1\r\n1_0,x\r\n\u0663,y\r\n", {"c0": int, "c1": str}, {}))
+@example(("c0,c1\n 1,1e-320\n+5,-0.0\n", {"c1": float, "c0": int}, {}))
+@example(("c0,c1\n1,nan\n9223372036854775808,1\n", {"c0": int, "c1": float}, {}))
+@example(("c0,c1\n3\x1f,1\n", {"c0": int, "c1": float}, {}))
+@example(("c0,c1\n1,2\r\r\n", {"c0": int, "c1": int}, {}))
+@example(("c0,c1\n1,x\n,y\n", {"c0": int, "c1": str}, {}))
+@example(("c0,c1\n1,2.5\n3,\n", {"c0": int, "c1": float}, {}))
+@example(("c0,c1\n1,2.5\n3,-inf\n", {"c0": int, "c1": float}, {}))
+@example(("c0\n1\n\n2\n", {"c0": float}, {}))
+@example(("c0,c1\n1,\n2,1_0\n", {"c0": int}, {"c1": int}))
+@example(("c0,c1\n,\uff11\n", {}, {"c0": float, "c1": float}))
+@example(("c0,c1\n1,a\x1cb\n", {"c0": int, "c1": str}, {"absent": bool}))
+@example(("c0,c1\n1,\x1c2\n", {"c0": int}, {"c1": int}))
+@example(("c0,c1\nTrue,\nfalse,0\n", {"c0": bool}, {"c1": bool}))
+@example(("c0,c1\n1,TRUE\n", {"c0": int}, {"c1": bool}))
 def test_read_csv_matches_per_cell_reference(table):
-    """read_csv, whose one np.loadtxt pass parses most tables whole, gives
+    """read_csv, whose np.loadtxt passes parse every table whole, gives
     the per-cell parse's values bit for bit, or its error."""
-    text, parsers = table
+    text, parsers, optional = table
     with tempfile.TemporaryDirectory() as scratch:
         path = Path(scratch, "table.csv")
         path.write_bytes(text.encode())
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a stage's load must not warn
-            got = _outcome(read_csv, path, parsers)
-        want = _outcome(_reference_cells, text, parsers)
+            got = _outcome(read_csv, path, parsers, optional)
+        want = _outcome(_reference_cells, text, parsers, optional)
     if isinstance(want, tuple):
         assert got == want
         return
     assert list(got) == list(want)
     for column in want:
+        assert type(got[column]) is type(want[column])
         assert got[column].dtype == want[column].dtype
+        assert np.array_equal(np.ma.getmaskarray(got[column]), np.ma.getmaskarray(want[column]))
         if want[column].dtype == object:
             assert got[column].tolist() == want[column].tolist()
         else:
-            assert got[column].tobytes() == want[column].tobytes()
+            assert np.ma.filled(got[column], 0).tobytes() == np.ma.filled(want[column], 0).tobytes()
 
 
 @st.composite
